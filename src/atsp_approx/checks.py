@@ -10,9 +10,10 @@ payload instead of silently producing a bad tour.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable
+from typing import Any, Iterable, Optional
 
 from .errors import InternalCheckError
+from .graph import Digraph, EdgeMultiset
 
 
 class Checker:
@@ -36,14 +37,16 @@ class Checker:
                 detail = detail()
             raise InternalCheckError(label, detail)
 
-    def expensive(self, cond_fn: Callable[[], bool], label: str, detail: Any = None) -> None:
-        """Run a costly check only when check_all is enabled."""
-        if self.check_all:
-            self.check(cond_fn(), label, detail)
-
-    def merge(self, other: "Checker") -> None:
-        self.counters.update(other.counters)
-        self.failures.extend(other.failures)
+    def balanced(self, g: Digraph, f: EdgeMultiset, label: str,
+                 vertices: Optional[Iterable[int]] = None) -> None:
+        """One check per vertex that f enters as often as it leaves: the
+        vertices f touches, or else the given ones."""
+        indeg, outdeg = f.degrees(g)
+        if vertices is None:
+            vertices = set(indeg) | set(outdeg)
+        for v in vertices:
+            self.check(indeg.get(v, 0) == outdeg.get(v, 0), label,
+                       lambda: f"vertex {v}")
 
     def as_dict(self) -> dict[str, int]:
         return dict(sorted(self.counters.items()))

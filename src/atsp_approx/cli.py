@@ -82,9 +82,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         doc = json.loads(_read_source(args.tour))
     except json.JSONDecodeError as exc:
         raise InputError(f"bad tour JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InputError("tour file must hold a JSON object")
     walk = doc.get("tour_walk", doc.get("tour"))
-    if walk is None:
-        raise InputError('tour file needs "tour_walk" (or "tour")')
+    if not isinstance(walk, list):
+        raise InputError('tour file needs a list "tour_walk" (or "tour")')
     tour = _resolve_tour(g, walk)
     ok, diagnostics = verify_tour(g, tour)
     print(json.dumps({

@@ -25,7 +25,7 @@ from .checks import Checker
 from .errors import InternalCheckError
 from .flows import CirculationProblem
 from .graph import Digraph, EdgeMultiset, bfs_path, scc_topological, undirected_components
-from .instance import path_crossings
+from .instance import cut_value, path_crossings
 from .pair import VertebratePair
 
 ZERO = Fraction(0)
@@ -47,42 +47,12 @@ class SubtourCoverInstance:
     h: EdgeMultiset
 
     def validate(self, checker: Optional[Checker] = None) -> None:
-        checker = checker or Checker()
-        g = self.pair.instance.g
-        outside = self.pair.outside_vertices()
-        for eid in self.h.mult:
-            e = g.edge(eid)
-            checker.check(e.tail in outside and e.head in outside,
-                          "h-avoids-backbone", lambda: f"edge {eid}")
-        indeg, outdeg = self.h.degrees(g)
-        for v in set(indeg) | set(outdeg):
-            checker.check(indeg.get(v, 0) == outdeg.get(v, 0), "h-eulerian",
-                          lambda: f"vertex {v}")
-        for s in self.pair.instance.family.nonsingletons():
-            checker.check(self.h.crossing(g, s) == 0, "h-avoids-family-cuts",
-                          lambda: sorted(s))
+        self.pair.check_initialization(self.h, checker or Checker(), "h-")
 
     def components(self) -> list[frozenset]:
         """W_1..W_k: components of (V minus backbone, H), smallest vertex first."""
-        g = self.pair.instance.g
-        outside = sorted(self.pair.outside_vertices())
-        parent = {v: v for v in outside}
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for eid in self.h.mult:
-            e = g.edge(eid)
-            ra, rb = find(e.tail), find(e.head)
-            if ra != rb:
-                parent[rb] = ra
-        groups: dict[int, set[int]] = {}
-        for v in outside:
-            groups.setdefault(find(v), set()).add(v)
-        return sorted((frozenset(s) for s in groups.values()), key=min)
+        return undirected_components(self.pair.instance.g, self.h.mult,
+                                     within=self.pair.outside_vertices())
 
 
 def classify_edge(r_tail: int, r_head: int) -> str:
@@ -297,33 +267,15 @@ def validate_witness_flow(cover: SubtourCoverInstance, levels: LevelStructure,
 def witness_boundary_mass(cover: SubtourCoverInstance, f: list[Fraction]) -> Fraction:
     """sum over components W_i of f(delta(W_i))."""
     g = cover.pair.instance.g
-    total = ZERO
-    for w in cover.components():
-        for e in g.edges:
-            if (e.tail in w) != (e.head in w):
-                total += f[e.eid]
-    return total
+    return sum((cut_value(g, f, w) for w in cover.components()), ZERO)
 
 
 def _support_acyclic(g: Digraph, support: list[int]) -> bool:
-    adj: dict[int, list[int]] = {}
-    for eid in support:
-        e = g.edge(eid)
-        adj.setdefault(e.tail, []).append(e.head)
-    color: dict[int, int] = {}
-
-    def dfs(v: int) -> bool:
-        color[v] = 1
-        for w in adj.get(v, ()):  # 1 = on stack, 2 = done
-            c = color.get(w, 0)
-            if c == 1:
-                return False
-            if c == 0 and not dfs(w):
-                return False
-        color[v] = 2
-        return True
-
-    return all(color.get(v, 0) != 0 or dfs(v) for v in list(adj))
+    """True iff the given edges contain no directed cycle, that is, every
+    strongly connected component of the subgraph they form is one vertex."""
+    sub = Digraph(g.n, [(g.edge(eid).tail, g.edge(eid).head, ZERO)
+                        for eid in support])
+    return all(len(comp) == 1 for comp in scc_topological(sub))
 
 
 @dataclass
@@ -766,34 +718,28 @@ def _check_rounded_structure(f_bar: EdgeMultiset, f_star: dict[int, int],
     g = aug.g
     inst = cover.pair.instance
     backbone = cover.pair.backbone_vertices
+    indeg, outdeg = f_bar.degrees(g)
     for i in range(aug.k):
         a = aug.aux_of[i]
-        indeg = sum(k for eid, k in f_bar.mult.items() if g.edge(eid).head == a)
-        checker.check(indeg == 1, "aux-one-incoming", lambda: f"component {i}")
-        outdeg = sum(k for eid, k in f_bar.mult.items() if g.edge(eid).tail == a)
-        checker.check(outdeg == 1, "aux-one-outgoing", lambda: f"component {i}")
+        checker.check(indeg.get(a, 0) == 1, "aux-one-incoming",
+                      lambda: f"component {i}")
+        checker.check(outdeg.get(a, 0) == 1, "aux-one-outgoing",
+                      lambda: f"component {i}")
     support = [eid for eid, k in f_star.items() if k > 0]
     checker.check(_support_acyclic(g, support), "rounded-witness-acyclic")
-    comps = undirected_components(g, f_bar.mult.keys())
-    for comp in comps:
+    for comp, comp_edges in f_bar.components(g):
         if comp & backbone:
             continue
-        comp_edges = [eid for eid in f_bar.mult
-                      if g.edge(eid).tail in comp and g.edge(eid).head in comp]
-        if not comp_edges:
-            continue
-        checker.check(all(f_star[eid] == 0 for eid in comp_edges),
+        checker.check(all(f_star[eid] == 0 for eid in comp_edges.mult),
                       "backbone-free-zero-witness", lambda: sorted(comp))
         checker.check(
-            all(aug.edge_class[eid] != FORWARD for eid in comp_edges),
+            all(aug.edge_class[eid] != FORWARD for eid in comp_edges.mult),
             "backbone-free-no-forward", lambda: sorted(comp))
         for v in comp:
             if v >= aug.base.n or inst.y_vertex(v) == 0:
                 continue
-            indeg = sum(k for eid, k in f_bar.mult.items()
-                        if g.edge(eid).head == v)
-            checker.check(indeg <= 2, "backbone-free-indegree",
-                          lambda: f"vertex {v}: in-degree {indeg}")
+            checker.check(indeg.get(v, 0) <= 2, "backbone-free-indegree",
+                          lambda: f"vertex {v}: in-degree {indeg.get(v, 0)}")
 
 
 def map_back(rounded: RoundedCirculation, aug: AugmentedGraph,
@@ -834,10 +780,7 @@ def map_back(rounded: RoundedCirculation, aug: AugmentedGraph,
                       lambda: f"component {i}: {path_cost} > {mass}")
         for eid in path:
             f.add(eid)
-    indeg, outdeg = f.degrees(g)
-    for v in range(g.n):
-        checker.check(indeg.get(v, 0) == outdeg.get(v, 0), "mapped-back-eulerian",
-                      lambda: f"vertex {v}")
+    checker.balanced(g, f, "mapped-back-eulerian", range(g.n))
     return f
 
 
@@ -855,22 +798,12 @@ def subtour_cover(cover: SubtourCoverInstance,
     rounded = round_circulation(rerouted, aug, cover, checker)
     f = map_back(rounded, aug, cover, checker)
     # solution properties
-    indeg, outdeg = f.degrees(g)
-    for v in range(g.n):
-        checker.check(indeg.get(v, 0) == outdeg.get(v, 0), "cover-eulerian",
-                      lambda: f"vertex {v}")
+    checker.balanced(g, f, "cover-eulerian", range(g.n))
     for i, w in enumerate(cover.components()):
         checker.check(f.crossing(g, w) > 0, "cover-crosses-component",
                       lambda: f"W_{i + 1}={sorted(w)}")
-    comps = undirected_components(g, f.mult.keys())
     backbone = cover.pair.backbone_vertices
-    for comp in comps:
-        comp_edges = EdgeMultiset(
-            {eid: k for eid, k in f.mult.items()
-             if g.edge(eid).tail in comp and g.edge(eid).head in comp}
-        )
-        if not comp_edges:
-            continue
+    for comp, comp_edges in f.components(g):
         crosses_family = any(
             comp_edges.crossing(g, s) > 0 for s in inst.family.nonsingletons()
         )

@@ -71,9 +71,6 @@ class Digraph:
         except IndexError:
             raise InputError(f"unknown edge id {eid}") from None
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def delta_plus(self, vertex_set: frozenset | set) -> list[int]:
         """Edge ids leaving the set."""
         return [e for v in vertex_set for e in self.out_edges[v]
@@ -137,13 +134,6 @@ class EdgeMultiset:
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self.mult.items()))
 
-    def expand(self) -> list[int]:
-        """Edge ids with repetition, ascending."""
-        out = []
-        for eid, k in self.items():
-            out.extend([eid] * k)
-        return out
-
     def total(self) -> int:
         return sum(self.mult.values())
 
@@ -197,6 +187,13 @@ class EdgeMultiset:
             if (e.tail in vertex_set) != (e.head in vertex_set):
                 count += k
         return count
+
+    def components(self, g: Digraph) -> list[tuple[frozenset, "EdgeMultiset"]]:
+        """(vertex set, edges) per undirected component of the support that
+        has an edge, ordered by smallest vertex."""
+        # a singleton component has no edge: there are no self-loops
+        return [(comp, self.restrict_to(g, comp))
+                for comp in undirected_components(g, self.mult) if len(comp) > 1]
 
 
 def check_laminar(sets: Sequence[frozenset]) -> bool:
@@ -258,12 +255,6 @@ class LaminarFamily:
 
     def nonsingletons(self) -> list[frozenset]:
         return [s for s in self.members if len(s) >= 2]
-
-    def strictly_inside(self, w: frozenset) -> list[frozenset]:
-        return [s for s in self.members if s < w]
-
-    def containing(self, v: int) -> list[frozenset]:
-        return [s for s in self.members if v in s]
 
     def minimal_containing(self, verts: Iterable[int], ground: frozenset) -> frozenset:
         """Smallest member (or the ground set) containing all given vertices."""
@@ -347,10 +338,16 @@ def contract(g: Digraph, classes: Sequence[frozenset]) -> tuple[Digraph, Contrac
     return child, ContractionMap(tuple(vertex_map), tuple(origins))
 
 
-def undirected_components(g: Digraph, support: Iterable[int]) -> list[frozenset]:
+def undirected_components(g: Digraph, support: Iterable[int],
+                          within: Optional[Iterable[int]] = None) -> list[frozenset]:
     """Components of the undirected support of the given edges, plus isolated
-    vertices as singletons.  Sorted by smallest member."""
-    parent = list(range(g.n))
+    vertices as singletons.  Sorted by smallest member.
+
+    With ``within``, only those vertices are grouped, and edges with an
+    endpoint outside them are ignored.
+    """
+    verts = range(g.n) if within is None else sorted(within)
+    parent = {v: v for v in verts}
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -360,13 +357,19 @@ def undirected_components(g: Digraph, support: Iterable[int]) -> list[frozenset]
 
     for eid in support:
         e = g.edge(eid)
-        ra, rb = find(e.tail), find(e.head)
-        if ra != rb:
-            parent[rb] = ra
+        if e.tail in parent and e.head in parent:
+            ra, rb = find(e.tail), find(e.head)
+            if ra != rb:
+                parent[rb] = ra
     groups: dict[int, set[int]] = {}
-    for v in range(g.n):
+    for v in verts:
         groups.setdefault(find(v), set()).add(v)
     return sorted((frozenset(s) for s in groups.values()), key=min)
+
+
+def crossing_weight(y: dict[frozenset, Fraction], tail: int, head: int) -> Fraction:
+    """Total weight of the sets that the edge tail -> head crosses."""
+    return sum((w for s, w in y.items() if (tail in s) != (head in s)), ZERO)
 
 
 def is_eulerian_connected(g: Digraph, f: EdgeMultiset) -> tuple[bool, list[frozenset]]:
@@ -376,8 +379,8 @@ def is_eulerian_connected(g: Digraph, f: EdgeMultiset) -> tuple[bool, list[froze
     The component list covers all of V (isolated vertices as singletons).
     """
     indeg, outdeg = f.degrees(g)
-    eulerian = all(indeg.get(v, 0) == outdeg.get(v, 0) for v in range(g.n))
-    return eulerian, undirected_components(g, f.mult.keys())
+    # both maps hold exactly the vertices with positive degree
+    return indeg == outdeg, undirected_components(g, f.mult)
 
 
 def euler_walk(g: Digraph, f: EdgeMultiset, start: int) -> list[int]:

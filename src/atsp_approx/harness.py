@@ -54,22 +54,28 @@ def parse_instance(data: bytes | str, fmt: str = "auto") -> tuple[str, Digraph]:
     return name, g
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; true and false decode to Python bools, which are ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_json(text: str) -> tuple[str, Digraph]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"bad JSON: {exc}") from None
-    if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
-        raise InputError('JSON instance needs "n" and "edges"')
+    if not isinstance(doc, dict) or "n" not in doc or \
+            not isinstance(doc.get("edges"), list):
+        raise InputError('JSON instance needs "n" and an "edges" list')
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InputError(f'bad vertex count {n!r}')
     edges = []
     for item in doc["edges"]:
         if not isinstance(item, (list, tuple)) or len(item) != 3:
             raise InputError(f"bad edge entry {item!r}")
         tail, head, cost = item
-        if not isinstance(tail, int) or not isinstance(head, int):
+        if not _is_int(tail) or not _is_int(head):
             raise InputError(f"bad edge endpoints {item!r}")
         edges.append((tail, head, parse_rational(cost)))
     return str(doc.get("name", "instance")), Digraph(n, edges)
@@ -100,7 +106,10 @@ def _parse_tsplib(text: str) -> tuple[str, Digraph]:
             elif key == "TYPE":
                 tsp_type = value.upper()
             elif key == "DIMENSION":
-                dimension = int(value)
+                try:
+                    dimension = int(value)
+                except ValueError:
+                    raise InputError(f"bad DIMENSION {value!r}") from None
             elif key == "EDGE_WEIGHT_TYPE":
                 weight_type = value.upper()
             elif key == "EDGE_WEIGHT_FORMAT":

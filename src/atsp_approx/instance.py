@@ -13,11 +13,11 @@ quantities value(W) and D_W computed from them.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .checks import Checker
 from .errors import ContractViolation
-from .graph import Digraph, EdgeMultiset, LaminarFamily, bfs_path
+from .graph import Digraph, LaminarFamily, bfs_path, crossing_weight
 
 ZERO = Fraction(0)
 
@@ -35,6 +35,13 @@ def path_crossings(g: Digraph, path: Iterable[int], s: frozenset) -> tuple[int, 
         elif tin and not hin:
             exits += 1
     return enters, exits
+
+
+def cut_value(g: Digraph, x: Sequence[Fraction], s: frozenset) -> Fraction:
+    """x(delta(S)): the x-mass of the edges leaving or entering S."""
+    return sum((x[e] for e in g.delta_plus(s)), ZERO) + sum(
+        (x[e] for e in g.delta_minus(s)), ZERO
+    )
 
 
 def _path_vertices(g: Digraph, start: int, path: list[int]) -> list[int]:
@@ -68,18 +75,11 @@ class StronglyLaminarInstance:
 
     def induced_cost(self, eid: int) -> Fraction:
         e = self.g.edge(eid)
-        total = ZERO
-        for s in self.family:
-            if (e.tail in s) != (e.head in s):
-                total += self.family.weight(s)
-        return total
+        return crossing_weight(self.family.weights, e.tail, e.head)
 
     def y_vertex(self, v: int) -> Fraction:
         """Weight of the singleton {v}, or 0."""
         return self.family.singleton_weight(v)
-
-    def cost_of(self, edges: EdgeMultiset) -> Fraction:
-        return edges.cost(self.g)
 
     def family_or_ground(self) -> list[frozenset]:
         out = list(self.family.members)
@@ -238,9 +238,7 @@ class StronglyLaminarInstance:
             outflow = sum((self.x[e] for e in g.out_edges[v]), ZERO)
             checker.check(inflow == outflow, "x-circulation", lambda: f"vertex {v}")
         for s in self.family.members:
-            cut = sum((self.x[e] for e in g.delta_plus(s)), ZERO) + sum(
-                (self.x[e] for e in g.delta_minus(s)), ZERO
-            )
+            cut = cut_value(g, self.x, s)
             checker.check(cut == 2, "family-cut-tight",
                           lambda: f"{sorted(s)} has x(delta)={cut}")
         checker.check(

@@ -18,8 +18,14 @@ from . import simplex
 from .checks import Checker
 from .errors import ContractViolation, InfeasibleInstanceError, InternalCheckError
 from .flows import max_flow_min_cut
-from .graph import Digraph, LaminarFamily, check_laminar, scc_topological
-from .instance import StronglyLaminarInstance
+from .graph import (
+    Digraph,
+    LaminarFamily,
+    check_laminar,
+    crossing_weight,
+    scc_topological,
+)
+from .instance import StronglyLaminarInstance, cut_value
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -55,11 +61,8 @@ def dual_feasible(g: Digraph, dual: DualLp, eids: Optional[list[int]] = None) ->
         return False
     for eid in eids if eids is not None else range(g.m):
         e = g.edge(eid)
-        lhs = dual.a[e.head] - dual.a[e.tail]
-        for s, y in dual.y.items():
-            if (e.tail in s) != (e.head in s):
-                lhs += y
-        if lhs > e.cost:
+        cross = crossing_weight(dual.y, e.tail, e.head)
+        if dual.a[e.head] - dual.a[e.tail] + cross > e.cost:
             return False
     return True
 
@@ -280,17 +283,14 @@ def build_strongly_laminar_instance(
     checker.check(dual2.objective == primal.objective, "pipeline-objective-preserved")
     # complementary slackness: every support set is a tight cut
     for u_set in dual2.y:
-        cut = sum((x_sub[eid] for eid in sub.delta_plus(u_set)), ZERO) + sum(
-            (x_sub[eid] for eid in sub.delta_minus(u_set)), ZERO
-        )
+        cut = cut_value(sub, x_sub, u_set)
         checker.check(cut == TWO, "support-cut-tight",
                       lambda: f"{sorted(u_set)}: x(delta)={cut}")
     # tightness on every retained edge gives the induced-cost identity
     induced: list[Fraction] = []
     for eid in range(sub.m):
         e = sub.edge(eid)
-        cross = sum((yv for s, yv in dual2.y.items()
-                     if (e.tail in s) != (e.head in s)), ZERO)
+        cross = crossing_weight(dual2.y, e.tail, e.head)
         expected = e.cost + dual2.a[e.tail] - dual2.a[e.head]
         checker.check(cross == expected, "induced-cost-identity",
                       lambda: f"edge {e.tail}->{e.head}: {cross} != {expected}")

@@ -46,6 +46,22 @@ class VertebratePair:
                           "backbone-touches-nonsingleton",
                           lambda: sorted(s))
 
+    def check_initialization(self, h: EdgeMultiset, checker: Checker,
+                             prefix: str) -> None:
+        """Re-check that h is a valid initialization: Eulerian, away from the
+        backbone, and crossing no non-singleton family set.  The labels are
+        the prefix followed by the clause name."""
+        g = self.instance.g
+        outside = self.outside_vertices()
+        checker.balanced(g, h, prefix + "eulerian")
+        for eid in h.mult:
+            e = g.edge(eid)
+            checker.check(e.tail in outside and e.head in outside,
+                          prefix + "avoids-backbone", lambda: f"edge {eid}")
+        for s in self.instance.family.nonsingletons():
+            checker.check(h.crossing(g, s) == 0, prefix + "avoids-family-cuts",
+                          lambda: sorted(s))
+
     def outside_vertices(self) -> frozenset:
         return self.instance.ground - self.backbone_vertices
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import InputError
@@ -11,13 +12,18 @@ def parse_rational(value) -> Fraction:
     """Parse an int, float-free decimal string, or "p/q" string into a Fraction.
 
     Floats are rejected unless they are integral, to avoid importing binary
-    rounding error into an exact pipeline.
+    rounding error into an exact pipeline; so are booleans and the
+    non-finite floats that JSON's Infinity and NaN decode to.
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise InputError(f"cannot parse rational from bool {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise InputError(f"refusing non-finite cost {value!r}")
         if value != int(value):
             raise InputError(f"refusing inexact float cost {value!r}; pass a string")
         return Fraction(int(value))

@@ -1,6 +1,6 @@
 """Exact two-phase primal simplex over the rationals, with variable bounds.
 
-Solves  min c.x  s.t.  A_i.x {<=,==,>=} b_i,  l <= x <= u  in exact Fraction
+Solves  min c.x  s.t.  A_i.x {<=,==,>=} b_i,  0 <= x <= u  in exact Fraction
 arithmetic and reports row duals, which downstream code turns into the
 (a, y) dual solution of the subtour-elimination LP.  Bounded variables are
 handled natively (nonbasic at lower or upper bound) so flow-style LPs do not
@@ -45,7 +45,6 @@ def solve_lp(
     rows: Sequence[dict[int, Fraction]],
     senses: Sequence[str],
     rhs: Sequence[Fraction],
-    lower: Optional[Sequence[Fraction]] = None,
     upper: Optional[Sequence[Optional[Fraction]]] = None,
 ) -> LpResult:
     """Solve the LP exactly; rows are sparse {var: coeff} maps.
@@ -59,27 +58,13 @@ def solve_lp(
     nrows = len(rows)
     if not (len(senses) == len(rhs) == nrows):
         raise ContractViolation("rows/senses/rhs length mismatch")
-    lo = [Fraction(v) for v in (lower if lower is not None else [ZERO] * nvars)]
-    up: list[Optional[Fraction]] = list(upper) if upper is not None else [None] * nvars
-    if len(lo) != nvars or len(up) != nvars:
+    up = list(upper) if upper is not None else [None] * nvars
+    if len(up) != nvars:
         raise ContractViolation("bounds length mismatch")
-    for j in range(nvars):
-        if up[j] is not None and Fraction(up[j]) < lo[j]:
-            return LpResult(INFEASIBLE, [], ZERO, [])
-
-    # Shift variables to lower bound zero; fold the shift into rhs/objective.
-    const = ZERO
-    shifted_rhs = [Fraction(v) for v in rhs]
-    for j in range(nvars):
-        if lo[j]:
-            const += Fraction(objective[j]) * lo[j]
-            for i in range(nrows):
-                coeff = rows[i].get(j)
-                if coeff:
-                    shifted_rhs[i] -= Fraction(coeff) * lo[j]
-    bounds: list[Optional[Fraction]] = [
-        None if up[j] is None else Fraction(up[j]) - lo[j] for j in range(nvars)
-    ]
+    bounds: list[Optional[Fraction]] = [None if u is None else Fraction(u) for u in up]
+    if any(u is not None and u < 0 for u in bounds):
+        return LpResult(INFEASIBLE, [], ZERO, [])
+    b = [Fraction(v) for v in rhs]
 
     # Append slack/surplus columns, then one artificial per row.
     ncols = nvars
@@ -95,7 +80,7 @@ def solve_lp(
         elif sense != "==":
             raise ContractViolation(f"unknown sense {sense!r}")
     art_col = list(range(ncols, ncols + nrows))
-    art_sign = [1 if shifted_rhs[i] >= 0 else -1 for i in range(nrows)]
+    art_sign = [1 if b[i] >= 0 else -1 for i in range(nrows)]
     ncols += nrows
 
     bounds = bounds + [None] * (ncols - nvars)
@@ -113,15 +98,33 @@ def solve_lp(
             row = [-v for v in row]
             row[art_col[i]] = ONE
             tableau.append(row)
-            shifted_rhs[i] = -shifted_rhs[i]
+            b[i] = -b[i]
         else:
             tableau.append(row)
-    beta = list(shifted_rhs)  # basic values; artificials start basic
+    beta = list(b)  # basic values; artificials start basic
     basis = list(art_col)
     state = [_AT_LOWER] * ncols
     for j in basis:
         state[j] = _BASIC
     banned = [False] * ncols
+
+    def pivot_on(r: int, col: int) -> list[Fraction]:
+        """Column col enters the basis at row r: scale row r to a unit pivot
+        and eliminate col from every other row.  Returns the new row r."""
+        basis[r] = col
+        state[col] = _BASIC
+        prow = tableau[r]
+        pivot = prow[col]
+        if pivot != ONE:
+            inv = ONE / pivot
+            tableau[r] = prow = [v * inv for v in prow]
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = tableau[i][col]
+            if f:
+                tableau[i] = [v - f * p for v, p in zip(tableau[i], prow)]
+        return prow
 
     def run_phase(cost: list[Fraction]) -> tuple[str, list[Fraction]]:
         zrow = list(cost)
@@ -201,22 +204,8 @@ def solve_lp(
             leaving = basis[leave_row]
             state[leaving] = _AT_UPPER if leave_to_upper else _AT_LOWER
             # entering variable's new value
-            enter_val = (bounds[enter] - t) if from_upper else t
-            basis[leave_row] = enter
-            state[enter] = _BASIC
-            beta[leave_row] = enter_val
-            prow = tableau[leave_row]
-            pivot = prow[enter]
-            if pivot != ONE:
-                inv = ONE / pivot
-                tableau[leave_row] = prow = [v * inv for v in prow]
-            for i in range(nrows):
-                if i == leave_row:
-                    continue
-                f = tableau[i][enter]
-                if f:
-                    trow = tableau[i]
-                    tableau[i] = [v - f * p for v, p in zip(trow, prow)]
+            beta[leave_row] = (bounds[enter] - t) if from_upper else t
+            prow = pivot_on(leave_row, enter)
             f = zrow[enter]
             if f:
                 zrow = [v - f * p for v, p in zip(zrow, prow)]
@@ -244,22 +233,11 @@ def solve_lp(
         )
         if piv_col is None:
             continue
-        pivot = prow[piv_col]
-        old = basis[r]
-        state[old] = _AT_LOWER
-        basis[r] = piv_col
+        state[basis[r]] = _AT_LOWER
         # degenerate pivot: the point does not move, so the new basic
         # variable keeps its current (bound) value
         beta[r] = bounds[piv_col] if state[piv_col] == _AT_UPPER else ZERO
-        state[piv_col] = _BASIC
-        if pivot != ONE:
-            inv = ONE / pivot
-            tableau[r] = prow = [v * inv for v in prow]
-        for i in range(nrows):
-            if i != r and tableau[i][piv_col]:
-                f = tableau[i][piv_col]
-                trow = tableau[i]
-                tableau[i] = [v - f * p for v, p in zip(trow, prow)]
+        pivot_on(r, piv_col)
     for j in art_col:
         banned[j] = True
 
@@ -277,7 +255,7 @@ def solve_lp(
             x[j] = bounds[j]
     for r in range(nrows):
         x[basis[r]] = beta[r]
-    solution = [x[j] + lo[j] for j in range(nvars)]
+    solution = x[:nvars]
     obj = sum((Fraction(objective[j]) * solution[j] for j in range(nvars)), ZERO)
     # Row duals from the reduced costs of the artificial columns: the
     # artificial for row i has column sigma_i * e_i, so its reduced cost is

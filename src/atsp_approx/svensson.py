@@ -34,15 +34,14 @@ from .cover import (
     subtour_cover,
 )
 from .errors import ContractViolation, InternalCheckError
-from .graph import Digraph, EdgeMultiset, dijkstra_path, undirected_components
+from .graph import EdgeMultiset, dijkstra_path, undirected_components
 from .pair import VertebratePair
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 _PHI_DPS = 300
 
-DEFAULT_RESTART_CAP = 10 ** 6
+_RESTART_CAP = 10 ** 6
 
 
 def knapsack_greedy(items: list[tuple[Fraction, Fraction]],
@@ -81,12 +80,10 @@ def knapsack_greedy(items: list[tuple[Fraction, Fraction]],
 class EllFunction:
     """The budget function: outside the backbone each vertex gets
     (1+eps')*2*alpha*2y_v plus an (eps'/n) share of the outside singleton
-    mass; backbone vertices split kappa*LP + beta*(outside mass) evenly."""
+    mass; backbone vertices split kappa*LP + beta*(outside mass) evenly,
+    where (alpha, kappa, beta) is the subtour-cover guarantee."""
 
     values: list[Fraction]
-    alpha: Fraction
-    kappa: Fraction
-    beta: Fraction
     epsilon: Fraction
     eps_prime: Fraction
     regularity_const: Fraction  # C with ell(v) >= ell(outside) / (C n)
@@ -102,11 +99,12 @@ class EllFunction:
 
 
 def build_ell(pair: VertebratePair, epsilon: Fraction,
-              alpha: Fraction = SUBTOUR_COVER_ALPHA,
-              kappa: Fraction = SUBTOUR_COVER_KAPPA,
-              beta: Fraction = SUBTOUR_COVER_BETA,
               checker: Optional[Checker] = None) -> EllFunction:
+    """The budget function for the (3,2,1) subtour-cover solver."""
     checker = checker or Checker()
+    alpha = SUBTOUR_COVER_ALPHA
+    kappa = SUBTOUR_COVER_KAPPA
+    beta = SUBTOUR_COVER_BETA
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ContractViolation("epsilon must be positive")
@@ -128,7 +126,7 @@ def build_ell(pair: VertebratePair, epsilon: Fraction,
                 + eps_prime / n * outside_mass
             )
     c_const = ((1 + eps_prime) * 2 * alpha + eps_prime) / eps_prime
-    ell = EllFunction(values, alpha, kappa, beta, epsilon, eps_prime,
+    ell = EllFunction(values, epsilon, eps_prime,
                       c_const, outside_mass, inst.lp_value, n)
     floor = ell.of_set(outside) / (c_const * n)
     for v in sorted(outside):
@@ -173,7 +171,7 @@ class ComponentState:
     def __post_init__(self) -> None:
         g = self.pair.instance.g
         outside = self.pair.outside_vertices()
-        comps = _components_within(g, outside, self.h_tilde)
+        comps = undirected_components(g, self.h_tilde.mult, within=outside)
         comps.sort(key=lambda c: (-self.ell.of_set(c), min(c)))
         self.parts = [self.pair.backbone_vertices] + comps
         self.part_of = {}
@@ -198,55 +196,14 @@ class ComponentState:
         return total
 
 
-def _components_within(g: Digraph, verts: frozenset, edges: EdgeMultiset
-                       ) -> list[frozenset]:
-    parent = {v: v for v in verts}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for eid in edges.mult:
-        e = g.edge(eid)
-        if e.tail in parent and e.head in parent:
-            ra, rb = find(e.tail), find(e.head)
-            if ra != rb:
-                parent[rb] = ra
-    groups: dict[int, set[int]] = {}
-    for v in verts:
-        groups.setdefault(find(v), set()).add(v)
-    return sorted((frozenset(s) for s in groups.values()), key=min)
-
-
 def check_light(pair: VertebratePair, ell: EllFunction, edges: EdgeMultiset,
                 checker: Checker, label: str) -> None:
     """Every component of (V, edges) costs at most the budget of its vertex
     set."""
     g = pair.instance.g
-    for comp in undirected_components(g, edges.mult.keys()):
-        comp_edges = edges.restrict_to(g, comp)
-        if comp_edges:
-            checker.check(comp_edges.cost(g) <= ell.of_set(comp), label,
-                          lambda: f"{sorted(comp)}: {comp_edges.cost(g)}")
-
-
-def check_valid_initialization(pair: VertebratePair, edges: EdgeMultiset,
-                               checker: Checker) -> None:
-    g = pair.instance.g
-    outside = pair.outside_vertices()
-    indeg, outdeg = edges.degrees(g)
-    for v in set(indeg) | set(outdeg):
-        checker.check(indeg.get(v, 0) == outdeg.get(v, 0),
-                      "initialization-eulerian", lambda: f"vertex {v}")
-    for eid in edges.mult:
-        e = g.edge(eid)
-        checker.check(e.tail in outside and e.head in outside,
-                      "initialization-avoids-backbone", lambda: f"edge {eid}")
-    for s in pair.instance.family.nonsingletons():
-        checker.check(edges.crossing(g, s) == 0,
-                      "initialization-avoids-family-cuts", lambda: sorted(s))
+    for comp, comp_edges in edges.components(g):
+        checker.check(comp_edges.cost(g) <= ell.of_set(comp), label,
+                      lambda: f"{sorted(comp)}: {comp_edges.cost(g)}")
 
 
 def improved_initialization(state: ComponentState, d_vertices: frozenset,
@@ -291,7 +248,7 @@ def improved_initialization(state: ComponentState, d_vertices: frozenset,
     merged = merged.union(d_edges)
     for j in selected:
         merged = merged.union(state.part_edges(j))
-    check_valid_initialization(pair, merged, checker)
+    pair.check_initialization(merged, checker, "initialization-")
     check_light(pair, ell, merged, checker, "better-init-light")
     # strict potential growth of the merged component, in log space
     with mpmath.workdps(_PHI_DPS):
@@ -388,11 +345,11 @@ def svensson_iterate(pair: VertebratePair, ell: EllFunction,
     checker = checker or Checker()
     inst = pair.instance
     g = inst.g
-    check_valid_initialization(pair, h_tilde, checker)
+    pair.check_initialization(h_tilde, checker, "initialization-")
     check_light(pair, ell, h_tilde, checker, "initialization-light")
     state = ComponentState(pair, ell, h_tilde)
     eps_prime = ell.eps_prime
-    alpha = ell.alpha
+    alpha = SUBTOUR_COVER_ALPHA
     h = h_tilde.copy()
     ledger = IterationLedger()
     allowed = _allowed_cycle_edges(pair)
@@ -402,25 +359,17 @@ def svensson_iterate(pair: VertebratePair, ell: EllFunction,
         outer += 1
         if outer > outer_cap:
             raise InternalCheckError("svensson-iteration-cap", outer)
-        check_valid_initialization(pair, h, checker)
+        pair.check_initialization(h, checker, "initialization-")
         cover = SubtourCoverInstance(pair, h)
         f_full = cover_fn(cover, checker)
         # drop cover components inside existing components of B+H
         bh_comps = undirected_components(g, pair.backbone.union(h).mult.keys())
         f = EdgeMultiset()
-        for comp in undirected_components(g, f_full.mult.keys()):
-            comp_edges = f_full.restrict_to(g, comp)
-            if not comp_edges:
-                continue
-            if any(comp <= bh for bh in bh_comps):
-                continue
-            f = f.union(comp_edges)
+        for comp, comp_edges in f_full.components(g):
+            if not any(comp <= bh for bh in bh_comps):
+                f = f.union(comp_edges)
         # group the survivors by first touched part
-        f_comps = [
-            (comp, f.restrict_to(g, comp))
-            for comp in undirected_components(g, f.mult.keys())
-            if f.restrict_to(g, comp)
-        ]
+        f_comps = f.components(g)
         by_index: dict[int, list[tuple[frozenset, EdgeMultiset]]] = {}
         for comp, comp_edges in f_comps:
             by_index.setdefault(state.ind(comp), []).append((comp, comp_edges))
@@ -528,8 +477,7 @@ def svensson_iterate(pair: VertebratePair, ell: EllFunction,
 
 def vertebrate_solve(pair: VertebratePair, epsilon: Fraction,
                      cover_fn: Callable[..., EdgeMultiset] = subtour_cover,
-                     checker: Optional[Checker] = None,
-                     restart_cap: int = DEFAULT_RESTART_CAP) -> EdgeMultiset:
+                     checker: Optional[Checker] = None) -> EdgeMultiset:
     """Solve a vertebrate pair: returns F with E(B) + F a tour and
     c(F) <= kappa*LP + (4 alpha + beta + 1 + epsilon) * outside mass."""
     checker = checker or Checker()
@@ -537,20 +485,15 @@ def vertebrate_solve(pair: VertebratePair, epsilon: Fraction,
     ell = build_ell(pair, Fraction(epsilon), checker=checker)
     g = pair.instance.g
     h_tilde = EdgeMultiset()
-    prev_state: Optional[ComponentState] = None
-    prev_phi: Optional[mpmath.mpf] = None
-    for _ in range(restart_cap):
+    for _ in range(_RESTART_CAP):
         result = svensson_iterate(pair, ell, h_tilde, cover_fn, checker)
         if result.kind == "solution":
             h = result.edges
-            indeg, outdeg = h.degrees(g)
-            for v in range(g.n):
-                checker.check(indeg.get(v, 0) == outdeg.get(v, 0),
-                              "solution-eulerian", lambda: f"vertex {v}")
+            checker.balanced(g, h, "solution-eulerian", range(g.n))
             checker.check(_connected_with_backbone(pair, h),
                           "solution-connects")
-            eta = 4 * ell.alpha + ell.beta + 1 + ell.epsilon
-            bound = ell.kappa * pair.instance.lp_value + \
+            eta = 4 * SUBTOUR_COVER_ALPHA + SUBTOUR_COVER_BETA + 1 + ell.epsilon
+            bound = SUBTOUR_COVER_KAPPA * pair.instance.lp_value + \
                 eta * pair.outside_singleton_mass()
             checker.check(h.cost(g) <= bound, "vertebrate-bound",
                           lambda: f"{h.cost(g)} > {bound}")
@@ -569,4 +512,4 @@ def vertebrate_solve(pair: VertebratePair, epsilon: Fraction,
                           "restart-potential-progress",
                           lambda: f"{new_phi - old_phi} <= {threshold}")
         h_tilde = result.edges
-    raise InternalCheckError("svensson-restart-cap", restart_cap)
+    raise InternalCheckError("svensson-restart-cap", _RESTART_CAP)

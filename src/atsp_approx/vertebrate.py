@@ -23,9 +23,9 @@ from .graph import (
     EdgeMultiset,
     LaminarFamily,
     contract,
+    crossing_weight,
     euler_walk,
     is_eulerian_connected,
-    undirected_components,
 )
 from .instance import StronglyLaminarInstance
 from .lp import build_strongly_laminar_instance
@@ -112,16 +112,10 @@ def _build_child_instance(inst: StronglyLaminarInstance, w_set: frozenset,
         image = frozenset(cmap.child_of(v) for v in w_set)
         weighted.append((image, d_w / 2))
     family = LaminarFamily(weighted, child_graph_raw.n)
-    induced = []
-    for e in child_graph_raw.edges:
-        cost = ZERO
-        for s, y in family.weights.items():
-            if (e.tail in s) != (e.head in s):
-                cost += y
-        induced.append(cost)
-    child_graph = Digraph(child_graph_raw.n,
-                          [(e.tail, e.head, induced[e.eid])
-                           for e in child_graph_raw.edges])
+    child_graph = Digraph(child_graph_raw.n, [
+        (e.tail, e.head, crossing_weight(family.weights, e.tail, e.head))
+        for e in child_graph_raw.edges
+    ])
     child = StronglyLaminarInstance(child_graph, family, child_x)
     child.validate(checker)
     return child, cmap
@@ -219,20 +213,14 @@ def reduce_and_solve(inst: StronglyLaminarInstance, w_set: frozenset,
                       if w_set != inst.ground else None)
     missed_of_vertex = {cmap.child_of(min(s)): s for s in missed}
     lifted = EdgeMultiset()
-    for comp in undirected_components(child.g, solution.mult.keys()):
-        comp_edges = solution.restrict_to(child.g, comp)
-        if not comp_edges:
-            continue
-        walk = euler_walk(child.g, comp_edges, min(comp_edges.vertices(child.g)))
+    for comp, comp_edges in solution.components(child.g):
+        walk = euler_walk(child.g, comp_edges, min(comp))
         _lift_component_walk(inst, child, cmap, walk, outside_vertex,
                              missed_of_vertex, lifted)
     checker.check(lifted.cost(inst.g) <= solution.cost(child.g),
                   "lifting-cost-monotone",
                   lambda: f"{lifted.cost(inst.g)} > {solution.cost(child.g)}")
-    indeg, outdeg = lifted.degrees(inst.g)
-    for v in set(indeg) | set(outdeg):
-        checker.check(indeg.get(v, 0) == outdeg.get(v, 0), "lifted-eulerian",
-                      lambda: f"vertex {v}")
+    checker.balanced(inst.g, lifted, "lifted-eulerian")
     # the lifted solution plus the backbone visits everything except the
     # interiors of the missed sets, and crosses into every missed set
     union = lifted.union(backbone)

@@ -47,6 +47,16 @@ def test_solve_rejects_bad_input(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["solve", str(path)])
     assert code == 1
     assert "strongly connected" in err
+    for text in ('{"n": 2, "edges": [[0, 1, Infinity], [1, 0, "1"]]}',
+                 '{"n": 2, "edges": [[0, 1, NaN], [1, 0, "1"]]}',
+                 '{"n": true, "edges": []}',
+                 '{"n": 2, "edges": [[true, 0, "1"], [0, 1, "1"]]}',
+                 "TYPE: ATSP\nDIMENSION: abc\nEDGE_WEIGHT_FORMAT: FULL_MATRIX\n"
+                 "EDGE_WEIGHT_SECTION\n0\nEOF\n"):
+        path.write_text(text)
+        code, out, err = run_cli(capsys, ["solve", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_solve_missing_file(capsys):
@@ -76,6 +86,17 @@ def test_verify_rejects_partial_walk(tmp_path, capsys):
     assert code == 1
     doc = json.loads(out)
     assert doc["valid"] is False
+
+
+def test_verify_rejects_malformed_tour_file(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(instance_to_json("c3", c3()))
+    tour_path = tmp_path / "tour.json"
+    for doc in ({"tour_walk": 5}, [[0, 1], [1, 2], [2, 0]]):
+        tour_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["verify", str(inst_path), str(tour_path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_oracle_tsplib(tmp_path, capsys):

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from atsp_approx.errors import ContractViolation, InputError
+from atsp_approx.checks import Checker
+from atsp_approx.cover import _support_acyclic
+from atsp_approx.errors import ContractViolation, InputError, InternalCheckError
 from atsp_approx.graph import (
     Digraph,
     EdgeMultiset,
@@ -14,6 +16,7 @@ from atsp_approx.graph import (
     euler_walk,
     is_eulerian_connected,
     scc_topological,
+    undirected_components,
 )
 from fixtures import c3, k2, multiset, two_tri
 
@@ -48,6 +51,49 @@ def test_eulerian_two_components():
     ok, comps = is_eulerian_connected(g, multiset([(i, 1) for i in range(6)]))
     assert ok
     assert comps == [frozenset({0, 1, 2}), frozenset({3, 4, 5})]
+
+
+def test_undirected_components_within():
+    g = two_tri()
+    support = [1, 3, 6]  # (1,2), (3,4) and the joiner (0,3)
+    assert undirected_components(g, support) == [
+        frozenset({0, 3, 4}), frozenset({1, 2}), frozenset({5})]
+    # the joiner leaves the window and is ignored; 5 stays a singleton
+    assert undirected_components(g, support, within={1, 2, 3, 4, 5}) == [
+        frozenset({1, 2}), frozenset({3, 4}), frozenset({5})]
+
+
+def test_edge_multiset_components_ordered_by_smallest_vertex():
+    g = two_tri()
+    f = multiset([(4, 1), (3, 1), (1, 2)])  # (4,5), (3,4), and (1,2) twice
+    comps = f.components(g)
+    assert [comp for comp, _ in comps] == [frozenset({1, 2}), frozenset({3, 4, 5})]
+    assert [edges for _, edges in comps] == [multiset([(1, 2)]),
+                                             multiset([(3, 1), (4, 1)])]
+    assert EdgeMultiset().components(g) == []
+
+
+def test_checker_balanced_counts_per_vertex():
+    g = c3()
+    checker = Checker()
+    checker.balanced(g, multiset([(0, 1), (1, 1), (2, 1)]), "touched")
+    checker.balanced(g, EdgeMultiset(), "untouched")
+    checker.balanced(g, EdgeMultiset(), "listed", range(g.n))
+    assert checker.counters == {"touched": 3, "listed": 3}
+    with pytest.raises(InternalCheckError) as info:
+        checker.balanced(g, multiset([(0, 1)]), "one-arc")
+    assert info.value.label == "one-arc"
+    assert checker.failures == ["one-arc"]
+
+
+def test_support_acyclic_detects_cycles():
+    g = two_tri()
+    assert _support_acyclic(g, [0, 1, 6])  # 0->1->2 and 0->3
+    assert not _support_acyclic(g, [0, 1, 2])  # the triangle 0->1->2->0
+    assert not _support_acyclic(g, [6, 7])  # 0->3->0
+    n = 3000  # deeper than the interpreter's recursion limit
+    path = Digraph(n, [(i, i + 1, F(1)) for i in range(n - 1)])
+    assert _support_acyclic(path, list(range(n - 1)))
 
 
 def test_euler_walk_triangle():

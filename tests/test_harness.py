@@ -43,6 +43,15 @@ def test_parse_json_errors():
         parse_instance(json.dumps({"n": 2, "edges": [[0, 1, "-1"], [1, 0, "1"]]}))
     with pytest.raises(InfeasibleInstanceError):
         parse_instance(json.dumps({"n": 3, "edges": [[0, 1, "1"], [1, 0, "1"]]}))
+    # non-finite costs, booleans where numbers belong, a non-list edge field
+    for text in ('{"n": 2, "edges": [[0, 1, Infinity], [1, 0, "1"]]}',
+                 '{"n": 2, "edges": [[0, 1, NaN], [1, 0, "1"]]}',
+                 '{"n": 2, "edges": [[0, 1, true], [1, 0, "1"]]}',
+                 '{"n": true, "edges": []}',
+                 '{"n": 2, "edges": [[true, 0, "1"], [0, 1, "1"]]}',
+                 '{"n": 2, "edges": 5}'):
+        with pytest.raises(InputError):
+            parse_instance(text)
 
 
 def test_parse_tsplib_k2():
@@ -65,6 +74,8 @@ def test_parse_tsplib_requires_atsp():
     text = "TYPE: TSP\nDIMENSION: 2\nEDGE_WEIGHT_FORMAT: FULL_MATRIX\nEDGE_WEIGHT_SECTION\n0 1 1 0\nEOF"
     with pytest.raises(InputError):
         parse_instance(text)
+    with pytest.raises(InputError, match="DIMENSION"):
+        parse_instance(text.replace("TSP", "ATSP").replace("2", "abc", 1))
 
 
 def test_instance_json_roundtrip():

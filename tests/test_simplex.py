@@ -48,13 +48,6 @@ def test_unbounded():
     assert res.status == UNBOUNDED
 
 
-def test_lower_bounds_shift():
-    # min x s.t. x >= 0 with bound l=3 -> x=3
-    res = solve_lp([F(1)], [{0: F(1)}], [">="], [F(1)], lower=[F(3)])
-    assert res.status == OPTIMAL
-    assert res.x == [F(3)]
-
-
 def test_equality_redundant_rows():
     # duplicated equality rows should not break phase 1
     res = solve_lp(

@@ -70,22 +70,46 @@ def dual_feasible(g: Digraph, dual: DualLp, eids: Optional[list[int]] = None) ->
 def separate_subtour(g: Digraph, x: list[Fraction]) -> Optional[frozenset]:
     """Find some U with x(delta(U)) < 2, or None when all cuts hold.
 
-    Under flow conservation x(delta(U)) = 2 x(delta+(U)), so it suffices to
-    compare global minimum directed cuts against 1.  Root vertex 0; two
-    max-flow calls per other terminal.
+    x must be a circulation: nonnegative and balanced at every vertex
+    (ContractViolation otherwise).  Then x(delta(U)) = 2 x(delta+(U)), so it
+    suffices to compare global minimum directed cuts against 1.  Root
+    vertex 0; one max-flow call per other terminal when all cuts hold.
     """
     violated = _separate_all(g, x, first_only=True)
     return violated[0] if violated else None
 
 
 def _separate_all(g: Digraph, x: list[Fraction], first_only: bool = False) -> list[frozenset]:
-    arcs = [(e.tail, e.head, x[e.eid]) for e in g.edges if x[e.eid] > 0]
+    """Sides of the minimum cuts with x(delta+) < 1, from vertex 0 to each
+    other terminal t and back.
+
+    x must be a circulation, so x(delta+(U)) = x(delta-(U)) for every U and
+    both directions between 0 and t have the same min-cut value: when the
+    (0, t) value is at least 1 the (t, 0) call is skipped.  Below 1 both
+    calls are made, because their sides can differ.
+    """
+    arcs = []
+    excess = [ZERO] * g.n
+    for e in g.edges:
+        value = x[e.eid]
+        if value < 0:
+            raise ContractViolation(f"separation needs x >= 0; edge {e.eid} has {value}")
+        if value:
+            arcs.append((e.tail, e.head, value))
+            excess[e.head] += value
+            excess[e.tail] -= value
+    unbalanced = [v for v in range(g.n) if excess[v]]
+    if unbalanced:
+        raise ContractViolation(f"separation needs a circulation; vertices {unbalanced} "
+                                "are unbalanced")
     found: list[frozenset] = []
     seen: set[frozenset] = set()
     for t in range(1, g.n):
         for s, d in ((0, t), (t, 0)):
             value, side = max_flow_min_cut(g.n, arcs, s, d)
-            if value < ONE and side not in seen:
+            if value >= ONE:
+                break
+            if side not in seen:
                 seen.add(side)
                 found.append(side)
                 if first_only:

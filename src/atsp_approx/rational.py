@@ -8,18 +8,30 @@ from fractions import Fraction
 from .errors import InputError
 
 
+# CPython 3.11's default limit on int <-> str conversion; bounding numerals
+# here makes 3.10 and 3.11 agree and keeps a short string like "1e400000000"
+# from expanding into a huge integer.
+MAX_DIGITS = 4300
+_INT_LIMIT = 10 ** MAX_DIGITS
+
+
 def parse_rational(value) -> Fraction:
     """Parse an int, float-free decimal string, or "p/q" string into a Fraction.
 
     Floats are rejected unless they are integral, to avoid importing binary
     rounding error into an exact pipeline; so are booleans and the
-    non-finite floats that JSON's Infinity and NaN decode to.
+    non-finite floats that JSON's Infinity and NaN decode to.  Integers of
+    more than MAX_DIGITS digits, and strings with more than MAX_DIGITS
+    digits or an exponent beyond +-MAX_DIGITS, are rejected before any
+    Fraction is built.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise InputError(f"cannot parse rational from bool {value!r}")
     if isinstance(value, int):
+        if abs(value) >= _INT_LIMIT:
+            raise InputError(f"refusing integer with more than {MAX_DIGITS} digits")
         return Fraction(value)
     if isinstance(value, float):
         if not math.isfinite(value):
@@ -28,8 +40,22 @@ def parse_rational(value) -> Fraction:
             raise InputError(f"refusing inexact float cost {value!r}; pass a string")
         return Fraction(int(value))
     if isinstance(value, str):
+        text = value.strip()
+        digits = sum(c.isdecimal() for c in text)
+        if digits > MAX_DIGITS:
+            raise InputError(f"refusing rational string with {digits} digits "
+                             f"(limit {MAX_DIGITS})")
+        _, has_exponent, exponent = text.lower().partition("e")
+        if has_exponent:
+            try:
+                too_large = abs(int(exponent)) > MAX_DIGITS
+            except ValueError:
+                too_large = False  # malformed; Fraction reports it below
+            if too_large:
+                raise InputError(f"refusing rational string with exponent beyond "
+                                 f"+-{MAX_DIGITS}")
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse rational {value!r}: {exc}") from None
     raise InputError(f"cannot parse rational from {type(value).__name__}")

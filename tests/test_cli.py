@@ -52,7 +52,11 @@ def test_solve_rejects_bad_input(tmp_path, capsys):
                  '{"n": true, "edges": []}',
                  '{"n": 2, "edges": [[true, 0, "1"], [0, 1, "1"]]}',
                  "TYPE: ATSP\nDIMENSION: abc\nEDGE_WEIGHT_FORMAT: FULL_MATRIX\n"
-                 "EDGE_WEIGHT_SECTION\n0\nEOF\n"):
+                 "EDGE_WEIGHT_SECTION\n0\nEOF\n",
+                 '{"n": 2, "edges": [[0, 1, "1e4301"], [1, 0, "1"]]}',
+                 '{"n": 2, "edges": [[0, 1, "1e-4301"], [1, 0, "1"]]}',
+                 '{"n": 2, "edges": [[0, 1, "%s"], [1, 0, "1"]]}' % ("9" * 4301),
+                 '{"n": 2, "edges": [[0, 1, %s], [1, 0, "1"]]}' % ("9" * 4301)):
         path.write_text(text)
         code, out, err = run_cli(capsys, ["solve", str(path)])
         assert (code, out) == (1, "")

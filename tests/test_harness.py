@@ -52,6 +52,14 @@ def test_parse_json_errors():
                  '{"n": 2, "edges": 5}'):
         with pytest.raises(InputError):
             parse_instance(text)
+    # numerals beyond 4300 digits or exponent 4300, as strings and as a JSON
+    # integer, are refused before any Fraction is built
+    for cost in ('"1e4301"', '"1e-4301"', '"' + "9" * 4301 + '"', "9" * 4301):
+        with pytest.raises(InputError):
+            parse_instance('{"n": 2, "edges": [[0, 1, %s], [1, 0, "1"]]}' % cost)
+    _, g = parse_instance('{"n": 2, "edges": [[0, 1, "1e-4300"], [1, 0, "%s"]]}'
+                          % ("9" * 4300))
+    assert g.edge(0).cost == Fraction(1, 10 ** 4300) and g.edge(1).cost == 10 ** 4300 - 1
 
 
 def test_parse_tsplib_k2():

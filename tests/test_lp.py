@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from atsp_approx import simplex
+from atsp_approx import lp, simplex
 from atsp_approx.checks import Checker
-from atsp_approx.errors import InfeasibleInstanceError
+from atsp_approx.errors import ContractViolation, InfeasibleInstanceError
+from atsp_approx.flows import max_flow_min_cut
 from atsp_approx.graph import Digraph, check_laminar
 from atsp_approx.lp import (
     DualLp,
@@ -103,6 +104,64 @@ def test_separate_subtour_half_cut():
     u = separate_subtour(g, x)
     assert u is not None and cut_value(g, x, u) < 2
     assert u in (frozenset({2}), frozenset({0, 1}))
+
+
+def _random_circulation(rng, n):
+    """A sum of random weighted directed cycles on n vertices, plus a few
+    zero-valued arcs; returns (graph, x)."""
+    x_of: dict = {}
+    for _ in range(rng.randint(1, 4)):
+        cycle = rng.sample(range(n), rng.randint(2, n))
+        w = F(rng.randint(1, 6), 4)
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            x_of[(a, b)] = x_of.get((a, b), F(0)) + w
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.sample(range(n), 2)
+        x_of.setdefault((a, b), F(0))
+    arcs = sorted(x_of)
+    g = Digraph(n, [(a, b, F(1)) for a, b in arcs])
+    return g, [x_of[arc] for arc in arcs]
+
+
+def test_separate_subtour_matches_brute_force():
+    rng = random.Random(77)
+    outcomes = set()
+    for trial in range(150):
+        n = rng.randint(2, 7)
+        g, x = _random_circulation(rng, n)
+        subsets = [frozenset(v for v in range(n) if (mask >> v) & 1)
+                   for mask in range(1, (1 << n) - 1)]
+        any_violated = any(cut_value(g, x, u) < 2 for u in subsets)
+        u = separate_subtour(g, x)
+        outcomes.add(u is None)
+        if any_violated:
+            assert u is not None and cut_value(g, x, u) < 2, trial
+        else:
+            assert u is None, trial
+    assert outcomes == {True, False}
+
+
+def test_separation_makes_one_flow_call_per_terminal_on_feasible_x(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2:])
+        return max_flow_min_cut(*args)
+
+    monkeypatch.setattr(lp, "max_flow_min_cut", counting)
+    g = two_tri()
+    primal, _ = solve_atsp_lp(g)  # x is LP-feasible: every cut holds
+    calls.clear()
+    assert separate_subtour(g, primal.x) is None
+    assert calls == [(0, t) for t in range(1, g.n)]
+
+
+def test_separation_rejects_non_circulations():
+    g = c3()
+    with pytest.raises(ContractViolation):
+        separate_subtour(g, [F(1), F(1), F(1, 2)])
+    with pytest.raises(ContractViolation):
+        separate_subtour(g, [F(-1), F(-1), F(-1)])
 
 
 def test_uncross_crossing_pair():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import random
 from fractions import Fraction
 
@@ -97,55 +98,82 @@ def _check_kkt(c, rows, senses, rhs, upper, res):
     assert gap == bound_part
 
 
+def _random_lp(rng, max_vars, max_rows, density, zero_rhs=0.0):
+    """Random LP (c, rows, senses, rhs, upper); each row keeps a variable with
+    probability density, and a zero_rhs share of right-hand sides is 0."""
+    nvars = rng.randint(1, max_vars)
+    nrows = rng.randint(1, max_rows)
+    c = [F(rng.randint(-4, 6)) for _ in range(nvars)]
+    rows = []
+    senses = []
+    rhs = []
+    for _ in range(nrows):
+        row = {j: F(rng.randint(-3, 3)) for j in range(nvars) if rng.random() < density}
+        if not row:
+            row = {rng.randrange(nvars): F(1)}
+        rows.append(row)
+        senses.append(rng.choice(["<=", ">=", "=="]))
+        rhs.append(F(0) if zero_rhs and rng.random() < zero_rhs else F(rng.randint(-4, 8)))
+    upper = [F(rng.randint(1, 6)) if rng.random() < 0.7 else None for _ in range(nvars)]
+    return c, rows, senses, rhs, upper
+
+
 def test_random_lps_against_scipy():
     scipy = pytest.importorskip("scipy.optimize")
-    rng = random.Random(5)
-    for trial in range(40):
-        nvars = rng.randint(1, 5)
-        nrows = rng.randint(1, 4)
-        c = [F(rng.randint(-4, 6)) for _ in range(nvars)]
-        rows = []
-        senses = []
-        rhs = []
-        for _ in range(nrows):
-            row = {j: F(rng.randint(-3, 3)) for j in range(nvars) if rng.random() < 0.8}
-            if not row:
-                row = {rng.randrange(nvars): F(1)}
-            rows.append(row)
-            senses.append(rng.choice(["<=", ">=", "=="]))
-            rhs.append(F(rng.randint(-4, 8)))
-        upper = [F(rng.randint(1, 6)) if rng.random() < 0.7 else None for _ in range(nvars)]
-        res = solve_lp(c, rows, senses, rhs, upper=upper)
-
-        a_ub, b_ub, a_eq, b_eq = [], [], [], []
-        for row, sense, b in zip(rows, senses, rhs):
-            dense = [float(row.get(j, 0)) for j in range(nvars)]
-            if sense == "<=":
-                a_ub.append(dense)
-                b_ub.append(float(b))
-            elif sense == ">=":
-                a_ub.append([-v for v in dense])
-                b_ub.append(-float(b))
+    # small dense LPs, then wider sparse ones whose rows are mostly zeros
+    # and whose zero right-hand sides force degenerate pivots
+    regimes = [(random.Random(5), 40, dict(max_vars=5, max_rows=4, density=0.8)),
+               (random.Random(6), 100, dict(max_vars=14, max_rows=10, density=0.3,
+                                            zero_rhs=0.5))]
+    for rng, trials, shape in regimes:
+        for trial in range(trials):
+            c, rows, senses, rhs, upper = _random_lp(rng, **shape)
+            res = solve_lp(c, rows, senses, rhs, upper=upper)
+            ref = _scipy_reference(scipy, c, rows, senses, rhs, upper)
+            where = f"{shape} trial {trial}"
+            if res.status == OPTIMAL:
+                assert ref.status == 0, f"{where}: scipy disagrees on feasibility"
+                assert abs(float(res.objective) - ref.fun) < 1e-7, where
+                _check_kkt(c, rows, senses, rhs, upper, res)
+            elif res.status == INFEASIBLE:
+                assert ref.status == 2, where
             else:
-                a_eq.append(dense)
-                b_eq.append(float(b))
-        ref = scipy.linprog(
-            [float(v) for v in c],
-            A_ub=a_ub or None,
-            b_ub=b_ub or None,
-            A_eq=a_eq or None,
-            b_eq=b_eq or None,
-            bounds=[(0, None if u is None else float(u)) for u in upper],
-            method="highs",
-        )
-        if res.status == OPTIMAL:
-            assert ref.status == 0, f"trial {trial}: scipy disagrees on feasibility"
-            assert abs(float(res.objective) - ref.fun) < 1e-7, f"trial {trial}"
-            _check_kkt(c, rows, senses, rhs, upper, res)
-        elif res.status == INFEASIBLE:
-            assert ref.status == 2, f"trial {trial}"
+                assert ref.status == 3, where
+
+
+def _scipy_reference(scipy, c, rows, senses, rhs, upper):
+    nvars = len(c)
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for row, sense, b in zip(rows, senses, rhs):
+        dense = [float(row.get(j, 0)) for j in range(nvars)]
+        if sense == "<=":
+            a_ub.append(dense)
+            b_ub.append(float(b))
+        elif sense == ">=":
+            a_ub.append([-v for v in dense])
+            b_ub.append(-float(b))
         else:
-            assert ref.status == 3, f"trial {trial}"
+            a_eq.append(dense)
+            b_eq.append(float(b))
+    return scipy.linprog(
+        [float(v) for v in c],
+        A_ub=a_ub or None,
+        b_ub=b_ub or None,
+        A_eq=a_eq or None,
+        b_eq=b_eq or None,
+        bounds=[(0, None if u is None else float(u)) for u in upper],
+        method="highs",
+    )
+
+
+def test_solve_lp_leaves_inputs_unchanged():
+    # pivots update the tableau in place; the caller's data must stay as given
+    rng = random.Random(11)
+    for _ in range(20):
+        c, rows, senses, rhs, upper = _random_lp(rng, 8, 6, 0.5, zero_rhs=0.3)
+        before = copy.deepcopy((c, rows, senses, rhs, upper))
+        solve_lp(c, rows, senses, rhs, upper=upper)
+        assert (c, rows, senses, rhs, upper) == before
 
 
 def test_duals_recover_equality_multipliers():

@@ -78,6 +78,10 @@ def _parse_json(text: str) -> tuple[str, Digraph]:
         if not _is_int(tail) or not _is_int(head):
             raise InputError(f"bad edge endpoints {item!r}")
         edges.append((tail, head, parse_rational(cost)))
+    # A strongly connected digraph on n >= 2 vertices has at least n arcs;
+    # refusing here also keeps a huge n from allocating adjacency lists.
+    if n > 1 and n > len(edges):
+        raise InfeasibleInstanceError("instance graph is not strongly connected")
     return str(doc.get("name", "instance")), Digraph(n, edges)
 
 

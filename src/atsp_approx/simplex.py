@@ -1,6 +1,6 @@
 """Exact two-phase primal simplex over the rationals, with variable bounds.
 
-Solves  min c.x  s.t.  A_i.x {<=,==,>=} b_i,  0 <= x <= u  in exact Fraction
+Solves  min c.x  s.t.  A_i.x {<=,==,>=} b_i,  0 <= x <= u  in exact rational
 arithmetic and reports row duals, which downstream code turns into the
 (a, y) dual solution of the subtour-elimination LP.  Bounded variables are
 handled natively (nonbasic at lower or upper bound) so flow-style LPs do not
@@ -9,22 +9,29 @@ need a constraint row per capacity.
 Pivoting uses Dantzig's rule with an automatic switch to Bland's rule after
 a run of degenerate pivots, which guarantees termination.
 
-The tableau is dense, but a pivot touches only the nonzeros of the pivot
-row: it scales those entries in place and subtracts the same columns from
-every other row (and the phase's z-row) with a nonzero in the entering
-column.  Exact LP codes such as QSopt_ex get their speed the same way.
+The tableau holds Python ints: row i is a dense list of numerators N_i over
+one positive denominator d_i, so its entry j is N_i[j] / d_i, and the
+phase's z-row is kept the same way.  Building a row takes d_i as the lcm of
+its coefficient denominators.  This is fraction-free elimination in the
+spirit of Edmonds (1967), as in exact LP codes such as QSopt_ex: updating
+a row costs integer operations and at most two gcd calls, where a
+`Fraction` entry costs a gcd and new objects per operation.  A pivot
+touches only the nonzeros of the pivot row, and signs and order compare
+exactly on numerators because every denominator is positive.  Basic values,
+ratios and results stay `Fraction`s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import ContractViolation, InternalCheckError
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -37,22 +44,56 @@ _BASIC = 2
 _DEGENERATE_STREAK_LIMIT = 64
 
 
-def _nonzeros(row: list[Fraction]) -> list[int]:
-    return [j for j, v in enumerate(row) if v]
+def _nonzeros(row: list[int]) -> list[int]:
+    return list(compress(range(len(row)), row))
 
 
-def _subtract_multiple(row: list[Fraction], f: Fraction, prow: list[Fraction],
-                       nz: list[int]) -> None:
-    """row -= f * prow in place, over the columns nz where prow is nonzero."""
-    if f == ONE:
-        for j in nz:
-            row[j] -= prow[j]
-    elif f == -ONE:
-        for j in nz:
-            row[j] += prow[j]
-    else:
-        for j in nz:
-            row[j] -= f * prow[j]
+def _integer_row(coeffs: dict[int, Fraction], ncols: int, sign: int
+                 ) -> tuple[list[int], int]:
+    """Numerators over the lcm of the denominators, of sign * coeffs."""
+    den = lcm(*(q.denominator for q in coeffs.values()))
+    num = [0] * ncols
+    for j, q in coeffs.items():
+        num[j] = sign * q.numerator * (den // q.denominator)
+    return num, den
+
+
+def _eliminate(num: list[int], den: int, col: int, prow: list[int], pden: int,
+               nz: list[int]) -> tuple[list[int], int]:
+    """Clear column col of the row num/den by subtracting num[col]/den times
+    the pivot row prow/pden, whose entry at col reads 1 (prow[col] == pden);
+    nz lists the nonzero columns of prow.  Returns the new (num, den).
+
+    When pden divides num[col] (always when pden == 1) the multiplier is
+    an integer over den, so num is updated in place over nz and den stays.
+    Otherwise the row and den are scaled by pden / gcd(num[col], pden), the
+    least that keeps the update integral, and the result is divided by the
+    gcd of den and all its entries."""
+    f = num[col]
+    g = gcd(f, pden)
+    if g == pden:
+        f //= pden
+        if f == 1:
+            for j in nz:
+                num[j] -= prow[j]
+        elif f == -1:
+            for j in nz:
+                num[j] += prow[j]
+        else:
+            for j in nz:
+                num[j] -= f * prow[j]
+        return num, den
+    scale = pden // g
+    f //= g
+    num = [v * scale for v in num]
+    for j in nz:
+        num[j] -= f * prow[j]
+    den *= scale
+    g = gcd(den, *num)
+    if g > 1:
+        num = [v // g for v in num]
+        den //= g
+    return num, den
 
 
 @dataclass
@@ -107,23 +148,24 @@ def solve_lp(
     ncols += nrows
 
     bounds = bounds + [None] * (ncols - nvars)
-    tableau: list[list[Fraction]] = []
+    # Row i is tableau[i] / dens[i]; a row with a negative right-hand side is
+    # negated so that its artificial enters with coefficient 1.
+    tableau: list[list[int]] = []
+    dens: list[int] = []
     for i in range(nrows):
-        row = [ZERO] * ncols
+        coeffs = {}
         for j, coeff in rows[i].items():
             if not (0 <= j < nvars):
                 raise ContractViolation(f"row references unknown variable {j}")
-            row[j] = Fraction(coeff)
+            coeffs[j] = Fraction(coeff)
+        row, den = _integer_row(coeffs, ncols, art_sign[i])
         if slack_col[i] is not None:
-            row[slack_col[i]] = Fraction(slack_sign[i])
-        row[art_col[i]] = Fraction(art_sign[i])
+            row[slack_col[i]] = art_sign[i] * slack_sign[i] * den
+        row[art_col[i]] = den
+        tableau.append(row)
+        dens.append(den)
         if art_sign[i] < 0:
-            row = [-v for v in row]
-            row[art_col[i]] = ONE
-            tableau.append(row)
             b[i] = -b[i]
-        else:
-            tableau.append(row)
     beta = list(b)  # basic values; artificials start basic
     basis = list(art_col)
     state = [_AT_LOWER] * ncols
@@ -132,32 +174,35 @@ def solve_lp(
     banned = [False] * ncols
 
     def pivot_on(r: int, col: int) -> list[int]:
-        """Column col enters the basis at row r: scale row r to a unit pivot
-        and eliminate col from every other row, in place, touching only the
-        nonzeros of row r.  Returns their column indices."""
+        """Column col enters the basis at row r.  Row r's nonzeros get the
+        sign of its entry at col and are divided by their gcd; that entry
+        becomes the row's denominator, so it reads 1.  Column col is then
+        eliminated from every other row through `_eliminate`, over the
+        nonzeros of row r only.  Returns their column indices."""
         basis[r] = col
         state[col] = _BASIC
         prow = tableau[r]
         nz = _nonzeros(prow)
-        pivot = prow[col]
-        if pivot != ONE:
-            inv = ONE / pivot
+        g = gcd(*prow)
+        if prow[col] < 0:
+            g = -g
+        if g != 1:
             for j in nz:
-                prow[j] *= inv
+                prow[j] //= g
+        pden = dens[r] = prow[col]
         for i in range(nrows):
-            if i == r:
-                continue
-            f = tableau[i][col]
-            if f:
-                _subtract_multiple(tableau[i], f, prow, nz)
+            if i != r and tableau[i][col]:
+                tableau[i], dens[i] = _eliminate(tableau[i], dens[i], col, prow, pden, nz)
         return nz
 
-    def run_phase(cost: list[Fraction]) -> tuple[str, list[Fraction]]:
-        zrow = list(cost)
+    def run_phase(cost: list[int], cost_den: int) -> tuple[str, list[int], int]:
+        """Optimise the cost cost/cost_den from the current basis; returns the
+        status and the final z-row as numerators over a denominator."""
+        zrow, zden = list(cost), cost_den
         for r in range(nrows):
-            cb = cost[basis[r]]
-            if cb:
-                _subtract_multiple(zrow, cb, tableau[r], _nonzeros(tableau[r]))
+            if zrow[basis[r]]:
+                zrow, zden = _eliminate(zrow, zden, basis[r], tableau[r], dens[r],
+                                        _nonzeros(tableau[r]))
         streak = 0
         pivots = 0
         pivot_cap = 50000 + 500 * (nrows + ncols)
@@ -167,7 +212,7 @@ def solve_lp(
                 raise InternalCheckError("simplex-pivot-cap", f"{pivots} pivots")
             use_bland = streak > _DEGENERATE_STREAK_LIMIT
             enter = -1
-            best = ZERO
+            best = 0
             for j in range(ncols):
                 if state[j] == _BASIC or banned[j]:
                     continue
@@ -180,7 +225,7 @@ def solve_lp(
                     if score > best:
                         best, enter = score, j
             if enter < 0:
-                return OPTIMAL, zrow
+                return OPTIMAL, zrow, zden
             from_upper = state[enter] == _AT_UPPER
             # Ratio test: limit on step t >= 0 for the entering variable.
             limit: Optional[Fraction] = bounds[enter]
@@ -188,19 +233,19 @@ def solve_lp(
             leave_to_upper = False
             for i in range(nrows):
                 a = tableau[i][enter]
+                if not a:
+                    continue
                 if from_upper:
                     a = -a
                 if a > 0:
-                    t = beta[i] / a
+                    t = beta[i] * dens[i] / a
                     hit_upper = False
-                elif a < 0:
+                else:
                     ub = bounds[basis[i]]
                     if ub is None:
                         continue
-                    t = (ub - beta[i]) / (-a)
+                    t = (ub - beta[i]) * dens[i] / (-a)
                     hit_upper = True
-                else:
-                    continue
                 if limit is None or t < limit or (
                     t == limit and leave_row >= 0 and basis[i] < basis[leave_row]
                 ):
@@ -208,7 +253,7 @@ def solve_lp(
                     leave_row = i
                     leave_to_upper = hit_upper
             if limit is None:
-                return UNBOUNDED, zrow
+                return UNBOUNDED, zrow, zden
             t = limit
             if t > 0:
                 streak = 0
@@ -219,7 +264,8 @@ def solve_lp(
                 for i in range(nrows):
                     a = tableau[i][enter]
                     if a:
-                        beta[i] += (a * t) if from_upper else (-a * t)
+                        step = Fraction(a * t.numerator, dens[i] * t.denominator)
+                        beta[i] += step if from_upper else -step
             if leave_row < 0:
                 # bound flip, no basis change
                 state[enter] = _AT_LOWER if from_upper else _AT_UPPER
@@ -229,15 +275,15 @@ def solve_lp(
             # entering variable's new value
             beta[leave_row] = (bounds[enter] - t) if from_upper else t
             nz = pivot_on(leave_row, enter)
-            f = zrow[enter]
-            if f:
-                _subtract_multiple(zrow, f, tableau[leave_row], nz)
+            if zrow[enter]:
+                zrow, zden = _eliminate(zrow, zden, enter, tableau[leave_row],
+                                        dens[leave_row], nz)
 
     # Phase 1: minimize the artificial mass.
-    phase1_cost = [ZERO] * ncols
+    phase1_cost = [0] * ncols
     for j in art_col:
-        phase1_cost[j] = ONE
-    status, _ = run_phase(phase1_cost)
+        phase1_cost[j] = 1
+    status, _, _ = run_phase(phase1_cost, 1)
     if status != OPTIMAL:
         raise InternalCheckError("simplex-phase1", "phase 1 cannot be unbounded")
     art_set = set(art_col)
@@ -265,10 +311,9 @@ def solve_lp(
         banned[j] = True
 
     # Phase 2: the real objective.
-    phase2_cost = [ZERO] * ncols
-    for j in range(nvars):
-        phase2_cost[j] = Fraction(objective[j])
-    status, zrow = run_phase(phase2_cost)
+    costs = [Fraction(c) for c in objective]
+    phase2_cost, phase2_den = _integer_row(dict(enumerate(costs)), ncols, 1)
+    status, zrow, zden = run_phase(phase2_cost, phase2_den)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, [], ZERO, [])
 
@@ -279,9 +324,9 @@ def solve_lp(
     for r in range(nrows):
         x[basis[r]] = beta[r]
     solution = x[:nvars]
-    obj = sum((Fraction(objective[j]) * solution[j] for j in range(nvars)), ZERO)
+    obj = sum((costs[j] * solution[j] for j in range(nvars)), ZERO)
     # Row duals from the reduced costs of the artificial columns: the
     # artificial for row i has column sigma_i * e_i, so its reduced cost is
     # -sigma_i * y_i.
-    duals = [-zrow[art_col[i]] * art_sign[i] for i in range(nrows)]
+    duals = [Fraction(-zrow[art_col[i]], zden) * art_sign[i] for i in range(nrows)]
     return LpResult(OPTIMAL, solution, obj, duals)

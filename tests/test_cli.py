@@ -56,7 +56,8 @@ def test_solve_rejects_bad_input(tmp_path, capsys):
                  '{"n": 2, "edges": [[0, 1, "1e4301"], [1, 0, "1"]]}',
                  '{"n": 2, "edges": [[0, 1, "1e-4301"], [1, 0, "1"]]}',
                  '{"n": 2, "edges": [[0, 1, "%s"], [1, 0, "1"]]}' % ("9" * 4301),
-                 '{"n": 2, "edges": [[0, 1, %s], [1, 0, "1"]]}' % ("9" * 4301)):
+                 '{"n": 2, "edges": [[0, 1, %s], [1, 0, "1"]]}' % ("9" * 4301),
+                 '{"n": 1000000000000, "edges": [[0, 1, "1"], [1, 0, "1"]]}'):
         path.write_text(text)
         code, out, err = run_cli(capsys, ["solve", str(path)])
         assert (code, out) == (1, "")

@@ -32,11 +32,8 @@ DIGESTS = {
 }
 
 
-def test_digests_cover_every_model():
-    assert {model for model, _ in DIGESTS} == set(GENERATOR_MODELS)
-
-
-@pytest.mark.parametrize("model,n", sorted(DIGESTS))
+@pytest.mark.parametrize("model,n", [(model, n) for model in GENERATOR_MODELS
+                                     for n in (6, 9, 12)])
 def test_report_digest(model, n):
     report = run_pipeline(f"{model}-{n}-0", gen_instance(model, n, 0), Fraction(1))
     doc = report.to_dict()

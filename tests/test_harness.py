@@ -43,6 +43,9 @@ def test_parse_json_errors():
         parse_instance(json.dumps({"n": 2, "edges": [[0, 1, "-1"], [1, 0, "1"]]}))
     with pytest.raises(InfeasibleInstanceError):
         parse_instance(json.dumps({"n": 3, "edges": [[0, 1, "1"], [1, 0, "1"]]}))
+    # fewer arcs than vertices: refused before any per-vertex list is built
+    with pytest.raises(InfeasibleInstanceError, match="not strongly connected"):
+        parse_instance('{"n": 1000000000000, "edges": [[0, 1, "1"], [1, 0, "1"]]}')
     # non-finite costs, booleans where numbers belong, a non-list edge field
     for text in ('{"n": 2, "edges": [[0, 1, Infinity], [1, 0, "1"]]}',
                  '{"n": 2, "edges": [[0, 1, NaN], [1, 0, "1"]]}',

@@ -98,33 +98,43 @@ def _check_kkt(c, rows, senses, rhs, upper, res):
     assert gap == bound_part
 
 
-def _random_lp(rng, max_vars, max_rows, density, zero_rhs=0.0):
+def _random_lp(rng, max_vars, max_rows, density, zero_rhs=0.0, max_den=1):
     """Random LP (c, rows, senses, rhs, upper); each row keeps a variable with
-    probability density, and a zero_rhs share of right-hand sides is 0."""
+    probability density, and a zero_rhs share of right-hand sides is 0.  With
+    max_den > 1 every coefficient, cost, right-hand side and upper bound is
+    p/q with q drawn from 1..max_den."""
+
+    def num(lo, hi):
+        p = rng.randint(lo, hi)
+        return F(p, rng.randint(1, max_den)) if max_den > 1 else F(p)
+
     nvars = rng.randint(1, max_vars)
     nrows = rng.randint(1, max_rows)
-    c = [F(rng.randint(-4, 6)) for _ in range(nvars)]
+    c = [num(-4, 6) for _ in range(nvars)]
     rows = []
     senses = []
     rhs = []
     for _ in range(nrows):
-        row = {j: F(rng.randint(-3, 3)) for j in range(nvars) if rng.random() < density}
+        row = {j: num(-3, 3) for j in range(nvars) if rng.random() < density}
         if not row:
             row = {rng.randrange(nvars): F(1)}
         rows.append(row)
         senses.append(rng.choice(["<=", ">=", "=="]))
-        rhs.append(F(0) if zero_rhs and rng.random() < zero_rhs else F(rng.randint(-4, 8)))
-    upper = [F(rng.randint(1, 6)) if rng.random() < 0.7 else None for _ in range(nvars)]
+        rhs.append(F(0) if zero_rhs and rng.random() < zero_rhs else num(-4, 8))
+    upper = [num(1, 6) if rng.random() < 0.7 else None for _ in range(nvars)]
     return c, rows, senses, rhs, upper
 
 
 def test_random_lps_against_scipy():
     scipy = pytest.importorskip("scipy.optimize")
     # small dense LPs, then wider sparse ones whose rows are mostly zeros
-    # and whose zero right-hand sides force degenerate pivots
+    # and whose zero right-hand sides force degenerate pivots, then LPs whose
+    # data are p/q with q in 1..6, so rows start over denominators above 1
     regimes = [(random.Random(5), 40, dict(max_vars=5, max_rows=4, density=0.8)),
                (random.Random(6), 100, dict(max_vars=14, max_rows=10, density=0.3,
-                                            zero_rhs=0.5))]
+                                            zero_rhs=0.5)),
+               (random.Random(7), 100, dict(max_vars=8, max_rows=6, density=0.6,
+                                            zero_rhs=0.2, max_den=6))]
     for rng, trials, shape in regimes:
         for trial in range(trials):
             c, rows, senses, rhs, upper = _random_lp(rng, **shape)
@@ -191,3 +201,19 @@ def test_duals_recover_equality_multipliers():
     assert y_ge == 0  # slack constraint, complementary slackness
     assert F(2) - (y_eq + y_ge) == 0  # stationarity on the basic variable
     assert F(3) - (y_eq - y_ge) >= 0  # dual feasibility on the nonbasic one
+
+
+def test_pivots_on_non_unit_entries():
+    # max x + y s.t. 2x + y <= 4, x/2 + 3y/2 <= 3: phase 1 pivots on the
+    # entry 2 of the first row, which rescales the second row (stored over
+    # denominator 2), and then on that row's entry 5/4
+    res = solve_lp(
+        [F(-1), F(-1)],
+        [{0: F(2), 1: F(1)}, {0: F(1, 2), 1: F(3, 2)}],
+        ["<=", "<="],
+        [F(4), F(3)],
+    )
+    assert res.status == OPTIMAL
+    assert res.x == [F(6, 5), F(8, 5)]
+    assert res.objective == F(-14, 5)
+    assert res.duals == [F(-2, 5), F(-2, 5)]

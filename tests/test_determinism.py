@@ -1,5 +1,9 @@
-"""Determinism canary: reports of fixed generated instances, `timings` aside,
-hash to recorded digests.
+"""Determinism canary: reports of fixed instances, `timings` aside, hash to
+recorded digests.
+
+The generator models rarely get past the first window; the reduction-heavy
+cases (the three-branch star and two nested hubs) open several windows and
+run the subtour cover, so nice paths, reach and lifting are pinned as well.
 
 A change that alters any pivot, cut, family, tour or check count shows up
 here.  A change that alters the pivot path on purpose updates the digests
@@ -14,7 +18,9 @@ from fractions import Fraction
 
 import pytest
 
+from atsp_approx.graph import Digraph
 from atsp_approx.harness import GENERATOR_MODELS, gen_instance, run_pipeline
+from test_vertebrate import three_branch_star
 
 DIGESTS = {
     ("cycle", 6): "ce3897a2523b98bf7e2921d41fdbb5d63dc7df8faa817b9d90283f995ec90058",
@@ -36,7 +42,64 @@ DIGESTS = {
                                      for n in (6, 9, 12)])
 def test_report_digest(model, n):
     report = run_pipeline(f"{model}-{n}-0", gen_instance(model, n, 0), Fraction(1))
+    assert _digest(report) == DIGESTS[model, n]
+
+
+def _digest(report) -> str:
     doc = report.to_dict()
     doc.pop("timings")
-    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-    assert digest == DIGESTS[model, n]
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def nested_hub(ring_sizes: tuple[int, ...], inner_sizes: tuple[int, ...]) -> Digraph:
+    """Hub 0 with directed rings of the given sizes and one inner hub with
+    rings of its own; each branch hangs off its hub by a pair of opposite
+    arcs that cost more for later branches and at the outer level, so the
+    backbone of a window runs through two branches and misses the rest."""
+    edges = []
+    count = [0]
+
+    def vertex() -> int:
+        count[0] += 1
+        return count[0] - 1
+
+    def ring(size: int) -> int:
+        verts = [vertex() for _ in range(size)]
+        for i, (a, b) in enumerate(zip(verts, verts[1:] + verts[:1])):
+            edges.append((a, b, Fraction(1 + i % 2)))
+        return verts[0]
+
+    def hub(sizes, level, inner) -> int:
+        center = vertex()
+        ports = [ring(size) for size in sizes]
+        if inner is not None:
+            ports.append(hub(inner, level + 1, None))
+        for k, port in enumerate(ports):
+            cost = Fraction((2 + k) * (2 - level))
+            edges.extend([(center, port, cost), (port, center, cost)])
+        return center
+
+    hub(ring_sizes, 0, inner_sizes)
+    return Digraph(count[0], edges)
+
+
+REDUCTION_CASES = {
+    "three-branch-star": lambda: three_branch_star().g,
+    "nested-hub-a": lambda: nested_hub((3, 2), (2, 3, 2)),
+    "nested-hub-b": lambda: nested_hub((2, 3, 4), (3, 2)),
+}
+
+REDUCTION_DIGESTS = {
+    "three-branch-star": "447a8e86f4d26be8029db857c2be10409ce6965267036e6cb83bae509fafc0c8",
+    "nested-hub-a": "695d64e142d8d7d543c05ab2a03644eb470b7eab4eb1cd984ad8e0e7ab6a1ec5",
+    "nested-hub-b": "a2310b25dcd51b12fe7ca0154a821207412516b5b65e03289c2c56125157a44e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCTION_CASES))
+def test_reduction_heavy_digest(name):
+    report = run_pipeline(name, REDUCTION_CASES[name](), Fraction(1))
+    counts = report.assertion_counts
+    assert counts["recursion-budget"] >= 2  # windows opened
+    assert counts["cover-global-bound"] >= 1  # subtour cover calls
+    assert _digest(report) == REDUCTION_DIGESTS[name]

@@ -1,10 +1,11 @@
 """Exact network-flow routines: max-flow/min-cut and min-cost circulation.
 
-Max-flow (Edmonds-Karp over rational capacities) powers the cut separation
-oracle of the LP module.  The min-cost circulation solver handles integer
-lower/upper arc bounds with rational costs via the standard lower-bound
-transformation followed by successive shortest paths with potentials; with
-integral bounds the result is integral and cost-minimal.
+Max-flow (integer Edmonds-Karp: the rational capacities are scaled by the
+lcm of their denominators, and the flow value scaled back) powers the cut
+separation oracle of the LP module.  The min-cost circulation solver
+handles integer lower/upper arc bounds with rational costs via the standard
+lower-bound transformation followed by successive shortest paths with
+potentials; with integral bounds the result is integral and cost-minimal.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .errors import ContractViolation, InternalCheckError
@@ -27,19 +29,22 @@ def max_flow_min_cut(
 ) -> tuple[Fraction, frozenset]:
     """Maximum s-t flow value and the source side of a minimum cut.
 
-    Parallel arcs are merged.  Edmonds-Karp: the number of augmentations is
-    O(V*E) regardless of the rational capacities.
+    Parallel arcs are merged.  Edmonds-Karp on the capacities times the lcm
+    of their denominators: the number of augmentations is O(V*E), and the
+    side returned (the vertices the source reaches in the final residual
+    graph) is the intersection of all minimum-cut source sides.
     """
     if source == sink:
         raise ContractViolation("source equals sink")
-    cap: list[dict[int, Fraction]] = [dict() for _ in range(n)]
+    scale = lcm(*(c.denominator for _, _, c in arcs))
+    cap: list[dict[int, int]] = [dict() for _ in range(n)]
     for tail, head, c in arcs:
         if c < 0:
             raise ContractViolation("negative capacity")
         if c:
-            cap[tail][head] = cap[tail].get(head, ZERO) + c
-            cap[head].setdefault(tail, ZERO)
-    value = ZERO
+            cap[tail][head] = cap[tail].get(head, 0) + c.numerator * (scale // c.denominator)
+            cap[head].setdefault(tail, 0)
+    value = 0
     while True:
         prev: dict[int, int] = {source: source}
         queue = [source]
@@ -53,7 +58,7 @@ def max_flow_min_cut(
             queue = nxt
         if sink not in prev:
             break
-        bottleneck: Optional[Fraction] = None
+        bottleneck: Optional[int] = None
         w = sink
         while w != source:
             v = prev[w]
@@ -65,8 +70,7 @@ def max_flow_min_cut(
         while w != source:
             v = prev[w]
             cap[v][w] -= bottleneck
-            cap[v].setdefault(w, ZERO)
-            cap[w][v] = cap[w].get(v, ZERO) + bottleneck
+            cap[w][v] += bottleneck
             w = v
         value += bottleneck
     reachable = {source}
@@ -77,7 +81,7 @@ def max_flow_min_cut(
             if c > 0 and w not in reachable:
                 reachable.add(w)
                 stack.append(w)
-    return value, frozenset(reachable)
+    return Fraction(value, scale), frozenset(reachable)
 
 
 @dataclass

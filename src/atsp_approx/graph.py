@@ -256,15 +256,6 @@ class LaminarFamily:
     def nonsingletons(self) -> list[frozenset]:
         return [s for s in self.members if len(s) >= 2]
 
-    def minimal_containing(self, verts: Iterable[int], ground: frozenset) -> frozenset:
-        """Smallest member (or the ground set) containing all given vertices."""
-        vs = set(verts)
-        best = ground
-        for s in self.members:
-            if vs <= s and len(s) < len(best):
-                best = s
-        return best
-
 
 @dataclass(frozen=True)
 class ContractionMap:

@@ -8,11 +8,18 @@ fixed *nice* path (one that stays inside the smallest family set containing
 both endpoints and crosses every family set at most once each way); the
 reduction to vertebrate pairs relies on these paths and on the reach
 quantities value(W) and D_W computed from them.
+
+Each vertex keeps its *chain*, the indices of the family sets containing it
+(outermost first), so hulls and crossing counts come from chains instead of
+scans over the family.  Nice paths are built on first request and memoized,
+as are their costs (integer numerators over one instance-wide denominator)
+and each window's value(W).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .checks import Checker
@@ -44,6 +51,15 @@ def cut_value(g: Digraph, x: Sequence[Fraction], s: frozenset) -> Fraction:
     )
 
 
+def _common_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """Length of the common prefix of two chains; the sets it names are the
+    ones containing both vertices, since the family is laminar."""
+    k = 0
+    while k < len(a) and k < len(b) and a[k] == b[k]:
+        k += 1
+    return k
+
+
 def _path_vertices(g: Digraph, start: int, path: list[int]) -> list[int]:
     verts = [start]
     for eid in path:
@@ -52,10 +68,11 @@ def _path_vertices(g: Digraph, start: int, path: list[int]) -> list[int]:
 
 
 class StronglyLaminarInstance:
-    """Immutable (G, L, x, y) with the per-pair nice-path table built eagerly.
+    """(G, L, x, y) with a memoized per-pair nice-path table.
 
     The digraph's edge costs are the induced costs; ``validate`` re-derives
-    them from (L, y) and re-checks the full definition.
+    them from (L, y) and re-checks the full definition.  The instance never
+    changes after construction; the memo tables only fill in.
     """
 
     def __init__(self, g: Digraph, family: LaminarFamily, x: Iterable[Fraction]):
@@ -69,7 +86,28 @@ class StronglyLaminarInstance:
             (g.edges[e].cost * self.x[e] for e in range(g.m)), ZERO
         )
         self._paths: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._build_nice_paths()
+        chains: list[list[int]] = [[] for _ in range(g.n)]
+        for i, s in enumerate(family.members):  # decreasing size: outermost first
+            for v in s:
+                chains[v].append(i)
+        self._chains: tuple[tuple[int, ...], ...] = tuple(map(tuple, chains))
+        # an edge exits the sets of its tail's chain past the prefix shared
+        # with its head's chain, and enters those of its head's
+        self._crossed: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        for e in g.edges:
+            ct, ch = self._chains[e.tail], self._chains[e.head]
+            k = _common_prefix(ct, ch)
+            self._crossed.append((ct[k:], ch[k:]))
+        # costs and weights as integer numerators over one denominator
+        weights = [family.weights[s] for s in family.members]
+        self._den: int = lcm(*(e.cost.denominator for e in g.edges),
+                             *(y.denominator for y in weights))
+        self._cost_num = [e.cost.numerator * (self._den // e.cost.denominator)
+                          for e in g.edges]
+        self._weight_num = [y.numerator * (self._den // y.denominator)
+                            for y in weights]
+        self._path_num: dict[tuple[int, int], int] = {}
+        self._windows: dict[frozenset, tuple[int, frozenset]] = {}
 
     # -- basic derived quantities -------------------------------------------------
 
@@ -89,21 +127,37 @@ class StronglyLaminarInstance:
 
     # -- nice paths ---------------------------------------------------------------
 
-    def _build_nice_paths(self) -> None:
-        for u in range(self.g.n):
-            for v in range(self.g.n):
-                if u != v:
-                    self._paths[(u, v)] = tuple(self._compute_nice_path(u, v))
+    def hull(self, u: int, v: int) -> frozenset:
+        """Smallest family set (or the ground set) containing u and v: the
+        deepest set their chains share."""
+        k = _common_prefix(self._chains[u], self._chains[v])
+        return self.family.members[self._chains[u][k - 1]] if k else self.ground
+
+    def _first_violated(self, path: Iterable[int]) -> Optional[int]:
+        """Lowest family index the path enters or exits more than once."""
+        enters: dict[int, int] = {}
+        exits: dict[int, int] = {}
+        for eid in path:
+            left, entered = self._crossed[eid]
+            for i in left:
+                exits[i] = exits.get(i, 0) + 1
+            for i in entered:
+                enters[i] = enters.get(i, 0) + 1
+        bad = [i for counts in (enters, exits) for i, c in counts.items() if c > 1]
+        return min(bad) if bad else None
 
     def nice_path(self, v: int, w: int) -> tuple[int, ...]:
         """The fixed nice v-w path (edge ids); empty when v == w."""
         if v == w:
             return ()
-        return self._paths[(v, w)]
+        path = self._paths.get((v, w))
+        if path is None:
+            path = self._paths[(v, w)] = tuple(self._compute_nice_path(v, w))
+        return path
 
     def _compute_nice_path(self, u: int, v: int) -> list[int]:
         g = self.g
-        hull = self.family.minimal_containing((u, v), self.ground)
+        hull = self.hull(u, v)
         path = bfs_path(g, u, v, allowed_vertices=hull)
         if path is None:
             raise ContractViolation(
@@ -111,14 +165,10 @@ class StronglyLaminarInstance:
             )
         cap = len(self.family) + _REPAIR_CAP_SLACK
         for _ in range(cap):
-            violated = None
-            for s in self.family.members:  # decreasing size: first hit is maximal
-                enters, exits = path_crossings(g, path, s)
-                if enters > 1 or exits > 1:
-                    violated = s
-                    break
-            if violated is None:
+            index = self._first_violated(path)
+            if index is None:
                 return path
+            violated = self.family.members[index]  # maximal among the violated
             verts = _path_vertices(g, u, path)
             inside = [i for i, w in enumerate(verts) if w in violated]
             first, last = inside[0], inside[-1]
@@ -133,14 +183,8 @@ class StronglyLaminarInstance:
 
     def is_nice(self, u: int, v: int, path: Iterable[int]) -> bool:
         path = list(path)
-        hull = self.family.minimal_containing((u, v), self.ground)
-        verts = set(_path_vertices(self.g, u, path)) if path else {u}
-        if not verts <= hull:
-            return False
-        return all(
-            enters <= 1 and exits <= 1
-            for enters, exits in (path_crossings(self.g, path, s) for s in self.family)
-        )
+        verts = set(_path_vertices(self.g, u, path))
+        return verts <= self.hull(u, v) and self._first_violated(path) is None
 
     def path_cost(self, path: Iterable[int]) -> Fraction:
         return sum((self.g.edge(eid).cost for eid in path), ZERO)
@@ -173,23 +217,36 @@ class StronglyLaminarInstance:
 
     # -- value(W) and D_W ---------------------------------------------------------
 
+    def _window(self, w_set: frozenset) -> tuple[int, frozenset]:
+        """value(W) as a numerator, and the indices of the sets strictly
+        inside W; memoized per window."""
+        hit = self._windows.get(w_set)
+        if hit is None:
+            inner = frozenset(i for i, s in enumerate(self.family.members)
+                              if s < w_set)
+            hit = (2 * sum(self._weight_num[i] for i in inner), inner)
+            self._windows[w_set] = hit
+        return hit
+
+    def _end_num(self, inner: frozenset, u: int) -> int:
+        """Weight of the sets strictly inside the window that hold u."""
+        return sum(self._weight_num[i] for i in self._chains[u] if i in inner)
+
+    def _nice_path_num(self, u: int, v: int) -> int:
+        cost = self._path_num.get((u, v))
+        if cost is None:
+            cost = self._path_num[(u, v)] = sum(
+                self._cost_num[eid] for eid in self.nice_path(u, v))
+        return cost
+
     def value(self, w_set: frozenset) -> Fraction:
-        return sum(
-            (2 * self.family.weight(s) for s in self.family.members if s < w_set),
-            ZERO,
-        )
+        return Fraction(self._window(w_set)[0], self._den)
 
     def reach(self, w_set: frozenset, u: int, v: int) -> Fraction:
         """D_W(u, v): endpoint crossing weights plus the nice-path cost."""
-        total = self.path_cost(self.nice_path(u, v))
-        for s in self.family.members:
-            if s < w_set:
-                y = self.family.weight(s)
-                if u in s:
-                    total += y
-                if v in s:
-                    total += y
-        return total
+        inner = self._window(w_set)[1]
+        return Fraction(self._end_num(inner, u) + self._end_num(inner, v)
+                        + self._nice_path_num(u, v), self._den)
 
     def value_and_dw(self, w_set: frozenset,
                      checker: Optional[Checker] = None
@@ -199,19 +256,22 @@ class StronglyLaminarInstance:
         Also re-checks D_W(u,v) <= value(W) for every scanned pair.
         """
         checker = checker or Checker()
-        val = self.value(w_set)
+        den = self._den
+        val_num, inner = self._window(w_set)
         verts = sorted(w_set)
+        ends = [self._end_num(inner, u) for u in verts]
         best = None
         best_pair = (verts[0], verts[0])
-        for u in verts:
-            for v in verts:
-                d = self.reach(w_set, u, v)
-                checker.check(d <= val, "reach-at-most-value",
-                              lambda: f"D_W({u},{v})={d} > value={val}")
+        for u, end_u in zip(verts, ends):
+            for v, end_v in zip(verts, ends):
+                d = end_u + end_v + self._nice_path_num(u, v)
+                checker.check(d <= val_num, "reach-at-most-value",
+                              lambda: f"D_W({u},{v})={Fraction(d, den)} > "
+                                      f"value={Fraction(val_num, den)}")
                 if best is None or d > best:
                     best = d
                     best_pair = (u, v)
-        return val, best, best_pair[0], best_pair[1]
+        return Fraction(val_num, den), Fraction(best, den), best_pair[0], best_pair[1]
 
     # -- validation ---------------------------------------------------------------
 
@@ -253,8 +313,11 @@ class StronglyLaminarInstance:
                           lambda: sorted(violated))
 
     def validate_paths(self, checker: Optional[Checker] = None) -> None:
-        """Crossing-count check for every stored path (at most once each way)."""
+        """Crossing-count check for the nice path of every ordered pair (at
+        most once each way), building the paths not yet requested."""
         checker = checker or Checker()
-        for (u, v), path in sorted(self._paths.items()):
-            checker.check(self.is_nice(u, v, path), "stored-path-nice",
-                          lambda: f"pair ({u},{v})")
+        for u in range(self.g.n):
+            for v in range(self.g.n):
+                if u != v:
+                    checker.check(self.is_nice(u, v, self.nice_path(u, v)),
+                                  "stored-path-nice", lambda: f"pair ({u},{v})")

@@ -54,6 +54,35 @@ def test_max_flow_matches_brute_force_cuts():
         assert cut_val == value
 
 
+def test_max_flow_mixed_denominators_against_brute_force():
+    # capacities with denominators up to 12 are scaled to integers inside;
+    # the value must come back as the exact Fraction min cut, and the side
+    # must be the smallest minimum cut: the intersection of all min-cut
+    # source sides
+    rng = random.Random(41)
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        arcs = []
+        for _ in range(rng.randint(1, 16)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                arcs.append((u, v, F(rng.randint(0, 9), rng.randint(1, 12))))
+        s, t = 0, n - 1
+        value, side = max_flow_min_cut(n, arcs, s, t)
+        best, sides = None, []
+        for mask in range(1 << n):
+            if not (mask >> s) & 1 or (mask >> t) & 1:
+                continue
+            cut = sum((c for (u, v, c) in arcs
+                       if (mask >> u) & 1 and not (mask >> v) & 1), F(0))
+            if best is None or cut < best:
+                best, sides = cut, []
+            if cut == best:
+                sides.append(frozenset(w for w in range(n) if (mask >> w) & 1))
+        assert isinstance(value, Fraction) and value == best
+        assert side == frozenset.intersection(*sides)
+
+
 def test_circulation_forces_lower_bounds():
     prob = CirculationProblem(3)
     a = prob.add_arc(0, 1, 1, 1, F(0))

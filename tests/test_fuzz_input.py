@@ -1,13 +1,18 @@
-"""Property test of the input boundary: any instance text either parses or
-raises InputError, and a small parsed instance solves to a report."""
+"""Property tests of the input boundary: any instance text either parses or
+raises InputError, and a small parsed instance solves to a report; through
+the CLI, any instance text ends in exit code 0, 1 or 2 without a traceback."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
+from atsp_approx.cli import main
 from atsp_approx.errors import InputError
 from atsp_approx.harness import RunReport, parse_instance, run_pipeline
 
@@ -89,3 +94,22 @@ def test_instance_text_parses_or_raises_input_error(text):
         return
     if g.n <= 6:
         assert isinstance(run_pipeline(name, g, Fraction(1)), RunReport)
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=200)
+@hypothesis.given(st.one_of(_JSON_DOCS, _TSPLIB_TEXTS))
+def test_cli_solve_exits_cleanly(text):
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["solve", "-"])
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert json.loads(out.getvalue())["tour_cost"]
+    else:
+        assert len(err.getvalue().splitlines()) == 1

@@ -100,8 +100,9 @@ class StronglyLaminarInstance:
             self._crossed.append((ct[k:], ch[k:]))
         # costs and weights as integer numerators over one denominator
         weights = [family.weights[s] for s in family.members]
-        self._den: int = lcm(*(e.cost.denominator for e in g.edges),
-                             *(y.denominator for y in weights))
+        self._den = 1  # a loop for the reason given in flows.max_flow_min_cut
+        for q in [e.cost for e in g.edges] + weights:
+            self._den = lcm(self._den, q.denominator)
         self._cost_num = [e.cost.numerator * (self._den // e.cost.denominator)
                           for e in g.edges]
         self._weight_num = [y.numerator * (self._den // y.denominator)

@@ -46,7 +46,8 @@ def max_flow_min_cut(
         if c < 0:
             raise ContractViolation("negative capacity")
         if c:
-            cap[tail][head] = cap[tail].get(head, 0) + c.numerator * (scale // c.denominator)
+            scaled = c.numerator * (scale // c.denominator)
+            cap[tail][head] = cap[tail].get(head, 0) + scaled
             cap[head].setdefault(tail, 0)
     value = 0
     while True:

@@ -17,6 +17,7 @@ from .errors import AtspError, InputError, InternalCheckError
 from .graph import Digraph, EdgeMultiset
 from .harness import (
     GENERATOR_MODELS,
+    _is_int,
     gen_instance,
     held_karp_opt,
     instance_to_json,
@@ -32,13 +33,15 @@ EXIT_INTERNAL = 2
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _epsilon(value: str) -> Fraction:
@@ -58,7 +61,8 @@ def _resolve_tour(g: Digraph, walk: list) -> EdgeMultiset:
             by_pair[key] = e.eid
     tour = EdgeMultiset()
     for item in walk:
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
+        if not isinstance(item, list) or len(item) != 2 or \
+                not all(_is_int(v) for v in item):
             raise InputError(f"bad tour step {item!r}")
         key = (item[0], item[1])
         if key not in by_pair:
@@ -80,7 +84,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _, g = parse_instance(_read_source(args.instance), args.format)
     try:
         doc = json.loads(_read_source(args.tour))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer on 3.11+
         raise InputError(f"bad tour JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError("tour file must hold a JSON object")

@@ -4,10 +4,11 @@ Given a vertebrate pair and an Eulerian edge set H away from the backbone,
 this produces an Eulerian multiset F that enters and leaves every component
 of (V minus the backbone, H), such that any component of F crossing a
 non-singleton family set reaches the backbone.  The route: lift the LP
-circulation into a two-level split graph guided by a minimal witness flow,
-reroute half a unit through an auxiliary vertex per component, round to an
-integral circulation by exact min-cost flow, and map back, restoring
-Eulerian degrees with a path inside each component.
+circulation into a two-level split graph guided by a minimal witness flow
+(found by two min-cost circulations), reroute half a unit through an
+auxiliary vertex per component, round to an integral circulation by exact
+min-cost flow, and map back, restoring Eulerian degrees with a path inside
+each component.
 
 Global cost is at most twice the LP value plus the outside singleton mass;
 each backbone-free component costs at most three times its own singleton
@@ -18,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
-from . import simplex
 from .checks import Checker
 from .errors import InternalCheckError
 from .flows import CirculationProblem
@@ -155,78 +156,84 @@ class WitnessFlow:
     boundary_optimum: Fraction
 
 
-def _witness_lp(g: Digraph, x: list[Fraction], edge_class: list[str],
-                outside: frozenset, objective: dict[int, Fraction],
-                upper: dict[int, Fraction]) -> Optional[dict[int, Fraction]]:
-    """Minimize a linear objective over witness flows; neutral edges are the
-    variables, with per-vertex excess rows only for non-backbone vertices."""
-    neutral = [e.eid for e in g.edges if edge_class[e.eid] == NEUTRAL]
-    col = {eid: j for j, eid in enumerate(neutral)}
-    fixed_excess = [ZERO] * g.n
-    for e in g.edges:
-        if edge_class[e.eid] == FORWARD:
-            fixed_excess[e.tail] += x[e.eid]
-            fixed_excess[e.head] -= x[e.eid]
-    rows, senses, rhs = [], [], []
-    for v in sorted(outside):
-        row: dict[int, Fraction] = {}
-        for eid in g.out_edges[v]:
-            if eid in col:
-                row[col[eid]] = row.get(col[eid], ZERO) + ONE
-        for eid in g.in_edges[v]:
-            if eid in col:
-                row[col[eid]] = row.get(col[eid], ZERO) - ONE
-        rows.append(row)
-        senses.append(">=")
-        rhs.append(-fixed_excess[v])
-    cost = [objective.get(eid, ZERO) for eid in neutral]
-    ub = [upper[eid] for eid in neutral]
-    res = simplex.solve_lp(cost, rows, senses, rhs, upper=ub)
-    if res.status != simplex.OPTIMAL:
+def _witness_circulation(g: Digraph, need: list[int], outside: frozenset,
+                         capacity: dict[int, int], cost: dict[int, int]
+                         ) -> Optional[dict[int, int]]:
+    """Minimize sum cost[e] * f_e over integer flows 0 <= f_e <= capacity[e]
+    on the neutral edges (the keys of capacity) whose net outflow at each
+    vertex v outside the backbone is at least need[v]; backbone vertices are
+    free.  Solved as a min-cost circulation through a hub vertex that feeds
+    or drains each vertex's net outflow.  None when infeasible."""
+    hub = g.n
+    prob = CirculationProblem(g.n + 1)
+    for eid, c in capacity.items():
+        e = g.edge(eid)
+        prob.add_arc(e.tail, e.head, 0, c, cost[eid])
+    # no vertex's net outflow exceeds the total capacity, and no need
+    # exceeds the sum of all needs
+    total = sum(capacity.values()) + sum(abs(r) for r in need)
+    for v in range(g.n):
+        if v in outside:
+            prob.add_arc(hub, v, max(need[v], 0), total, ZERO)
+            prob.add_arc(v, hub, 0, max(-need[v], 0), ZERO)
+        else:
+            prob.add_arc(hub, v, 0, total, ZERO)
+            prob.add_arc(v, hub, 0, total, ZERO)
+    flows = prob.solve()
+    if flows is None:
         return None
-    return {eid: res.x[col[eid]] for eid in neutral}
+    return dict(zip(capacity, flows))
 
 
 def compute_witness_flow(cover: SubtourCoverInstance, levels: LevelStructure,
                          checker: Optional[Checker] = None) -> WitnessFlow:
-    """Two-stage exact LP: first minimize the flow crossing the component
-    boundaries, then minimize total flow below the first optimum.  The
-    result is re-checked against every defining property, including
-    acyclicity of the support."""
+    """Two min-cost circulations on x scaled to integers: first minimize the
+    flow crossing the component boundaries, then minimize total flow below
+    the first optimum.  The result is re-checked against every defining
+    property, including acyclicity of the support."""
     checker = checker or Checker()
     inst = cover.pair.instance
     g = inst.g
     x = list(inst.x)
+    cls = levels.edge_class
     outside = cover.pair.outside_vertices()
     comps = cover.components()
-    cross_count: dict[int, Fraction] = {}
+    scale = 1
+    for q in x:
+        scale = lcm(scale, q.denominator)
+    need = [0] * g.n  # scaled forward inflow minus outflow
+    capacity: dict[int, int] = {}
+    cross_count: dict[int, int] = {}
     fixed_boundary = ZERO
     for e in g.edges:
-        crossings = sum(1 for w in comps if (e.tail in w) != (e.head in w))
-        if not crossings:
+        if cls[e.eid] == BACKWARD:
             continue
-        if levels.edge_class[e.eid] == NEUTRAL:
-            cross_count[e.eid] = Fraction(crossings)
-        elif levels.edge_class[e.eid] == FORWARD:
+        scaled = x[e.eid].numerator * (scale // x[e.eid].denominator)
+        crossings = sum(1 for w in comps if (e.tail in w) != (e.head in w))
+        if cls[e.eid] == NEUTRAL:
+            capacity[e.eid] = scaled
+            cross_count[e.eid] = crossings
+        else:
+            need[e.tail] -= scaled
+            need[e.head] += scaled
             fixed_boundary += crossings * x[e.eid]
-    upper = {e.eid: x[e.eid] for e in g.edges if levels.edge_class[e.eid] == NEUTRAL}
-    stage1 = _witness_lp(g, x, levels.edge_class, outside, cross_count, upper)
+    stage1 = _witness_circulation(g, need, outside, capacity, cross_count)
     if stage1 is None:
         raise InternalCheckError("witness-flow-feasible",
-                                 "stage-1 witness LP infeasible")
-    boundary_opt = fixed_boundary + sum(
-        (cross_count.get(eid, ZERO) * val for eid, val in stage1.items()), ZERO
-    )
-    stage2 = _witness_lp(g, x, levels.edge_class, outside,
-                         {eid: ONE for eid in stage1}, dict(stage1))
+                                 "stage-1 witness circulation infeasible")
+    boundary_opt = fixed_boundary + Fraction(
+        sum(cross_count[eid] * val for eid, val in stage1.items()), scale)
+    stage2 = _witness_circulation(g, need, outside, stage1,
+                                  {eid: 1 for eid in stage1})
     if stage2 is None:
-        raise InternalCheckError("witness-flow-stage2", "stage-2 LP infeasible")
+        raise InternalCheckError("witness-flow-stage2",
+                                 "stage-2 witness circulation infeasible")
     f = [ZERO] * g.m
     for e in g.edges:
-        if levels.edge_class[e.eid] == FORWARD:
+        if cls[e.eid] == FORWARD:
             f[e.eid] = x[e.eid]
-        elif levels.edge_class[e.eid] == NEUTRAL:
-            f[e.eid] = stage2[e.eid]
+        elif cls[e.eid] == NEUTRAL:
+            f[e.eid] = Fraction(stage2[e.eid], scale)
     witness = WitnessFlow(f, boundary_opt)
     validate_witness_flow(cover, levels, witness, checker)
     return witness

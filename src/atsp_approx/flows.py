@@ -2,10 +2,12 @@
 
 Max-flow (integer Edmonds-Karp: the rational capacities are scaled by the
 lcm of their denominators, and the flow value scaled back) powers the cut
-separation oracle of the LP module.  The min-cost circulation solver
-handles integer lower/upper arc bounds with rational costs via the standard
-lower-bound transformation followed by successive shortest paths with
-potentials; with integral bounds the result is integral and cost-minimal.
+separation oracle of the LP module.  The min-cost circulation solver, which
+finds the witness flows of the subtour cover and rounds its lifted
+circulation, handles integer lower/upper arc bounds with rational costs via
+the standard lower-bound transformation followed by successive shortest
+paths with potentials; with integral bounds the result is integral and
+cost-minimal.
 """
 
 from __future__ import annotations

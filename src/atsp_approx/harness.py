@@ -37,7 +37,10 @@ def parse_instance(data: bytes | str, fmt: str = "auto") -> tuple[str, Digraph]:
     minus the diagonal.
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"instance is not UTF-8 text: {exc}") from None
     text = data.strip()
     if not text:
         raise InputError("empty instance input")

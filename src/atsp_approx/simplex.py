@@ -1,10 +1,8 @@
-"""Exact two-phase primal simplex over the rationals, with variable bounds.
+"""Exact two-phase primal simplex over the rationals.
 
-Solves  min c.x  s.t.  A_i.x {<=,==,>=} b_i,  0 <= x <= u  in exact rational
+Solves  min c.x  s.t.  A_i.x {<=,==,>=} b_i,  x >= 0  in exact rational
 arithmetic and reports row duals, which downstream code turns into the
-(a, y) dual solution of the subtour-elimination LP.  Bounded variables are
-handled natively (nonbasic at lower or upper bound) so flow-style LPs do not
-need a constraint row per capacity.
+(a, y) dual solution of the subtour-elimination LP.
 
 Pivoting uses Dantzig's rule with an automatic switch to Bland's rule after
 a run of degenerate pivots, which guarantees termination.
@@ -37,10 +35,6 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-_AT_LOWER = 0
-_AT_UPPER = 1
-_BASIC = 2
-
 _DEGENERATE_STREAK_LIMIT = 64
 
 
@@ -51,7 +45,9 @@ def _nonzeros(row: list[int]) -> list[int]:
 def _integer_row(coeffs: dict[int, Fraction], ncols: int, sign: int
                  ) -> tuple[list[int], int]:
     """Numerators over the lcm of the denominators, of sign * coeffs."""
-    den = lcm(*(q.denominator for q in coeffs.values()))
+    den = 1
+    for q in coeffs.values():
+        den = lcm(den, q.denominator)
     num = [0] * ncols
     for j, q in coeffs.items():
         num[j] = sign * q.numerator * (den // q.denominator)
@@ -109,25 +105,18 @@ def solve_lp(
     rows: Sequence[dict[int, Fraction]],
     senses: Sequence[str],
     rhs: Sequence[Fraction],
-    upper: Optional[Sequence[Optional[Fraction]]] = None,
 ) -> LpResult:
     """Solve the LP exactly; rows are sparse {var: coeff} maps.
 
     Duals follow the convention that at optimality the reduced cost
-    c_j - sum_i duals[i]*A[i][j] is nonnegative for every variable at its
-    lower bound; '>=' rows therefore get nonnegative duals and '<=' rows
+    c_j - sum_i duals[i]*A[i][j] is nonnegative for every variable;
+    '>=' rows therefore get nonnegative duals and '<=' rows
     nonpositive ones.
     """
     nvars = len(objective)
     nrows = len(rows)
     if not (len(senses) == len(rhs) == nrows):
         raise ContractViolation("rows/senses/rhs length mismatch")
-    up = list(upper) if upper is not None else [None] * nvars
-    if len(up) != nvars:
-        raise ContractViolation("bounds length mismatch")
-    bounds: list[Optional[Fraction]] = [None if u is None else Fraction(u) for u in up]
-    if any(u is not None and u < 0 for u in bounds):
-        return LpResult(INFEASIBLE, [], ZERO, [])
     b = [Fraction(v) for v in rhs]
 
     # Append slack/surplus columns, then one artificial per row.
@@ -147,7 +136,6 @@ def solve_lp(
     art_sign = [1 if b[i] >= 0 else -1 for i in range(nrows)]
     ncols += nrows
 
-    bounds = bounds + [None] * (ncols - nvars)
     # Row i is tableau[i] / dens[i]; a row with a negative right-hand side is
     # negated so that its artificial enters with coefficient 1.
     tableau: list[list[int]] = []
@@ -168,9 +156,9 @@ def solve_lp(
             b[i] = -b[i]
     beta = list(b)  # basic values; artificials start basic
     basis = list(art_col)
-    state = [_AT_LOWER] * ncols
+    basic = [False] * ncols
     for j in basis:
-        state[j] = _BASIC
+        basic[j] = True
     banned = [False] * ncols
 
     def pivot_on(r: int, col: int) -> list[int]:
@@ -179,8 +167,9 @@ def solve_lp(
         becomes the row's denominator, so it reads 1.  Column col is then
         eliminated from every other row through `_eliminate`, over the
         nonzeros of row r only.  Returns their column indices."""
+        basic[basis[r]] = False
         basis[r] = col
-        state[col] = _BASIC
+        basic[col] = True
         prow = tableau[r]
         nz = _nonzeros(prow)
         g = gcd(*prow)
@@ -214,10 +203,9 @@ def solve_lp(
             enter = -1
             best = 0
             for j in range(ncols):
-                if state[j] == _BASIC or banned[j]:
+                if basic[j] or banned[j]:
                     continue
-                rc = zrow[j]
-                score = -rc if state[j] == _AT_LOWER else rc
+                score = -zrow[j]
                 if score > 0:
                     if use_bland:
                         enter = j
@@ -226,32 +214,19 @@ def solve_lp(
                         best, enter = score, j
             if enter < 0:
                 return OPTIMAL, zrow, zden
-            from_upper = state[enter] == _AT_UPPER
             # Ratio test: limit on step t >= 0 for the entering variable.
-            limit: Optional[Fraction] = bounds[enter]
+            limit: Optional[Fraction] = None
             leave_row = -1
-            leave_to_upper = False
             for i in range(nrows):
                 a = tableau[i][enter]
-                if not a:
+                if a <= 0:
                     continue
-                if from_upper:
-                    a = -a
-                if a > 0:
-                    t = beta[i] * dens[i] / a
-                    hit_upper = False
-                else:
-                    ub = bounds[basis[i]]
-                    if ub is None:
-                        continue
-                    t = (ub - beta[i]) * dens[i] / (-a)
-                    hit_upper = True
+                t = beta[i] * dens[i] / a
                 if limit is None or t < limit or (
-                    t == limit and leave_row >= 0 and basis[i] < basis[leave_row]
+                    t == limit and basis[i] < basis[leave_row]
                 ):
                     limit = t
                     leave_row = i
-                    leave_to_upper = hit_upper
             if limit is None:
                 return UNBOUNDED, zrow, zden
             t = limit
@@ -264,16 +239,8 @@ def solve_lp(
                 for i in range(nrows):
                     a = tableau[i][enter]
                     if a:
-                        step = Fraction(a * t.numerator, dens[i] * t.denominator)
-                        beta[i] += step if from_upper else -step
-            if leave_row < 0:
-                # bound flip, no basis change
-                state[enter] = _AT_LOWER if from_upper else _AT_UPPER
-                continue
-            leaving = basis[leave_row]
-            state[leaving] = _AT_UPPER if leave_to_upper else _AT_LOWER
-            # entering variable's new value
-            beta[leave_row] = (bounds[enter] - t) if from_upper else t
+                        beta[i] -= Fraction(a * t.numerator, dens[i] * t.denominator)
+            beta[leave_row] = t  # entering variable's new value
             nz = pivot_on(leave_row, enter)
             if zrow[enter]:
                 zrow, zden = _eliminate(zrow, zden, enter, tableau[leave_row],
@@ -297,15 +264,14 @@ def solve_lp(
             continue
         prow = tableau[r]
         piv_col = next(
-            (j for j in range(ncols) if j not in art_set and state[j] != _BASIC and prow[j]),
+            (j for j in range(ncols) if j not in art_set and not basic[j] and prow[j]),
             None,
         )
         if piv_col is None:
             continue
-        state[basis[r]] = _AT_LOWER
         # degenerate pivot: the point does not move, so the new basic
-        # variable keeps its current (bound) value
-        beta[r] = bounds[piv_col] if state[piv_col] == _AT_UPPER else ZERO
+        # variable keeps its value 0
+        beta[r] = ZERO
         pivot_on(r, piv_col)
     for j in art_col:
         banned[j] = True
@@ -318,9 +284,6 @@ def solve_lp(
         return LpResult(UNBOUNDED, [], ZERO, [])
 
     x = [ZERO] * ncols
-    for j in range(ncols):
-        if state[j] == _AT_UPPER:
-            x[j] = bounds[j]
     for r in range(nrows):
         x[basis[r]] = beta[r]
     solution = x[:nvars]

@@ -97,9 +97,26 @@ def test_verify_rejects_malformed_tour_file(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     inst_path.write_text(instance_to_json("c3", c3()))
     tour_path = tmp_path / "tour.json"
-    for doc in ({"tour_walk": 5}, [[0, 1], [1, 2], [2, 0]]):
-        tour_path.write_text(json.dumps(doc))
+    for text in (json.dumps({"tour_walk": 5}),
+                 json.dumps([[0, 1], [1, 2], [2, 0]]),
+                 '{"tour_walk": %s}' % ("9" * 4301),
+                 json.dumps({"tour_walk": [[[0], 1], [1, 2], [2, 0]]}),
+                 json.dumps({"tour_walk": [[0, True], [1, 2], [2, 0]]})):
+        tour_path.write_text(text)
         code, out, err = run_cli(capsys, ["verify", str(inst_path), str(tour_path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_non_utf8_input_is_rejected(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(instance_to_json("c3", c3()))
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_bytes(b"\xff\xfe{}")
+    for argv in (["solve", str(bad_path)], ["oracle", str(bad_path)],
+                 ["verify", str(bad_path), str(inst_path)],
+                 ["verify", str(inst_path), str(bad_path)]):
+        code, out, err = run_cli(capsys, argv)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 

@@ -1,6 +1,7 @@
 """Property tests of the input boundary: any instance text either parses or
 raises InputError, and a small parsed instance solves to a report; through
-the CLI, any instance text ends in exit code 0, 1 or 2 without a traceback."""
+the CLI, any instance text ends in exit code 0, 1 or 2 and any tour file
+given to `verify` in exit code 0 or 1, without a traceback."""
 
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ import pytest
 
 from atsp_approx.cli import main
 from atsp_approx.errors import InputError
-from atsp_approx.harness import RunReport, parse_instance, run_pipeline
+from atsp_approx.harness import RunReport, instance_to_json, parse_instance, run_pipeline
+from fixtures import c3
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -112,4 +114,62 @@ def test_cli_solve_exits_cleanly(text):
     if code == 0:
         assert json.loads(out.getvalue())["tour_cost"]
     else:
+        assert len(err.getvalue().splitlines()) == 1
+
+
+# tour documents for the 3-cycle: steps of any JSON shape, walks that are not
+# lists, both walk keys, integer literals around the 4300-digit limit, and
+# walks over its arcs and one missing arc, and its tour with a step dropped
+# or not, so that some documents are valid tours
+_STEP_VALUES = st.one_of(st.integers(-2, 4), st.booleans(), st.floats(), st.none(),
+                         st.text(max_size=3), st.lists(st.integers(0, 2), max_size=2))
+_STEPS = st.one_of(st.lists(_STEP_VALUES, max_size=3), _STEP_VALUES)
+_WALKS = st.one_of(st.lists(_STEPS, max_size=6),
+                   st.lists(st.sampled_from([[0, 1], [1, 2], [2, 0], [1, 0]]),
+                            max_size=7),
+                   _STEP_VALUES)
+_C3_TOUR = [[0, 1], [1, 2], [2, 0]]
+
+
+def _c3_walk(start, laps, drop):
+    """The 3-cycle's tour from vertex start, laps times, without step drop."""
+    walk = (_C3_TOUR[start:] + _C3_TOUR[:start]) * laps
+    return walk[:drop] + walk[drop + 1:] if 0 <= drop < len(walk) else walk
+
+
+_TOUR_DOCS = st.one_of(
+    st.builds(lambda *args: json.dumps({"tour_walk": _c3_walk(*args)}),
+              st.integers(0, 2), st.integers(1, 2), st.integers(-3, 5)),
+    st.builds(lambda key, walk: json.dumps({key: walk}),
+              st.sampled_from(["tour_walk", "tour", "walk"]), _WALKS),
+    _WALKS.map(json.dumps),
+    st.builds(lambda k, where: ('{"tour_walk": [[0, 1], [1, 2], [2, %s]]}'
+                                if where else '{"tour_walk": %s}') % ("9" * k),
+              st.integers(4295, 4305), st.booleans()),
+    st.text(max_size=20),
+)
+
+
+@pytest.fixture(scope="module")
+def c3_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("verify") / "c3.json"
+    path.write_text(instance_to_json("c3", c3()))
+    return path
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=200)
+@hypothesis.given(text=_TOUR_DOCS)
+def test_cli_verify_exits_cleanly(c3_file, text):
+    tour_path = c3_file.with_name("tour.json")
+    tour_path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(c3_file), str(tour_path)])
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
+    if out.getvalue():
+        assert json.loads(out.getvalue())["valid"] is (code == 0)
+    else:
+        assert code == 1
+        assert err.getvalue().startswith("error: ")
         assert len(err.getvalue().splitlines()) == 1

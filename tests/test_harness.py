@@ -55,6 +55,10 @@ def test_parse_json_errors():
                  '{"n": 2, "edges": 5}'):
         with pytest.raises(InputError):
             parse_instance(text)
+    # bytes that are not UTF-8 text
+    for data in (b"\xff\xfe", b'{"n": 2, "edges": [[0, 1, "\xff"], [1, 0, "1"]]}'):
+        with pytest.raises(InputError, match="not UTF-8"):
+            parse_instance(data)
     # numerals beyond 4300 digits or exponent 4300, as strings and as a JSON
     # integer, are refused before any Fraction is built
     for cost in ('"1e4301"', '"1e-4301"', '"' + "9" * 4301 + '"', "9" * 4301):

@@ -25,20 +25,6 @@ def test_simple_min():
     assert res.duals[0] == 1  # >= row dual nonnegative
 
 
-def test_upper_bounds_force_split():
-    # min 3a + b s.t. a + b >= 2, a,b <= 1 -> a=b=1
-    res = solve_lp(
-        [F(3), F(1)],
-        [{0: F(1), 1: F(1)}],
-        [">="],
-        [F(2)],
-        upper=[F(1), F(1)],
-    )
-    assert res.status == OPTIMAL
-    assert res.x == [F(1), F(1)]
-    assert res.objective == 4
-
-
 def test_infeasible():
     res = solve_lp([F(1)], [{0: F(1)}, {0: F(1)}], ["<=", ">="], [F(1), F(2)])
     assert res.status == INFEASIBLE
@@ -62,14 +48,12 @@ def test_equality_redundant_rows():
     assert res.objective == 2
 
 
-def _check_kkt(c, rows, senses, rhs, upper, res):
+def _check_kkt(c, rows, senses, rhs, res):
     """Exact optimality certificate: feasibility both sides + duality gap 0."""
     nvars = len(c)
     x = res.x
     for j in range(nvars):
         assert x[j] >= 0
-        if upper and upper[j] is not None:
-            assert x[j] <= upper[j]
     for row, sense, b in zip(rows, senses, rhs):
         lhs = sum(x[j] * a for j, a in row.items())
         if sense == "<=":
@@ -84,25 +68,19 @@ def _check_kkt(c, rows, senses, rhs, upper, res):
             assert y[i] >= 0
         elif sense == "<=":
             assert y[i] <= 0
-    # weak duality certificate with bound duals folded in:
-    # reduced cost rc_j = c_j - sum_i y_i A_ij must be >= 0 unless x_j can
-    # absorb it at its upper bound.
-    gap = res.objective - sum(y[i] * rhs[i] for i in range(len(rows)))
-    bound_part = F(0)
+    # dual feasibility: every reduced cost c_j - sum_i y_i A_ij is >= 0
     for j in range(nvars):
-        rc = c[j] - sum(y[i] * rows[i].get(j, F(0)) for i in range(len(rows)))
-        if rc < 0:
-            assert upper is not None and upper[j] is not None, "negative rc without upper bound"
-            bound_part += rc * upper[j]
-        # complementary slackness at the one true optimum
-    assert gap == bound_part
+        assert c[j] - sum(y[i] * rows[i].get(j, F(0)) for i in range(len(rows))) >= 0
+    # strong duality: no gap between c.x and y.b
+    assert res.objective == sum(y[i] * rhs[i] for i in range(len(rows)))
 
 
 def _random_lp(rng, max_vars, max_rows, density, zero_rhs=0.0, max_den=1):
-    """Random LP (c, rows, senses, rhs, upper); each row keeps a variable with
-    probability density, and a zero_rhs share of right-hand sides is 0.  With
-    max_den > 1 every coefficient, cost, right-hand side and upper bound is
-    p/q with q drawn from 1..max_den."""
+    """Random LP (c, rows, senses, rhs); each row keeps a variable with
+    probability density, and a zero_rhs share of right-hand sides is 0.
+    Most variables also get an upper bound, as a row x_j <= u_j after the
+    others.  With max_den > 1 every coefficient, cost, right-hand side and
+    upper bound is p/q with q drawn from 1..max_den."""
 
     def num(lo, hi):
         p = rng.randint(lo, hi)
@@ -122,7 +100,12 @@ def _random_lp(rng, max_vars, max_rows, density, zero_rhs=0.0, max_den=1):
         senses.append(rng.choice(["<=", ">=", "=="]))
         rhs.append(F(0) if zero_rhs and rng.random() < zero_rhs else num(-4, 8))
     upper = [num(1, 6) if rng.random() < 0.7 else None for _ in range(nvars)]
-    return c, rows, senses, rhs, upper
+    for j, u in enumerate(upper):
+        if u is not None:
+            rows.append({j: F(1)})
+            senses.append("<=")
+            rhs.append(u)
+    return c, rows, senses, rhs
 
 
 def test_random_lps_against_scipy():
@@ -137,21 +120,21 @@ def test_random_lps_against_scipy():
                                             zero_rhs=0.2, max_den=6))]
     for rng, trials, shape in regimes:
         for trial in range(trials):
-            c, rows, senses, rhs, upper = _random_lp(rng, **shape)
-            res = solve_lp(c, rows, senses, rhs, upper=upper)
-            ref = _scipy_reference(scipy, c, rows, senses, rhs, upper)
+            c, rows, senses, rhs = _random_lp(rng, **shape)
+            res = solve_lp(c, rows, senses, rhs)
+            ref = _scipy_reference(scipy, c, rows, senses, rhs)
             where = f"{shape} trial {trial}"
             if res.status == OPTIMAL:
                 assert ref.status == 0, f"{where}: scipy disagrees on feasibility"
                 assert abs(float(res.objective) - ref.fun) < 1e-7, where
-                _check_kkt(c, rows, senses, rhs, upper, res)
+                _check_kkt(c, rows, senses, rhs, res)
             elif res.status == INFEASIBLE:
                 assert ref.status == 2, where
             else:
                 assert ref.status == 3, where
 
 
-def _scipy_reference(scipy, c, rows, senses, rhs, upper):
+def _scipy_reference(scipy, c, rows, senses, rhs):
     nvars = len(c)
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
     for row, sense, b in zip(rows, senses, rhs):
@@ -171,7 +154,7 @@ def _scipy_reference(scipy, c, rows, senses, rhs, upper):
         b_ub=b_ub or None,
         A_eq=a_eq or None,
         b_eq=b_eq or None,
-        bounds=[(0, None if u is None else float(u)) for u in upper],
+        bounds=[(0, None)] * nvars,
         method="highs",
     )
 
@@ -180,10 +163,10 @@ def test_solve_lp_leaves_inputs_unchanged():
     # pivots update the tableau in place; the caller's data must stay as given
     rng = random.Random(11)
     for _ in range(20):
-        c, rows, senses, rhs, upper = _random_lp(rng, 8, 6, 0.5, zero_rhs=0.3)
-        before = copy.deepcopy((c, rows, senses, rhs, upper))
-        solve_lp(c, rows, senses, rhs, upper=upper)
-        assert (c, rows, senses, rhs, upper) == before
+        c, rows, senses, rhs = _random_lp(rng, 8, 6, 0.5, zero_rhs=0.3)
+        before = copy.deepcopy((c, rows, senses, rhs))
+        solve_lp(c, rows, senses, rhs)
+        assert (c, rows, senses, rhs) == before
 
 
 def test_duals_recover_equality_multipliers():

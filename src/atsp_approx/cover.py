@@ -8,7 +8,9 @@ circulation into a two-level split graph guided by a minimal witness flow
 (found by two min-cost circulations), reroute half a unit through an
 auxiliary vertex per component, round to an integral circulation by exact
 min-cost flow, and map back, restoring Eulerian degrees with a path inside
-each component.
+each component.  From the lift to the rounding, the split circulation is
+kept as integer numerators over one denominator and its costs over
+another, so rerouting, rounding and their checks compare ints.
 
 Global cost is at most twice the LP value plus the outside singleton mass;
 each backbone-free component costs at most three times its own singleton
@@ -30,8 +32,6 @@ from .instance import cut_value, path_crossings
 from .pair import VertebratePair
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
-HALF = Fraction(1, 2)
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -174,11 +174,11 @@ def _witness_circulation(g: Digraph, need: list[int], outside: frozenset,
     total = sum(capacity.values()) + sum(abs(r) for r in need)
     for v in range(g.n):
         if v in outside:
-            prob.add_arc(hub, v, max(need[v], 0), total, ZERO)
-            prob.add_arc(v, hub, 0, max(-need[v], 0), ZERO)
+            prob.add_arc(hub, v, max(need[v], 0), total, 0)
+            prob.add_arc(v, hub, 0, max(-need[v], 0), 0)
         else:
-            prob.add_arc(hub, v, 0, total, ZERO)
-            prob.add_arc(v, hub, 0, total, ZERO)
+            prob.add_arc(hub, v, 0, total, 0)
+            prob.add_arc(v, hub, 0, total, 0)
     flows = prob.solve()
     if flows is None:
         return None
@@ -382,13 +382,14 @@ def build_augmented_graph(cover: SubtourCoverInstance, witness: WitnessFlow,
                           in_copy, out_copy, r_aug, edge_class)
 
 
-def lift_to_split(split: SplitGraph, x_vec: list[Fraction], f_vec: list[Fraction],
-                  backbone_vertices: frozenset) -> dict[int, Fraction]:
+def lift_to_split(split: SplitGraph, x_vec: list, f_vec: list,
+                  backbone_vertices: frozenset) -> dict:
     """Embed a circulation with witness flow into the split graph: witness
     mass on the lower level, the rest above, with the free vertical edges
-    balancing each vertex pair."""
+    balancing each vertex pair.  Exact in the arithmetic of x and f, which
+    the cover passes as integer numerators over one denominator."""
     base = split.base
-    z: dict[int, Fraction] = {eid: ZERO for eid in range(split.g.m)}
+    z = {eid: 0 for eid in range(split.g.m)}
     for e in base.edges:
         lo = split.lower_of.get(e.eid)
         up = split.upper_of.get(e.eid)
@@ -397,21 +398,20 @@ def lift_to_split(split: SplitGraph, x_vec: list[Fraction], f_vec: list[Fraction
         if up is not None:
             z[up] = x_vec[e.eid] - f_vec[e.eid]
     for v in range(base.n):
-        f_in = sum((f_vec[eid] for eid in base.in_edges[v]), ZERO)
-        f_out = sum((f_vec[eid] for eid in base.out_edges[v]), ZERO)
-        z[split.down_of[v]] = max(ZERO, f_out - f_in)
+        f_in = sum(f_vec[eid] for eid in base.in_edges[v])
+        f_out = sum(f_vec[eid] for eid in base.out_edges[v])
+        z[split.down_of[v]] = max(0, f_out - f_in)
         if v in split.up_of:
-            z[split.up_of[v]] = max(ZERO, f_in - f_out)
+            z[split.up_of[v]] = max(0, f_in - f_out)
     return z
 
 
-def project_from_split(split: SplitGraph, z: dict[int, Fraction]
-                       ) -> tuple[list[Fraction], list[Fraction]]:
+def project_from_split(split: SplitGraph, z: dict) -> tuple[list, list]:
     """The projection pi: per base edge, x' = z(lower) + z(upper) and
     f' = z(lower)."""
     base = split.base
-    x_vec = [ZERO] * base.m
-    f_vec = [ZERO] * base.m
+    x_vec = [0] * base.m
+    f_vec = [0] * base.m
     for eid in range(base.m):
         lo = split.lower_of.get(eid)
         up = split.upper_of.get(eid)
@@ -423,50 +423,62 @@ def project_from_split(split: SplitGraph, z: dict[int, Fraction]
     return x_vec, f_vec
 
 
-def is_split_circulation(split: SplitGraph, z: dict[int, Fraction]) -> bool:
+def is_split_circulation(split: SplitGraph, z: dict[int, int]) -> bool:
     for v in range(split.g.n):
-        balance = sum((z[eid] for eid in split.g.in_edges[v]), ZERO) - sum(
-            (z[eid] for eid in split.g.out_edges[v]), ZERO
-        )
-        if balance:
+        if sum(z[eid] for eid in split.g.in_edges[v]) != sum(
+            z[eid] for eid in split.g.out_edges[v]
+        ):
             return False
     return True
 
 
-def split_cost(split: SplitGraph, z: dict[int, Fraction]) -> Fraction:
-    return sum((split.g.edge(eid).cost * val for eid, val in z.items()), ZERO)
+def _integer_costs(g: Digraph) -> tuple[list[int], int]:
+    """Per edge, its cost's numerator over the lcm of all cost denominators;
+    and that lcm."""
+    den = 1
+    for e in g.edges:
+        den = lcm(den, e.cost.denominator)
+    return [e.cost.numerator * (den // e.cost.denominator) for e in g.edges], den
 
 
 @dataclass
 class ReroutedCirculation:
+    """The rerouted split circulation in integers: z[eid] / den on each
+    split edge, at cost cost[eid] / cost_den per unit, for a total of
+    cost_num / (den * cost_den); q_level[i] is the level at which the flow
+    enters auxiliary vertex i."""
+
     split: SplitGraph
-    z: dict[int, Fraction]
+    z: dict[int, int]
+    den: int
+    cost: list[int]
+    cost_den: int
+    cost_num: int
     q_level: list[int]
-    cost_before: Fraction
 
 
-def _decompose_unit_through(g: Digraph, z: dict[int, Fraction], inside: frozenset
-                            ) -> list[tuple[int, list[int], int, Fraction]]:
+def _decompose_unit_through(g: Digraph, z: dict[int, int], inside: frozenset,
+                            unit: int) -> list[tuple[int, list[int], int, int]]:
     """Extract cycles through the contracted outside of ``inside`` carrying
-    one unit of weight in total: (entry edge, path inside, exit edge, weight)
+    weight ``unit`` in total: (entry edge, path inside, exit edge, weight)
     with the weighted sum staying below z.  Inner cycles met along the way
     are peeled off and discarded; every peel zeroes at least one edge."""
     remaining = dict(z)
-    out: list[tuple[int, list[int], int, Fraction]] = []
-    collected = ZERO
+    out: list[tuple[int, list[int], int, int]] = []
+    collected = 0
     entry_candidates = sorted(
         eid for eid in remaining
         if g.edge(eid).head in inside and g.edge(eid).tail not in inside
     )
     guard = 0
-    while collected < ONE:
+    while collected < unit:
         guard += 1
         if guard > 4 * g.m + 8:
             raise InternalCheckError("cycle-decomposition-stuck", sorted(inside))
         e_in = next((eid for eid in entry_candidates if remaining[eid] > 0), None)
         if e_in is None:
             raise InternalCheckError("cycle-decomposition-underflow",
-                                     f"collected {collected}")
+                                     f"collected {Fraction(collected, unit)}")
         path: list[int] = []
         pos: dict[int, int] = {}
         v = g.edge(e_in).head
@@ -500,7 +512,7 @@ def _decompose_unit_through(g: Digraph, z: dict[int, Fraction], inside: frozense
         weight = min(
             [remaining[e_in], remaining[e_out]] + [remaining[eid] for eid in path]
         )
-        weight = min(weight, ONE - collected)
+        weight = min(weight, unit - collected)
         for eid in [e_in, e_out] + path:
             remaining[eid] -= weight
         out.append((e_in, path, e_out, weight))
@@ -513,39 +525,51 @@ def lift_and_reroute(cover: SubtourCoverInstance, witness: WitnessFlow,
                      checker: Optional[Checker] = None) -> ReroutedCirculation:
     """Build the split circulation of the augmented graph and reroute half a
     unit of the flow through each first residual SCC onto its auxiliary
-    vertex, entering at the majority level."""
+    vertex, entering at the majority level.
+
+    z is kept as integer numerators over D, twice the lcm of the
+    denominators of x and f, so that half a unit is the integer D // 2; the
+    split-edge costs are numerators over their own lcm C.  Every check
+    compares integers, except the lifted cost against the LP value."""
     checker = checker or Checker()
     inst = cover.pair.instance
     backbone = cover.pair.backbone_vertices
     split = build_split_graph(aug.g, aug.edge_class, backbone)
-    x_aug = [ZERO] * aug.g.m
-    f_aug = [ZERO] * aug.g.m
+    half = 1
+    for q in inst.x:
+        half = lcm(half, q.denominator)
+    for q in witness.f:
+        half = lcm(half, q.denominator)
+    unit = 2 * half
+    x_aug = [0] * aug.g.m
+    f_aug = [0] * aug.g.m
     for eid in range(inst.g.m):
-        x_aug[eid] = inst.x[eid]
-        f_aug[eid] = witness.f[eid]
+        x, f = inst.x[eid], witness.f[eid]
+        x_aug[eid] = x.numerator * (unit // x.denominator)
+        f_aug[eid] = f.numerator * (unit // f.denominator)
     z = lift_to_split(split, x_aug, f_aug, backbone)
     checker.check(is_split_circulation(split, z), "lifted-z-circulation")
-    cost_z = split_cost(split, z)
-    checker.check(cost_z == inst.lp_value, "lifted-z-cost",
-                  lambda: f"{cost_z} != {inst.lp_value}")
+    cost, cost_den = _integer_costs(split.g)
+    cost_z = sum(cost[eid] * val for eid, val in z.items())
+    lifted_cost = Fraction(cost_z, unit * cost_den)
+    checker.check(lifted_cost == inst.lp_value, "lifted-z-cost",
+                  lambda: f"{lifted_cost} != {inst.lp_value}")
     q_level: list[int] = []
     for i in range(aug.k):
         inside = split.level_set(aug.w_hat[i])
-        crossing_in = sum(
-            (z[eid] for eid in split.g.delta_minus(inside)), ZERO
-        )
-        checker.check(crossing_in >= ONE, "rerouting-crossing-mass",
-                      lambda: f"component {i}: {crossing_in}")
-        pieces = _decompose_unit_through(split.g, z, inside)
-        checker.check(sum((w for (_, _, _, w) in pieces), ZERO) == ONE,
+        crossing_in = sum(z[eid] for eid in split.g.delta_minus(inside))
+        checker.check(crossing_in >= unit, "rerouting-crossing-mass",
+                      lambda: f"component {i}: {Fraction(crossing_in, unit)}")
+        pieces = _decompose_unit_through(split.g, z, inside, unit)
+        checker.check(sum(w for (_, _, _, w) in pieces) == unit,
                       "decomposition-unit-weight")
         by_level = {0: [], 1: []}
         for piece in pieces:
             by_level[split.g.edge(piece[0]).head % 2].append(piece)
-        sum0 = sum((w for (_, _, _, w) in by_level[0]), ZERO)
-        q = 0 if sum0 >= HALF else 1
+        sum0 = sum(w for (_, _, _, w) in by_level[0])
+        q = 0 if sum0 >= half else 1
         q_level.append(q)
-        budget = HALF
+        budget = half
         for e_in, path, e_out, weight in by_level[q]:
             if budget == 0:
                 break
@@ -561,31 +585,31 @@ def lift_and_reroute(cover: SubtourCoverInstance, witness: WitnessFlow,
             in_split = split.lower_of[in_base] if q == 0 else split.upper_of[in_base]
             out_split = split.lower_of[out_base] if p == 0 else split.upper_of[out_base]
             z[e_in] -= lam
-            z[in_split] = z.get(in_split, ZERO) + lam
+            z[in_split] += lam
             for eid in path:
                 z[eid] -= lam
             z[e_out] -= lam
-            z[out_split] = z.get(out_split, ZERO) + lam
+            z[out_split] += lam
             if p < q:
                 down = split.down_of[aug.aux_of[i]]
                 z[down] += lam
         checker.check(budget == 0, "rerouting-half-unit",
-                      lambda: f"component {i} moved {HALF - budget}")
+                      lambda: f"component {i} moved {Fraction(half - budget, unit)}")
         checker.check(all(val >= 0 for val in z.values()), "rerouted-z-nonnegative")
     checker.check(is_split_circulation(split, z), "rerouted-z-circulation")
-    checker.check(split_cost(split, z) <= cost_z, "rerouted-z-cost")
+    cost_num = sum(cost[eid] * val for eid, val in z.items())
+    checker.check(cost_num <= cost_z, "rerouted-z-cost")
     for i, q in enumerate(q_level):
         a = aug.aux_of[i]
         down = split.down_of[a]
         for level in (0, 1):
             node = split.lower(a) if level == 0 else split.upper(a)
-            inflow = sum(
-                (z[eid] for eid in split.g.in_edges[node] if eid != down), ZERO
-            )
-            expected = HALF if level == q else ZERO
+            inflow = sum(z[eid] for eid in split.g.in_edges[node] if eid != down)
+            expected = half if level == q else 0
             checker.check(inflow == expected, "aux-inflow-level",
-                          lambda: f"component {i} level {level}: {inflow}")
-    return ReroutedCirculation(split, z, q_level, cost_z)
+                          lambda: f"component {i} level {level}: "
+                                  f"{Fraction(inflow, unit)}")
+    return ReroutedCirculation(split, z, unit, cost, cost_den, cost_num, q_level)
 
 
 @dataclass
@@ -595,9 +619,9 @@ class RoundedCirculation:
     f_star_lower: dict[int, int]  # witness part per augmented eid
 
 
-def _ceil2(value: Fraction) -> int:
-    doubled = 2 * value
-    return int(doubled) if doubled.denominator == 1 else int(doubled) + 1
+def _ceil2(num: int, den: int) -> int:
+    """The ceiling of 2 * num / den, for den > 0."""
+    return -(-2 * num // den)
 
 
 def round_circulation(rerouted: ReroutedCirculation, aug: AugmentedGraph,
@@ -611,11 +635,11 @@ def round_circulation(rerouted: ReroutedCirculation, aug: AugmentedGraph,
     checker = checker or Checker()
     split = rerouted.split
     sg = split.g
-    z = rerouted.z
+    z, den, cost = rerouted.z, rerouted.den, rerouted.cost
     in_cap: dict[int, int] = {}
     for v in range(aug.g.n):
         node = split.upper(v)
-        in_cap[node] = _ceil2(sum((z[eid] for eid in sg.in_edges[node]), ZERO))
+        in_cap[node] = _ceil2(sum(z[eid] for eid in sg.in_edges[node]), den)
     forced_nodes = {}
     for i, q in enumerate(rerouted.q_level):
         a = aug.aux_of[i]
@@ -639,23 +663,24 @@ def round_circulation(rerouted: ReroutedCirculation, aug: AugmentedGraph,
             lo, hi = 0, in_cap[v]
         else:
             lo, hi = 0, 10 ** 9
-        prob.add_arc(in_node(v), out_node(v), lo, hi, ZERO)
+        prob.add_arc(in_node(v), out_node(v), lo, hi, 0)
+    edge_cap = [_ceil2(z[eid], den) for eid in range(sg.m)]
     edge_arc: dict[int, int] = {}
     for eid in range(sg.m):
         e = sg.edge(eid)
         edge_arc[eid] = prob.add_arc(out_node(e.tail), in_node(e.head), 0,
-                                     _ceil2(z[eid]), e.cost)
+                                     edge_cap[eid], cost[eid])
     flows = prob.solve()
     if flows is None:
         raise InternalCheckError("rounding-infeasible",
                                  "2z is a feasible fractional point")
     z_star = {eid: flows[edge_arc[eid]] for eid in range(sg.m)}
     for eid in range(sg.m):
-        checker.check(0 <= z_star[eid] <= _ceil2(z[eid]), "rounding-edge-caps",
+        checker.check(0 <= z_star[eid] <= edge_cap[eid], "rounding-edge-caps",
                       lambda: f"edge {eid}")
-    cost_star = sum((sg.edge(eid).cost * z_star[eid] for eid in range(sg.m)), ZERO)
-    checker.check(cost_star <= 2 * split_cost(split, z), "rounding-cost-bound",
-                  lambda: f"{cost_star}")
+    cost_star = sum(cost[eid] * z_star[eid] for eid in range(sg.m))
+    checker.check(cost_star * den <= 2 * rerouted.cost_num, "rounding-cost-bound",
+                  lambda: f"{Fraction(cost_star, rerouted.cost_den)}")
     for v in range(aug.g.n):
         node = split.upper(v)
         got = sum(z_star[eid] for eid in sg.in_edges[node])

@@ -25,7 +25,8 @@ class ContractViolation(AtspError):
 
 
 class BudgetError(InputError):
-    """A size/iteration budget was exceeded for an optional exact oracle."""
+    """A size budget was exceeded: the vertex cap of the optional Held-Karp
+    oracle, or the cell budget of the exact simplex tableau."""
 
 
 class InternalCheckError(AtspError):

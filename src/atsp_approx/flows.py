@@ -4,10 +4,11 @@ Max-flow (integer Edmonds-Karp: the rational capacities are scaled by the
 lcm of their denominators, and the flow value scaled back) powers the cut
 separation oracle of the LP module.  The min-cost circulation solver, which
 finds the witness flows of the subtour cover and rounds its lifted
-circulation, handles integer lower/upper arc bounds with rational costs via
-the standard lower-bound transformation followed by successive shortest
-paths with potentials; with integral bounds the result is integral and
-cost-minimal.
+circulation, takes integer lower/upper arc bounds and integer costs (callers
+with rational costs scale them by the lcm of their denominators, which keeps
+every comparison and every heap tie), and runs the standard lower-bound
+transformation followed by successive shortest paths with potentials; with
+integral bounds the result is integral and cost-minimal.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from math import lcm
 from typing import Optional
 
 from .errors import ContractViolation, InternalCheckError
-
-ZERO = Fraction(0)
 
 
 def max_flow_min_cut(
@@ -97,23 +96,29 @@ class _Arc:
     head: int
     lower: int
     upper: int
-    cost: Fraction
+    cost: int
     flow: int = 0
 
 
 @dataclass
 class CirculationProblem:
-    """Min-cost circulation with integer bounds and rational costs."""
+    """Min-cost circulation with integer bounds and integer costs.
+
+    A rational cost vector is passed as its numerators over one common
+    denominator: a positive scale changes no comparison, so the flows are
+    those of the unscaled problem, ties included."""
 
     n: int
     arcs: list[_Arc] = field(default_factory=list)
 
-    def add_arc(self, tail: int, head: int, lower: int, upper: int, cost: Fraction) -> int:
+    def add_arc(self, tail: int, head: int, lower: int, upper: int, cost: int) -> int:
         if not (0 <= tail < self.n and 0 <= head < self.n):
             raise ContractViolation("arc endpoint out of range")
         if not (0 <= lower <= upper):
             raise ContractViolation(f"bad arc bounds [{lower},{upper}]")
-        self.arcs.append(_Arc(tail, head, lower, upper, Fraction(cost)))
+        if type(cost) is not int:
+            raise ContractViolation(f"arc cost {cost!r} is not an int")
+        self.arcs.append(_Arc(tail, head, lower, upper, cost))
         return len(self.arcs) - 1
 
     def solve(self) -> Optional[list[int]]:
@@ -131,10 +136,10 @@ class CirculationProblem:
         head_of: list[int] = []
         next_out: list[list[int]] = [[] for _ in range(n + 2)]
         residual: list[int] = []
-        rcost: list[Fraction] = []
+        rcost: list[int] = []
         src, snk = n, n + 1
 
-        def push_arc(u: int, v: int, capacity: int, cost: Fraction) -> None:
+        def push_arc(u: int, v: int, capacity: int, cost: int) -> None:
             next_out[u].append(len(head_of))
             head_of.append(v)
             residual.append(capacity)
@@ -153,18 +158,18 @@ class CirculationProblem:
         total_supply = 0
         for v in range(n):
             if excess[v] > 0:
-                push_arc(src, v, excess[v], ZERO)
+                push_arc(src, v, excess[v], 0)
                 total_supply += excess[v]
             elif excess[v] < 0:
-                push_arc(v, snk, -excess[v], ZERO)
+                push_arc(v, snk, -excess[v], 0)
         # successive shortest paths with Johnson potentials
-        potential = [ZERO] * (n + 2)
+        potential = [0] * (n + 2)
         shipped = 0
         while shipped < total_supply:
-            dist: list[Optional[Fraction]] = [None] * (n + 2)
+            dist: list[Optional[int]] = [None] * (n + 2)
             prev_arc = [-1] * (n + 2)
-            dist[src] = ZERO
-            heap: list[tuple[Fraction, int]] = [(ZERO, src)]
+            dist[src] = 0
+            heap: list[tuple[int, int]] = [(0, src)]
             done = [False] * (n + 2)
             while heap:
                 d, v = heapq.heappop(heap)

@@ -27,7 +27,7 @@ from itertools import compress
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .errors import ContractViolation, InternalCheckError
+from .errors import BudgetError, ContractViolation, InternalCheckError
 
 ZERO = Fraction(0)
 
@@ -36,6 +36,14 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _DEGENERATE_STREAK_LIMIT = 64
+
+# Rows are dense, so a tableau of R rows and C columns (variables, one
+# slack or surplus per inequality, one artificial per row) holds R * C list
+# slots: at 8 bytes a slot this budget is 160 MB before any nonzero entry's
+# own int.  Directed cycles build the largest tableaus of the scale ladders,
+# 2n x 4n cells: 5.1e6 at n = 800, 8e6 at n = 1000, which leaves 2.5x
+# headroom (random-strong n = 300 builds 8.4e5, dense n = 60 4.7e5).
+MAX_TABLEAU_CELLS = 20_000_000
 
 
 def _nonzeros(row: list[int]) -> list[int]:
@@ -117,6 +125,10 @@ def solve_lp(
     nrows = len(rows)
     if not (len(senses) == len(rhs) == nrows):
         raise ContractViolation("rows/senses/rhs length mismatch")
+    width = nvars + sum(1 for sense in senses if sense != "==") + nrows
+    if nrows * width > MAX_TABLEAU_CELLS:
+        raise BudgetError(f"LP tableau of {nrows} rows x {width} columns exceeds "
+                          f"the budget of {MAX_TABLEAU_CELLS} cells")
     b = [Fraction(v) for v in rhs]
 
     # Append slack/surplus columns, then one artificial per row.

@@ -279,10 +279,25 @@ def test_acceptance_5_subtour_cover_contract(cover_instances):
           "solution conditions and both cost bounds exactly")
 
 
+def _routes_neutral_flow(cover: SubtourCoverInstance) -> bool:
+    """x has a fractional entry and the witness flow uses a neutral edge."""
+    levels = build_level_structure(cover.pair)
+    witness = compute_witness_flow(cover, levels)
+    return any(q.denominator > 1 for q in cover.pair.instance.x) and any(
+        levels.edge_class[eid] == NEUTRAL and val
+        for eid, val in enumerate(witness.f))
+
+
 def test_acceptance_6_witness_flow_minimality(cover_instances):
+    # the fixture's x is integral and its witnesses leave every neutral edge
+    # empty, so the random covers that route neutral flow join the battery
+    from test_witness_reference import random_covers
+
+    neutral_flow = [cover for cover in random_covers() if _routes_neutral_flow(cover)]
+    assert len(neutral_flow) >= 20
     rng = random.Random(2024)
     perturbations = 0
-    for cover in cover_instances:
+    for cover in list(cover_instances) + neutral_flow:
         inst = cover.pair.instance
         g = inst.g
         levels = build_level_structure(cover.pair)

@@ -3,6 +3,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
+from atsp_approx.errors import ContractViolation
 from atsp_approx.flows import CirculationProblem, max_flow_min_cut
 
 F = Fraction
@@ -85,10 +88,10 @@ def test_max_flow_mixed_denominators_against_brute_force():
 
 def test_circulation_forces_lower_bounds():
     prob = CirculationProblem(3)
-    a = prob.add_arc(0, 1, 1, 1, F(0))
-    b = prob.add_arc(1, 2, 0, 5, F(2))
-    c = prob.add_arc(2, 0, 0, 5, F(1))
-    d = prob.add_arc(1, 0, 0, 5, F(10))
+    a = prob.add_arc(0, 1, 1, 1, 0)
+    b = prob.add_arc(1, 2, 0, 5, 2)
+    c = prob.add_arc(2, 0, 0, 5, 1)
+    d = prob.add_arc(1, 0, 0, 5, 10)
     flows = prob.solve()
     assert flows is not None
     assert flows[a] == 1 and flows[b] == 1 and flows[c] == 1 and flows[d] == 0
@@ -96,17 +99,17 @@ def test_circulation_forces_lower_bounds():
 
 def test_circulation_infeasible():
     prob = CirculationProblem(2)
-    prob.add_arc(0, 1, 2, 3, F(1))  # nothing can return
+    prob.add_arc(0, 1, 2, 3, 1)  # nothing can return
     assert prob.solve() is None
 
 
 def test_circulation_prefers_cheap_return():
     prob = CirculationProblem(4)
-    a = prob.add_arc(0, 1, 2, 2, F(0))
-    cheap1 = prob.add_arc(1, 2, 0, 1, F(1))
-    cheap2 = prob.add_arc(2, 0, 0, 2, F(0))
-    expensive = prob.add_arc(1, 0, 0, 2, F(5))
-    mid = prob.add_arc(1, 2, 0, 2, F(3))
+    a = prob.add_arc(0, 1, 2, 2, 0)
+    cheap1 = prob.add_arc(1, 2, 0, 1, 1)
+    cheap2 = prob.add_arc(2, 0, 0, 2, 0)
+    expensive = prob.add_arc(1, 0, 0, 2, 5)
+    mid = prob.add_arc(1, 2, 0, 2, 3)
     flows = prob.solve()
     assert flows is not None
     # 2 units forced out of 0; best return: 1 via cost-1 arc, 1 via cost-3 arc
@@ -115,10 +118,22 @@ def test_circulation_prefers_cheap_return():
     assert flows[expensive] == 0
 
 
+@pytest.mark.parametrize("cost", [F(1), F(1, 2), 1.0, True, False])
+def test_circulation_rejects_non_int_costs(cost):
+    # costs are integer numerators over a denominator the caller chose; a
+    # Fraction, a float or a bool is refused rather than mixed in
+    prob = CirculationProblem(2)
+    with pytest.raises(ContractViolation):
+        prob.add_arc(0, 1, 0, 1, cost)
+    assert not prob.arcs
+
+
 def test_circulation_min_cost_against_enumeration():
+    # small costs make ties common; costs up to 10**6 check that nothing
+    # depends on their size
     rng = random.Random(29)
-    for _ in range(20):
-        n = rng.randint(2, 4)
+    for _ in range(200):
+        n = rng.randint(2, 5)
         prob = CirculationProblem(n)
         arcs = []
         for _ in range(rng.randint(2, 7)):
@@ -127,7 +142,7 @@ def test_circulation_min_cost_against_enumeration():
                 continue
             lo = rng.randint(0, 1)
             hi = lo + rng.randint(0, 2)
-            cost = F(rng.randint(0, 5))
+            cost = rng.choice([rng.randint(0, 5), rng.randint(0, 10 ** 6)])
             arcs.append((u, v, lo, hi, cost))
             prob.add_arc(u, v, lo, hi, cost)
         flows = prob.solve()
@@ -149,7 +164,7 @@ def test_circulation_min_cost_against_enumeration():
                 balance[u] += f
                 balance[v] -= f
 
-        rec(0, [0] * n, F(0))
+        rec(0, [0] * n, 0)
         if best is None:
             assert flows is None
         else:

@@ -42,7 +42,7 @@ def test_reroute_upper_entry_lower_exit_uses_down_edge():
     assert aug.w_sets[0] == frozenset({0})
     assert rerouted.q_level[0] == 1
     down = rerouted.split.down_of[aug.aux_of[0]]
-    assert rerouted.z[down] == F(1, 2)
+    assert F(rerouted.z[down], rerouted.den) == F(1, 2)
     # pure same-level reroutes leave their vertical edge empty
     assert all(
         rerouted.z[rerouted.split.down_of[aug.aux_of[i]]] == 0

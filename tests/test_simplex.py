@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from atsp_approx import simplex
+from atsp_approx.errors import BudgetError
 from atsp_approx.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 F = Fraction
@@ -200,3 +202,22 @@ def test_pivots_on_non_unit_entries():
     assert res.x == [F(6, 5), F(8, 5)]
     assert res.objective == F(-14, 5)
     assert res.duals == [F(-2, 5), F(-2, 5)]
+
+
+def test_tableau_cell_budget(monkeypatch):
+    # R rows over V variables, k of the rows inequalities, make a tableau of
+    # R * (V + k + R) cells: at the budget it is solved, one column more is
+    # refused before any row is built
+    monkeypatch.setattr(simplex, "MAX_TABLEAU_CELLS", 12)
+    objective = [F(1), F(1), F(1)]
+    rows = [{0: F(1), 1: F(1)}, {0: F(1), 2: F(-1)}]
+    res = solve_lp(objective, rows, [">=", "=="], [F(2), F(0)])  # 2 x 6
+    assert res.status == OPTIMAL and res.objective == 2
+    with pytest.raises(BudgetError, match="2 rows x 7 columns"):
+        solve_lp(objective, rows, [">=", "<="], [F(2), F(0)])
+    with pytest.raises(BudgetError, match="2 rows x 7 columns"):
+        solve_lp(objective + [F(1)], rows, [">=", "=="], [F(2), F(0)])
+    # rows are not read before the check: these would raise ContractViolation
+    bad_rows = [{9: F(1)}] * 3
+    with pytest.raises(BudgetError, match="3 rows x 6 columns"):
+        solve_lp(objective, bad_rows, ["=="] * 3, [F(0)] * 3)

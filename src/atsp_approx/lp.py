@@ -129,31 +129,29 @@ def solve_atsp_lp(g: Digraph, checker: Optional[Checker] = None) -> tuple[Primal
         raise ContractViolation("LP needs at least two vertices")
     if not g.is_strongly_connected():
         raise InfeasibleInstanceError("graph is not strongly connected")
+    # n degree rows and n singleton cuts, over m variables
+    simplex.check_tableau_budget(2 * g.n, g.m, g.n)
     cuts: list[frozenset] = [frozenset({v}) for v in range(g.n)]
     cut_set = set(cuts)
     objective = [e.cost for e in g.edges]
+    rows: list[dict[int, int]] = []
+    for v in range(g.n):
+        row: dict[int, int] = {}
+        for eid in g.in_edges[v]:
+            row[eid] = row.get(eid, 0) + 1
+        for eid in g.out_edges[v]:
+            row[eid] = row.get(eid, 0) - 1
+        rows.append(row)
+    senses = ["=="] * g.n
+    rhs = [0] * g.n
+    new_cuts = cuts
     for _ in range(_CUTTING_ROUND_CAP):
-        rows: list[dict[int, Fraction]] = []
-        senses: list[str] = []
-        rhs: list[Fraction] = []
-        for v in range(g.n):
-            row: dict[int, Fraction] = {}
-            for eid in g.in_edges[v]:
-                row[eid] = row.get(eid, ZERO) + ONE
-            for eid in g.out_edges[v]:
-                row[eid] = row.get(eid, ZERO) - ONE
-            rows.append(row)
-            senses.append("==")
-            rhs.append(ZERO)
-        for u_set in cuts:
-            row = {}
-            for eid in g.delta_plus(u_set):
-                row[eid] = row.get(eid, ZERO) + ONE
-            for eid in g.delta_minus(u_set):
-                row[eid] = row.get(eid, ZERO) + ONE
+        for u_set in new_cuts:
+            row = dict.fromkeys(g.delta_plus(u_set), 1)
+            row.update(dict.fromkeys(g.delta_minus(u_set), 1))
             rows.append(row)
             senses.append(">=")
-            rhs.append(TWO)
+            rhs.append(2)
         res = simplex.solve_lp(objective, rows, senses, rhs)
         if res.status != simplex.OPTIMAL:
             raise InternalCheckError("atsp-lp-solvable",
@@ -172,9 +170,8 @@ def solve_atsp_lp(g: Digraph, checker: Optional[Checker] = None) -> tuple[Primal
                           lambda: f"{dual.objective} != {res.objective}")
             checker.check(dual_feasible(g, dual), "dual-feasible")
             return PrimalLp(list(res.x), res.objective), dual
-        for u_set in new_cuts:
-            cut_set.add(u_set)
-            cuts.append(u_set)
+        cut_set.update(new_cuts)
+        cuts.extend(new_cuts)
     raise InternalCheckError("cutting-plane-rounds", f"exceeded {_CUTTING_ROUND_CAP} rounds")
 
 

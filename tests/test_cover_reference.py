@@ -326,7 +326,7 @@ def compared(monkeypatch):
 
 
 def test_integer_cover_matches_fraction_reference(cover_instances, compared):  # noqa: F811
-    covers = list(cover_instances) + [thirds_cover()] + random_covers()
+    covers = [*cover_instances, thirds_cover(), *random_covers()]
     for cover in covers:
         subtour_cover(cover, Checker())
     assert len(compared) == len(covers)

@@ -7,7 +7,7 @@ import pytest
 
 from atsp_approx import lp, simplex
 from atsp_approx.checks import Checker
-from atsp_approx.errors import ContractViolation, InfeasibleInstanceError
+from atsp_approx.errors import BudgetError, ContractViolation, InfeasibleInstanceError
 from atsp_approx.flows import max_flow_min_cut
 from atsp_approx.graph import Digraph, check_laminar
 from atsp_approx.lp import (
@@ -82,6 +82,27 @@ def test_lp_on_two_tri():
 def test_lp_rejects_weakly_connected():
     g = Digraph(3, [(0, 1, F(1)), (1, 2, F(1))])
     with pytest.raises(InfeasibleInstanceError):
+        solve_atsp_lp(g)
+
+
+def test_lp_over_budget_is_refused_before_any_row_is_built(monkeypatch):
+    # the first LP of a directed n-cycle has n degree rows and n singleton
+    # cuts over n + n + 2n columns: at 8 n^2 cells it is solved, one cell
+    # less is refused before a cut row is built or the simplex is called
+    n = 10
+    g = Digraph(n, [(i, (i + 1) % n, F(1)) for i in range(n)])
+    monkeypatch.setattr(simplex, "MAX_TABLEAU_CELLS", 8 * n * n)
+    assert solve_atsp_lp(g)[0].objective == n
+
+    def not_called(*args):
+        raise AssertionError("an LP over the budget reached row building")
+
+    monkeypatch.setattr(simplex, "MAX_TABLEAU_CELLS", 8 * n * n - 1)
+    monkeypatch.setattr(Digraph, "delta_plus", not_called)
+    monkeypatch.setattr(Digraph, "delta_minus", not_called)
+    monkeypatch.setattr(simplex, "solve_lp", not_called)
+    with pytest.raises(BudgetError, match=f"^LP tableau of {2 * n} rows x {4 * n} "
+                       f"columns exceeds the budget of {8 * n * n - 1} cells$"):
         solve_atsp_lp(g)
 
 

@@ -110,11 +110,11 @@ def _random_lp(rng, max_vars, max_rows, density, zero_rhs=0.0, max_den=1):
     return c, rows, senses, rhs
 
 
-def test_random_lps_against_scipy():
-    scipy = pytest.importorskip("scipy.optimize")
-    # small dense LPs, then wider sparse ones whose rows are mostly zeros
-    # and whose zero right-hand sides force degenerate pivots, then LPs whose
-    # data are p/q with q in 1..6, so rows start over denominators above 1
+def random_lps():
+    """The LPs of three random regimes as (where, c, rows, senses, rhs):
+    small dense LPs, then wider sparse ones whose rows are mostly zeros and
+    whose zero right-hand sides force degenerate pivots, then LPs whose
+    data are p/q with q in 1..6, so rows start over denominators above 1."""
     regimes = [(random.Random(5), 40, dict(max_vars=5, max_rows=4, density=0.8)),
                (random.Random(6), 100, dict(max_vars=14, max_rows=10, density=0.3,
                                             zero_rhs=0.5)),
@@ -122,18 +122,32 @@ def test_random_lps_against_scipy():
                                             zero_rhs=0.2, max_den=6))]
     for rng, trials, shape in regimes:
         for trial in range(trials):
-            c, rows, senses, rhs = _random_lp(rng, **shape)
-            res = solve_lp(c, rows, senses, rhs)
-            ref = _scipy_reference(scipy, c, rows, senses, rhs)
-            where = f"{shape} trial {trial}"
-            if res.status == OPTIMAL:
-                assert ref.status == 0, f"{where}: scipy disagrees on feasibility"
-                assert abs(float(res.objective) - ref.fun) < 1e-7, where
-                _check_kkt(c, rows, senses, rhs, res)
-            elif res.status == INFEASIBLE:
-                assert ref.status == 2, where
-            else:
-                assert ref.status == 3, where
+            yield (f"{shape} trial {trial}",) + _random_lp(rng, **shape)
+
+
+def _check_random_lps_against_scipy():
+    scipy = pytest.importorskip("scipy.optimize")
+    for where, c, rows, senses, rhs in random_lps():
+        res = solve_lp(c, rows, senses, rhs)
+        ref = _scipy_reference(scipy, c, rows, senses, rhs)
+        if res.status == OPTIMAL:
+            assert ref.status == 0, f"{where}: scipy disagrees on feasibility"
+            assert abs(float(res.objective) - ref.fun) < 1e-7, where
+            _check_kkt(c, rows, senses, rhs, res)
+        elif res.status == INFEASIBLE:
+            assert ref.status == 2, where
+        else:
+            assert ref.status == 3, where
+
+
+def test_random_lps_against_scipy():
+    _check_random_lps_against_scipy()
+
+
+def test_random_lps_against_scipy_under_blands_rule(monkeypatch):
+    # a streak limit of -1 makes every pivot of both phases use Bland's rule
+    monkeypatch.setattr(simplex, "_DEGENERATE_STREAK_LIMIT", -1)
+    _check_random_lps_against_scipy()
 
 
 def _scipy_reference(scipy, c, rows, senses, rhs):

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 import pytest
@@ -124,13 +125,17 @@ def thirds_cover() -> SubtourCoverInstance:
     return cover
 
 
-def random_covers(trials: int = 300) -> list[SubtourCoverInstance]:
+@cache
+def random_covers(trials: int = 300) -> tuple[SubtourCoverInstance, ...]:
     """Covers of random digraphs (n 5-7, about half of all arcs, costs
     1-12) whose family has non-singleton sets with a common vertex, the
     least of which is the one-vertex backbone; each with empty H, and again
     with H a cycle away from the backbone that crosses no family set where
     there is one, so that components hold several vertices.  Unlike most
-    acceptance covers, most of these need flow on neutral edges."""
+    acceptance covers, most of these need flow on neutral edges.
+
+    Built once per session: no caller modifies a cover, and the lazily
+    memoized nice paths of their instances do not change any result."""
     rng = random.Random(0)
     covers = []
     for _ in range(trials):
@@ -156,7 +161,7 @@ def random_covers(trials: int = 300) -> list[SubtourCoverInstance]:
             cycle = _find_any_cycle(inst.g, inside)
             if cycle is not None:
                 covers.append(SubtourCoverInstance(pair, EdgeMultiset(dict.fromkeys(cycle, 1))))
-    return covers
+    return tuple(covers)
 
 
 def test_thirds_instance_scales_neutral_bounds():
@@ -169,7 +174,7 @@ def test_thirds_instance_scales_neutral_bounds():
 
 def test_witness_matches_highs_on_cover_instances(cover_instances, witness_calls):  # noqa: F811
     scipy = pytest.importorskip("scipy.optimize")
-    covers = list(cover_instances) + [thirds_cover()] + random_covers()
+    covers = [*cover_instances, thirds_cover(), *random_covers()]
     for cover in covers:
         cover.validate()
         levels = build_level_structure(cover.pair)

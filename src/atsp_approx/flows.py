@@ -1,8 +1,9 @@
 """Exact network-flow routines: max-flow/min-cut and min-cost circulation.
 
-Max-flow (integer Edmonds-Karp: the rational capacities are scaled by the
-lcm of their denominators, and the flow value scaled back) powers the cut
-separation oracle of the LP module.  The min-cost circulation solver, which
+Max-flow (integer Edmonds-Karp on a :class:`FlowNetwork`, whose flat arrays
+are built once and copied per call) powers the cut separation oracle of the
+LP module, which scales x by the lcm of its denominators and builds one
+network per separation round.  The min-cost circulation solver, which
 finds the witness flows of the subtour cover and rounds its lifted
 circulation, takes integer lower/upper arc bounds and integer costs (callers
 with rational costs scale them by the lcm of their denominators, which keeps
@@ -15,79 +16,86 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from .errors import ContractViolation, InternalCheckError
 
 
-def max_flow_min_cut(
-    n: int,
-    arcs: list[tuple[int, int, Fraction]],
-    source: int,
-    sink: int,
-) -> tuple[Fraction, frozenset]:
+class FlowNetwork:
+    """Directed network with integer capacities, as flat arrays.
+
+    Arc 2i runs from the tail to the head of the i-th added arc and arc
+    2i + 1 is its reverse, so ``a ^ 1`` pairs them; ``head[a]`` is where arc
+    a ends, ``capacity[a]`` its capacity (0 for reverse arcs) and
+    ``out[v]`` the ids of the arcs leaving v.  Parallel and antiparallel
+    arcs stay separate.  Max-flow runs on a copy of the capacities, so one
+    network serves any number of (source, sink) pairs.
+    """
+
+    __slots__ = ("n", "head", "capacity", "out")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.head: list[int] = []
+        self.capacity: list[int] = []
+        self.out: list[list[int]] = [[] for _ in range(n)]
+
+    def add_arc(self, tail: int, head: int, capacity: int) -> None:
+        if capacity < 0:
+            raise ContractViolation("negative capacity")
+        self.out[tail].append(len(self.head))
+        self.head.append(head)
+        self.capacity.append(capacity)
+        self.out[head].append(len(self.head))
+        self.head.append(tail)
+        self.capacity.append(0)
+
+
+def max_flow_min_cut(network: FlowNetwork, source: int, sink: int) -> tuple[int, frozenset]:
     """Maximum s-t flow value and the source side of a minimum cut.
 
-    Parallel arcs are merged.  Edmonds-Karp on the capacities times the lcm
-    of their denominators: the number of augmentations is O(V*E), and the
-    side returned (the vertices the source reaches in the final residual
-    graph) is the intersection of all minimum-cut source sides.
+    Edmonds-Karp on a copy of the network's capacities: the number of
+    augmentations is O(V*E), and the side returned (the vertices the source
+    reaches in the final residual graph) is the intersection of all
+    minimum-cut source sides, whichever maximum flow was found.
     """
     if source == sink:
         raise ContractViolation("source equals sink")
-    # a loop, not lcm(*...): one argument tuple of len(arcs) per call (tens
-    # per solve) fills CPython's tuple free lists, about 1 MB of peak RSS
-    scale = 1
-    for _, _, c in arcs:
-        scale = lcm(scale, c.denominator)
-    cap: list[dict[int, int]] = [dict() for _ in range(n)]
-    for tail, head, c in arcs:
-        if c < 0:
-            raise ContractViolation("negative capacity")
-        if c:
-            scaled = c.numerator * (scale // c.denominator)
-            cap[tail][head] = cap[tail].get(head, 0) + scaled
-            cap[head].setdefault(tail, 0)
+    head, out = network.head, network.out
+    residual = list(network.capacity)
     value = 0
     while True:
-        prev: dict[int, int] = {source: source}
+        # breadth-first search; pred[w] is the arc the search entered w by
+        pred: list[Optional[int]] = [None] * network.n
+        pred[source] = -1
         queue = [source]
-        while queue and sink not in prev:
-            nxt = []
-            for v in queue:
-                for w, c in cap[v].items():
-                    if c > 0 and w not in prev:
-                        prev[w] = v
-                        nxt.append(w)
-            queue = nxt
-        if sink not in prev:
-            break
-        bottleneck: Optional[int] = None
+        for v in queue:
+            for a in out[v]:
+                if residual[a]:
+                    w = head[a]
+                    if pred[w] is None:
+                        pred[w] = a
+                        queue.append(w)
+            if pred[sink] is not None:
+                break
+        else:
+            # the search ran to the end without reaching the sink, so it
+            # visited exactly the vertices the source reaches
+            return value, frozenset(queue)
+        bottleneck = residual[pred[sink]]
         w = sink
         while w != source:
-            v = prev[w]
-            c = cap[v][w]
-            if bottleneck is None or c < bottleneck:
-                bottleneck = c
-            w = v
+            a = pred[w]
+            if residual[a] < bottleneck:
+                bottleneck = residual[a]
+            w = head[a ^ 1]
         w = sink
         while w != source:
-            v = prev[w]
-            cap[v][w] -= bottleneck
-            cap[w][v] += bottleneck
-            w = v
+            a = pred[w]
+            residual[a] -= bottleneck
+            residual[a ^ 1] += bottleneck
+            w = head[a ^ 1]
         value += bottleneck
-    reachable = {source}
-    stack = [source]
-    while stack:
-        v = stack.pop()
-        for w, c in cap[v].items():
-            if c > 0 and w not in reachable:
-                reachable.add(w)
-                stack.append(w)
-    return Fraction(value, scale), frozenset(reachable)
 
 
 @dataclass

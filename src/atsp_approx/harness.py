@@ -210,21 +210,25 @@ def gen_instance(model: str, n: int, seed: int = 0) -> Digraph:
 
 def held_karp_opt(g: Digraph) -> Fraction:
     """Exact optimum tour cost (closed walks allowed): the Hamiltonian
-    optimum of the metric closure, by bitmask dynamic programming over
-    integer-scaled distances."""
+    optimum of the metric closure, by bitmask dynamic programming.  The
+    closure and the DP run on the costs as integer numerators over the lcm
+    of their denominators."""
     n = g.n
     if n > HELD_KARP_MAX_N:
         raise BudgetError(f"Held-Karp oracle capped at n = {HELD_KARP_MAX_N}")
     if n == 1:
         return ZERO
-    inf = None
-    dist: list[list[Optional[Fraction]]] = [[inf] * n for _ in range(n)]
-    for v in range(n):
-        dist[v][v] = ZERO
+    scale = 1
     for e in g.edges:
+        scale = math.lcm(scale, e.cost.denominator)
+    dist: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
+    for v in range(n):
+        dist[v][v] = 0
+    for e in g.edges:
+        cost = e.cost.numerator * (scale // e.cost.denominator)
         cur = dist[e.tail][e.head]
-        if cur is None or e.cost < cur:
-            dist[e.tail][e.head] = e.cost
+        if cur is None or cost < cur:
+            dist[e.tail][e.head] = cost
     for mid in range(n):
         for a in range(n):
             via = dist[a][mid]
@@ -239,41 +243,26 @@ def held_karp_opt(g: Digraph) -> Fraction:
                     dist[a][b] = cand
     if any(dist[a][b] is None for a in range(n) for b in range(n)):
         raise InfeasibleInstanceError("graph is not strongly connected")
-    denom = 1
-    for row in dist:
-        for val in row:
-            denom = denom * val.denominator // math.gcd(denom, val.denominator)
-    d = [[int(val * denom) for val in row] for row in dist]
-    full = 1 << (n - 1)  # masks over vertices 1..n-1
-    big = None
-    dp = [[big] * (n - 1) for _ in range(full)]
-    for j in range(n - 1):
-        dp[1 << j][j] = d[0][j + 1]
-    for mask in range(full):
-        row = dp[mask]
-        for j in range(n - 1):
-            cur = row[j]
-            if cur is None:
-                continue
-            rest = (full - 1) & ~mask
-            dj = d[j + 1]
-            while rest:
-                low = rest & -rest
-                t = low.bit_length() - 1
-                rest ^= low
-                cand = cur + dj[t + 1]
-                target = dp[mask | low][t]
-                if target is None or cand < target:
-                    dp[mask | low][t] = cand
-    best = None
-    for j in range(n - 1):
-        val = dp[full - 1][j]
-        if val is None:
+    # dp[mask][j]: cheapest path from 0 through the vertices of mask (bit i
+    # stands for vertex i + 1) that ends at vertex j + 1; each entry is
+    # pulled from the masks without j
+    k = n - 1
+    full = 1 << k
+    into = [[dist[i + 1][j + 1] for i in range(k)] for j in range(k)]
+    dp = [[0] * k for _ in range(full)]
+    for j in range(k):
+        dp[1 << j][j] = dist[0][j + 1]
+    for mask in range(3, full):
+        if not mask & (mask - 1):
             continue
-        total = val + d[j + 1][0]
-        if best is None or total < best:
-            best = total
-    return Fraction(best, denom)
+        members = [i for i in range(k) if mask >> i & 1]
+        row = dp[mask]
+        for j in members:
+            prev = dp[mask ^ (1 << j)]
+            col = into[j]
+            row[j] = min([prev[i] + col[i] for i in members if i != j])
+    last = dp[full - 1]
+    return Fraction(min(last[j] + dist[j + 1][0] for j in range(k)), scale)
 
 
 def verify_tour(g: Digraph, tour: EdgeMultiset) -> tuple[bool, dict]:

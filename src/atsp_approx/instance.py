@@ -100,7 +100,7 @@ class StronglyLaminarInstance:
             self._crossed.append((ct[k:], ch[k:]))
         # costs and weights as integer numerators over one denominator
         weights = [family.weights[s] for s in family.members]
-        self._den = 1  # a loop for the reason given in flows.max_flow_min_cut
+        self._den = 1  # a loop for the reason given in lp._separate_all
         for q in [e.cost for e in g.edges] + weights:
             self._den = lcm(self._den, q.denominator)
         self._cost_num = [e.cost.numerator * (self._den // e.cost.denominator)

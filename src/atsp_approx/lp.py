@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from . import simplex
 from .checks import Checker
 from .errors import ContractViolation, InfeasibleInstanceError, InternalCheckError
-from .flows import max_flow_min_cut
+from .flows import FlowNetwork, max_flow_min_cut
 from .graph import (
     Digraph,
     LaminarFamily,
@@ -28,7 +29,6 @@ from .graph import (
 from .instance import StronglyLaminarInstance, cut_value
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 TWO = Fraction(2)
 
 _CUTTING_ROUND_CAP = 200
@@ -55,16 +55,32 @@ class DualLp:
         return DualLp(list(self.a), dict(self.y), self.objective)
 
 
-def dual_feasible(g: Digraph, dual: DualLp, eids: Optional[list[int]] = None) -> bool:
-    """Exact feasibility of (a, y) for the dual LP on the given edges."""
+def dual_feasible(g: Digraph, dual: DualLp) -> bool:
+    """Exact feasibility of (a, y) for the dual LP: y >= 0, and on every
+    edge a_head - a_tail + y(sets the edge crosses) <= cost.
+
+    a, y and the costs are compared as integer numerators over the lcm of
+    all their denominators."""
     if any(y < 0 for y in dual.y.values()):
         return False
-    for eid in eids if eids is not None else range(g.m):
-        e = g.edge(eid)
-        cross = crossing_weight(dual.y, e.tail, e.head)
-        if dual.a[e.head] - dual.a[e.tail] + cross > e.cost:
-            return False
-    return True
+    scale = 1
+    for value in dual.a:
+        scale = lcm(scale, value.denominator)
+    for value in dual.y.values():
+        scale = lcm(scale, value.denominator)
+    for e in g.edges:
+        scale = lcm(scale, e.cost.denominator)
+    a = [v.numerator * (scale // v.denominator) for v in dual.a]
+    # slack[eid] = cost - a_head + a_tail - y(sets the edge crosses)
+    slack = [e.cost.numerator * (scale // e.cost.denominator) + a[e.tail] - a[e.head]
+             for e in g.edges]
+    for u_set, weight in dual.y.items():
+        w = weight.numerator * (scale // weight.denominator)
+        for eid in g.delta_plus(u_set):
+            slack[eid] -= w
+        for eid in g.delta_minus(u_set):
+            slack[eid] -= w
+    return all(v >= 0 for v in slack)
 
 
 def separate_subtour(g: Digraph, x: list[Fraction]) -> Optional[frozenset]:
@@ -83,21 +99,30 @@ def _separate_all(g: Digraph, x: list[Fraction], first_only: bool = False) -> li
     """Sides of the minimum cuts with x(delta+) < 1, from vertex 0 to each
     other terminal t and back.
 
-    x must be a circulation, so x(delta+(U)) = x(delta-(U)) for every U and
-    both directions between 0 and t have the same min-cut value: when the
-    (0, t) value is at least 1 the (t, 0) call is skipped.  Below 1 both
-    calls are made, because their sides can differ.
+    x is scaled once by the lcm of its denominators, and one integer flow
+    network of the positive edges serves every max-flow call; a flow value
+    is compared with the scaled unit.  x must be a circulation, so
+    x(delta+(U)) = x(delta-(U)) for every U and both directions between 0
+    and t have the same min-cut value: when the (0, t) value is at least 1
+    the (t, 0) call is skipped.  Below 1 both calls are made, because their
+    sides can differ.
     """
-    arcs = []
-    excess = [ZERO] * g.n
+    # a loop, not lcm(*...): one argument tuple of m entries per call (tens
+    # per solve) fills CPython's tuple free lists, about 1 MB of peak RSS
+    unit = 1
+    for e in g.edges:
+        unit = lcm(unit, x[e.eid].denominator)
+    network = FlowNetwork(g.n)
+    excess = [0] * g.n
     for e in g.edges:
         value = x[e.eid]
-        if value < 0:
+        scaled = value.numerator * (unit // value.denominator)
+        if scaled < 0:
             raise ContractViolation(f"separation needs x >= 0; edge {e.eid} has {value}")
-        if value:
-            arcs.append((e.tail, e.head, value))
-            excess[e.head] += value
-            excess[e.tail] -= value
+        if scaled:
+            network.add_arc(e.tail, e.head, scaled)
+            excess[e.head] += scaled
+            excess[e.tail] -= scaled
     unbalanced = [v for v in range(g.n) if excess[v]]
     if unbalanced:
         raise ContractViolation(f"separation needs a circulation; vertices {unbalanced} "
@@ -106,8 +131,8 @@ def _separate_all(g: Digraph, x: list[Fraction], first_only: bool = False) -> li
     seen: set[frozenset] = set()
     for t in range(1, g.n):
         for s, d in ((0, t), (t, 0)):
-            value, side = max_flow_min_cut(g.n, arcs, s, d)
-            if value >= ONE:
+            value, side = max_flow_min_cut(network, s, d)
+            if value >= unit:
                 break
             if side not in seen:
                 seen.add(side)

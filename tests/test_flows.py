@@ -2,24 +2,44 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from atsp_approx.errors import ContractViolation
-from atsp_approx.flows import CirculationProblem, max_flow_min_cut
+from atsp_approx.flows import CirculationProblem, FlowNetwork, max_flow_min_cut
 
 F = Fraction
 
 
+def network(n, arcs):
+    """A network of the arcs, with their Fraction capacities as numerators
+    over the lcm of their denominators; returns it and that lcm."""
+    scale = 1
+    for _, _, c in arcs:
+        scale = lcm(scale, c.denominator)
+    net = FlowNetwork(n)
+    for u, v, c in arcs:
+        net.add_arc(u, v, c.numerator * (scale // c.denominator))
+    return net, scale
+
+
+def max_flow(n, arcs, s, t):
+    net, scale = network(n, arcs)
+    value, side = max_flow_min_cut(net, s, t)
+    assert isinstance(value, int)
+    return Fraction(value, scale), side
+
+
 def test_max_flow_simple_path():
-    value, side = max_flow_min_cut(3, [(0, 1, F(2)), (1, 2, F(1))], 0, 2)
+    value, side = max_flow(3, [(0, 1, F(2)), (1, 2, F(1))], 0, 2)
     assert value == 1
     assert side == frozenset({0, 1})
 
 
 def test_max_flow_rational_capacities():
     arcs = [(0, 1, F(1, 2)), (0, 2, F(1, 3)), (1, 3, F(1, 4)), (2, 3, F(1)), (1, 2, F(2))]
-    value, side = max_flow_min_cut(4, arcs, 0, 3)
+    value, side = max_flow(4, arcs, 0, 3)
     assert value == F(1, 2) + F(1, 3)
     assert 0 in side and 3 not in side
     # cut capacity equals flow value
@@ -28,12 +48,23 @@ def test_max_flow_rational_capacities():
 
 
 def test_max_flow_disconnected():
-    value, side = max_flow_min_cut(4, [(0, 1, F(1)), (2, 3, F(1))], 0, 3)
+    value, side = max_flow(4, [(0, 1, F(1)), (2, 3, F(1))], 0, 3)
     assert value == 0
     assert side == frozenset({0, 1})
 
 
+def test_network_rejects_negative_capacity_and_equal_terminals():
+    net = FlowNetwork(2)
+    with pytest.raises(ContractViolation):
+        net.add_arc(0, 1, -1)
+    assert not net.head
+    with pytest.raises(ContractViolation):
+        max_flow_min_cut(net, 1, 1)
+
+
 def test_max_flow_matches_brute_force_cuts():
+    # every sink runs on the same network: a call leaves its capacities as
+    # they were
     rng = random.Random(13)
     for _ in range(25):
         n = rng.randint(2, 6)
@@ -42,26 +73,27 @@ def test_max_flow_matches_brute_force_cuts():
             u, v = rng.randrange(n), rng.randrange(n)
             if u != v:
                 arcs.append((u, v, F(rng.randint(0, 6), rng.choice([1, 2, 3]))))
-        s, t = 0, n - 1
-        if s == t:
-            continue
-        value, side = max_flow_min_cut(n, arcs, s, t)
-        best = None
-        for mask in range(1 << n):
-            if not (mask >> s) & 1 or (mask >> t) & 1:
-                continue
-            cut = sum(c for (u, v, c) in arcs if (mask >> u) & 1 and not (mask >> v) & 1)
-            best = cut if best is None else min(best, cut)
-        assert value == best
-        cut_val = sum(c for (u, v, c) in arcs if u in side and v not in side)
-        assert cut_val == value
+        net, scale = network(n, arcs)
+        s = 0
+        for t in range(1, n):
+            value, side = max_flow_min_cut(net, s, t)
+            value = F(value, scale)
+            best = None
+            for mask in range(1 << n):
+                if not (mask >> s) & 1 or (mask >> t) & 1:
+                    continue
+                cut = sum(c for (u, v, c) in arcs if (mask >> u) & 1 and not (mask >> v) & 1)
+                best = cut if best is None else min(best, cut)
+            assert value == best
+            cut_val = sum(c for (u, v, c) in arcs if u in side and v not in side)
+            assert cut_val == value
 
 
 def test_max_flow_mixed_denominators_against_brute_force():
-    # capacities with denominators up to 12 are scaled to integers inside;
-    # the value must come back as the exact Fraction min cut, and the side
-    # must be the smallest minimum cut: the intersection of all min-cut
-    # source sides
+    # capacities with denominators up to 12 are scaled to integers over
+    # their lcm; the value over that lcm must be the exact Fraction min cut,
+    # and the side must be the smallest minimum cut: the intersection of all
+    # min-cut source sides
     rng = random.Random(41)
     for _ in range(60):
         n = rng.randint(2, 7)
@@ -71,7 +103,7 @@ def test_max_flow_mixed_denominators_against_brute_force():
             if u != v:
                 arcs.append((u, v, F(rng.randint(0, 9), rng.randint(1, 12))))
         s, t = 0, n - 1
-        value, side = max_flow_min_cut(n, arcs, s, t)
+        value, side = max_flow(n, arcs, s, t)
         best, sides = None, []
         for mask in range(1 << n):
             if not (mask >> s) & 1 or (mask >> t) & 1:

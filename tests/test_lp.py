@@ -166,7 +166,7 @@ def test_separation_makes_one_flow_call_per_terminal_on_feasible_x(monkeypatch):
     calls = []
 
     def counting(*args):
-        calls.append(args[2:])
+        calls.append(args[1:])
         return max_flow_min_cut(*args)
 
     monkeypatch.setattr(lp, "max_flow_min_cut", counting)
@@ -306,6 +306,44 @@ def test_uncross_random_feasible_duals():
         assert check_laminar(list(out.y.keys())), trial
         assert out.objective == dual.objective, trial
         assert dual_feasible(g, out), trial
+
+
+def test_dual_feasible_matches_fraction_reference():
+    # dual_feasible compares integer numerators over one denominator; the
+    # reference sums crossing weights in Fractions.  Costs sit at, just
+    # above or just below a_head - a_tail + crossing weight, so both
+    # verdicts and exact ties occur; a few y are negative.
+    rng = random.Random(2718)
+
+    def reference(g, dual):
+        if any(y < 0 for y in dual.y.values()):
+            return False
+        return all(dual.a[e.head] - dual.a[e.tail]
+                   + sum((w for s, w in dual.y.items() if (e.tail in s) != (e.head in s)),
+                         F(0)) <= e.cost
+                   for e in g.edges)
+
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        a = [F(rng.randint(-6, 6), rng.randint(1, 12)) for _ in range(n)]
+        y: dict = {}
+        for _ in range(rng.randint(0, 5)):
+            s = frozenset(rng.sample(range(n), rng.randint(1, n - 1)))
+            y[s] = F(rng.choice([1, 1, 1, 1, 1, -1]) * rng.randint(1, 9), rng.randint(1, 12))
+        edges = []
+        for _ in range(rng.randint(1, 3 * n)):
+            u, v = rng.sample(range(n), 2)
+            cross = sum((w for s, w in y.items() if (u in s) != (v in s)), F(0))
+            tight = a[v] - a[u] + cross
+            cost = max(F(0), tight + rng.choice([0, 0, 1, -1]) * F(1, rng.randint(1, 12)))
+            edges.append((u, v, cost))
+        g = Digraph(n, edges)
+        dual = DualLp(a, y, sum((2 * w for w in y.values()), F(0)))
+        expected = reference(g, dual)
+        assert dual_feasible(g, dual) == expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_cutting_plane_matches_full_enumeration_small_random():

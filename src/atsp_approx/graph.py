@@ -50,7 +50,8 @@ class Digraph:
                 raise InputError(f"edge endpoint out of range: ({tail},{head}) with n={n}")
             if tail == head:
                 raise InputError(f"self-loop at vertex {tail} not allowed")
-            cost = Fraction(cost)
+            if type(cost) is not Fraction:
+                cost = Fraction(cost)
             if cost < 0:
                 raise InputError(f"negative cost {cost} on edge ({tail},{head})")
             edges.append(Edge(eid, tail, head, cost))

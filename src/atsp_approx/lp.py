@@ -147,7 +147,9 @@ def solve_atsp_lp(g: Digraph, checker: Optional[Checker] = None) -> tuple[Primal
 
     The returned dual has y supported on cuts generated during solving; its
     support need not be laminar yet (see :func:`uncross_dual`).  Strong
-    duality is asserted as an exact rational identity.
+    duality is asserted as an exact rational identity.  Round 0 is a cold
+    two-phase solve; every later round hands the previous result back to
+    `simplex.solve_lp`, which appends the new cuts to its optimal tableau.
     """
     checker = checker or Checker()
     if g.n < 2:
@@ -170,6 +172,7 @@ def solve_atsp_lp(g: Digraph, checker: Optional[Checker] = None) -> tuple[Primal
     senses = ["=="] * g.n
     rhs = [0] * g.n
     new_cuts = cuts
+    res: Optional[simplex.LpResult] = None
     for _ in range(_CUTTING_ROUND_CAP):
         for u_set in new_cuts:
             row = dict.fromkeys(g.delta_plus(u_set), 1)
@@ -177,7 +180,9 @@ def solve_atsp_lp(g: Digraph, checker: Optional[Checker] = None) -> tuple[Primal
             rows.append(row)
             senses.append(">=")
             rhs.append(2)
-        res = simplex.solve_lp(objective, rows, senses, rhs)
+        # rounds after the first append their cuts to the previous optimal
+        # tableau and re-optimise by dual simplex
+        res = simplex.solve_lp(objective, rows, senses, rhs, warm=res)
         if res.status != simplex.OPTIMAL:
             raise InternalCheckError("atsp-lp-solvable",
                                      f"status {res.status} on a strongly connected graph")

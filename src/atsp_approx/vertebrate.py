@@ -206,8 +206,9 @@ def reduce_and_solve(inst: StronglyLaminarInstance, w_set: frozenset,
     solution = vp_solver(pair)
     solver_bound = KAPPA * child.lp_value + eta_for(epsilon) * \
         pair.outside_singleton_mass()
-    checker.check(solution.cost(child.g) <= solver_bound, "solver-contract",
-                  lambda: f"{solution.cost(child.g)} > {solver_bound}")
+    solution_cost = solution.cost(child.g)
+    checker.check(solution_cost <= solver_bound, "solver-contract",
+                  lambda: f"{solution_cost} > {solver_bound}")
 
     outside_vertex = (cmap.child_of(min(inst.ground - w_set))
                       if w_set != inst.ground else None)
@@ -217,9 +218,9 @@ def reduce_and_solve(inst: StronglyLaminarInstance, w_set: frozenset,
         walk = euler_walk(child.g, comp_edges, min(comp))
         _lift_component_walk(inst, child, cmap, walk, outside_vertex,
                              missed_of_vertex, lifted)
-    checker.check(lifted.cost(inst.g) <= solution.cost(child.g),
-                  "lifting-cost-monotone",
-                  lambda: f"{lifted.cost(inst.g)} > {solution.cost(child.g)}")
+    lifted_cost = lifted.cost(inst.g)
+    checker.check(lifted_cost <= solution_cost, "lifting-cost-monotone",
+                  lambda: f"{lifted_cost} > {solution_cost}")
     checker.balanced(inst.g, lifted, "lifted-eulerian")
     # the lifted solution plus the backbone visits everything except the
     # interiors of the missed sets, and crosses into every missed set

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from atsp_approx.lp import (
     solve_atsp_lp,
     uncross_dual,
 )
+from atsp_approx.harness import gen_instance
 from fixtures import c3, k2, two_tri
 
 F = Fraction
@@ -363,3 +365,34 @@ def test_cutting_plane_matches_full_enumeration_small_random():
         primal, dual = solve_atsp_lp(g)
         assert primal.objective == full_enumeration_lp_value(g)
         assert dual.objective == primal.objective
+
+
+def test_only_the_first_cutting_round_runs_phase_one(monkeypatch):
+    # later rounds hand the previous result back and re-optimise its tableau
+    # by dual simplex, so each subtour LP runs phase 1 once, in its first
+    # round, however many rounds it takes; the final duals still pass the
+    # exact checks
+    events = []
+    phase_one, solve_lp = simplex._phase_one, simplex.solve_lp
+
+    def counted_phase_one(tab):
+        events.append("p")
+        return phase_one(tab)
+
+    def counted_solve_lp(*args, warm=None):
+        events.append("c" if warm is None else "w")
+        return solve_lp(*args, warm=warm)
+
+    monkeypatch.setattr(simplex, "_phase_one", counted_phase_one)
+    monkeypatch.setattr(simplex, "solve_lp", counted_solve_lp)
+    lps = 0
+    for n in range(10, 15):
+        for seed in range(3):
+            checker = Checker()
+            solve_atsp_lp(gen_instance("random-strong", n, seed), checker)
+            lps += 1
+            assert checker.counters["strong-duality"] == 1
+            assert checker.counters["dual-feasible"] == 1
+    trace = "".join(events)
+    assert re.fullmatch("(cpw*)+", trace), trace
+    assert trace.count("c") == lps and "cpwww" in trace  # one LP takes 4 rounds

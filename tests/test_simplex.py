@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from atsp_approx import simplex
-from atsp_approx.errors import BudgetError
+from atsp_approx.errors import BudgetError, ContractViolation
 from atsp_approx.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 F = Fraction
@@ -235,3 +235,101 @@ def test_tableau_cell_budget(monkeypatch):
     bad_rows = [{9: F(1)}] * 3
     with pytest.raises(BudgetError, match="3 rows x 6 columns"):
         solve_lp(objective, bad_rows, ["=="] * 3, [F(0)] * 3)
+
+
+def _append_ge_rows(rng, c, rows, senses, rhs, x):
+    """Copies of the LP with 1-3 random '>=' rows appended; each right-hand
+    side is a.x of the given point plus or minus 1, so about half the new
+    rows cut x off, and some make the LP infeasible."""
+    rows, senses, rhs = list(rows), list(senses), list(rhs)
+    for _ in range(rng.randint(1, 3)):
+        row = {j: F(rng.randint(-3, 3)) for j in range(len(c)) if rng.random() < 0.6}
+        if not row:
+            row = {rng.randrange(len(c)): F(1)}
+        rows.append(row)
+        senses.append(">=")
+        rhs.append(sum((a * x[j] for j, a in row.items()), F(0)) + rng.choice((-1, 1)))
+    return rows, senses, rhs
+
+
+def warm_started_lps(rounds=3):
+    """Each optimal random LP, warm-started through up to `rounds` appends
+    of random '>=' rows: yields (where, c, rows, senses, rhs, warm result)
+    per append, until an append makes the LP infeasible.  Every other LP
+    repeats its first equality row negated, so that a redundant row keeps
+    a basic artificial through the appends."""
+    rng = random.Random(13)
+    for trial, (where, c, rows, senses, rhs) in enumerate(random_lps()):
+        if trial % 2 and "==" in senses:
+            i = senses.index("==")
+            rows = rows + [{j: -a for j, a in rows[i].items()}]
+            senses, rhs = senses + ["=="], rhs + [-rhs[i]]
+        res = solve_lp(c, rows, senses, rhs)
+        for k in range(rounds):
+            if res.status != OPTIMAL:
+                break
+            rows, senses, rhs = _append_ge_rows(rng, c, rows, senses, rhs, res.x)
+            res = solve_lp(c, rows, senses, rhs, warm=res)
+            yield f"{where}, append {k}", c, rows, senses, rhs, res
+
+
+def _check_canonical(tab):
+    """Each basic column reads 1 in its row and 0 in every other row and in
+    the z-row, and only the artificials follow the other columns."""
+    assert len(tab.basis) == len(set(tab.basis)) == len(tab.rows)
+    for r, col in enumerate(tab.basis):
+        assert tab.rows[r][col] == tab.dens[r] > 0
+        assert not any(row[col] for i, row in enumerate(tab.rows) if i != r)
+        assert tab.zrow[col] == 0
+    assert tab.ncols - tab.art0 == len(tab.art_sign)
+    assert all(tab.art0 > col >= tab.nvars for col in tab.surplus)
+
+
+@pytest.mark.parametrize("bland", [False, True], ids=["dantzig", "bland"])
+def test_warm_start_matches_cold_solve(bland, monkeypatch):
+    if bland:
+        monkeypatch.setattr(simplex, "_DEGENERATE_STREAK_LIMIT", -1)
+    statuses = []
+    for where, c, rows, senses, rhs, res in warm_started_lps():
+        cold = solve_lp(c, rows, senses, rhs)
+        assert res.status == cold.status, where
+        statuses.append(res.status)
+        if res.status == OPTIMAL:
+            assert res.objective == cold.objective, where
+            _check_kkt(c, rows, senses, rhs, res)
+            _check_kkt(c, rows, senses, rhs, cold)
+            _check_canonical(res.tableau)
+    assert statuses.count(OPTIMAL) > 60 and statuses.count(INFEASIBLE) > 30
+
+
+def test_warm_start_against_scipy():
+    scipy = pytest.importorskip("scipy.optimize")
+    for where, c, rows, senses, rhs, res in warm_started_lps():
+        ref = _scipy_reference(scipy, c, rows, senses, rhs)
+        if res.status == OPTIMAL:
+            assert ref.status == 0, f"{where}: scipy disagrees on feasibility"
+            assert abs(float(res.objective) - ref.fun) < 1e-7, where
+        else:
+            assert res.status == INFEASIBLE and ref.status == 2, where
+
+
+def test_warm_start_contract():
+    c, rows, senses, rhs = [F(1), F(1)], [{0: F(1), 1: F(1)}], [">="], [F(2)]
+    res = solve_lp(c, rows, senses, rhs)
+    with pytest.raises(ContractViolation, match="'>=' rows only"):
+        solve_lp(c, rows + [{0: F(1)}], senses + ["<="], rhs + [F(1)], warm=res)
+    with pytest.raises(ContractViolation, match="same variables"):
+        solve_lp(c + [F(1)], rows, senses, rhs, warm=res)
+    # the appended row x0 >= 3 moves the optimum to (3, 0)
+    warm = solve_lp(c, rows + [{0: F(1)}], senses + [">="], rhs + [F(3)], warm=res)
+    assert (warm.status, warm.objective, warm.x, warm.duals) == (OPTIMAL, 3, [3, 0],
+                                                                  [0, 1])
+    # the warm solve took res's tableau over
+    with pytest.raises(ContractViolation, match="no other warm start"):
+        solve_lp(c, rows + [{1: F(1)}], senses + [">="], rhs + [F(1)], warm=res)
+    rows, senses, rhs = rows + [{0: F(1)}], senses + [">="], rhs + [F(3)]
+    infeasible = solve_lp(c, rows + [{0: F(-1)}], senses + [">="], rhs + [F(0)],
+                          warm=warm)
+    assert infeasible.status == INFEASIBLE
+    with pytest.raises(ContractViolation, match="no other warm start"):
+        solve_lp(c, rows, senses, rhs, warm=infeasible)

@@ -6,8 +6,10 @@ a Python loop over every column, skipping basic and banned ones.  The
 simplex under test keeps the right-hand side as one more integer entry of
 each row, compares ratios by cross-multiplying ints, and prices with C-level
 `min`/`index` and `compress`.  Neither change may alter a pivot, so on every
-LP both must return the same status, x, objective and duals, down to the
-types of their entries."""
+LP solved cold both must return the same status, x, objective and duals,
+down to the types of their entries.  A cutting round warm-started from the
+previous round's tableau is compared by status, objective and an exact
+optimality certificate."""
 
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from atsp_approx.harness import GENERATOR_MODELS, gen_instance, run_pipeline
 from atsp_approx.lp import solve_atsp_lp
 from atsp_approx.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
 from test_determinism import REDUCTION_CASES
-from test_simplex import random_lps
+from test_simplex import _check_kkt, random_lps
 
 F = Fraction
 ZERO = F(0)
@@ -228,14 +230,21 @@ def assert_same_as_reference(objective, rows, senses, rhs, res=None) -> LpResult
 @pytest.fixture
 def compared(monkeypatch):
     """Patch `simplex.solve_lp` so that every call also runs the reference on
-    the same input, before the caller can extend its lists, and asserts the
-    same result.  Collects the statuses."""
+    the same input, before the caller can extend its lists.  A cold solve
+    must return the same result; a warm-started one takes another pivot
+    path, so it must reach the same status and objective, with duals that
+    certify optimality exactly.  Collects the statuses."""
     statuses = []
     solve = simplex.solve_lp
 
-    def solve_both(objective, rows, senses, rhs):
-        res = solve(objective, rows, senses, rhs)
-        assert_same_as_reference(objective, rows, senses, rhs, res)
+    def solve_both(objective, rows, senses, rhs, warm=None):
+        res = solve(objective, rows, senses, rhs, warm=warm)
+        if warm is None:
+            assert_same_as_reference(objective, rows, senses, rhs, res)
+        else:
+            ref = ref_solve_lp(objective, rows, senses, rhs)
+            assert (res.status, res.objective) == (ref.status, ref.objective)
+            _check_kkt(objective, rows, senses, rhs, res)
         statuses.append(res.status)
         return res
 

@@ -28,7 +28,7 @@ DIGESTS = {
     ("cycle", 12): "3e381925fe1d04e8c0b77240bb6c87d13a0323a1a4d2f3dcd9ea5de1d8d815a9",
     ("random-strong", 6): "104cc65e088e35cc39885fa812408980e0205d9b57d7015275a2b55e30cbc71d",
     ("random-strong", 9): "f3b92d9f787fbc1843f89381d6e1c250d6277b6ccb3c3098a0342a6805217910",
-    ("random-strong", 12): "091724c8d6ceb4e56db0f119f2e0d376407902486425c7928b64a0a040452407",
+    ("random-strong", 12): "24aba93aff5deccf4b0257885fd3dcc58d8924d42445d00004a182c0bb001a5f",
     ("two-cluster", 6): "92b726a0a266ef62f3ad020cdb0aee29244bc1b4fb59227f6e3a76c899289fac",
     ("two-cluster", 9): "4359fdde9696a77227752bbbed12b18539a53793f47f5a7eb0f86dd9a6911918",
     ("two-cluster", 12): "6a7afef0edc7cbcbb694e0c2785c9204e77070384e32b44f832bf041c4cb64d9",

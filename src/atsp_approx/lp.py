@@ -180,8 +180,6 @@ def solve_atsp_lp(g: Digraph, checker: Optional[Checker] = None) -> tuple[Primal
             rows.append(row)
             senses.append(">=")
             rhs.append(2)
-        # rounds after the first append their cuts to the previous optimal
-        # tableau and re-optimise by dual simplex
         res = simplex.solve_lp(objective, rows, senses, rhs, warm=res)
         if res.status != simplex.OPTIMAL:
             raise InternalCheckError("atsp-lp-solvable",

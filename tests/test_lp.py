@@ -11,6 +11,7 @@ from atsp_approx.checks import Checker
 from atsp_approx.errors import BudgetError, ContractViolation, InfeasibleInstanceError
 from atsp_approx.flows import max_flow_min_cut
 from atsp_approx.graph import Digraph, check_laminar
+from atsp_approx.harness import gen_instance
 from atsp_approx.lp import (
     DualLp,
     build_strongly_laminar_instance,
@@ -20,7 +21,6 @@ from atsp_approx.lp import (
     solve_atsp_lp,
     uncross_dual,
 )
-from atsp_approx.harness import gen_instance
 from fixtures import c3, k2, two_tri
 
 F = Fraction

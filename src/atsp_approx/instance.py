@@ -10,10 +10,22 @@ reduction to vertebrate pairs relies on these paths and on the reach
 quantities value(W) and D_W computed from them.
 
 Each vertex keeps its *chain*, the indices of the family sets containing it
-(outermost first), so hulls and crossing counts come from chains instead of
-scans over the family.  Nice paths are built on first request and memoized,
-as are their costs (integer numerators over one instance-wide denominator)
-and each window's value(W).
+(outermost first), so hulls come from chains instead of scans over the
+family, and each edge keeps the sets it enters and exits as bit masks over
+family indices.
+
+The nice u-v path starts from the fewest-edge u-v path inside the hull,
+ties to the smallest edge ids.  All pairs (u, v) of one hull share a
+breadth-first search tree from u inside it, built once per (u, hull) on
+first request: a truncated search is a prefix of the full one, so each tree
+path is the path a search for v alone would find.  Every tree vertex
+carries its parent edge, its path's cost (an integer numerator over one
+instance-wide denominator) and a mask of the sets that path enters or
+exits twice.  A pair whose mask is zero takes the tree path as it is, so
+its cost and niceness are read off the tree and no path is built; a pair
+whose mask is not zero repairs the tree path set by set.  A path is built
+only when `nice_path` asks for it (or a repair needs it) and is memoized
+then, as is each window's value(W).
 """
 
 from __future__ import annotations
@@ -60,6 +72,10 @@ def _common_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return k
 
 
+def _mask(indices: Iterable[int]) -> int:
+    return sum(1 << i for i in indices)
+
+
 def _path_vertices(g: Digraph, start: int, path: list[int]) -> list[int]:
     verts = [start]
     for eid in path:
@@ -68,7 +84,7 @@ def _path_vertices(g: Digraph, start: int, path: list[int]) -> list[int]:
 
 
 class StronglyLaminarInstance:
-    """(G, L, x, y) with a memoized per-pair nice-path table.
+    """(G, L, x, y) with memoized nice-path search trees.
 
     The digraph's edge costs are the induced costs; ``validate`` re-derives
     them from (L, y) and re-checks the full definition.  The instance never
@@ -93,11 +109,13 @@ class StronglyLaminarInstance:
         self._chains: tuple[tuple[int, ...], ...] = tuple(map(tuple, chains))
         # an edge exits the sets of its tail's chain past the prefix shared
         # with its head's chain, and enters those of its head's
-        self._crossed: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        self._exit_mask: list[int] = []
+        self._enter_mask: list[int] = []
         for e in g.edges:
             ct, ch = self._chains[e.tail], self._chains[e.head]
             k = _common_prefix(ct, ch)
-            self._crossed.append((ct[k:], ch[k:]))
+            self._exit_mask.append(_mask(ct[k:]))
+            self._enter_mask.append(_mask(ch[k:]))
         # costs and weights as integer numerators over one denominator
         weights = [family.weights[s] for s in family.members]
         self._den = 1  # a loop for the reason given in lp._separate_all
@@ -107,7 +125,8 @@ class StronglyLaminarInstance:
                           for e in g.edges]
         self._weight_num = [y.numerator * (self._den // y.denominator)
                             for y in weights]
-        self._path_num: dict[tuple[int, int], int] = {}
+        # (source, hull depth) -> {vertex: (parent edge, cost, violated mask)}
+        self._trees: dict[tuple[int, int], dict[int, tuple[int, int, int]]] = {}
         self._windows: dict[frozenset, tuple[int, frozenset]] = {}
 
     # -- basic derived quantities -------------------------------------------------
@@ -136,16 +155,53 @@ class StronglyLaminarInstance:
 
     def _first_violated(self, path: Iterable[int]) -> Optional[int]:
         """Lowest family index the path enters or exits more than once."""
-        enters: dict[int, int] = {}
-        exits: dict[int, int] = {}
+        entered = exited = bad = 0
         for eid in path:
-            left, entered = self._crossed[eid]
-            for i in left:
-                exits[i] = exits.get(i, 0) + 1
-            for i in entered:
-                enters[i] = enters.get(i, 0) + 1
-        bad = [i for counts in (enters, exits) for i, c in counts.items() if c > 1]
-        return min(bad) if bad else None
+            into, out = self._enter_mask[eid], self._exit_mask[eid]
+            bad |= (entered & into) | (exited & out)
+            entered |= into
+            exited |= out
+        return (bad & -bad).bit_length() - 1 if bad else None
+
+    def _tree(self, u: int, k: int) -> dict[int, tuple[int, int, int]]:
+        """The breadth-first search tree from u inside the k-th set of u's
+        chain (the ground set for k = 0), out-edges scanned in id order as
+        in `graph.bfs_path`.  Each vertex maps to its parent edge (-1 at
+        u), the cost numerator of its tree path and the mask of the sets
+        that path enters or exits more than once."""
+        tree = self._trees.get((u, k))
+        if tree is not None:
+            return tree
+        hull = self.family.members[self._chains[u][k - 1]] if k else self.ground
+        edges, out_edges = self.g.edges, self.g.out_edges
+        enter, leave, cost = self._enter_mask, self._exit_mask, self._cost_num
+        tree = {u: (-1, 0, 0)}
+        crossed = {u: (0, 0)}  # the sets each tree path enters, and exits
+        frontier = [u]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                _, c, bad = tree[v]
+                entered, exited = crossed[v]
+                for eid in out_edges[v]:
+                    w = edges[eid].head
+                    if w in tree or w not in hull:
+                        continue
+                    into, out = enter[eid], leave[eid]
+                    tree[w] = (eid, c + cost[eid], bad | (entered & into) | (exited & out))
+                    crossed[w] = (entered | into, exited | out)
+                    nxt.append(w)
+            frontier = nxt
+        self._trees[(u, k)] = tree
+        return tree
+
+    def _hull_tree(self, u: int, v: int) -> dict[int, tuple[int, int, int]]:
+        """u's search tree inside hull(u, v); it must reach v."""
+        tree = self._tree(u, _common_prefix(self._chains[u], self._chains[v]))
+        if v not in tree:
+            raise ContractViolation(f"no {u}-{v} path inside {sorted(self.hull(u, v))}; "
+                                    "instance not strongly laminar")
+        return tree
 
     def nice_path(self, v: int, w: int) -> tuple[int, ...]:
         """The fixed nice v-w path (edge ids); empty when v == w."""
@@ -158,12 +214,16 @@ class StronglyLaminarInstance:
 
     def _compute_nice_path(self, u: int, v: int) -> list[int]:
         g = self.g
-        hull = self.hull(u, v)
-        path = bfs_path(g, u, v, allowed_vertices=hull)
-        if path is None:
-            raise ContractViolation(
-                f"no {u}-{v} path inside {sorted(hull)}; instance not strongly laminar"
-            )
+        tree = self._hull_tree(u, v)
+        path = []
+        w = v
+        while w != u:
+            eid = tree[w][0]
+            path.append(eid)
+            w = g.edges[eid].tail
+        path.reverse()
+        if not tree[v][2]:
+            return path
         cap = len(self.family) + _REPAIR_CAP_SLACK
         for _ in range(cap):
             index = self._first_violated(path)
@@ -234,11 +294,17 @@ class StronglyLaminarInstance:
         return sum(self._weight_num[i] for i in self._chains[u] if i in inner)
 
     def _nice_path_num(self, u: int, v: int) -> int:
-        cost = self._path_num.get((u, v))
-        if cost is None:
-            cost = self._path_num[(u, v)] = sum(
-                self._cost_num[eid] for eid in self.nice_path(u, v))
-        return cost
+        """Cost numerator of the nice u-v path: its tree path's unless it is
+        stored or needs a repair."""
+        if u == v:
+            return 0
+        path = self._paths.get((u, v))
+        if path is None:
+            _, cost, bad = self._hull_tree(u, v)[v]
+            if not bad:
+                return cost
+            path = self.nice_path(u, v)
+        return sum(self._cost_num[eid] for eid in path)
 
     def value(self, w_set: frozenset) -> Fraction:
         return Fraction(self._window(w_set)[0], self._den)
@@ -315,10 +381,16 @@ class StronglyLaminarInstance:
 
     def validate_paths(self, checker: Optional[Checker] = None) -> None:
         """Crossing-count check for the nice path of every ordered pair (at
-        most once each way), building the paths not yet requested."""
+        most once each way).  A stored or repaired path is re-walked; any
+        other pair's path is its tree path, which stays in the hull by
+        construction and is nice when its tree's violated mask is zero."""
         checker = checker or Checker()
         for u in range(self.g.n):
             for v in range(self.g.n):
-                if u != v:
-                    checker.check(self.is_nice(u, v, self.nice_path(u, v)),
-                                  "stored-path-nice", lambda: f"pair ({u},{v})")
+                if u == v:
+                    continue
+                path = self._paths.get((u, v))
+                if path is None and self._hull_tree(u, v)[v][2]:
+                    path = self.nice_path(u, v)
+                nice = path is None or self.is_nice(u, v, path)
+                checker.check(nice, "stored-path-nice", lambda: f"pair ({u},{v})")

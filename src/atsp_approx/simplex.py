@@ -51,7 +51,6 @@ column of an appended row i is -e_i, so its reduced cost is the row's dual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
@@ -155,13 +154,20 @@ class _Tableau:
     artificial each, column art0 + i, whose row was negated when
     art_sign[i] is -1.  The rows appended since have none; surplus[k] is
     the column of the surplus of the k-th of them.  zrow / zden is the
-    phase-2 z-row once the cold solve is optimal."""
+    phase-2 z-row once the cold solve is optimal.  costs, coeffs, senses
+    and rhs are the LP the rows were built from, as solve_lp read it."""
 
-    def __init__(self, nvars: int, ncols: int, art0: int, art_sign: list[int]) -> None:
+    def __init__(self, nvars: int, ncols: int, art0: int, art_sign: list[int],
+                 costs: list[Fraction | int], coeffs: list[dict[int, Fraction | int]],
+                 senses: list[str], rhs: list[Fraction | int]) -> None:
         self.nvars = nvars
         self.ncols = ncols
         self.art0 = art0
         self.art_sign = art_sign
+        self.costs = costs
+        self.coeffs = coeffs
+        self.senses = senses
+        self.rhs = rhs
         self.rows: list[list[int]] = []
         self.dens: list[int] = []
         self.basis: list[int] = []
@@ -208,6 +214,9 @@ class _Tableau:
         basis = self.basis = [j + k if j >= art0 else j for j in self.basis]
         nonzeros: dict[int, list[int]] = {}  # of the old rows, as needed
         for t, (coeffs, b) in enumerate(rows):
+            self.coeffs.append(coeffs)
+            self.senses.append(">=")
+            self.rhs.append(b)
             num, den = _integer_row(coeffs, self.ncols, -1, b)
             num[art0 + t] = den
             for r, (row, rden) in old:
@@ -224,30 +233,59 @@ class _Tableau:
         return 50000 + 500 * (len(self.rows) + self.ncols)
 
     def result(self) -> "LpResult":
-        """The optimal x, objective and row duals, with this tableau kept
-        for a warm start."""
-        rhs, zrow, zden, art0 = self.ncols, self.zrow, self.zden, self.art0
+        """The optimal x and objective, with this tableau kept for a warm
+        start and for reading the duals."""
+        rhs = self.ncols
         x = [ZERO] * self.nvars
         for r, j in enumerate(self.basis):
             if j < self.nvars:
                 x[j] = Fraction(self.rows[r][rhs], self.dens[r])
+        return LpResult(OPTIMAL, x, Fraction(-self.zrow[rhs], self.zden), tableau=self)
+
+    def duals(self) -> list[Fraction]:
+        """The row duals of the optimal basis."""
+        zrow, zden, art0 = self.zrow, self.zden, self.art0
         # The artificial for cold row i has column sigma_i * e_i, so its
         # reduced cost is -sigma_i * y_i; the surplus of an appended row i
         # has column -e_i and reduced cost y_i.
         duals = [Fraction(-sign * zrow[art0 + i], zden)
                  for i, sign in enumerate(self.art_sign)]
         duals.extend(Fraction(zrow[j], zden) for j in self.surplus)
-        return LpResult(OPTIMAL, x, Fraction(-zrow[rhs], zden), duals, self)
+        return duals
 
 
-@dataclass
 class LpResult:
-    status: str
-    x: list[Fraction]
-    objective: Fraction
-    duals: list[Fraction]
-    # the final tableau of an optimal solve, taken over by a warm start
-    tableau: Optional[_Tableau] = field(default=None, repr=False, compare=False)
+    """The status, x, objective and row duals of one solve.
+
+    An optimal result keeps its final tableau for a warm start.  Its duals
+    are read from that tableau on first access, so a cutting loop that
+    reads only its last round's duals builds them once.  A warm start
+    rewrites the tableau it takes over, so the duals of a result must be
+    read before it is warm-started from; later they are refused."""
+
+    __slots__ = ("status", "x", "objective", "_duals", "tableau")
+
+    def __init__(self, status: str, x: list[Fraction], objective: Fraction,
+                 duals: Optional[list[Fraction]] = None,
+                 tableau: Optional[_Tableau] = None) -> None:
+        self.status = status
+        self.x = x
+        self.objective = objective
+        self._duals = duals
+        self.tableau = tableau
+
+    @property
+    def duals(self) -> list[Fraction]:
+        if self._duals is None:
+            if self.tableau is None:
+                raise ContractViolation("the duals of a result are gone once a warm "
+                                        "start has taken its tableau")
+            self._duals = self.tableau.duals()
+        return self._duals
+
+    def __repr__(self) -> str:
+        return (f"LpResult(status={self.status!r}, x={self.x!r}, "
+                f"objective={self.objective!r}, duals={self.duals!r})")
 
 
 def _primal(tab: _Tableau, cost: list[int], cost_den: int, end: int
@@ -393,9 +431,11 @@ def solve_lp(
     With warm, an optimal result of this function for the same objective
     and a prefix of these rows, the rows after that prefix must be '>='
     rows; they are appended to warm's final tableau and the dual simplex
-    re-optimises from its basis (see the module docstring).  The new
-    result takes warm's tableau over, so warm cannot be warm-started from
-    again.
+    re-optimises from its basis (see the module docstring).  An objective,
+    row, sense or right-hand side in that prefix that differs from warm's
+    LP is refused with ContractViolation.  The new result takes warm's
+    tableau over, so warm cannot be warm-started from again, and warm's
+    duals, unless read before, can no longer be read.
     """
     nvars = len(objective)
     nrows = len(rows)
@@ -403,8 +443,9 @@ def solve_lp(
         raise ContractViolation("rows/senses/rhs length mismatch")
     check_tableau_budget(nrows, nvars, sum(1 for sense in senses if sense != "=="))
     b = [v if type(v) in _RATIONAL else Fraction(v) for v in rhs]
+    costs = [c if type(c) in _RATIONAL else Fraction(c) for c in objective]
     if warm is not None:
-        return _warm_solve(warm, nvars, rows, senses, b)
+        return _warm_solve(warm, costs, rows, senses, b)
 
     # Append slack/surplus columns, then one artificial per row.
     ncols = nvars
@@ -422,12 +463,13 @@ def solve_lp(
     art0 = ncols  # artificial i is column art0 + i, after every real column
     art_sign = [1 if b[i] >= 0 else -1 for i in range(nrows)]
     ncols += nrows
-    tab = _Tableau(nvars, ncols, art0, art_sign)
+    coeffs = [_rational_row(row, nvars) for row in rows]
+    tab = _Tableau(nvars, ncols, art0, art_sign, costs, coeffs, list(senses), b)
 
     # A row with a negative right-hand side is negated so that its
     # artificial enters with coefficient 1.
     for i in range(nrows):
-        row, den = _integer_row(_rational_row(rows[i], nvars), ncols, art_sign[i], b[i])
+        row, den = _integer_row(coeffs[i], ncols, art_sign[i], b[i])
         if slack_col[i] is not None:
             row[slack_col[i]] = art_sign[i] * slack_sign[i] * den
         row[art0 + i] = den
@@ -438,7 +480,6 @@ def solve_lp(
     if not _phase_one(tab):
         return LpResult(INFEASIBLE, [], ZERO, [])
     # Phase 2: the real objective, the artificials banned.
-    costs = [c if type(c) in _RATIONAL else Fraction(c) for c in objective]
     phase2_cost, phase2_den = _integer_row(dict(enumerate(costs)), ncols, 1, 0)
     status, tab.zrow, tab.zden = _primal(tab, phase2_cost, phase2_den, art0)
     if status == UNBOUNDED:
@@ -446,21 +487,26 @@ def solve_lp(
     return tab.result()
 
 
-def _warm_solve(warm: LpResult, nvars: int, rows: Sequence[dict[int, Fraction | int]],
-                senses: Sequence[str], b: list[Fraction | int]) -> LpResult:
+def _warm_solve(warm: LpResult, costs: list[Fraction | int],
+                rows: Sequence[dict[int, Fraction | int]], senses: Sequence[str],
+                b: list[Fraction | int]) -> LpResult:
     tab = warm.tableau
     if tab is None:
         raise ContractViolation("a warm start needs an optimal result whose tableau "
                                 "no other warm start has taken")
     first = len(tab.rows)
-    if nvars != tab.nvars or len(rows) < first:
-        raise ContractViolation("a warm start needs the same variables and the rows "
-                                "it was solved with first")
+    if costs != tab.costs or len(rows) < first:
+        raise ContractViolation("a warm start needs the same variables and objective, "
+                                "and the rows it was solved with first")
+    if (list(rows[:first]) != tab.coeffs or list(senses[:first]) != tab.senses
+            or b[:first] != tab.rhs):
+        raise ContractViolation("a warm start needs the rows, senses and right-hand "
+                                "sides it was solved with first, unchanged")
     new = []
     for i in range(first, len(rows)):
         if senses[i] != ">=":
             raise ContractViolation(f"a warm start appends '>=' rows only, not {senses[i]!r}")
-        new.append((_rational_row(rows[i], nvars), b[i]))
+        new.append((_rational_row(rows[i], tab.nvars), b[i]))
     warm.tableau = None
     tab.append_ge_rows(new)
     if _dual(tab) == INFEASIBLE:

@@ -320,16 +320,31 @@ def test_warm_start_contract():
         solve_lp(c, rows + [{0: F(1)}], senses + ["<="], rhs + [F(1)], warm=res)
     with pytest.raises(ContractViolation, match="same variables"):
         solve_lp(c + [F(1)], rows, senses, rhs, warm=res)
-    # the appended row x0 >= 3 moves the optimum to (3, 0)
-    warm = solve_lp(c, rows + [{0: F(1)}], senses + [">="], rhs + [F(3)], warm=res)
+    with pytest.raises(ContractViolation, match="same variables and objective"):
+        solve_lp([F(1), F(2)], rows, senses, rhs, warm=res)
+    # a prefix of the right length is still another LP when a row, sense or
+    # right-hand side differs: -x0 - x1 >= 2 with x0 >= 3 is infeasible, and
+    # counting the prefix rows alone answered it as optimal at (3, 0)
+    for prefix, prefix_senses, prefix_rhs in (([{0: F(-1), 1: F(-1)}], senses, rhs),
+                                              (rows, ["<="], rhs),
+                                              (rows, senses, [F(5)])):
+        with pytest.raises(ContractViolation, match="unchanged"):
+            solve_lp(c, prefix + [{0: F(1)}], prefix_senses + [">="],
+                     prefix_rhs + [F(3)], warm=res)
+    # the appended row x0 >= 3 moves the optimum to (3, 0); equal values of
+    # another type are the same LP
+    warm = solve_lp(c, [{0: 1, 1: 1}, {0: F(1)}], senses + [">="], [2, F(3)], warm=res)
     assert (warm.status, warm.objective, warm.x, warm.duals) == (OPTIMAL, 3, [3, 0],
                                                                   [0, 1])
-    # the warm solve took res's tableau over
+    # the warm solve took res's tableau over, and its duals were never read
     with pytest.raises(ContractViolation, match="no other warm start"):
         solve_lp(c, rows + [{1: F(1)}], senses + [">="], rhs + [F(1)], warm=res)
+    with pytest.raises(ContractViolation, match="duals of a result are gone"):
+        res.duals
     rows, senses, rhs = rows + [{0: F(1)}], senses + [">="], rhs + [F(3)]
     infeasible = solve_lp(c, rows + [{0: F(-1)}], senses + [">="], rhs + [F(0)],
                           warm=warm)
     assert infeasible.status == INFEASIBLE
+    assert warm.duals == [0, 1]  # read before its tableau was taken
     with pytest.raises(ContractViolation, match="no other warm start"):
         solve_lp(c, rows, senses, rhs, warm=infeasible)

@@ -4,6 +4,9 @@ recorded digests.
 The generator models rarely get past the first window; the reduction-heavy
 cases (the three-branch star and two nested hubs) open several windows and
 run the subtour cover, so nice paths, reach and lifting are pinned as well.
+One more digest covers all 234 reference reports (the benchmark pool and
+the generator sweep), so an output-preserving change is checked on every
+one of them.
 
 A change that alters any pivot, cut, family, tour or check count shows up
 here.  A change that alters the pivot path on purpose updates the digests
@@ -13,13 +16,16 @@ below and says so in CHANGES.md.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from atsp_approx.graph import Digraph
-from atsp_approx.harness import GENERATOR_MODELS, gen_instance, run_pipeline
+from atsp_approx.harness import GENERATOR_MODELS, gen_instance, parse_instance, run_pipeline
 from test_vertebrate import three_branch_star
 
 DIGESTS = {
@@ -103,3 +109,50 @@ def test_reduction_heavy_digest(name):
     assert counts["recursion-budget"] >= 2  # windows opened
     assert counts["cover-global-bound"] >= 1  # subtour cover calls
     assert _digest(report) == REDUCTION_DIGESTS[name]
+
+
+REFERENCE_DIGEST = "4b9bf307b0b21cff5ee0b9cde35d4447a585356c4672689cad0640efd38bcf27"
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, loaded by path: perfbench is not a package.
+    Its dataclass needs the module registered while it is defined."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def reference_reports():
+    """The 234 reference reports: the 60 benchmark pool instances (parsed
+    from their serialized text, the oracle on dense-oracle), every generator
+    model at n 2-15 with seeds 0-2, and three models at n 20 and 25."""
+    workloads = _perfbench_workloads()
+    for workload in workloads.WORKLOADS:
+        for _, _, text in workloads.make_batch(workload, 1):
+            name, g = parse_instance(text)
+            yield run_pipeline(name, g, Fraction(1),
+                               with_oracle=workload == "dense-oracle")
+    for model in GENERATOR_MODELS:
+        for n in range(2, 16):
+            for seed in range(3):
+                yield run_pipeline(f"{model}-{n}-{seed}", gen_instance(model, n, seed),
+                                   Fraction(1))
+    for model in ("random-strong", "unit-digraph", "two-cluster"):
+        for n in (20, 25):
+            yield run_pipeline(f"{model}-{n}-0", gen_instance(model, n, 0), Fraction(1))
+
+
+def test_reference_reports_digest():
+    """All 234 reference reports, `timings` aside, hash to one digest."""
+    digest = hashlib.sha256()
+    count = 0
+    for report in reference_reports():
+        doc = report.to_dict()
+        doc.pop("timings")
+        digest.update(json.dumps(doc, sort_keys=True).encode())
+        count += 1
+    assert count == 234
+    assert digest.hexdigest() == REFERENCE_DIGEST

@@ -21,15 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from .checks import Checker
 from .errors import InternalCheckError
 from .flows import CirculationProblem
 from .graph import Digraph, EdgeMultiset, bfs_path, scc_topological, undirected_components
-from .instance import cut_value, path_crossings
+from .instance import StronglyLaminarInstance, cut_value, path_crossings
 from .pair import VertebratePair
+from .rational import common_denominator
 
 ZERO = Fraction(0)
 
@@ -194,21 +194,18 @@ def compute_witness_flow(cover: SubtourCoverInstance, levels: LevelStructure,
     checker = checker or Checker()
     inst = cover.pair.instance
     g = inst.g
-    x = list(inst.x)
+    x, x_num, scale = inst.x, inst._x_num, inst._x_den
     cls = levels.edge_class
     outside = cover.pair.outside_vertices()
     comps = cover.components()
-    scale = 1
-    for q in x:
-        scale = lcm(scale, q.denominator)
     need = [0] * g.n  # scaled forward inflow minus outflow
     capacity: dict[int, int] = {}
     cross_count: dict[int, int] = {}
-    fixed_boundary = ZERO
+    fixed_boundary = 0
     for e in g.edges:
         if cls[e.eid] == BACKWARD:
             continue
-        scaled = x[e.eid].numerator * (scale // x[e.eid].denominator)
+        scaled = x_num[e.eid]
         crossings = sum(1 for w in comps if (e.tail in w) != (e.head in w))
         if cls[e.eid] == NEUTRAL:
             capacity[e.eid] = scaled
@@ -216,13 +213,14 @@ def compute_witness_flow(cover: SubtourCoverInstance, levels: LevelStructure,
         else:
             need[e.tail] -= scaled
             need[e.head] += scaled
-            fixed_boundary += crossings * x[e.eid]
+            fixed_boundary += crossings * scaled
     stage1 = _witness_circulation(g, need, outside, capacity, cross_count)
     if stage1 is None:
         raise InternalCheckError("witness-flow-feasible",
                                  "stage-1 witness circulation infeasible")
-    boundary_opt = fixed_boundary + Fraction(
-        sum(cross_count[eid] * val for eid, val in stage1.items()), scale)
+    boundary_opt = Fraction(
+        fixed_boundary + sum(cross_count[eid] * val for eid, val in stage1.items()),
+        scale)
     stage2 = _witness_circulation(g, need, outside, stage1,
                                   {eid: 1 for eid in stage1})
     if stage2 is None:
@@ -245,7 +243,7 @@ def validate_witness_flow(cover: SubtourCoverInstance, levels: LevelStructure,
     checker = checker or Checker()
     inst = cover.pair.instance
     g = inst.g
-    f = witness.f
+    f, x, _ = _witness_nums(inst, witness)
     outside = cover.pair.outside_vertices()
     for e in g.edges:
         cls = levels.edge_class[e.eid]
@@ -253,15 +251,14 @@ def validate_witness_flow(cover: SubtourCoverInstance, levels: LevelStructure,
             checker.check(f[e.eid] == 0, "witness-zero-on-backward",
                           lambda: f"edge {e.eid}")
         elif cls == FORWARD:
-            checker.check(f[e.eid] == inst.x[e.eid], "witness-full-on-forward",
+            checker.check(f[e.eid] == x[e.eid], "witness-full-on-forward",
                           lambda: f"edge {e.eid}")
         else:
-            checker.check(ZERO <= f[e.eid] <= inst.x[e.eid],
+            checker.check(0 <= f[e.eid] <= x[e.eid],
                           "witness-bounded-on-neutral", lambda: f"edge {e.eid}")
     for v in sorted(outside):
-        excess = sum((f[eid] for eid in g.out_edges[v]), ZERO) - sum(
-            (f[eid] for eid in g.in_edges[v]), ZERO
-        )
+        excess = sum(f[eid] for eid in g.out_edges[v]) - sum(
+            f[eid] for eid in g.in_edges[v])
         checker.check(excess >= 0, "witness-nonnegative-excess",
                       lambda: f"vertex {v}")
     support = [e.eid for e in g.edges if f[e.eid] > 0]
@@ -271,10 +268,18 @@ def validate_witness_flow(cover: SubtourCoverInstance, levels: LevelStructure,
                   lambda: f"{boundary} != {witness.boundary_optimum}")
 
 
+def _witness_nums(inst: StronglyLaminarInstance,
+                  witness: WitnessFlow) -> tuple[list[int], list[int], int]:
+    """(f, x, den): f and x as numerators over den, a multiple of x's."""
+    f, den = common_denominator(witness.f, inst._x_den)
+    return f, [v * (den // inst._x_den) for v in inst._x_num], den
+
+
 def witness_boundary_mass(cover: SubtourCoverInstance, f: list[Fraction]) -> Fraction:
     """sum over components W_i of f(delta(W_i))."""
     g = cover.pair.instance.g
-    return sum((cut_value(g, f, w) for w in cover.components()), ZERO)
+    f_num, den = common_denominator(f)
+    return Fraction(sum(cut_value(g, f_num, w) for w in cover.components()), den)
 
 
 def _support_acyclic(g: Digraph, support: list[int]) -> bool:
@@ -318,8 +323,7 @@ def build_augmented_graph(cover: SubtourCoverInstance, witness: WitnessFlow,
     checker = checker or Checker()
     inst = cover.pair.instance
     g = inst.g
-    x = inst.x
-    f = witness.f
+    f, x, _ = _witness_nums(inst, witness)
     comps = cover.components()
     # residual graph of f with capacities x, per component
     residual_adj: dict[int, list[int]] = {v: [] for v in range(g.n)}
@@ -432,15 +436,6 @@ def is_split_circulation(split: SplitGraph, z: dict[int, int]) -> bool:
     return True
 
 
-def _integer_costs(g: Digraph) -> tuple[list[int], int]:
-    """Per edge, its cost's numerator over the lcm of all cost denominators;
-    and that lcm."""
-    den = 1
-    for e in g.edges:
-        den = lcm(den, e.cost.denominator)
-    return [e.cost.numerator * (den // e.cost.denominator) for e in g.edges], den
-
-
 @dataclass
 class ReroutedCirculation:
     """The rerouted split circulation in integers: z[eid] / den on each
@@ -451,7 +446,7 @@ class ReroutedCirculation:
     split: SplitGraph
     z: dict[int, int]
     den: int
-    cost: list[int]
+    cost: tuple[int, ...]
     cost_den: int
     cost_num: int
     q_level: list[int]
@@ -529,31 +524,26 @@ def lift_and_reroute(cover: SubtourCoverInstance, witness: WitnessFlow,
 
     z is kept as integer numerators over D, twice the lcm of the
     denominators of x and f, so that half a unit is the integer D // 2; the
-    split-edge costs are numerators over their own lcm C.  Every check
-    compares integers, except the lifted cost against the LP value."""
+    split-edge costs are the split graph's numerators over its cost
+    denominator C.  Every check compares integers."""
     checker = checker or Checker()
     inst = cover.pair.instance
     backbone = cover.pair.backbone_vertices
     split = build_split_graph(aug.g, aug.edge_class, backbone)
-    half = 1
-    for q in inst.x:
-        half = lcm(half, q.denominator)
-    for q in witness.f:
-        half = lcm(half, q.denominator)
+    f_num, x_num, half = _witness_nums(inst, witness)
     unit = 2 * half
     x_aug = [0] * aug.g.m
     f_aug = [0] * aug.g.m
     for eid in range(inst.g.m):
-        x, f = inst.x[eid], witness.f[eid]
-        x_aug[eid] = x.numerator * (unit // x.denominator)
-        f_aug[eid] = f.numerator * (unit // f.denominator)
+        x_aug[eid] = 2 * x_num[eid]
+        f_aug[eid] = 2 * f_num[eid]
     z = lift_to_split(split, x_aug, f_aug, backbone)
     checker.check(is_split_circulation(split, z), "lifted-z-circulation")
-    cost, cost_den = _integer_costs(split.g)
+    cost, cost_den = split.g.cost_num, split.g.cost_den
     cost_z = sum(cost[eid] * val for eid, val in z.items())
-    lifted_cost = Fraction(cost_z, unit * cost_den)
-    checker.check(lifted_cost == inst.lp_value, "lifted-z-cost",
-                  lambda: f"{lifted_cost} != {inst.lp_value}")
+    # cost_z / (unit * cost_den) is the LP value _lp_num / (_den * _x_den)
+    checker.check(cost_z * inst._den * inst._x_den == inst._lp_num * unit * cost_den,
+                  "lifted-z-cost", lambda: f"{cost_z}/{unit * cost_den}")
     q_level: list[int] = []
     for i in range(aug.k):
         inside = split.level_set(aug.w_hat[i])
@@ -768,7 +758,7 @@ def _check_rounded_structure(f_bar: EdgeMultiset, f_star: dict[int, int],
             all(aug.edge_class[eid] != FORWARD for eid in comp_edges.mult),
             "backbone-free-no-forward", lambda: sorted(comp))
         for v in comp:
-            if v >= aug.base.n or inst.y_vertex(v) == 0:
+            if v >= aug.base.n or inst.singleton_mass((v,)) == 0:
                 continue
             checker.check(indeg.get(v, 0) <= 2, "backbone-free-indegree",
                           lambda: f"vertex {v}: in-degree {indeg.get(v, 0)}")
@@ -806,10 +796,10 @@ def map_back(rounded: RoundedCirculation, aug: AugmentedGraph,
             enters, exits = path_crossings(g, path, s_fam)
             checker.check(enters == 0 and exits == 0, "map-back-path-in-component",
                           lambda: f"component {i} crosses {sorted(s_fam)}")
-        path_cost = sum((g.edge(eid).cost for eid in path), ZERO)
-        mass = sum((2 * inst.y_vertex(v) for v in aug.w_sets[i]), ZERO)
+        path_cost = sum(inst._cost_num[eid] for eid in path)
+        mass = inst.singleton_mass(aug.w_sets[i])
         checker.check(path_cost <= mass, "map-back-path-cost",
-                      lambda: f"component {i}: {path_cost} > {mass}")
+                      lambda: f"component {i}: {path_cost} > {mass} (over {inst._den})")
         for eid in path:
             f.add(eid)
     checker.balanced(g, f, "mapped-back-eulerian", range(g.n))
@@ -843,12 +833,11 @@ def subtour_cover(cover: SubtourCoverInstance,
             checker.check(bool(comp & backbone), "cover-crossing-touches-backbone",
                           lambda: sorted(comp))
         if not comp & backbone:
-            mass = sum((2 * inst.y_vertex(v) for v in comp), ZERO)
-            checker.check(comp_edges.cost(g) <= SUBTOUR_COVER_ALPHA * mass,
-                          "cover-component-bound",
-                          lambda: f"{sorted(comp)}: {comp_edges.cost(g)} > 3*{mass}")
-    global_bound = SUBTOUR_COVER_KAPPA * inst.lp_value + \
-        SUBTOUR_COVER_BETA * cover.pair.outside_singleton_mass()
-    checker.check(f.cost(g) <= global_bound, "cover-global-bound",
-                  lambda: f"{f.cost(g)} > {global_bound}")
+            mass = inst.singleton_mass(comp)
+            alpha = SUBTOUR_COVER_ALPHA
+            checker.check(inst.cost_num(comp_edges) * alpha.denominator
+                          <= alpha.numerator * mass, "cover-component-bound",
+                          lambda: f"{sorted(comp)}: {comp_edges.cost(g)}")
+    checker.check(cover.pair.cost_at_most(f, SUBTOUR_COVER_KAPPA, SUBTOUR_COVER_BETA),
+                  "cover-global-bound", lambda: f"{f.cost(g)}")
     return f

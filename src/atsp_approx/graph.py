@@ -1,7 +1,8 @@
 """Directed multigraph primitives and the laminar-family machinery.
 
 Everything downstream (LP solving, flow rounding, the recursive reduction)
-works on these types.  Graphs, families, and contraction maps are immutable
+works on these types; cost sums and comparisons run on each digraph's integer
+cost numerators.  Graphs, families, and contraction maps are immutable
 after construction; edge multisets are value-like builders whose combining
 operations (union, restrict_to) return fresh objects, and every algorithm
 here is a pure function, so shared instances are safe across threads.
@@ -15,8 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ContractViolation, InputError
-
-ZERO = Fraction(0)
+from .rational import common_denominator
 
 
 @dataclass(frozen=True)
@@ -34,15 +34,16 @@ class Digraph:
 
     Parallel edges are permitted; self-loops are rejected (contraction
     silently discards the loops it would create, and nothing else ever
-    produces one).
+    produces one).  ``cost_num[eid] / cost_den`` is the cost of edge eid.
     """
 
-    __slots__ = ("n", "edges", "out_edges", "in_edges")
+    __slots__ = ("n", "edges", "out_edges", "in_edges", "cost_num", "cost_den")
 
     def __init__(self, n: int, edge_list: Iterable[tuple[int, int, Fraction]]):
         if n < 1:
             raise InputError("vertex count must be at least 1")
         edges = []
+        costs = []
         out_edges: list[list[int]] = [[] for _ in range(n)]
         in_edges: list[list[int]] = [[] for _ in range(n)]
         for eid, (tail, head, cost) in enumerate(edge_list):
@@ -52,25 +53,27 @@ class Digraph:
                 raise InputError(f"self-loop at vertex {tail} not allowed")
             if type(cost) is not Fraction:
                 cost = Fraction(cost)
-            if cost < 0:
+            if cost.numerator < 0:
                 raise InputError(f"negative cost {cost} on edge ({tail},{head})")
             edges.append(Edge(eid, tail, head, cost))
+            costs.append(cost)
             out_edges[tail].append(eid)
             in_edges[head].append(eid)
         self.n = n
         self.edges: tuple[Edge, ...] = tuple(edges)
         self.out_edges: tuple[tuple[int, ...], ...] = tuple(tuple(a) for a in out_edges)
         self.in_edges: tuple[tuple[int, ...], ...] = tuple(tuple(a) for a in in_edges)
+        cost_num, self.cost_den = common_denominator(costs)
+        self.cost_num: tuple[int, ...] = tuple(cost_num)
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     def edge(self, eid: int) -> Edge:
-        try:
+        if 0 <= eid < len(self.edges):
             return self.edges[eid]
-        except IndexError:
-            raise InputError(f"unknown edge id {eid}") from None
+        raise InputError(f"unknown edge id {eid}")
 
     def delta_plus(self, vertex_set: frozenset | set) -> list[int]:
         """Edge ids leaving the set."""
@@ -150,8 +153,16 @@ class EdgeMultiset:
     def __contains__(self, eid: int) -> bool:
         return eid in self.mult
 
+    def cost_num(self, g: Digraph) -> int:
+        """The cost in g as a numerator over ``g.cost_den``."""
+        nums = g.cost_num
+        for eid in self.mult:
+            if not 0 <= eid < len(nums):
+                raise InputError(f"unknown edge id {eid}")
+        return sum(nums[eid] * k for eid, k in self.mult.items())
+
     def cost(self, g: Digraph) -> Fraction:
-        return sum((g.edge(eid).cost * k for eid, k in self.mult.items()), ZERO)
+        return Fraction(self.cost_num(g), g.cost_den)
 
     def vertices(self, g: Digraph) -> frozenset:
         verts = set()
@@ -226,8 +237,9 @@ class LaminarFamily:
                 raise ContractViolation("empty set in laminar family")
             if s in seen:
                 raise ContractViolation(f"duplicate set {sorted(s)} in laminar family")
-            y = Fraction(y)
-            if y <= 0:
+            if type(y) is not Fraction:
+                y = Fraction(y)
+            if y.numerator <= 0:
                 raise ContractViolation(f"nonpositive weight {y} for {sorted(s)}")
             seen.add(s)
             pairs.append((s, y))
@@ -250,9 +262,6 @@ class LaminarFamily:
 
     def weight(self, s: frozenset) -> Fraction:
         return self.weights[frozenset(s)]
-
-    def singleton_weight(self, v: int) -> Fraction:
-        return self.weights.get(frozenset((v,)), ZERO)
 
     def nonsingletons(self) -> list[frozenset]:
         return [s for s in self.members if len(s) >= 2]
@@ -357,11 +366,6 @@ def undirected_components(g: Digraph, support: Iterable[int],
     for v in verts:
         groups.setdefault(find(v), set()).add(v)
     return sorted((frozenset(s) for s in groups.values()), key=min)
-
-
-def crossing_weight(y: dict[frozenset, Fraction], tail: int, head: int) -> Fraction:
-    """Total weight of the sets that the edge tail -> head crosses."""
-    return sum((w for s, w in y.items() if (tail in s) != (head in s)), ZERO)
 
 
 def is_eulerian_connected(g: Digraph, f: EdgeMultiset) -> tuple[bool, list[frozenset]]:
@@ -545,14 +549,16 @@ def bfs_path(g: Digraph, src: int, dst: int,
 
 def dijkstra_path(g: Digraph, src: int, dst: int,
                   allowed_vertices: Optional[frozenset] = None,
-                  allowed_edges: Optional[set] = None) -> Optional[tuple[Fraction, list[int]]]:
-    """Cheapest path by exact rational cost, or None if unreachable."""
+                  allowed_edges: Optional[set] = None) -> Optional[tuple[int, list[int]]]:
+    """Cheapest path by exact cost, or None if unreachable; the cost is
+    returned as a numerator over ``g.cost_den``."""
     if allowed_vertices is not None and (src not in allowed_vertices or dst not in allowed_vertices):
         return None
-    dist: dict[int, Fraction] = {src: ZERO}
+    cost = g.cost_num
+    dist: dict[int, int] = {src: 0}
     prev_edge: dict[int, int] = {}
     done: set[int] = set()
-    heap: list[tuple[Fraction, int]] = [(ZERO, src)]
+    heap: list[tuple[int, int]] = [(0, src)]
     while heap:
         d, v = heapq.heappop(heap)
         if v in done:
@@ -566,7 +572,7 @@ def dijkstra_path(g: Digraph, src: int, dst: int,
             w = g.edges[eid].head
             if allowed_vertices is not None and w not in allowed_vertices:
                 continue
-            nd = d + g.edges[eid].cost
+            nd = d + cost[eid]
             if w not in dist or nd < dist[w]:
                 dist[w] = nd
                 prev_edge[w] = eid

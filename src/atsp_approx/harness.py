@@ -9,7 +9,6 @@ exact rationals serialized as "p/q" strings so runs round-trip bit-exactly
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -211,21 +210,16 @@ def gen_instance(model: str, n: int, seed: int = 0) -> Digraph:
 def held_karp_opt(g: Digraph) -> Fraction:
     """Exact optimum tour cost (closed walks allowed): the Hamiltonian
     optimum of the metric closure, by bitmask dynamic programming.  The
-    closure and the DP run on the costs as integer numerators over the lcm
-    of their denominators."""
+    closure and the DP run on the digraph's integer cost numerators."""
     n = g.n
     if n > HELD_KARP_MAX_N:
         raise BudgetError(f"Held-Karp oracle capped at n = {HELD_KARP_MAX_N}")
     if n == 1:
         return ZERO
-    scale = 1
-    for e in g.edges:
-        scale = math.lcm(scale, e.cost.denominator)
     dist: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
     for v in range(n):
         dist[v][v] = 0
-    for e in g.edges:
-        cost = e.cost.numerator * (scale // e.cost.denominator)
+    for e, cost in zip(g.edges, g.cost_num):
         cur = dist[e.tail][e.head]
         if cur is None or cost < cur:
             dist[e.tail][e.head] = cost
@@ -262,7 +256,7 @@ def held_karp_opt(g: Digraph) -> Fraction:
             col = into[j]
             row[j] = min([prev[i] + col[i] for i in members if i != j])
     last = dp[full - 1]
-    return Fraction(min(last[j] + dist[j + 1][0] for j in range(k)), scale)
+    return Fraction(min(last[j] + dist[j + 1][0] for j in range(k)), g.cost_den)
 
 
 def verify_tour(g: Digraph, tour: EdgeMultiset) -> tuple[bool, dict]:

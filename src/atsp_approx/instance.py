@@ -14,6 +14,10 @@ Each vertex keeps its *chain*, the indices of the family sets containing it
 family, and each edge keeps the sets it enters and exits as bit masks over
 family indices.
 
+x, the costs and the weights are kept once as integer numerators over one
+denominator each, so every sum and comparison runs on ints; `validate`
+derives its own such view from g, the family and x.
+
 The nice u-v path starts from the fewest-edge u-v path inside the hull,
 ties to the smallest edge ids.  All pairs (u, v) of one hull share a
 breadth-first search tree from u inside it, built once per (u, hull) on
@@ -31,14 +35,12 @@ then, as is each window's value(W).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .checks import Checker
 from .errors import ContractViolation
-from .graph import Digraph, LaminarFamily, bfs_path, crossing_weight
-
-ZERO = Fraction(0)
+from .graph import Digraph, EdgeMultiset, LaminarFamily, bfs_path
+from .rational import common_denominator
 
 _REPAIR_CAP_SLACK = 2
 
@@ -56,11 +58,29 @@ def path_crossings(g: Digraph, path: Iterable[int], s: frozenset) -> tuple[int, 
     return enters, exits
 
 
-def cut_value(g: Digraph, x: Sequence[Fraction], s: frozenset) -> Fraction:
-    """x(delta(S)): the x-mass of the edges leaving or entering S."""
-    return sum((x[e] for e in g.delta_plus(s)), ZERO) + sum(
-        (x[e] for e in g.delta_minus(s)), ZERO
-    )
+def cut_value(g: Digraph, x: Sequence, s: frozenset):
+    """x(delta(S)): the x-mass of the edges leaving or entering S; an int
+    when x holds int numerators."""
+    return sum(x[e] for e in g.delta_plus(s)) + sum(x[e] for e in g.delta_minus(s))
+
+
+def crossing_num(g: Digraph, members: Sequence[frozenset],
+                  weight_num: Sequence[int]) -> list[int]:
+    """Per edge, the summed weight numerators of the sets it crosses."""
+    out = [0] * g.m
+    for s, w in zip(members, weight_num):
+        for eid in g.delta_plus(s):
+            out[eid] += w
+        for eid in g.delta_minus(s):
+            out[eid] += w
+    return out
+
+
+def induced_graph(g: Digraph, family: LaminarFamily) -> Digraph:
+    """g with each edge costing the total weight of the family sets it crosses."""
+    weight_num, den = common_denominator([family.weights[s] for s in family.members])
+    return Digraph(g.n, [(e.tail, e.head, Fraction(c, den)) for e, c
+                         in zip(g.edges, crossing_num(g, family.members, weight_num))])
 
 
 def _common_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -89,18 +109,32 @@ class StronglyLaminarInstance:
     The digraph's edge costs are the induced costs; ``validate`` re-derives
     them from (L, y) and re-checks the full definition.  The instance never
     changes after construction; the memo tables only fill in.
+
+    The integer view: ``_x_num[e] / _x_den`` is x_e; ``_cost_num[e] /
+    _den`` is the cost of edge e and ``_weight_num[i] / _den`` the weight
+    of the i-th family set; ``_singleton_num[v] / _den`` is y_v; and
+    ``_lp_num / (_den * _x_den)`` is the LP value.
     """
 
     def __init__(self, g: Digraph, family: LaminarFamily, x: Iterable[Fraction]):
         self.g = g
         self.family = family
-        self.x: tuple[Fraction, ...] = tuple(Fraction(v) for v in x)
+        self.x: tuple[Fraction, ...] = tuple(
+            v if type(v) is Fraction else Fraction(v) for v in x)
         if len(self.x) != g.m:
             raise ContractViolation("x must assign a value to every edge")
         self.ground: frozenset = frozenset(range(g.n))
-        self.lp_value: Fraction = sum(
-            (g.edges[e].cost * self.x[e] for e in range(g.m)), ZERO
-        )
+        self._x_num, self._x_den = common_denominator(self.x)
+        self._weight_num, self._den = common_denominator(
+            [family.weights[s] for s in family.members], g.cost_den)
+        scale = self._den // g.cost_den
+        self._cost_num = [c * scale for c in g.cost_num]
+        self._lp_num = sum(c * v for c, v in zip(self._cost_num, self._x_num))
+        self.lp_value = Fraction(self._lp_num, self._den * self._x_den)
+        self._singleton_num = [0] * g.n
+        for s, w in zip(family.members, self._weight_num):
+            if len(s) == 1:
+                self._singleton_num[min(s)] = w
         self._paths: dict[tuple[int, int], tuple[int, ...]] = {}
         chains: list[list[int]] = [[] for _ in range(g.n)]
         for i, s in enumerate(family.members):  # decreasing size: outermost first
@@ -116,28 +150,30 @@ class StronglyLaminarInstance:
             k = _common_prefix(ct, ch)
             self._exit_mask.append(_mask(ct[k:]))
             self._enter_mask.append(_mask(ch[k:]))
-        # costs and weights as integer numerators over one denominator
-        weights = [family.weights[s] for s in family.members]
-        self._den = 1  # a loop for the reason given in lp._separate_all
-        for q in [e.cost for e in g.edges] + weights:
-            self._den = lcm(self._den, q.denominator)
-        self._cost_num = [e.cost.numerator * (self._den // e.cost.denominator)
-                          for e in g.edges]
-        self._weight_num = [y.numerator * (self._den // y.denominator)
-                            for y in weights]
         # (source, hull depth) -> {vertex: (parent edge, cost, violated mask)}
         self._trees: dict[tuple[int, int], dict[int, tuple[int, int, int]]] = {}
-        self._windows: dict[frozenset, tuple[int, frozenset]] = {}
+        self._windows: dict[frozenset, tuple[int, frozenset, int]] = {}
 
     # -- basic derived quantities -------------------------------------------------
 
-    def induced_cost(self, eid: int) -> Fraction:
-        e = self.g.edge(eid)
-        return crossing_weight(self.family.weights, e.tail, e.head)
-
     def y_vertex(self, v: int) -> Fraction:
         """Weight of the singleton {v}, or 0."""
-        return self.family.singleton_weight(v)
+        return Fraction(self._singleton_num[v], self._den)
+
+    def singleton_mass(self, verts: Iterable[int]) -> int:
+        """2 * sum of y_v over the vertices, as a numerator over `_den`."""
+        return 2 * sum(self._singleton_num[v] for v in verts)
+
+    def cost_num(self, edges: EdgeMultiset) -> int:
+        """The cost of an edge multiset as a numerator over `_den`."""
+        return edges.cost_num(self.g) * (self._den // self.g.cost_den)
+
+    def as_num(self, q: Fraction) -> int:
+        """A weight, value(W) or D_W of the instance as a numerator over `_den`."""
+        scale, rest = divmod(self._den, q.denominator)
+        if rest:
+            raise ContractViolation(f"{q} is not a multiple of 1/{self._den}")
+        return q.numerator * scale
 
     def family_or_ground(self) -> list[frozenset]:
         out = list(self.family.members)
@@ -195,13 +231,29 @@ class StronglyLaminarInstance:
         self._trees[(u, k)] = tree
         return tree
 
-    def _hull_tree(self, u: int, v: int) -> dict[int, tuple[int, int, int]]:
-        """u's search tree inside hull(u, v); it must reach v."""
-        tree = self._tree(u, _common_prefix(self._chains[u], self._chains[v]))
+    def _hull_tree(self, u: int, v: int, k: Optional[int] = None
+                   ) -> dict[int, tuple[int, int, int]]:
+        """u's search tree inside hull(u, v), the k-th set of u's chain (its
+        chain prefix shared with v's, walked when not given); it must reach v."""
+        if k is None:
+            k = _common_prefix(self._chains[u], self._chains[v])
+        tree = self._tree(u, k)
         if v not in tree:
             raise ContractViolation(f"no {u}-{v} path inside {sorted(self.hull(u, v))}; "
                                     "instance not strongly laminar")
         return tree
+
+    def _hull_depths(self, u: int, verts: Iterable[int], k0: int) -> dict[int, int]:
+        """The hull depth of (u, v) for each v of verts, all of which lie in
+        the first k0 sets of u's chain: one pass over the deeper sets of the
+        chain instead of a chain walk per pair."""
+        chain = self._chains[u]
+        depth = dict.fromkeys(verts, k0)
+        for k in range(k0 + 1, len(chain) + 1):
+            for w in self.family.members[chain[k - 1]]:
+                if w in depth:
+                    depth[w] = k
+        return depth
 
     def nice_path(self, v: int, w: int) -> tuple[int, ...]:
         """The fixed nice v-w path (edge ids); empty when v == w."""
@@ -247,9 +299,6 @@ class StronglyLaminarInstance:
         verts = set(_path_vertices(self.g, u, path))
         return verts <= self.hull(u, v) and self._first_violated(path) is None
 
-    def path_cost(self, path: Iterable[int]) -> Fraction:
-        return sum((self.g.edge(eid).cost for eid in path), ZERO)
-
     def nice_path_cost_identity(self, w_set: frozenset, u: int, v: int,
                                 checker: Optional[Checker] = None) -> Fraction:
         """Cost of the stored nice u-v path, with its crossing-weight identity
@@ -258,34 +307,28 @@ class StronglyLaminarInstance:
         each endpoint."""
         checker = checker or Checker()
         path = self.nice_path(u, v)
-        verts = set(_path_vertices(self.g, u, list(path))) if path else {u}
-        cost = self.path_cost(path)
-        touched = ZERO
-        ends = ZERO
-        for s in self.family.members:
-            if not s < w_set:
-                continue
-            y = self.family.weight(s)
-            if verts & s:
-                touched += 2 * y
-            if u in s:
-                ends += y
-            if v in s:
-                ends += y
+        verts = set(_path_vertices(self.g, u, list(path)))
+        _, inner, _ = self._window(w_set)
+        cost = sum(self._cost_num[eid] for eid in path)
+        touched = 2 * sum(self._weight_num[i] for i in inner
+                          if verts & self.family.members[i])
+        ends = self._end_num(inner, u) + self._end_num(inner, v)
         checker.check(cost == touched - ends, "nice-path-cost-identity",
-                      lambda: f"u={u} v={v} W={sorted(w_set)} cost={cost}")
-        return cost
+                      lambda: f"u={u} v={v} W={sorted(w_set)} cost={cost}/{self._den}")
+        return Fraction(cost, self._den)
 
     # -- value(W) and D_W ---------------------------------------------------------
 
-    def _window(self, w_set: frozenset) -> tuple[int, frozenset]:
-        """value(W) as a numerator, and the indices of the sets strictly
-        inside W; memoized per window."""
+    def _window(self, w_set: frozenset) -> tuple[int, frozenset, int]:
+        """value(W) as a numerator, the indices of the sets strictly inside
+        W, and the number of sets holding W (the hull depth every pair of W
+        shares); memoized per window."""
         hit = self._windows.get(w_set)
         if hit is None:
-            inner = frozenset(i for i, s in enumerate(self.family.members)
-                              if s < w_set)
-            hit = (2 * sum(self._weight_num[i] for i in inner), inner)
+            members = self.family.members
+            inner = frozenset(i for i, s in enumerate(members) if s < w_set)
+            hit = (2 * sum(self._weight_num[i] for i in inner), inner,
+                   sum(1 for s in members if w_set <= s))
             self._windows[w_set] = hit
         return hit
 
@@ -293,14 +336,14 @@ class StronglyLaminarInstance:
         """Weight of the sets strictly inside the window that hold u."""
         return sum(self._weight_num[i] for i in self._chains[u] if i in inner)
 
-    def _nice_path_num(self, u: int, v: int) -> int:
+    def _nice_path_num(self, u: int, v: int, k: Optional[int] = None) -> int:
         """Cost numerator of the nice u-v path: its tree path's unless it is
-        stored or needs a repair."""
+        stored or needs a repair; k as in `_hull_tree`."""
         if u == v:
             return 0
         path = self._paths.get((u, v))
         if path is None:
-            _, cost, bad = self._hull_tree(u, v)[v]
+            _, cost, bad = self._hull_tree(u, v, k)[v]
             if not bad:
                 return cost
             path = self.nice_path(u, v)
@@ -311,7 +354,7 @@ class StronglyLaminarInstance:
 
     def reach(self, w_set: frozenset, u: int, v: int) -> Fraction:
         """D_W(u, v): endpoint crossing weights plus the nice-path cost."""
-        inner = self._window(w_set)[1]
+        _, inner, _ = self._window(w_set)
         return Fraction(self._end_num(inner, u) + self._end_num(inner, v)
                         + self._nice_path_num(u, v), self._den)
 
@@ -324,14 +367,15 @@ class StronglyLaminarInstance:
         """
         checker = checker or Checker()
         den = self._den
-        val_num, inner = self._window(w_set)
+        val_num, inner, k0 = self._window(w_set)
         verts = sorted(w_set)
         ends = [self._end_num(inner, u) for u in verts]
         best = None
         best_pair = (verts[0], verts[0])
         for u, end_u in zip(verts, ends):
+            depth = self._hull_depths(u, verts, k0)
             for v, end_v in zip(verts, ends):
-                d = end_u + end_v + self._nice_path_num(u, v)
+                d = end_u + end_v + self._nice_path_num(u, v, depth[v])
                 checker.check(d <= val_num, "reach-at-most-value",
                               lambda: f"D_W({u},{v})={Fraction(d, den)} > "
                                       f"value={Fraction(val_num, den)}")
@@ -351,27 +395,33 @@ class StronglyLaminarInstance:
         """
         checker = checker or Checker()
         g = self.g
+        members = self.family.members
         checker.check(g.is_strongly_connected(), "instance-strongly-connected")
-        for s in self.family.members:
+        for s in members:
             checker.check(g.is_strongly_connected(frozenset(s)),
                           "family-set-strongly-connected",
                           lambda: sorted(s))
+        x_num, x_den = common_denominator(self.x)
+        weight_num, den = common_denominator(
+            [self.family.weights[s] for s in members], g.cost_den)
+        scale = den // g.cost_den
+        induced = crossing_num(g, members, weight_num)
         for e in range(g.m):
-            checker.check(self.x[e] > 0, "x-positive", lambda: f"edge {e}")
-            checker.check(g.edges[e].cost == self.induced_cost(e),
+            checker.check(x_num[e] > 0, "x-positive", lambda: f"edge {e}")
+            checker.check(g.cost_num[e] * scale == induced[e],
                           "induced-cost-consistent", lambda: f"edge {e}")
         for v in range(g.n):
-            inflow = sum((self.x[e] for e in g.in_edges[v]), ZERO)
-            outflow = sum((self.x[e] for e in g.out_edges[v]), ZERO)
+            inflow = sum(x_num[e] for e in g.in_edges[v])
+            outflow = sum(x_num[e] for e in g.out_edges[v])
             checker.check(inflow == outflow, "x-circulation", lambda: f"vertex {v}")
-        for s in self.family.members:
-            cut = cut_value(g, self.x, s)
-            checker.check(cut == 2, "family-cut-tight",
-                          lambda: f"{sorted(s)} has x(delta)={cut}")
-        checker.check(
-            self.lp_value == sum((2 * y for y in self.family.weights.values()), ZERO),
-            "lp-equals-dual-objective",
-        )
+        for s in members:
+            cut = cut_value(g, x_num, s)
+            checker.check(cut == 2 * x_den, "family-cut-tight",
+                          lambda: f"{sorted(s)} has x(delta)={Fraction(cut, x_den)}")
+        # c(x) over cost_den * x_den against 2 * sum(y) over den
+        lp_num = sum(c * v for c, v in zip(g.cost_num, x_num))
+        checker.check(lp_num * den == 2 * sum(weight_num) * g.cost_den * x_den,
+                      "lp-equals-dual-objective")
         if checker.check_all and g.n >= 2:
             from .lp import separate_subtour  # local import to avoid a cycle
 
@@ -385,12 +435,14 @@ class StronglyLaminarInstance:
         other pair's path is its tree path, which stays in the hull by
         construction and is nice when its tree's violated mask is zero."""
         checker = checker or Checker()
-        for u in range(self.g.n):
-            for v in range(self.g.n):
+        n = self.g.n
+        for u in range(n):
+            depth = self._hull_depths(u, range(n), 0)
+            for v in range(n):
                 if u == v:
                     continue
                 path = self._paths.get((u, v))
-                if path is None and self._hull_tree(u, v)[v][2]:
+                if path is None and self._hull_tree(u, v, depth[v])[v][2]:
                     path = self.nice_path(u, v)
                 nice = path is None or self.is_nice(u, v, path)
                 checker.check(nice, "stored-path-nice", lambda: f"pair ({u},{v})")

@@ -12,24 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from . import simplex
 from .checks import Checker
 from .errors import ContractViolation, InfeasibleInstanceError, InternalCheckError
 from .flows import FlowNetwork, max_flow_min_cut
-from .graph import (
-    Digraph,
-    LaminarFamily,
-    check_laminar,
-    crossing_weight,
-    scc_topological,
-)
-from .instance import StronglyLaminarInstance, cut_value
+from .graph import Digraph, LaminarFamily, check_laminar, scc_topological
+from .instance import StronglyLaminarInstance, crossing_num, cut_value, induced_graph
+from .rational import common_denominator
 
 ZERO = Fraction(0)
-TWO = Fraction(2)
 
 _CUTTING_ROUND_CAP = 200
 
@@ -55,32 +48,29 @@ class DualLp:
         return DualLp(list(self.a), dict(self.y), self.objective)
 
 
+def _dual_objective(y: dict[frozenset, Fraction]) -> Fraction:
+    """sum(2 y_U), summed as integer numerators."""
+    nums, den = common_denominator(list(y.values()))
+    return Fraction(2 * sum(nums), den)
+
+
+def _dual_slack(g: Digraph, dual: DualLp) -> list[int]:
+    """Per edge, cost - a_head + a_tail - y(sets the edge crosses): a, y and
+    the costs as integer numerators over one denominator, a multiple of the
+    graph's cost denominator."""
+    n = len(dual.a)
+    nums, scale = common_denominator([*dual.a, *dual.y.values()], g.cost_den)
+    a, c_scale = nums[:n], scale // g.cost_den
+    return [c * c_scale + a[e.tail] - a[e.head] - y for e, c, y
+            in zip(g.edges, g.cost_num, crossing_num(g, list(dual.y), nums[n:]))]
+
+
 def dual_feasible(g: Digraph, dual: DualLp) -> bool:
     """Exact feasibility of (a, y) for the dual LP: y >= 0, and on every
-    edge a_head - a_tail + y(sets the edge crosses) <= cost.
-
-    a, y and the costs are compared as integer numerators over the lcm of
-    all their denominators."""
-    if any(y < 0 for y in dual.y.values()):
+    edge a_head - a_tail + y(sets the edge crosses) <= cost."""
+    if any(y.numerator < 0 for y in dual.y.values()):
         return False
-    scale = 1
-    for value in dual.a:
-        scale = lcm(scale, value.denominator)
-    for value in dual.y.values():
-        scale = lcm(scale, value.denominator)
-    for e in g.edges:
-        scale = lcm(scale, e.cost.denominator)
-    a = [v.numerator * (scale // v.denominator) for v in dual.a]
-    # slack[eid] = cost - a_head + a_tail - y(sets the edge crosses)
-    slack = [e.cost.numerator * (scale // e.cost.denominator) + a[e.tail] - a[e.head]
-             for e in g.edges]
-    for u_set, weight in dual.y.items():
-        w = weight.numerator * (scale // weight.denominator)
-        for eid in g.delta_plus(u_set):
-            slack[eid] -= w
-        for eid in g.delta_minus(u_set):
-            slack[eid] -= w
-    return all(v >= 0 for v in slack)
+    return all(v >= 0 for v in _dual_slack(g, dual))
 
 
 def separate_subtour(g: Digraph, x: list[Fraction]) -> Optional[frozenset]:
@@ -107,18 +97,13 @@ def _separate_all(g: Digraph, x: list[Fraction], first_only: bool = False) -> li
     the (t, 0) call is skipped.  Below 1 both calls are made, because their
     sides can differ.
     """
-    # a loop, not lcm(*...): one argument tuple of m entries per call (tens
-    # per solve) fills CPython's tuple free lists, about 1 MB of peak RSS
-    unit = 1
-    for e in g.edges:
-        unit = lcm(unit, x[e.eid].denominator)
+    x_num, unit = common_denominator(x)
     network = FlowNetwork(g.n)
     excess = [0] * g.n
     for e in g.edges:
-        value = x[e.eid]
-        scaled = value.numerator * (unit // value.denominator)
+        scaled = x_num[e.eid]
         if scaled < 0:
-            raise ContractViolation(f"separation needs x >= 0; edge {e.eid} has {value}")
+            raise ContractViolation(f"separation needs x >= 0; edge {e.eid} has {x[e.eid]}")
         if scaled:
             network.add_arc(e.tail, e.head, scaled)
             excess[e.head] += scaled
@@ -190,10 +175,11 @@ def solve_atsp_lp(g: Digraph, checker: Optional[Checker] = None) -> tuple[Primal
             y: dict[frozenset, Fraction] = {}
             for i, u_set in enumerate(cuts):
                 yv = res.duals[g.n + i]
-                checker.check(yv >= 0, "cut-dual-nonnegative", lambda: sorted(u_set))
-                if yv > 0:
-                    y[u_set] = y.get(u_set, ZERO) + yv
-            dual = DualLp(list(a), y, sum((2 * v for v in y.values()), ZERO))
+                checker.check(yv.numerator >= 0, "cut-dual-nonnegative",
+                              lambda: sorted(u_set))
+                if yv.numerator:
+                    y[u_set] = yv  # the cuts are distinct
+            dual = DualLp(list(a), y, _dual_objective(y))
             checker.check(dual.objective == res.objective, "strong-duality",
                           lambda: f"{dual.objective} != {res.objective}")
             checker.check(dual_feasible(g, dual), "dual-feasible")
@@ -223,8 +209,8 @@ def uncross_dual(g: Digraph, dual: DualLp, checker: Optional[Checker] = None) ->
             u_set = ground - u_set
             if not u_set:
                 raise ContractViolation("dual support contains the full vertex set")
-        y[u_set] = y.get(u_set, ZERO) + weight
-    total = sum(y.values(), ZERO)
+        y[u_set] = y[u_set] + weight if u_set in y else weight
+    total = _dual_objective(y)
     cap = 8 * g.n * g.n * max(1, len(y))
     for _ in range(cap):
         members = sorted(y.keys(), key=lambda s: (len(s), sorted(s)))
@@ -246,15 +232,15 @@ def uncross_dual(g: Digraph, dual: DualLp, checker: Optional[Checker] = None) ->
                 del y[s]
         for s in (a_set & b_set, a_set | b_set):
             y[s] = y.get(s, ZERO) + eps
-        checker.check(sum(y.values(), ZERO) == total, "uncross-step-objective")
+        checker.check(_dual_objective(y) == total, "uncross-step-objective")
         if checker.check_all:
-            step = DualLp(list(dual.a), dict(y), 2 * total)
+            step = DualLp(list(dual.a), dict(y), total)
             checker.check(dual_feasible(g, step), "uncross-step-feasible",
                           lambda: (sorted(a_set), sorted(b_set)))
     else:
         raise InternalCheckError("uncross-iteration-cap",
                                  {"support": [sorted(s) for s in y]})
-    out = DualLp(list(dual.a), y, sum((2 * v for v in y.values()), ZERO))
+    out = DualLp(list(dual.a), y, _dual_objective(y))
     checker.check(check_laminar(list(y.keys())), "uncrossed-support-laminar")
     checker.check(out.objective == dual.objective, "uncross-objective-preserved")
     checker.check(dual_feasible(g, out), "uncross-feasibility-preserved")
@@ -290,16 +276,14 @@ def make_strongly_laminar(g: Digraph, x: list[Fraction], dual: DualLp,
         dual.y[s_set] = dual.y.get(s_set, ZERO) + y_u
         for v in u_set - s_set:
             dual.a[v] -= y_u
-        checker.check(
-            sum(dual.y.values(), ZERO) * 2 == dual.objective,
-            "strongly-laminar-step-objective",
-        )
+        checker.check(_dual_objective(dual.y) == dual.objective,
+                      "strongly-laminar-step-objective")
         if checker.check_all:
             checker.check(dual_feasible(g, dual), "strongly-laminar-step-feasible",
                           lambda: sorted(u_set))
     else:
         raise InternalCheckError("strongly-laminar-cap", "loop failed to terminate")
-    out = DualLp(dual.a, dual.y, sum((2 * v for v in dual.y.values()), ZERO))
+    out = DualLp(dual.a, dual.y, _dual_objective(dual.y))
     checker.check(check_laminar(list(out.y.keys())), "strongly-laminar-support-laminar")
     checker.check(dual_feasible(g, out), "strongly-laminar-feasibility")
     for u_set in out.y:
@@ -323,7 +307,7 @@ def build_strongly_laminar_instance(
         inst = StronglyLaminarInstance(Digraph(1, []), LaminarFamily([], 1), [])
         return inst, ZERO, ()
     primal, dual0 = solve_atsp_lp(g, checker)
-    support = [e.eid for e in g.edges if primal.x[e.eid] > 0]
+    support = [e.eid for e in g.edges if primal.x[e.eid].numerator > 0]
     sub = Digraph(g.n, [(g.edges[eid].tail, g.edges[eid].head, g.edges[eid].cost)
                         for eid in support])
     x_sub = [primal.x[eid] for eid in support]
@@ -331,22 +315,19 @@ def build_strongly_laminar_instance(
     dual2 = make_strongly_laminar(sub, x_sub, dual1, checker)
     checker.check(dual2.objective == primal.objective, "pipeline-objective-preserved")
     # complementary slackness: every support set is a tight cut
+    x_num, x_den = common_denominator(x_sub)
     for u_set in dual2.y:
-        cut = cut_value(sub, x_sub, u_set)
-        checker.check(cut == TWO, "support-cut-tight",
-                      lambda: f"{sorted(u_set)}: x(delta)={cut}")
-    # tightness on every retained edge gives the induced-cost identity
-    induced: list[Fraction] = []
-    for eid in range(sub.m):
-        e = sub.edge(eid)
-        cross = crossing_weight(dual2.y, e.tail, e.head)
-        expected = e.cost + dual2.a[e.tail] - dual2.a[e.head]
-        checker.check(cross == expected, "induced-cost-identity",
-                      lambda: f"edge {e.tail}->{e.head}: {cross} != {expected}")
-        induced.append(cross)
-    g_induced = Digraph(sub.n, [(sub.edges[i].tail, sub.edges[i].head, induced[i])
-                                for i in range(sub.m)])
+        cut = cut_value(sub, x_num, u_set)
+        checker.check(cut == 2 * x_den, "support-cut-tight",
+                      lambda: f"{sorted(u_set)}: x(delta)={Fraction(cut, x_den)}")
+    # tightness on every retained edge gives the induced-cost identity:
+    # y(sets the edge crosses) = cost + a_tail - a_head, a zero dual slack
     family = LaminarFamily(dual2.y.items(), sub.n)
+    g_induced = induced_graph(sub, family)
+    for e, slack in zip(sub.edges, _dual_slack(sub, dual2)):
+        checker.check(slack == 0, "induced-cost-identity",
+                      lambda: f"edge {e.tail}->{e.head}: {g_induced.edges[e.eid].cost} != "
+                              f"{e.cost + dual2.a[e.tail] - dual2.a[e.head]}")
     inst = StronglyLaminarInstance(g_induced, family, x_sub)
     checker.check(inst.lp_value == primal.objective, "lp-value-invariant",
                   lambda: f"{inst.lp_value} != {primal.objective}")

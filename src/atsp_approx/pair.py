@@ -15,8 +15,7 @@ from .checks import Checker
 from .errors import ContractViolation
 from .graph import EdgeMultiset, is_eulerian_connected
 from .instance import StronglyLaminarInstance
-
-ZERO = Fraction(0)
+from .rational import common_denominator
 
 
 @dataclass(frozen=True)
@@ -67,6 +66,15 @@ class VertebratePair:
 
     def outside_singleton_mass(self) -> Fraction:
         """sum of 2 y_v over vertices outside the backbone."""
-        return sum(
-            (2 * self.instance.y_vertex(v) for v in self.outside_vertices()), ZERO
-        )
+        inst = self.instance
+        return Fraction(inst.singleton_mass(self.outside_vertices()), inst._den)
+
+    def cost_at_most(self, edges: EdgeMultiset, kappa: Fraction, beta: Fraction) -> bool:
+        """Whether c(edges) <= kappa * LP + beta * (outside singleton mass),
+        compared as integers over the instance's denominators."""
+        inst = self.instance
+        (k, b), d = common_denominator([kappa, beta])
+        mass = inst.singleton_mass(self.outside_vertices())
+        # c / den <= (k * lp / (den * x_den) + b * mass / den) / d
+        return inst.cost_num(edges) * inst._x_den * d <= \
+            k * inst._lp_num + b * mass * inst._x_den

@@ -14,7 +14,8 @@ restarts make strict progress.
 
 With the (3,2,1) subtour-cover solver this yields a (2, 14+epsilon)
 algorithm for vertebrate pairs; the final cost bound and every ledger used
-in its proof are asserted exactly.
+in its proof are asserted exactly, on budgets and costs kept as integer
+numerators over one denominator.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .cover import (
 from .errors import ContractViolation, InternalCheckError
 from .graph import EdgeMultiset, dijkstra_path, undirected_components
 from .pair import VertebratePair
+from .rational import common_denominator
 
 ZERO = Fraction(0)
 
@@ -81,21 +83,26 @@ class EllFunction:
     """The budget function: outside the backbone each vertex gets
     (1+eps')*2*alpha*2y_v plus an (eps'/n) share of the outside singleton
     mass; backbone vertices split kappa*LP + beta*(outside mass) evenly,
-    where (alpha, kappa, beta) is the subtour-cover guarantee."""
+    where (alpha, kappa, beta) is the subtour-cover guarantee.  ell(v) is
+    num[v] / den, and a cost numerator of the graph times cost_scale is
+    that cost over den."""
 
-    values: list[Fraction]
+    num: list[int]
+    den: int
+    cost_scale: int
     epsilon: Fraction
     eps_prime: Fraction
     regularity_const: Fraction  # C with ell(v) >= ell(outside) / (C n)
-    outside_mass: Fraction
-    lp_value: Fraction
     n: int
 
     def of(self, v: int) -> Fraction:
-        return self.values[v]
+        return Fraction(self.num[v], self.den)
+
+    def num_of(self, verts: Iterable[int]) -> int:
+        return sum(self.num[v] for v in verts)
 
     def of_set(self, verts: Iterable[int]) -> Fraction:
-        return sum((self.values[v] for v in verts), ZERO)
+        return Fraction(self.num_of(verts), self.den)
 
 
 def build_ell(pair: VertebratePair, epsilon: Fraction,
@@ -106,37 +113,34 @@ def build_ell(pair: VertebratePair, epsilon: Fraction,
     kappa = SUBTOUR_COVER_KAPPA
     beta = SUBTOUR_COVER_BETA
     epsilon = Fraction(epsilon)
-    if epsilon <= 0:
+    if epsilon.numerator <= 0:
         raise ContractViolation("epsilon must be positive")
     inst = pair.instance
-    n = inst.g.n
-    eps_prime = epsilon / (3 + 4 * alpha + 1 / (2 * alpha))
+    g = inst.g
+    n = g.n
+    two_alpha = 2 * alpha
+    eps_prime = epsilon / (3 + 2 * two_alpha + 1 / two_alpha)
     outside = pair.outside_vertices()
-    outside_mass = pair.outside_singleton_mass()
-    backbone_share = (kappa * inst.lp_value + beta * outside_mass) / len(
-        pair.backbone_vertices
-    )
-    values = []
-    for v in range(n):
-        if v in pair.backbone_vertices:
-            values.append(backbone_share)
-        else:
-            values.append(
-                (1 + eps_prime) * 2 * alpha * 2 * inst.y_vertex(v)
-                + eps_prime / n * outside_mass
-            )
-    c_const = ((1 + eps_prime) * 2 * alpha + eps_prime) / eps_prime
-    ell = EllFunction(values, epsilon, eps_prime,
-                      c_const, outside_mass, inst.lp_value, n)
-    floor = ell.of_set(outside) / (c_const * n)
+    mass = inst.singleton_mass(outside)
+    (k, b), d = common_denominator([kappa, beta])  # for kappa * LP + beta * mass
+    backbone_total = Fraction(k * inst._lp_num + b * mass * inst._x_den,
+                              d * inst._den * inst._x_den)
+    # ell(v) is share on the backbone; outside it is per times the 2 y_v
+    # numerator, plus eps'/n of the outside mass
+    scaled_eps = (1 + eps_prime) * two_alpha
+    (share, per, floor), den = common_denominator(
+        [backbone_total / len(pair.backbone_vertices), scaled_eps / inst._den,
+         eps_prime * mass / (n * inst._den)], g.cost_den)
+    num = [share if v in pair.backbone_vertices
+           else per * inst.singleton_mass((v,)) + floor for v in range(n)]
+    c_const = (scaled_eps + eps_prime) / eps_prime
+    ell = EllFunction(num, den, den // g.cost_den, epsilon, eps_prime, c_const, n)
+    outside_num = ell.num_of(outside)  # for ell(v) >= ell(outside) / (C n)
     for v in sorted(outside):
-        checker.check(values[v] >= floor, "ell-regularity",
-                      lambda: f"vertex {v}: {values[v]} < {floor}")
-    checker.check(
-        ell.of_set(pair.backbone_vertices)
-        == kappa * inst.lp_value + beta * outside_mass,
-        "ell-backbone-total",
-    )
+        checker.check(num[v] * c_const.numerator * n >= outside_num * c_const.denominator,
+                      "ell-regularity", lambda: f"vertex {v}: {ell.of(v)}")
+    checker.check(ell.num_of(pair.backbone_vertices) * backbone_total.denominator
+                  == backbone_total.numerator * den, "ell-backbone-total")
     return ell
 
 
@@ -172,7 +176,7 @@ class ComponentState:
         g = self.pair.instance.g
         outside = self.pair.outside_vertices()
         comps = undirected_components(g, self.h_tilde.mult, within=outside)
-        comps.sort(key=lambda c: (-self.ell.of_set(c), min(c)))
+        comps.sort(key=lambda c: (-self.ell.num_of(c), min(c)))
         self.parts = [self.pair.backbone_vertices] + comps
         self.part_of = {}
         for idx, part in enumerate(self.parts):
@@ -202,7 +206,7 @@ def check_light(pair: VertebratePair, ell: EllFunction, edges: EdgeMultiset,
     set."""
     g = pair.instance.g
     for comp, comp_edges in edges.components(g):
-        checker.check(comp_edges.cost(g) <= ell.of_set(comp), label,
+        checker.check(comp_edges.cost_num(g) * ell.cost_scale <= ell.num_of(comp), label,
                       lambda: f"{sorted(comp)}: {comp_edges.cost(g)}")
 
 
@@ -269,10 +273,10 @@ def improved_initialization(state: ComponentState, d_vertices: frozenset,
 class IterationLedger:
     """Bookkeeping the cost analysis relies on: each cheap cycle marks a
     distinct component index, and each index receives cover edges at most
-    once."""
+    once.  The costs are numerators over the budget denominator."""
 
-    x_cost: Fraction = ZERO
-    f_cost: Fraction = ZERO
+    x_cost: int = 0
+    f_cost: int = 0
     marks: set[int] = field(default_factory=set)
     f_indices: set[int] = field(default_factory=set)
 
@@ -313,25 +317,27 @@ def _allowed_cycle_edges(pair: VertebratePair) -> set[int]:
 
 
 def _find_cheap_cycle(pair: VertebratePair, z_vertices: frozenset,
-                      budget: Fraction, allowed: set[int]
+                      fits: Callable[[int], bool], allowed: set[int]
                       ) -> Optional[list[int]]:
     """First cycle (by edge-id order of its starting edge) that leaves the
-    component, avoids the backbone and all family cuts, and fits the budget:
-    an edge (v, w) out of the component plus a cheapest w-v path."""
+    component, avoids the backbone and all family cuts, and fits the budget
+    (``fits`` takes a cost numerator over the graph's cost denominator): an
+    edge (v, w) out of the component plus a cheapest w-v path."""
     g = pair.instance.g
+    cost = g.cost_num
     outside = pair.outside_vertices()
     for eid in sorted(allowed):
         e = g.edge(eid)
         if e.tail not in z_vertices or e.head in z_vertices:
             continue
-        if e.cost > budget:
+        if not fits(cost[eid]):
             continue
         found = dijkstra_path(g, e.head, e.tail,
                               allowed_vertices=outside, allowed_edges=allowed)
         if found is None:
             continue
         dist, path = found
-        if e.cost + dist <= budget:
+        if fits(cost[eid] + dist):
             return [eid] + path
     return None
 
@@ -348,8 +354,13 @@ def svensson_iterate(pair: VertebratePair, ell: EllFunction,
     pair.check_initialization(h_tilde, checker, "initialization-")
     check_light(pair, ell, h_tilde, checker, "initialization-light")
     state = ComponentState(pair, ell, h_tilde)
-    eps_prime = ell.eps_prime
-    alpha = SUBTOUR_COVER_ALPHA
+    one_eps = 1 + ell.eps_prime
+    two_alpha = 2 * SUBTOUR_COVER_ALPHA
+    light = two_alpha * one_eps
+
+    def cost(edges: EdgeMultiset) -> int:
+        return edges.cost_num(g) * ell.cost_scale
+
     h = h_tilde.copy()
     ledger = IterationLedger()
     allowed = _allowed_cycle_edges(pair)
@@ -374,23 +385,22 @@ def svensson_iterate(pair: VertebratePair, ell: EllFunction,
         for comp, comp_edges in f_comps:
             by_index.setdefault(state.ind(comp), []).append((comp, comp_edges))
         # the backbone-touching part always fits its budget
-        f0_cost = sum(
-            (ce.cost(g) for _, ce in by_index.get(0, [])), ZERO
-        )
-        checker.check(f0_cost <= ell.of_set(state.parts[0]),
-                      "cover-backbone-part-bound", lambda: f"{f0_cost}")
+        f0_cost = sum(cost(ce) for _, ce in by_index.get(0, []))
+        checker.check(f0_cost <= ell.num_of(state.parts[0]),
+                      "cover-backbone-part-bound", lambda: f"{f0_cost}/{ell.den}")
         for comp, comp_edges in f_comps:
             if not comp & pair.backbone_vertices:
-                bound = ell.of_set(comp) / (2 * (1 + eps_prime))
-                checker.check(comp_edges.cost(g) <= bound,
+                # c(F_comp) <= ell(comp) / (2 (1 + eps'))
+                checker.check(cost(comp_edges) * 2 * one_eps.numerator
+                              <= ell.num_of(comp) * one_eps.denominator,
                               "cover-component-budget",
                               lambda: f"{sorted(comp)}")
         # restart trigger: an index whose cover edges bust its budget
         for i in sorted(by_index):
             if i == 0:
                 continue
-            cost_i = sum((ce.cost(g) for _, ce in by_index[i]), ZERO)
-            if cost_i > ell.of_set(state.parts[i]):
+            cost_i = sum(cost(ce) for _, ce in by_index[i])
+            if cost_i > ell.num_of(state.parts[i]):
                 d_vertices = frozenset(state.parts[i])
                 d_edges = state.part_edges(i)
                 for comp, comp_edges in by_index[i]:
@@ -402,9 +412,8 @@ def svensson_iterate(pair: VertebratePair, ell: EllFunction,
         # restart trigger: a cover component whose budget beats its first part
         for comp, comp_edges in f_comps:
             i = state.ind(comp)
-            if i > 0 and ell.of_set(comp) > (1 + eps_prime) * ell.of_set(
-                state.parts[i]
-            ):
+            if i > 0 and ell.num_of(comp) * one_eps.denominator > \
+                    one_eps.numerator * ell.num_of(state.parts[i]):
                 better = improved_initialization(state, frozenset(comp),
                                                  comp_edges, checker)
                 return SvenssonResult("better", better, ledger, state)
@@ -426,29 +435,33 @@ def svensson_iterate(pair: VertebratePair, ell: EllFunction,
             z_comp = anchored[z_index]
             if len(anchored) == 1:
                 break
-            budget = ell.of_set(state.parts[z_index]) / (2 * alpha)
-            cycle = _find_cheap_cycle(pair, z_comp, budget, allowed)
+            # a cycle fits when its cost is at most ell(part) / (2 alpha)
+            limit = ell.num_of(state.parts[z_index]) * two_alpha.denominator
+            per_cost = ell.cost_scale * two_alpha.numerator
+            cycle = _find_cheap_cycle(pair, z_comp,
+                                      lambda c: c * per_cost <= limit, allowed)
             if cycle is None:
                 break
-            cycle_cost = sum((g.edge(eid).cost for eid in cycle), ZERO)
+            cycle_cost = sum(g.cost_num[eid] for eid in cycle) * ell.cost_scale
             cycle_verts = {g.edge(eid).tail for eid in cycle}
-            light_bound = ell.of_set(cycle_verts) / (2 * alpha * (1 + eps_prime))
-            checker.check(cycle_cost <= light_bound, "cheap-cycle-light",
-                          lambda: f"{cycle_cost} > {light_bound}")
+            # c(cycle) <= ell(cycle) / (2 alpha (1 + eps'))
+            checker.check(cycle_cost * light.numerator
+                          <= ell.num_of(cycle_verts) * light.denominator,
+                          "cheap-cycle-light", lambda: f"{cycle_cost}/{ell.den}")
             for eid in cycle:
                 x_edges.add(eid)
             x_cycles.append((cycle, z_index))
         added = EdgeMultiset()
-        added_by_index: dict[int, Fraction] = {}
+        added_by_index: dict[int, int] = {}
         for comp, comp_edges in f_comps:
             if comp <= z_comp:
                 i = state.ind(comp)
-                added_by_index[i] = added_by_index.get(i, ZERO) + comp_edges.cost(g)
+                added_by_index[i] = added_by_index.get(i, 0) + cost(comp_edges)
                 added = added.union(comp_edges)
         for i, cost_i in sorted(added_by_index.items()):
             checker.check(i not in ledger.f_indices, "cover-part-added-once",
                           lambda: f"index {i}")
-            checker.check(cost_i <= ell.of_set(state.parts[i]),
+            checker.check(cost_i <= ell.num_of(state.parts[i]),
                           "cover-part-within-budget", lambda: f"index {i}")
             ledger.f_indices.add(i)
             ledger.f_cost += cost_i
@@ -460,18 +473,19 @@ def svensson_iterate(pair: VertebratePair, ell: EllFunction,
                 ledger.marks.add(mark)
                 for eid in cycle:
                     added.add(eid)
-                    ledger.x_cost += g.edge(eid).cost
+                    ledger.x_cost += g.cost_num[eid] * ell.cost_scale
         h = h.union(added)
+    outside_num = ell.num_of(pair.outside_vertices())
     checker.check(
-        ledger.x_cost <= ell.of_set(pair.outside_vertices()) / (2 * alpha),
-        "x-ledger-bound", lambda: f"{ledger.x_cost}")
-    checker.check(ledger.f_cost <= ell.of_set(range(g.n)), "f-ledger-bound",
-                  lambda: f"{ledger.f_cost}")
-    bound = ell.of_set(pair.backbone_vertices) + (
-        2 + 1 / (2 * alpha)
-    ) * ell.of_set(pair.outside_vertices())
-    checker.check(h.cost(g) <= bound, "solution-cost-bound",
-                  lambda: f"{h.cost(g)} > {bound}")
+        ledger.x_cost * two_alpha.numerator <= outside_num * two_alpha.denominator,
+        "x-ledger-bound", lambda: f"{ledger.x_cost}/{ell.den}")
+    checker.check(ledger.f_cost <= ell.num_of(range(g.n)), "f-ledger-bound",
+                  lambda: f"{ledger.f_cost}/{ell.den}")
+    # c(H) <= ell(backbone) + (2 + 1/(2 alpha)) ell(outside)
+    factor = 2 + 1 / two_alpha
+    checker.check(cost(h) * factor.denominator <= outside_num * factor.numerator
+                  + ell.num_of(pair.backbone_vertices) * factor.denominator,
+                  "solution-cost-bound", lambda: f"{h.cost(g)}")
     return SvenssonResult("solution", h, ledger, state)
 
 
@@ -493,10 +507,8 @@ def vertebrate_solve(pair: VertebratePair, epsilon: Fraction,
             checker.check(_connected_with_backbone(pair, h),
                           "solution-connects")
             eta = 4 * SUBTOUR_COVER_ALPHA + SUBTOUR_COVER_BETA + 1 + ell.epsilon
-            bound = SUBTOUR_COVER_KAPPA * pair.instance.lp_value + \
-                eta * pair.outside_singleton_mass()
-            checker.check(h.cost(g) <= bound, "vertebrate-bound",
-                          lambda: f"{h.cost(g)} > {bound}")
+            checker.check(pair.cost_at_most(h, SUBTOUR_COVER_KAPPA, eta),
+                          "vertebrate-bound", lambda: f"{h.cost(g)}")
             return h
         # restart with the better initialization; the potential must grow by
         # more than the regularity floor to the 1+p

@@ -23,13 +23,13 @@ from .graph import (
     EdgeMultiset,
     LaminarFamily,
     contract,
-    crossing_weight,
     euler_walk,
     is_eulerian_connected,
 )
-from .instance import StronglyLaminarInstance
+from .instance import StronglyLaminarInstance, induced_graph
 from .lp import build_strongly_laminar_instance
 from .pair import VertebratePair
+from .rational import common_denominator
 from .svensson import vertebrate_solve
 
 ZERO = Fraction(0)
@@ -61,6 +61,7 @@ def construct_backbone(inst: StronglyLaminarInstance, w_set: frozenset,
     its vertex set, and the maximal family sets it misses."""
     checker = checker or Checker()
     value_w, d_w, u_star, v_star = inst.value_and_dw(w_set, checker)
+    val_num, d_num = inst.as_num(value_w), inst.as_num(d_w)
     forward = inst.nice_path(u_star, v_star)
     backward = inst.nice_path(v_star, u_star)
     backbone = EdgeMultiset()
@@ -72,18 +73,17 @@ def construct_backbone(inst: StronglyLaminarInstance, w_set: frozenset,
         touched = backbone.vertices(inst.g)
     else:
         touched = frozenset({u_star})
-    checker.check(backbone.cost(inst.g) <= 2 * d_w, "backbone-cost",
+    checker.check(inst.cost_num(backbone) <= 2 * d_num, "backbone-cost",
                   lambda: f"{backbone.cost(inst.g)} > 2*{d_w}")
     candidates = [s for s in inst.family.members
                   if s < w_set and not (s & touched)]
     missed = [s for s in candidates
               if not any(s < t for t in candidates)]
     missed.sort(key=min)
-    slack = sum(
-        (2 * inst.family.weight(s) + inst.value(s) for s in missed), ZERO
-    )
-    checker.check(slack <= value_w - d_w, "missed-sets-slack",
-                  lambda: f"{slack} > {value_w} - {d_w}")
+    slack = sum(2 * inst.as_num(inst.family.weight(s)) + inst.as_num(inst.value(s))
+                for s in missed)
+    checker.check(slack <= val_num - d_num, "missed-sets-slack",
+                  lambda: f"{Fraction(slack, inst._den)} > {value_w} - {d_w}")
     return backbone, touched, missed, value_w, d_w, (u_star, v_star)
 
 
@@ -107,16 +107,15 @@ def _build_child_instance(inst: StronglyLaminarInstance, w_set: frozenset,
             weighted.append((image, inst.family.weight(s)))
     for s in missed:
         image = frozenset({cmap.child_of(min(s))})
-        weighted.append((image, inst.family.weight(s) + reach_of[s] / 2))
-    if w_set != ground and d_w > 0:
+        # y_S + D_S / 2
+        weighted.append((image, Fraction(
+            2 * inst.as_num(inst.family.weight(s)) + inst.as_num(reach_of[s]),
+            2 * inst._den)))
+    if w_set != ground and d_w.numerator > 0:
         image = frozenset(cmap.child_of(v) for v in w_set)
-        weighted.append((image, d_w / 2))
+        weighted.append((image, Fraction(d_w.numerator, 2 * d_w.denominator)))
     family = LaminarFamily(weighted, child_graph_raw.n)
-    child_graph = Digraph(child_graph_raw.n, [
-        (e.tail, e.head, crossing_weight(family.weights, e.tail, e.head))
-        for e in child_graph_raw.edges
-    ])
-    child = StronglyLaminarInstance(child_graph, family, child_x)
+    child = StronglyLaminarInstance(induced_graph(child_graph_raw, family), family, child_x)
     child.validate(checker)
     return child, cmap
 
@@ -204,11 +203,8 @@ def reduce_and_solve(inst: StronglyLaminarInstance, w_set: frozenset,
     )
     child = pair.instance
     solution = vp_solver(pair)
-    solver_bound = KAPPA * child.lp_value + eta_for(epsilon) * \
-        pair.outside_singleton_mass()
-    solution_cost = solution.cost(child.g)
-    checker.check(solution_cost <= solver_bound, "solver-contract",
-                  lambda: f"{solution_cost} > {solver_bound}")
+    checker.check(pair.cost_at_most(solution, KAPPA, eta_for(epsilon)), "solver-contract",
+                  lambda: f"{solution.cost(child.g)}")
 
     outside_vertex = (cmap.child_of(min(inst.ground - w_set))
                       if w_set != inst.ground else None)
@@ -218,9 +214,10 @@ def reduce_and_solve(inst: StronglyLaminarInstance, w_set: frozenset,
         walk = euler_walk(child.g, comp_edges, min(comp))
         _lift_component_walk(inst, child, cmap, walk, outside_vertex,
                              missed_of_vertex, lifted)
-    lifted_cost = lifted.cost(inst.g)
-    checker.check(lifted_cost <= solution_cost, "lifting-cost-monotone",
-                  lambda: f"{lifted_cost} > {solution_cost}")
+    checker.check(lifted.cost_num(inst.g) * child.g.cost_den
+                  <= solution.cost_num(child.g) * inst.g.cost_den,
+                  "lifting-cost-monotone",
+                  lambda: f"{lifted.cost(inst.g)} > {solution.cost(child.g)}")
     checker.balanced(inst.g, lifted, "lifted-eulerian")
     # the lifted solution plus the backbone visits everything except the
     # interiors of the missed sets, and crosses into every missed set
@@ -246,11 +243,11 @@ def reduce_and_solve(inst: StronglyLaminarInstance, w_set: frozenset,
     checker.check(support_comp is not None and w_set <= support_comp,
                   "window-tour-spans",
                   lambda: sorted(w_set - (support_comp or frozenset())))
-    bound = (2 * KAPPA + 2) * value_w + (KAPPA + eta_for(epsilon)) * (
-        value_w - d_w
-    )
-    checker.check(total.cost(inst.g) <= bound, "window-cost-bound",
-                  lambda: f"{total.cost(inst.g)} > {bound}")
+    # c(T) <= (2 kappa + 2) value(W) + (kappa + eta) (value(W) - D_W)
+    (c1, c2), d = common_denominator([2 * KAPPA + 2, KAPPA + eta_for(epsilon)])
+    val_num, d_num = inst.as_num(value_w), inst.as_num(d_w)
+    checker.check(inst.cost_num(total) * d <= c1 * val_num + c2 * (val_num - d_num),
+                  "window-cost-bound", lambda: f"{total.cost(inst.g)}")
     return total
 
 
@@ -275,7 +272,8 @@ def solve_atsp(g: Digraph, epsilon: Fraction,
     for eid, mult in tour_inst.items():
         tour.add(origin[eid], mult)
     cost = tour.cost(g)
-    checker.check(cost == tour_inst.cost(inst.g), "tour-cost-invariant",
+    checker.check(tour.cost_num(g) * inst.g.cost_den
+                  == tour_inst.cost_num(inst.g) * g.cost_den, "tour-cost-invariant",
                   lambda: f"{cost} != {tour_inst.cost(inst.g)}")
     ratio_cap = Fraction(22) + epsilon
     checker.check(cost <= ratio_cap * lp_value, "approximation-guarantee",
@@ -285,7 +283,7 @@ def solve_atsp(g: Digraph, epsilon: Fraction,
     checker.check(eulerian, "tour-eulerian")
     checker.check(comps == [frozenset(range(g.n))], "tour-spans")
     walk = euler_walk(g, tour, 0)
-    if lp_value == 0:
+    if not lp_value.numerator:
         checker.check(cost == 0, "zero-lp-zero-cost")
         ratio = Fraction(1)
     else:

@@ -32,6 +32,16 @@ def test_digraph_rejects_bad_edges():
         Digraph(2, [(0, 1, F(-1))])
 
 
+def test_edge_ids_outside_the_graph_are_refused():
+    g = c3()
+    for eid in (-1, -g.m, g.m):
+        with pytest.raises(InputError, match=f"unknown edge id {eid}"):
+            g.edge(eid)
+        with pytest.raises(InputError, match=f"unknown edge id {eid}"):
+            EdgeMultiset({eid: 1}).cost(g)
+    assert EdgeMultiset({g.m - 1: 2}).cost(g) == 2 * g.edges[-1].cost
+
+
 def test_eulerian_connected_on_triangle():
     g = c3()
     ok, comps = is_eulerian_connected(g, multiset([(0, 1), (1, 1), (2, 1)]))

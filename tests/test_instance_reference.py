@@ -18,9 +18,9 @@ from fractions import Fraction
 import pytest
 
 from atsp_approx.checks import Checker
-from atsp_approx.graph import Digraph, LaminarFamily, bfs_path, crossing_weight
+from atsp_approx.graph import Digraph, LaminarFamily, bfs_path
 from atsp_approx.harness import GENERATOR_MODELS, gen_instance
-from atsp_approx.instance import StronglyLaminarInstance
+from atsp_approx.instance import StronglyLaminarInstance, induced_graph
 from atsp_approx.lp import build_strongly_laminar_instance
 from atsp_approx.vertebrate import construct_backbone, contracted_pair
 from fixtures import c3, two_tri
@@ -168,7 +168,7 @@ def _random_laminar(count, seed=3):
         fam = LaminarFamily([(s, Fraction(rng.randint(1, 4), rng.randint(1, 3)))
                              for s in sorted(sets, key=sorted)], n)
         arcs = rng.sample(sorted(arcs), len(arcs))
-        g = Digraph(n, [(a, b, crossing_weight(fam.weights, a, b)) for a, b in arcs])
+        g = induced_graph(Digraph(n, [(a, b, 0) for a, b in arcs]), fam)
         yield f"random-laminar-{k}", StronglyLaminarInstance(g, fam, [Fraction(1)] * g.m)
 
 

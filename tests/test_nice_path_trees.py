@@ -18,6 +18,7 @@ from atsp_approx.graph import bfs_path
 from atsp_approx.harness import GENERATOR_MODELS, gen_instance
 from atsp_approx.instance import StronglyLaminarInstance
 from atsp_approx.lp import build_strongly_laminar_instance
+from test_determinism import nested_hub
 from test_instance import detour_instance
 from test_instance_reference import _fixtures, _generated, _random_laminar, _with_children
 
@@ -109,3 +110,27 @@ def test_validate_paths_and_dw_build_no_path(model, n, monkeypatch):
     assert searches == []
     assert len(inst._trees) <= sum(len(chain) + 1 for chain in inst._chains)
     assert inst._paths == {}
+
+
+@pytest.mark.parametrize("graph", [
+    lambda: gen_instance("cycle", 200, 0),
+    lambda: gen_instance("random-strong", 60, 0),
+    lambda: nested_hub((3, 2, 4), (2, 3, 2)),
+], ids=["cycle-200", "random-strong-60", "nested-hub"])
+def test_hull_depths_are_not_walked_per_pair(graph, monkeypatch):
+    # work counts, not times: the hull of a pair is looked up from its
+    # source's chain, so chain-prefix walks stay O(n + m), not O(n^2)
+    built = build_strongly_laminar_instance(graph())[0]
+    inst = StronglyLaminarInstance(built.g, built.family, built.x)
+    assert max(len(chain) for chain in inst._chains) >= 1
+    walks = []
+
+    def counting(a, b):
+        walks.append((a, b))
+        return common_prefix(a, b)
+
+    common_prefix = instance_module._common_prefix
+    monkeypatch.setattr(instance_module, "_common_prefix", counting)
+    inst.validate_paths(Checker())
+    inst.value_and_dw(inst.ground, Checker())
+    assert len(walks) <= inst.g.n + inst.g.m

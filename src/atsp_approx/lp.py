@@ -1,11 +1,22 @@
 """The subtour-elimination LP, its dual, and the strongly laminar reduction.
 
-Everything is exact: the LP is solved by rational simplex over a working set
-of cut constraints grown by a min-cut separation oracle, the dual support is
-uncrossed to a laminar family, and the laminar family is then repaired so
-every support set induces a strongly connected subgraph.  The result is a
-:class:`StronglyLaminarInstance` whose induced costs agree with the original
-costs up to the vertex potentials, so tours keep their cost.
+Everything is exact: the LP is solved by an integer dual simplex over a
+working set of cut constraints grown by a min-cut separation oracle, the
+dual support is uncrossed to a laminar family, and the laminar family is
+then repaired so every support set induces a strongly connected subgraph.
+The result is a :class:`StronglyLaminarInstance` whose induced costs agree
+with the original costs up to the vertex potentials, so tours keep their
+cost.
+
+The circulation constraint at v is the `>=` row  in(v) - out(v) >= 0.
+These rows sum to 0 identically, so `>= 0` at every vertex forces `= 0` at
+every vertex and the feasible set is that of the equality rows.  Their
+duals a_v must now be nonnegative instead of free, which loses no optimal
+dual: the rows sum to zero and have right-hand side 0, so adding one
+constant to every a_v keeps a dual feasible at the same objective.  With
+every row a `>=` row and every cost nonnegative (`Digraph` refuses negative
+costs), `simplex.solve_lp` starts from the all-surplus basis, which is dual
+feasible.
 """
 
 from __future__ import annotations
@@ -133,8 +144,9 @@ def solve_atsp_lp(g: Digraph, checker: Optional[Checker] = None) -> tuple[Primal
     The returned dual has y supported on cuts generated during solving; its
     support need not be laminar yet (see :func:`uncross_dual`).  Strong
     duality is asserted as an exact rational identity.  Round 0 is a cold
-    two-phase solve; every later round hands the previous result back to
-    `simplex.solve_lp`, which appends the new cuts to its optimal tableau.
+    dual simplex solve from the all-surplus basis; every later round hands
+    the previous result back to `simplex.solve_lp`, which appends the new
+    cuts to its optimal tableau.
     """
     checker = checker or Checker()
     if g.n < 2:
@@ -142,7 +154,7 @@ def solve_atsp_lp(g: Digraph, checker: Optional[Checker] = None) -> tuple[Primal
     if not g.is_strongly_connected():
         raise InfeasibleInstanceError("graph is not strongly connected")
     # n degree rows and n singleton cuts, over m variables
-    simplex.check_tableau_budget(2 * g.n, g.m, g.n)
+    simplex.check_tableau_budget(2 * g.n, g.m)
     cuts: list[frozenset] = [frozenset({v}) for v in range(g.n)]
     cut_set = set(cuts)
     objective = [e.cost for e in g.edges]
@@ -154,7 +166,7 @@ def solve_atsp_lp(g: Digraph, checker: Optional[Checker] = None) -> tuple[Primal
         for eid in g.out_edges[v]:
             row[eid] = row.get(eid, 0) - 1
         rows.append(row)
-    senses = ["=="] * g.n
+    senses = [">="] * g.n
     rhs = [0] * g.n
     new_cuts = cuts
     res: Optional[simplex.LpResult] = None

@@ -91,7 +91,7 @@ def _full_enumeration_value(g: Digraph) -> Fraction:
         for eid in g.out_edges[v]:
             row[eid] = row.get(eid, F(0)) - 1
         rows.append(row)
-        senses.append("==")
+        senses.append(">=")  # in(v) - out(v) >= 0 at every v forces equality
         rhs.append(F(0))
     for mask in range(1, (1 << g.n) - 1):
         u = frozenset(v for v in range(g.n) if (mask >> v) & 1)

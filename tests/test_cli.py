@@ -180,15 +180,15 @@ def test_no_check_all_flag(tmp_path, capsys):
 
 
 def test_solve_refuses_tableau_over_budget(tmp_path, capsys):
-    # the first LP of a directed n-cycle has 2n rows and 4n columns; 1582 is
-    # the least n for which those 8 n^2 cells exceed the simplex's budget
-    n = 1582
-    assert 8 * (n - 1) ** 2 <= MAX_TABLEAU_CELLS < 8 * n ** 2
+    # the first LP of a directed n-cycle has 2n rows and 3n columns; 1826 is
+    # the least n for which those 6 n^2 cells exceed the simplex's budget
+    n = 1826
+    assert 6 * (n - 1) ** 2 <= MAX_TABLEAU_CELLS < 6 * n ** 2
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps({"n": n, "edges": [[i, (i + 1) % n, "1"]
                                                   for i in range(n)]}))
     code, out, err = run_cli(capsys, ["solve", str(path)])
     assert code == 1
     assert out == ""
-    assert err == (f"error: LP tableau of {2 * n} rows x {4 * n} columns exceeds "
+    assert err == (f"error: LP tableau of {2 * n} rows x {3 * n} columns exceeds "
                    f"the budget of {MAX_TABLEAU_CELLS} cells\n")

@@ -36,7 +36,7 @@ def full_enumeration_lp_value(g: Digraph) -> Fraction:
         for eid in g.out_edges[v]:
             row[eid] = row.get(eid, F(0)) - 1
         rows.append(row)
-        senses.append("==")
+        senses.append(">=")  # in(v) - out(v) >= 0 at every v forces equality
         rhs.append(F(0))
     for mask in range(1, (1 << g.n) - 1):
         u = frozenset(v for v in range(g.n) if (mask >> v) & 1)
@@ -89,22 +89,23 @@ def test_lp_rejects_weakly_connected():
 
 def test_lp_over_budget_is_refused_before_any_row_is_built(monkeypatch):
     # the first LP of a directed n-cycle has n degree rows and n singleton
-    # cuts over n + n + 2n columns: at 8 n^2 cells it is solved, one cell
-    # less is refused before a cut row is built or the simplex is called
+    # cuts over n + 2n columns (one surplus per row): at 6 n^2 cells it is
+    # solved, one cell less is refused before a cut row is built or the
+    # simplex is called
     n = 10
     g = Digraph(n, [(i, (i + 1) % n, F(1)) for i in range(n)])
-    monkeypatch.setattr(simplex, "MAX_TABLEAU_CELLS", 8 * n * n)
+    monkeypatch.setattr(simplex, "MAX_TABLEAU_CELLS", 6 * n * n)
     assert solve_atsp_lp(g)[0].objective == n
 
     def not_called(*args):
         raise AssertionError("an LP over the budget reached row building")
 
-    monkeypatch.setattr(simplex, "MAX_TABLEAU_CELLS", 8 * n * n - 1)
+    monkeypatch.setattr(simplex, "MAX_TABLEAU_CELLS", 6 * n * n - 1)
     monkeypatch.setattr(Digraph, "delta_plus", not_called)
     monkeypatch.setattr(Digraph, "delta_minus", not_called)
     monkeypatch.setattr(simplex, "solve_lp", not_called)
-    with pytest.raises(BudgetError, match=f"^LP tableau of {2 * n} rows x {4 * n} "
-                       f"columns exceeds the budget of {8 * n * n - 1} cells$"):
+    with pytest.raises(BudgetError, match=f"^LP tableau of {2 * n} rows x {3 * n} "
+                       f"columns exceeds the budget of {6 * n * n - 1} cells$"):
         solve_atsp_lp(g)
 
 
@@ -367,24 +368,42 @@ def test_cutting_plane_matches_full_enumeration_small_random():
         assert dual.objective == primal.objective
 
 
-def test_only_the_first_cutting_round_runs_phase_one(monkeypatch):
-    # later rounds hand the previous result back and re-optimise its tableau
-    # by dual simplex, so each subtour LP runs phase 1 once, in its first
-    # round, however many rounds it takes; the final duals still pass the
-    # exact checks
+def _count_simplex_work(monkeypatch):
+    """Patch the simplex so that each `solve_lp` call logs "c" (cold) or "w"
+    (warm), each `_dual` run "d", and each pivot "p"; a pivot outside
+    `_dual` fails the test."""
     events = []
-    phase_one, solve_lp = simplex._phase_one, simplex.solve_lp
-
-    def counted_phase_one(tab):
-        events.append("p")
-        return phase_one(tab)
+    inside = [False]
+    solve_lp, dual, pivot_on = simplex.solve_lp, simplex._dual, simplex._Tableau.pivot_on
 
     def counted_solve_lp(*args, warm=None):
         events.append("c" if warm is None else "w")
         return solve_lp(*args, warm=warm)
 
-    monkeypatch.setattr(simplex, "_phase_one", counted_phase_one)
+    def counted_dual(tab):
+        events.append("d")
+        inside[0] = True
+        try:
+            return dual(tab)
+        finally:
+            inside[0] = False
+
+    def counted_pivot_on(tab, r, col):
+        assert inside[0], "a pivot outside the dual simplex"
+        events.append("p")
+        return pivot_on(tab, r, col)
+
     monkeypatch.setattr(simplex, "solve_lp", counted_solve_lp)
+    monkeypatch.setattr(simplex, "_dual", counted_dual)
+    monkeypatch.setattr(simplex._Tableau, "pivot_on", counted_pivot_on)
+    return events
+
+
+def test_every_cutting_round_runs_the_dual_simplex_once(monkeypatch):
+    # round 0 is a cold solve from the all-surplus basis and every later
+    # round re-optimises the previous tableau, each by one dual simplex run
+    # and no other pivot; the final duals still pass the exact checks
+    events = _count_simplex_work(monkeypatch)
     lps = 0
     for n in range(10, 15):
         for seed in range(3):
@@ -393,6 +412,57 @@ def test_only_the_first_cutting_round_runs_phase_one(monkeypatch):
             lps += 1
             assert checker.counters["strong-duality"] == 1
             assert checker.counters["dual-feasible"] == 1
-    trace = "".join(events)
-    assert re.fullmatch("(cpw*)+", trace), trace
-    assert trace.count("c") == lps and "cpwww" in trace  # one LP takes 4 rounds
+    trace = "".join(e for e in events if e != "p")
+    assert re.fullmatch("(cd(wd)*)+", trace), trace
+    assert trace.count("c") == lps and "cdwdwdwd" in trace  # one LP takes 4 rounds
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_cycle_lp_takes_one_round_and_n_pivots(n, monkeypatch):
+    # every arc of a directed n-cycle is forced to 1: one dual simplex run
+    # brings each arc into the basis once, and x violates no cut
+    events = _count_simplex_work(monkeypatch)
+    g = Digraph(n, [(i, (i + 1) % n, F(1)) for i in range(n)])
+    primal, dual = solve_atsp_lp(g)
+    assert primal.objective == dual.objective == n
+    assert "".join(events) == "cd" + "p" * n
+
+
+def _dense(n: int, seed: int) -> Digraph:
+    """The complete digraph on n vertices with costs 1-100."""
+    rng = random.Random(f"dense/{n}/{seed}")
+    return Digraph(n, [(i, j, F(rng.randint(1, 100)))
+                       for i in range(n) for j in range(n) if i != j])
+
+
+@pytest.mark.parametrize("model,n", [("random-strong", 20), ("random-strong", 40),
+                                     ("random-strong", 60), ("dense", 20), ("dense", 40)])
+def test_subtour_lp_value_matches_highs(model, n, monkeypatch):
+    # HiGHS optimises over the final round's cut set: its optimum equals the
+    # exact LP value, and that x violates no cut at all, so the value is the
+    # optimum of the full subtour LP
+    scipy = pytest.importorskip("scipy.optimize")
+    g = _dense(n, 0) if model == "dense" else gen_instance(model, n, 0)
+    rounds = []
+    solve_lp = simplex.solve_lp
+
+    def recorded(objective, rows, senses, rhs, warm=None):
+        rounds.append((list(rows), list(rhs)))
+        return solve_lp(objective, rows, senses, rhs, warm=warm)
+
+    monkeypatch.setattr(simplex, "solve_lp", recorded)
+    primal, _ = solve_atsp_lp(g)
+    assert separate_subtour(g, primal.x) is None
+    rows, rhs = rounds[-1]
+    circulation, cuts = rows[:g.n], rows[g.n:]
+
+    def dense(rows):
+        return [[float(row.get(j, 0)) for j in range(g.m)] for row in rows]
+
+    ref = scipy.linprog([float(e.cost) for e in g.edges],
+                        A_ub=[[-v for v in row] for row in dense(cuts)],
+                        b_ub=[-float(b) for b in rhs[g.n:]],
+                        A_eq=dense(circulation), b_eq=[0.0] * g.n,
+                        bounds=[(0, None)] * g.m, method="highs")
+    assert ref.status == 0
+    assert abs(ref.fun - float(primal.objective)) <= 1e-9 * float(primal.objective)

@@ -8,18 +8,18 @@ import pytest
 
 from atsp_approx import simplex
 from atsp_approx.errors import BudgetError, ContractViolation
-from atsp_approx.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from atsp_approx.simplex import INFEASIBLE, OPTIMAL, solve_lp
 
 F = Fraction
 
 
 def test_simple_min():
-    # min x0 + x1 s.t. x0 + x1 >= 2, x0 - x1 == 0
+    # min x0 + x1 s.t. x0 + x1 >= 2, x0 - x1 >= 0, x1 - x0 >= 0
     res = solve_lp(
         [F(1), F(1)],
-        [{0: F(1), 1: F(1)}, {0: F(1), 1: F(-1)}],
-        [">=", "=="],
-        [F(2), F(0)],
+        [{0: F(1), 1: F(1)}, {0: F(1), 1: F(-1)}, {0: F(-1), 1: F(1)}],
+        [">="] * 3,
+        [F(2), F(0), F(0)],
     )
     assert res.status == OPTIMAL
     assert res.objective == 2
@@ -28,22 +28,34 @@ def test_simple_min():
 
 
 def test_infeasible():
-    res = solve_lp([F(1)], [{0: F(1)}, {0: F(1)}], ["<=", ">="], [F(1), F(2)])
+    # x0 >= 1 and -x0 >= 0: the row of -x0 >= 0 stays negative with no
+    # negative entry to pivot on
+    res = solve_lp([F(1)], [{0: F(1)}, {0: F(-1)}], [">=", ">="], [F(1), F(0)])
     assert res.status == INFEASIBLE
+    assert (res.x, res.objective, res.duals) == ([], 0, [])
 
 
-def test_unbounded():
-    res = solve_lp([F(-1)], [{0: F(1)}], [">="], [F(0)])
-    assert res.status == UNBOUNDED
+def test_solve_lp_refuses_other_senses_and_negative_costs():
+    # the all-surplus basis is dual feasible only for '>=' rows and c >= 0
+    rows, rhs = [{0: F(1)}], [F(1)]
+    for sense in ("<=", "=="):
+        with pytest.raises(ContractViolation, match=f"'>=' rows only, not '{sense}'"):
+            solve_lp([F(1)], rows, [sense], rhs)
+    with pytest.raises(ContractViolation, match="nonnegative costs"):
+        solve_lp([F(-1)], rows, [">="], rhs)
+    with pytest.raises(ContractViolation, match="nonnegative costs"):
+        solve_lp([F(1), -0.5], rows, [">="], rhs)
 
 
 def test_equality_redundant_rows():
-    # duplicated equality rows should not break phase 1
+    # an equality x0 + x1 == 2 as a pair of '>=' rows, stated twice: the
+    # redundant rows should not break the dual simplex
+    pair = [{0: F(1), 1: F(1)}, {0: F(-1), 1: F(-1)}]
     res = solve_lp(
         [F(1), F(2)],
-        [{0: F(1), 1: F(1)}, {0: F(1), 1: F(1)}, {0: F(1)}],
-        ["==", "==", ">="],
-        [F(2), F(2), F(1)],
+        pair + pair + [{0: F(1)}],
+        [">="] * 5,
+        [F(2), F(-2), F(2), F(-2), F(1)],
     )
     assert res.status == OPTIMAL
     assert res.x[0] + res.x[1] == 2
@@ -56,20 +68,11 @@ def _check_kkt(c, rows, senses, rhs, res):
     x = res.x
     for j in range(nvars):
         assert x[j] >= 0
-    for row, sense, b in zip(rows, senses, rhs):
-        lhs = sum(x[j] * a for j, a in row.items())
-        if sense == "<=":
-            assert lhs <= b
-        elif sense == ">=":
-            assert lhs >= b
-        else:
-            assert lhs == b
+    assert set(senses) <= {">="}
+    for row, b in zip(rows, rhs):
+        assert sum(x[j] * a for j, a in row.items()) >= b
     y = res.duals
-    for i, sense in enumerate(senses):
-        if sense == ">=":
-            assert y[i] >= 0
-        elif sense == "<=":
-            assert y[i] <= 0
+    assert all(v >= 0 for v in y)
     # dual feasibility: every reduced cost c_j - sum_i y_i A_ij is >= 0
     for j in range(nvars):
         assert c[j] - sum(y[i] * rows[i].get(j, F(0)) for i in range(len(rows))) >= 0
@@ -78,11 +81,12 @@ def _check_kkt(c, rows, senses, rhs, res):
 
 
 def _random_lp(rng, max_vars, max_rows, density, zero_rhs=0.0, max_den=1):
-    """Random LP (c, rows, senses, rhs); each row keeps a variable with
-    probability density, and a zero_rhs share of right-hand sides is 0.
-    Most variables also get an upper bound, as a row x_j <= u_j after the
-    others.  With max_den > 1 every coefficient, cost, right-hand side and
-    upper bound is p/q with q drawn from 1..max_den."""
+    """Random LP (c, rows, senses, rhs) of '>=' rows with costs c >= 0, a
+    seventh of them 0; each row keeps a variable with probability density,
+    and a zero_rhs share of right-hand sides is 0.  Most variables also get
+    an upper bound, as a row -x_j >= -u_j after the others.  With
+    max_den > 1 every coefficient, cost, right-hand side and upper bound is
+    p/q with q drawn from 1..max_den."""
 
     def num(lo, hi):
         p = rng.randint(lo, hi)
@@ -90,7 +94,7 @@ def _random_lp(rng, max_vars, max_rows, density, zero_rhs=0.0, max_den=1):
 
     nvars = rng.randint(1, max_vars)
     nrows = rng.randint(1, max_rows)
-    c = [num(-4, 6) for _ in range(nvars)]
+    c = [num(0, 6) for _ in range(nvars)]
     rows = []
     senses = []
     rhs = []
@@ -99,14 +103,14 @@ def _random_lp(rng, max_vars, max_rows, density, zero_rhs=0.0, max_den=1):
         if not row:
             row = {rng.randrange(nvars): F(1)}
         rows.append(row)
-        senses.append(rng.choice(["<=", ">=", "=="]))
+        senses.append(">=")
         rhs.append(F(0) if zero_rhs and rng.random() < zero_rhs else num(-4, 8))
     upper = [num(1, 6) if rng.random() < 0.7 else None for _ in range(nvars)]
     for j, u in enumerate(upper):
         if u is not None:
-            rows.append({j: F(1)})
-            senses.append("<=")
-            rhs.append(u)
+            rows.append({j: F(-1)})
+            senses.append(">=")
+            rhs.append(-u)
     return c, rows, senses, rhs
 
 
@@ -134,10 +138,8 @@ def _check_random_lps_against_scipy():
             assert ref.status == 0, f"{where}: scipy disagrees on feasibility"
             assert abs(float(res.objective) - ref.fun) < 1e-7, where
             _check_kkt(c, rows, senses, rhs, res)
-        elif res.status == INFEASIBLE:
-            assert ref.status == 2, where
         else:
-            assert ref.status == 3, where
+            assert res.status == INFEASIBLE and ref.status == 2, where
 
 
 def test_random_lps_against_scipy():
@@ -145,31 +147,18 @@ def test_random_lps_against_scipy():
 
 
 def test_random_lps_against_scipy_under_blands_rule(monkeypatch):
-    # a streak limit of -1 makes every pivot of both phases use Bland's rule
+    # a streak limit of -1 makes every pivot use Bland's rule
     monkeypatch.setattr(simplex, "_DEGENERATE_STREAK_LIMIT", -1)
     _check_random_lps_against_scipy()
 
 
 def _scipy_reference(scipy, c, rows, senses, rhs):
+    assert set(senses) <= {">="}
     nvars = len(c)
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for row, sense, b in zip(rows, senses, rhs):
-        dense = [float(row.get(j, 0)) for j in range(nvars)]
-        if sense == "<=":
-            a_ub.append(dense)
-            b_ub.append(float(b))
-        elif sense == ">=":
-            a_ub.append([-v for v in dense])
-            b_ub.append(-float(b))
-        else:
-            a_eq.append(dense)
-            b_eq.append(float(b))
     return scipy.linprog(
         [float(v) for v in c],
-        A_ub=a_ub or None,
-        b_ub=b_ub or None,
-        A_eq=a_eq or None,
-        b_eq=b_eq or None,
+        A_ub=[[-float(row.get(j, 0)) for j in range(nvars)] for row in rows],
+        b_ub=[-float(b) for b in rhs],
         bounds=[(0, None)] * nvars,
         method="highs",
     )
@@ -186,52 +175,54 @@ def test_solve_lp_leaves_inputs_unchanged():
 
 
 def test_duals_recover_equality_multipliers():
-    # min 2x + 3y s.t. x + y == 4, x - y >= 0; optimum x=4, y=0
+    # min 2x + 3y s.t. x + y == 4 (as x + y >= 4 and -x - y >= -4),
+    # x - y >= 0; optimum x=4, y=0, and the equality's multiplier is the
+    # difference of its two rows' duals
     res = solve_lp(
         [F(2), F(3)],
-        [{0: F(1), 1: F(1)}, {0: F(1), 1: F(-1)}],
-        ["==", ">="],
-        [F(4), F(0)],
+        [{0: F(1), 1: F(1)}, {0: F(-1), 1: F(-1)}, {0: F(1), 1: F(-1)}],
+        [">="] * 3,
+        [F(4), F(-4), F(0)],
     )
     assert res.status == OPTIMAL
     assert res.objective == 8
     assert res.x == [F(4), F(0)]
-    y_eq, y_ge = res.duals
+    y_up, y_down, y_ge = res.duals
+    y_eq = y_up - y_down
     assert y_ge == 0  # slack constraint, complementary slackness
     assert F(2) - (y_eq + y_ge) == 0  # stationarity on the basic variable
     assert F(3) - (y_eq - y_ge) >= 0  # dual feasibility on the nonbasic one
 
 
 def test_pivots_on_non_unit_entries():
-    # max x + y s.t. 2x + y <= 4, x/2 + 3y/2 <= 3: phase 1 pivots on the
-    # entry 2 of the first row, which rescales the second row (stored over
-    # denominator 2), and then on that row's entry 5/4
+    # min x + y s.t. 2x + y >= 4, x/2 + 3y/2 >= 3: the dual simplex pivots
+    # on the entry -2 of the first row, which rescales the second row
+    # (stored over denominator 2), and then on that row's entry -5/4
     res = solve_lp(
-        [F(-1), F(-1)],
+        [F(1), F(1)],
         [{0: F(2), 1: F(1)}, {0: F(1, 2), 1: F(3, 2)}],
-        ["<=", "<="],
+        [">=", ">="],
         [F(4), F(3)],
     )
     assert res.status == OPTIMAL
     assert res.x == [F(6, 5), F(8, 5)]
-    assert res.objective == F(-14, 5)
-    assert res.duals == [F(-2, 5), F(-2, 5)]
+    assert res.objective == F(14, 5)
+    assert res.duals == [F(2, 5), F(2, 5)]
 
 
 def test_tableau_cell_budget(monkeypatch):
-    # R rows over V variables, k of the rows inequalities, make a tableau of
-    # R * (V + k + R) cells: at the budget it is solved, one column more is
+    # R rows over V variables, one surplus per row, make a tableau of
+    # R * (V + R) cells: at the budget it is solved, one column more is
     # refused before any row is built
-    monkeypatch.setattr(simplex, "MAX_TABLEAU_CELLS", 12)
+    monkeypatch.setattr(simplex, "MAX_TABLEAU_CELLS", 10)
     objective = [F(1), F(1), F(1)]
     rows = [{0: F(1), 1: F(1)}, {0: F(1), 2: F(-1)}]
-    res = solve_lp(objective, rows, [">=", "=="], [F(2), F(0)])  # 2 x 6
+    res = solve_lp(objective, rows, [">=", ">="], [F(2), F(0)])  # 2 x 5
     assert res.status == OPTIMAL and res.objective == 2
-    with pytest.raises(BudgetError, match="2 rows x 7 columns"):
-        solve_lp(objective, rows, [">=", "<="], [F(2), F(0)])
-    with pytest.raises(BudgetError, match="2 rows x 7 columns"):
-        solve_lp(objective + [F(1)], rows, [">=", "=="], [F(2), F(0)])
-    # rows are not read before the check: these would raise ContractViolation
+    with pytest.raises(BudgetError, match="2 rows x 6 columns"):
+        solve_lp(objective + [F(1)], rows, [">=", ">="], [F(2), F(0)])
+    # neither rows nor senses are read before the check: these would raise
+    # ContractViolation
     bad_rows = [{9: F(1)}] * 3
     with pytest.raises(BudgetError, match="3 rows x 6 columns"):
         solve_lp(objective, bad_rows, ["=="] * 3, [F(0)] * 3)
@@ -256,14 +247,12 @@ def warm_started_lps(rounds=3):
     """Each optimal random LP, warm-started through up to `rounds` appends
     of random '>=' rows: yields (where, c, rows, senses, rhs, warm result)
     per append, until an append makes the LP infeasible.  Every other LP
-    repeats its first equality row negated, so that a redundant row keeps
-    a basic artificial through the appends."""
+    repeats its first row, so that a redundant row stays in the tableau
+    through the appends."""
     rng = random.Random(13)
     for trial, (where, c, rows, senses, rhs) in enumerate(random_lps()):
-        if trial % 2 and "==" in senses:
-            i = senses.index("==")
-            rows = rows + [{j: -a for j, a in rows[i].items()}]
-            senses, rhs = senses + ["=="], rhs + [-rhs[i]]
+        if trial % 2:
+            rows, senses, rhs = rows + rows[:1], senses + senses[:1], rhs + rhs[:1]
         res = solve_lp(c, rows, senses, rhs)
         for k in range(rounds):
             if res.status != OPTIMAL:
@@ -275,14 +264,14 @@ def warm_started_lps(rounds=3):
 
 def _check_canonical(tab):
     """Each basic column reads 1 in its row and 0 in every other row and in
-    the z-row, and only the artificials follow the other columns."""
+    the z-row, and every row has its surplus column after the variables."""
     assert len(tab.basis) == len(set(tab.basis)) == len(tab.rows)
     for r, col in enumerate(tab.basis):
         assert tab.rows[r][col] == tab.dens[r] > 0
         assert not any(row[col] for i, row in enumerate(tab.rows) if i != r)
         assert tab.zrow[col] == 0
-    assert tab.ncols - tab.art0 == len(tab.art_sign)
-    assert all(tab.art0 > col >= tab.nvars for col in tab.surplus)
+    assert tab.ncols == tab.nvars + len(tab.rows)
+    assert all(len(row) == tab.ncols + 1 for row in tab.rows)
 
 
 @pytest.mark.parametrize("bland", [False, True], ids=["dantzig", "bland"])
@@ -322,15 +311,13 @@ def test_warm_start_contract():
         solve_lp(c + [F(1)], rows, senses, rhs, warm=res)
     with pytest.raises(ContractViolation, match="same variables and objective"):
         solve_lp([F(1), F(2)], rows, senses, rhs, warm=res)
-    # a prefix of the right length is still another LP when a row, sense or
+    # a prefix of the right length is still another LP when a row or
     # right-hand side differs: -x0 - x1 >= 2 with x0 >= 3 is infeasible, and
     # counting the prefix rows alone answered it as optimal at (3, 0)
-    for prefix, prefix_senses, prefix_rhs in (([{0: F(-1), 1: F(-1)}], senses, rhs),
-                                              (rows, ["<="], rhs),
-                                              (rows, senses, [F(5)])):
+    for prefix, prefix_rhs in (([{0: F(-1), 1: F(-1)}], rhs), (rows, [F(5)])):
         with pytest.raises(ContractViolation, match="unchanged"):
-            solve_lp(c, prefix + [{0: F(1)}], prefix_senses + [">="],
-                     prefix_rhs + [F(3)], warm=res)
+            solve_lp(c, prefix + [{0: F(1)}], senses + [">="], prefix_rhs + [F(3)],
+                     warm=res)
     # the appended row x0 >= 3 moves the optimum to (3, 0); equal values of
     # another type are the same LP
     warm = solve_lp(c, [{0: 1, 1: 1}, {0: F(1)}], senses + [">="], [2, F(3)], warm=res)
@@ -348,3 +335,18 @@ def test_warm_start_contract():
     assert warm.duals == [0, 1]  # read before its tableau was taken
     with pytest.raises(ContractViolation, match="no other warm start"):
         solve_lp(c, rows, senses, rhs, warm=infeasible)
+
+
+def test_repr_of_a_result_whose_tableau_a_warm_start_took():
+    # repr shows duals once read, and says so when a warm start took the
+    # tableau first, instead of raising as the duals property does
+    c, rows, senses, rhs = [F(1)], [{0: F(1)}], [">="], [F(1)]
+    first = solve_lp(c, rows, senses, rhs)
+    solve_lp(c, rows + [{0: F(1)}], senses + [">="], rhs + [F(2)], warm=first)
+    assert repr(first) == ("LpResult(status='optimal', x=[Fraction(1, 1)], "
+                           "objective=Fraction(1, 1), duals=<taken by a warm start>)")
+    read = solve_lp(c, rows, senses, rhs)
+    assert read.duals == [1]
+    solve_lp(c, rows + [{0: F(1)}], senses + [">="], rhs + [F(2)], warm=read)
+    assert repr(read) == ("LpResult(status='optimal', x=[Fraction(1, 1)], "
+                          "objective=Fraction(1, 1), duals=[Fraction(1, 1)])")

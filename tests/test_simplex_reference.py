@@ -1,15 +1,21 @@
-"""Differential test of the exact simplex against the version it replaced.
+"""Differential tests of the exact dual simplex against two references.
 
-The reference below keeps the basic values as a list of `Fraction`s beside
-the integer tableau, runs its ratio test on `Fraction` ratios and prices in
-a Python loop over every column, skipping basic and banned ones.  The
-simplex under test keeps the right-hand side as one more integer entry of
-each row, compares ratios by cross-multiplying ints, and prices with C-level
-`min`/`index` and `compress`.  Neither change may alter a pivot, so on every
-LP solved cold both must return the same status, x, objective and duals,
-down to the types of their entries.  A cutting round warm-started from the
-previous round's tableau is compared by status, objective and an exact
-optimality certificate."""
+The first reference is a dual simplex over a dense tableau of `Fraction`s,
+with the same pivoting rules as `simplex._dual`: the row with the most
+negative right-hand side leaves (the first such row on a tie), the least
+ratio of reduced cost to minus the entry enters (the smaller column on a
+tie), and after more than `_DEGENERATE_STREAK_LIMIT` degenerate pivots in a
+row the negative row with the smallest basic column leaves.  It appends
+rows with their surplus basic exactly as a warm start does, so every solve,
+cold or warm-started, must return the same status, x, objective and duals
+as the reference, down to the types of their entries: the integer rows,
+their denominators and the in-place updates may not alter a pivot.
+
+The second is the two-phase primal simplex with `Fraction` basic values
+that solved the first cutting round before the dual simplex did.  It
+takes another pivot path, so it serves as an independent oracle for the
+status and the objective of every LP.
+"""
 
 from __future__ import annotations
 
@@ -25,12 +31,14 @@ from atsp_approx import simplex
 from atsp_approx.errors import ContractViolation, InternalCheckError
 from atsp_approx.harness import GENERATOR_MODELS, gen_instance, run_pipeline
 from atsp_approx.lp import solve_atsp_lp
-from atsp_approx.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
+from atsp_approx.simplex import INFEASIBLE, OPTIMAL, LpResult
 from test_determinism import REDUCTION_CASES
-from test_simplex import _check_kkt, random_lps
+import test_simplex
+from test_simplex import random_lps, warm_started_lps
 
 F = Fraction
 ZERO = F(0)
+UNBOUNDED = "unbounded"  # a status of the two-phase reference only
 
 
 def _ref_nonzeros(row: list[int]) -> list[int]:
@@ -70,10 +78,80 @@ def _ref_eliminate(num: list[int], den: int, col: int, prow: list[int], pden: in
     return num, den
 
 
+class RefDualSimplex:
+    """A dual simplex over a dense `Fraction` tableau for one objective
+    c >= 0 and a growing list of '>=' rows: row i reads
+    s_i - A_i.x = -b_i in terms of the current basis, the surplus s_i is
+    column nvars + i, and the right-hand side is the last entry.  It reads
+    the streak limit from the module, so that a patched limit switches both
+    to Bland's rule."""
+
+    def __init__(self, objective) -> None:
+        self.nvars = len(objective)
+        self.zrow = [Fraction(c) for c in objective] + [ZERO]
+        self.rows: list[list[Fraction]] = []
+        self.basis: list[int] = []
+
+    def solve(self, rows, rhs) -> LpResult:
+        """Append the rows after those already held, then re-optimise."""
+        first = len(self.rows)
+        k = len(rows) - first
+        for row in [self.zrow, *self.rows]:
+            row[-1:-1] = [ZERO] * k
+        for t in range(k):
+            i = first + t
+            new = [ZERO] * (self.nvars + len(rows) + 1)
+            for j, a in rows[i].items():
+                new[j] = -Fraction(a)
+            new[self.nvars + i] = F(1)
+            new[-1] = -Fraction(rhs[i])
+            for r, col in enumerate(self.basis):
+                f = new[col]
+                if f:
+                    new = [v - f * p for v, p in zip(new, self.rows[r])]
+            self.rows.append(new)
+            self.basis.append(self.nvars + i)
+        if not self._optimise():
+            return LpResult(INFEASIBLE, [], ZERO, [])
+        x = [ZERO] * self.nvars
+        for row, col in zip(self.rows, self.basis):
+            if col < self.nvars:
+                x[col] = row[-1]
+        return LpResult(OPTIMAL, x, -self.zrow[-1], self.zrow[self.nvars:-1])
+
+    def _optimise(self) -> bool:
+        rows, basis, zrow = self.rows, self.basis, self.zrow
+        streak = 0
+        while True:
+            bland = streak > simplex._DEGENERATE_STREAK_LIMIT
+            negative = [i for i, row in enumerate(rows) if row[-1] < 0]
+            if not negative:
+                return True
+            if bland:
+                leave = min(negative, key=lambda i: basis[i])
+            else:
+                leave = min(negative, key=lambda i: (rows[i][-1], i))
+            prow = rows[leave]
+            ratios = [(zrow[j] / -a, j) for j, a in enumerate(prow[:-1]) if a < 0]
+            if not ratios:
+                return False
+            ratio, enter = min(ratios)
+            streak = 0 if ratio else streak + 1
+            pivot = prow[enter]
+            prow = rows[leave] = [v / pivot for v in prow]
+            basis[leave] = enter
+            for i, row in enumerate(rows):
+                if i != leave and row[enter]:
+                    f = row[enter]
+                    rows[i] = [v - f * p for v, p in zip(row, prow)]
+            f = zrow[enter]
+            self.zrow = zrow = [v - f * p for v, p in zip(zrow, prow)]
+
+
 def ref_solve_lp(objective, rows, senses, rhs) -> LpResult:
-    """The simplex with `Fraction` basic values, as it was before the
-    right-hand side joined the integer tableau.  It reads the streak limit
-    from the module, so that a patched limit switches both to Bland's rule."""
+    """The two-phase primal simplex with `Fraction` basic values that once
+    solved every cold LP: Dantzig's rule in both phases, or Bland's rule
+    after a run of degenerate pivots, read from the module's streak limit."""
     nvars = len(objective)
     nrows = len(rows)
     b = [Fraction(v) for v in rhs]
@@ -218,57 +296,75 @@ def ref_solve_lp(objective, rows, senses, rhs) -> LpResult:
     return LpResult(OPTIMAL, solution, obj, duals)
 
 
-def assert_same_as_reference(objective, rows, senses, rhs, res=None) -> LpResult:
-    """repr compares the values and their types, so an int where the
-    reference has a `Fraction` fails too."""
-    if res is None:
-        res = simplex.solve_lp(objective, rows, senses, rhs)
-    assert repr(res) == repr(ref_solve_lp(objective, rows, senses, rhs))
-    return res
-
-
 @pytest.fixture
 def compared(monkeypatch):
-    """Patch `simplex.solve_lp` so that every call also runs the reference on
-    the same input, before the caller can extend its lists.  A cold solve
-    must return the same result; a warm-started one takes another pivot
-    path, so it must reach the same status and objective, with duals that
-    certify optimality exactly.  Collects the statuses."""
+    """Patch `simplex.solve_lp`, and the name `test_simplex` imported it
+    under, so that every call also runs both references on the same input,
+    before the caller can extend its lists.  A cold call starts a new
+    `RefDualSimplex`; a warm-started one continues the reference of the
+    result it starts from, so both solve the same LP along the same pivot
+    path and must return the same result.  The two-phase reference must
+    reach the same status and objective.  Collects the statuses."""
     statuses = []
+    refs: dict[int, tuple[LpResult, RefDualSimplex]] = {}  # by id of a live result
     solve = simplex.solve_lp
 
     def solve_both(objective, rows, senses, rhs, warm=None):
         res = solve(objective, rows, senses, rhs, warm=warm)
-        if warm is None:
-            assert_same_as_reference(objective, rows, senses, rhs, res)
-        else:
-            ref = ref_solve_lp(objective, rows, senses, rhs)
-            assert (res.status, res.objective) == (ref.status, ref.objective)
-            _check_kkt(objective, rows, senses, rhs, res)
+        ref = RefDualSimplex(objective) if warm is None else refs.pop(id(warm))[1]
+        # repr compares the values and their types, so an int where the
+        # reference has a `Fraction` fails too
+        assert repr(res) == repr(ref.solve(rows, rhs))
+        two_phase = ref_solve_lp(objective, rows, senses, rhs)
+        assert (res.status, res.objective) == (two_phase.status, two_phase.objective)
+        if res.status == OPTIMAL:
+            refs[id(res)] = res, ref
         statuses.append(res.status)
         return res
 
     monkeypatch.setattr(simplex, "solve_lp", solve_both)
+    monkeypatch.setattr(test_simplex, "solve_lp", solve_both)
     return statuses
 
 
-@pytest.mark.parametrize("bland", [False, True], ids=["dantzig", "bland"])
-def test_random_lps_match_reference(bland, monkeypatch):
-    if bland:
+@pytest.fixture(params=[False, True], ids=["dantzig", "bland"])
+def bland(request, monkeypatch):
+    """Dantzig's rule, or (a streak limit of -1) Bland's rule on every pivot."""
+    if request.param:
         monkeypatch.setattr(simplex, "_DEGENERATE_STREAK_LIMIT", -1)
-    statuses = {assert_same_as_reference(c, rows, senses, rhs).status
-                for _, c, rows, senses, rhs in random_lps()}
-    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    return request.param
 
 
-def test_cutting_round_lps_match_reference(compared):
+def test_random_lps_match_reference(bland, compared):
+    # every random LP solved cold, then each optimal one warm-started
+    # through up to three appends of '>=' rows
+    for _, c, rows, senses, rhs in random_lps():
+        simplex.solve_lp(c, rows, senses, rhs)
+    cold = len(compared)
+    for _ in warm_started_lps():
+        pass
+    assert set(compared[:cold]) == set(compared[cold:]) == {OPTIMAL, INFEASIBLE}
+
+
+def _cutting_round_lps():
     # every round of every subtour LP: int rows and right-hand sides over
     # Fraction costs, the rows of later rounds appended to those of earlier
     for model in GENERATOR_MODELS:
         for n in range(6, 15):
             for seed in range(3):
                 solve_atsp_lp(gen_instance(model, n, seed))
+
+
+def test_cutting_round_lps_match_reference(compared):
+    _cutting_round_lps()
     assert len(compared) > 4 * 9 * 3  # some instances need several rounds
+    assert set(compared) == {OPTIMAL}
+
+
+def test_cutting_round_lps_match_reference_under_blands_rule(compared, monkeypatch):
+    monkeypatch.setattr(simplex, "_DEGENERATE_STREAK_LIMIT", -1)
+    _cutting_round_lps()
+    assert len(compared) > 4 * 9 * 3
     assert set(compared) == {OPTIMAL}
 
 
@@ -278,11 +374,20 @@ def test_reduction_case_lps_match_reference(name, compared):
     assert compared
 
 
-def test_other_coefficient_types_are_converted():
+@pytest.mark.parametrize("name", sorted(REDUCTION_CASES))
+def test_reduction_case_lps_match_reference_under_blands_rule(name, compared,
+                                                              monkeypatch):
+    monkeypatch.setattr(simplex, "_DEGENERATE_STREAK_LIMIT", -1)
+    run_pipeline(name, REDUCTION_CASES[name](), F(1))
+    assert compared
+
+
+def test_other_coefficient_types_are_converted(compared):
     # ints and Fractions are read as they are; any other number goes through
-    # Fraction, exactly as the reference converts everything
+    # Fraction, exactly as the references convert everything
     rows = [{0: Decimal("0.5"), 1: 1.5}, {0: 2, 1: F(1, 3)}]
-    res = assert_same_as_reference([Decimal("-1"), -1.0], rows, ["<=", "<="],
-                                   [Decimal("3"), 4.0])
+    res = simplex.solve_lp([Decimal("1"), 1.0], rows, [">=", ">="],
+                           [Decimal("3"), 4.0])
     assert res.status == OPTIMAL
     assert res.x == [F(30, 17), F(24, 17)]
+    assert res.objective == F(54, 17)

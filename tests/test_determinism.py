@@ -29,18 +29,18 @@ from atsp_approx.harness import GENERATOR_MODELS, gen_instance, parse_instance, 
 from test_vertebrate import three_branch_star
 
 DIGESTS = {
-    ("cycle", 6): "ce3897a2523b98bf7e2921d41fdbb5d63dc7df8faa817b9d90283f995ec90058",
-    ("cycle", 9): "26d4067e8975c0ba40ac4633a5ba73ce8918e827d75251005499b27b6e978aef",
-    ("cycle", 12): "3e381925fe1d04e8c0b77240bb6c87d13a0323a1a4d2f3dcd9ea5de1d8d815a9",
-    ("random-strong", 6): "104cc65e088e35cc39885fa812408980e0205d9b57d7015275a2b55e30cbc71d",
-    ("random-strong", 9): "f3b92d9f787fbc1843f89381d6e1c250d6277b6ccb3c3098a0342a6805217910",
+    ("cycle", 6): "a78ef3434c2222313b59c95028b505df398f979230573911186dc10de360a4c1",
+    ("cycle", 9): "e0567f2d10e6185b5c151ddedfe640b917632b20241308686d764ce309e0813a",
+    ("cycle", 12): "32d4f22539034753c968f4af58f94f388f2bc81967071d251e45f308a9d2afdd",
+    ("random-strong", 6): "99529abc709cbce7545f96f2b2aa62d20a1287534eb9ade11aec0590fe6df4f1",
+    ("random-strong", 9): "04770e5537843b6f76205646165a1a392f7fe043aceb372d83ef0224f384b6f4",
     ("random-strong", 12): "24aba93aff5deccf4b0257885fd3dcc58d8924d42445d00004a182c0bb001a5f",
     ("two-cluster", 6): "92b726a0a266ef62f3ad020cdb0aee29244bc1b4fb59227f6e3a76c899289fac",
-    ("two-cluster", 9): "4359fdde9696a77227752bbbed12b18539a53793f47f5a7eb0f86dd9a6911918",
-    ("two-cluster", 12): "6a7afef0edc7cbcbb694e0c2785c9204e77070384e32b44f832bf041c4cb64d9",
-    ("unit-digraph", 6): "d15c46b3647c084ba0f05a98877d86480faad62862968a91256a9e5589f90aba",
-    ("unit-digraph", 9): "7ae6a08ad1d51180de818b68ac601f70415b3c1cc7d4fbbb9dab0766d4dbd7a0",
-    ("unit-digraph", 12): "0a39bd790bacd7ce30db04ac49933277e301e1aac1efc5350e54fb570800d3f8",
+    ("two-cluster", 9): "4c0ac4185e4afd83fb5b8ed4e6273058877fcd7eabb3510d9fb7f891176239b9",
+    ("two-cluster", 12): "9a74011c6c628525bc9b78ecd47fd693e7f58b9716a2fefd4c655a3c42720f4c",
+    ("unit-digraph", 6): "7335670ca63893f7882c00f2e42d6634ae8399b6082f942de68202e4ec0aafe8",
+    ("unit-digraph", 9): "bf9f12b50a64ee2f65fb607de6d6b03d6762ff78c84edeae03113975626e9e13",
+    ("unit-digraph", 12): "ff977e1172d7a6e898f87455923bb8dddbdd062f7b5f4c3ca2e068c135ce54ac",
 }
 
 
@@ -111,7 +111,7 @@ def test_reduction_heavy_digest(name):
     assert _digest(report) == REDUCTION_DIGESTS[name]
 
 
-REFERENCE_DIGEST = "4b9bf307b0b21cff5ee0b9cde35d4447a585356c4672689cad0640efd38bcf27"
+REFERENCE_DIGEST = "a9f472bba2ad1a8676de9f293f292117169655657502ddedf650b255f826f0cd"
 
 
 def _perfbench_workloads():

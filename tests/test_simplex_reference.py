@@ -327,17 +327,13 @@ def compared(monkeypatch):
     return statuses
 
 
-@pytest.fixture(params=[False, True], ids=["dantzig", "bland"])
-def bland(request, monkeypatch):
-    """Dantzig's rule, or (a streak limit of -1) Bland's rule on every pivot."""
-    if request.param:
-        monkeypatch.setattr(simplex, "_DEGENERATE_STREAK_LIMIT", -1)
-    return request.param
-
-
-def test_random_lps_match_reference(bland, compared):
+@pytest.mark.parametrize("bland", [False, True], ids=["dantzig", "bland"])
+def test_random_lps_match_reference(bland, compared, monkeypatch):
     # every random LP solved cold, then each optimal one warm-started
-    # through up to three appends of '>=' rows
+    # through up to three appends of '>=' rows; a streak limit of -1 makes
+    # every pivot use Bland's rule
+    if bland:
+        monkeypatch.setattr(simplex, "_DEGENERATE_STREAK_LIMIT", -1)
     for _, c, rows, senses, rhs in random_lps():
         simplex.solve_lp(c, rows, senses, rhs)
     cold = len(compared)

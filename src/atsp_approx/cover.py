@@ -8,9 +8,9 @@ circulation into a two-level split graph guided by a minimal witness flow
 (found by two min-cost circulations), reroute half a unit through an
 auxiliary vertex per component, round to an integral circulation by exact
 min-cost flow, and map back, restoring Eulerian degrees with a path inside
-each component.  From the lift to the rounding, the split circulation is
-kept as integer numerators over one denominator and its costs over
-another, so rerouting, rounding and their checks compare ints.
+each component.  W_1..W_k are built once per cover.  From the witness flow
+to the rounding, every flow is kept as integer numerators over one
+denominator and the costs over another, so every check compares ints.
 
 Global cost is at most twice the LP value plus the outside singleton mass;
 each backbone-free component costs at most three times its own singleton
@@ -19,7 +19,7 @@ mass.  Both bounds, and every intermediate property, are asserted exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -27,9 +27,8 @@ from .checks import Checker
 from .errors import InternalCheckError
 from .flows import CirculationProblem
 from .graph import Digraph, EdgeMultiset, bfs_path, scc_topological, undirected_components
-from .instance import StronglyLaminarInstance, cut_value, path_crossings
+from .instance import cut_value, path_crossings
 from .pair import VertebratePair
-from .rational import common_denominator
 
 ZERO = Fraction(0)
 
@@ -44,16 +43,19 @@ SUBTOUR_COVER_BETA = Fraction(1)
 
 @dataclass
 class SubtourCoverInstance:
+    """A pair and H; w_sets holds W_1..W_k, the components of
+    (V minus backbone, H), smallest vertex first."""
+
     pair: VertebratePair
     h: EdgeMultiset
+    w_sets: list[frozenset] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.w_sets = undirected_components(self.pair.instance.g, self.h.mult,
+                                            within=self.pair.outside_vertices())
 
     def validate(self, checker: Optional[Checker] = None) -> None:
         self.pair.check_initialization(self.h, checker or Checker(), "h-")
-
-    def components(self) -> list[frozenset]:
-        """W_1..W_k: components of (V minus backbone, H), smallest vertex first."""
-        return undirected_components(self.pair.instance.g, self.h.mult,
-                                     within=self.pair.outside_vertices())
 
 
 def classify_edge(r_tail: int, r_head: int) -> str:
@@ -150,10 +152,11 @@ class WitnessFlow:
     """Sub-flow of x certifying the circulation lifts into the split graph:
     zero on backward edges, full on forward, within [0, x] on neutral, with
     nonnegative excess away from the backbone; chosen with minimal total
-    component-boundary mass, then minimal total flow (hence acyclic)."""
+    component-boundary mass, then minimal total flow (hence acyclic).  f
+    and boundary_optimum are numerators over the instance's x denominator."""
 
-    f: list[Fraction]
-    boundary_optimum: Fraction
+    f: list[int]
+    boundary_optimum: int
 
 
 def _witness_circulation(g: Digraph, need: list[int], outside: frozenset,
@@ -194,10 +197,10 @@ def compute_witness_flow(cover: SubtourCoverInstance, levels: LevelStructure,
     checker = checker or Checker()
     inst = cover.pair.instance
     g = inst.g
-    x, x_num, scale = inst.x, inst._x_num, inst._x_den
+    x_num = inst._x_num
     cls = levels.edge_class
     outside = cover.pair.outside_vertices()
-    comps = cover.components()
+    comps = cover.w_sets
     need = [0] * g.n  # scaled forward inflow minus outflow
     capacity: dict[int, int] = {}
     cross_count: dict[int, int] = {}
@@ -218,20 +221,19 @@ def compute_witness_flow(cover: SubtourCoverInstance, levels: LevelStructure,
     if stage1 is None:
         raise InternalCheckError("witness-flow-feasible",
                                  "stage-1 witness circulation infeasible")
-    boundary_opt = Fraction(
-        fixed_boundary + sum(cross_count[eid] * val for eid, val in stage1.items()),
-        scale)
+    boundary_opt = fixed_boundary + sum(cross_count[eid] * val
+                                        for eid, val in stage1.items())
     stage2 = _witness_circulation(g, need, outside, stage1,
                                   {eid: 1 for eid in stage1})
     if stage2 is None:
         raise InternalCheckError("witness-flow-stage2",
                                  "stage-2 witness circulation infeasible")
-    f = [ZERO] * g.m
+    f = [0] * g.m
     for e in g.edges:
         if cls[e.eid] == FORWARD:
-            f[e.eid] = x[e.eid]
+            f[e.eid] = x_num[e.eid]
         elif cls[e.eid] == NEUTRAL:
-            f[e.eid] = Fraction(stage2[e.eid], scale)
+            f[e.eid] = stage2[e.eid]
     witness = WitnessFlow(f, boundary_opt)
     validate_witness_flow(cover, levels, witness, checker)
     return witness
@@ -243,7 +245,7 @@ def validate_witness_flow(cover: SubtourCoverInstance, levels: LevelStructure,
     checker = checker or Checker()
     inst = cover.pair.instance
     g = inst.g
-    f, x, _ = _witness_nums(inst, witness)
+    f, x = witness.f, inst._x_num
     outside = cover.pair.outside_vertices()
     for e in g.edges:
         cls = levels.edge_class[e.eid]
@@ -265,21 +267,15 @@ def validate_witness_flow(cover: SubtourCoverInstance, levels: LevelStructure,
     checker.check(_support_acyclic(g, support), "witness-support-acyclic")
     boundary = witness_boundary_mass(cover, witness.f)
     checker.check(boundary == witness.boundary_optimum, "witness-boundary-minimal",
-                  lambda: f"{boundary} != {witness.boundary_optimum}")
+                  lambda: f"{boundary} != {witness.boundary_optimum} "
+                          f"(over {inst._x_den})")
 
 
-def _witness_nums(inst: StronglyLaminarInstance,
-                  witness: WitnessFlow) -> tuple[list[int], list[int], int]:
-    """(f, x, den): f and x as numerators over den, a multiple of x's."""
-    f, den = common_denominator(witness.f, inst._x_den)
-    return f, [v * (den // inst._x_den) for v in inst._x_num], den
-
-
-def witness_boundary_mass(cover: SubtourCoverInstance, f: list[Fraction]) -> Fraction:
-    """sum over components W_i of f(delta(W_i))."""
+def witness_boundary_mass(cover: SubtourCoverInstance, f: list[int]) -> int:
+    """sum over components W_i of f(delta(W_i)), for f given as numerators
+    over any denominator and returned over the same one."""
     g = cover.pair.instance.g
-    f_num, den = common_denominator(f)
-    return Fraction(sum(cut_value(g, f_num, w) for w in cover.components()), den)
+    return sum(cut_value(g, f, w) for w in cover.w_sets)
 
 
 def _support_acyclic(g: Digraph, support: list[int]) -> bool:
@@ -304,7 +300,6 @@ class AugmentedGraph:
     base_eid: list[int]
     in_copy: dict[tuple[int, int], int]
     out_copy: dict[tuple[int, int], int]
-    r: list[int]
     edge_class: list[str]
 
     @property
@@ -323,8 +318,8 @@ def build_augmented_graph(cover: SubtourCoverInstance, witness: WitnessFlow,
     checker = checker or Checker()
     inst = cover.pair.instance
     g = inst.g
-    f, x, _ = _witness_nums(inst, witness)
-    comps = cover.components()
+    f, x = witness.f, inst._x_num
+    comps = cover.w_sets
     # residual graph of f with capacities x, per component
     residual_adj: dict[int, list[int]] = {v: [] for v in range(g.n)}
     for e in g.edges:
@@ -383,17 +378,16 @@ def build_augmented_graph(cover: SubtourCoverInstance, witness: WitnessFlow,
         checker.check(edge_class[eid] == levels.edge_class[base_eid[eid]],
                       "copy-edge-class-preserved", lambda: f"edge {eid}")
     return AugmentedGraph(aug_g, g, comps, w_hat, aux_of, base_eid,
-                          in_copy, out_copy, r_aug, edge_class)
+                          in_copy, out_copy, edge_class)
 
 
-def lift_to_split(split: SplitGraph, x_vec: list, f_vec: list,
-                  backbone_vertices: frozenset) -> dict:
+def lift_to_split(split: SplitGraph, x_vec: list, f_vec: list) -> list:
     """Embed a circulation with witness flow into the split graph: witness
     mass on the lower level, the rest above, with the free vertical edges
     balancing each vertex pair.  Exact in the arithmetic of x and f, which
     the cover passes as integer numerators over one denominator."""
     base = split.base
-    z = {eid: 0 for eid in range(split.g.m)}
+    z = [0] * split.g.m
     for e in base.edges:
         lo = split.lower_of.get(e.eid)
         up = split.upper_of.get(e.eid)
@@ -410,7 +404,7 @@ def lift_to_split(split: SplitGraph, x_vec: list, f_vec: list,
     return z
 
 
-def project_from_split(split: SplitGraph, z: dict) -> tuple[list, list]:
+def project_from_split(split: SplitGraph, z: list) -> tuple[list, list]:
     """The projection pi: per base edge, x' = z(lower) + z(upper) and
     f' = z(lower)."""
     base = split.base
@@ -427,7 +421,7 @@ def project_from_split(split: SplitGraph, z: dict) -> tuple[list, list]:
     return x_vec, f_vec
 
 
-def is_split_circulation(split: SplitGraph, z: dict[int, int]) -> bool:
+def is_split_circulation(split: SplitGraph, z: list[int]) -> bool:
     for v in range(split.g.n):
         if sum(z[eid] for eid in split.g.in_edges[v]) != sum(
             z[eid] for eid in split.g.out_edges[v]
@@ -444,7 +438,7 @@ class ReroutedCirculation:
     enters auxiliary vertex i."""
 
     split: SplitGraph
-    z: dict[int, int]
+    z: list[int]
     den: int
     cost: tuple[int, ...]
     cost_den: int
@@ -452,19 +446,16 @@ class ReroutedCirculation:
     q_level: list[int]
 
 
-def _decompose_unit_through(g: Digraph, z: dict[int, int], inside: frozenset,
+def _decompose_unit_through(g: Digraph, z: list[int], inside: frozenset,
                             unit: int) -> list[tuple[int, list[int], int, int]]:
     """Extract cycles through the contracted outside of ``inside`` carrying
     weight ``unit`` in total: (entry edge, path inside, exit edge, weight)
     with the weighted sum staying below z.  Inner cycles met along the way
     are peeled off and discarded; every peel zeroes at least one edge."""
-    remaining = dict(z)
+    remaining = list(z)
     out: list[tuple[int, list[int], int, int]] = []
     collected = 0
-    entry_candidates = sorted(
-        eid for eid in remaining
-        if g.edge(eid).head in inside and g.edge(eid).tail not in inside
-    )
+    entry_candidates = sorted(g.delta_minus(inside))
     guard = 0
     while collected < unit:
         guard += 1
@@ -530,17 +521,15 @@ def lift_and_reroute(cover: SubtourCoverInstance, witness: WitnessFlow,
     inst = cover.pair.instance
     backbone = cover.pair.backbone_vertices
     split = build_split_graph(aug.g, aug.edge_class, backbone)
-    f_num, x_num, half = _witness_nums(inst, witness)
+    half = inst._x_den
     unit = 2 * half
-    x_aug = [0] * aug.g.m
-    f_aug = [0] * aug.g.m
-    for eid in range(inst.g.m):
-        x_aug[eid] = 2 * x_num[eid]
-        f_aug[eid] = 2 * f_num[eid]
-    z = lift_to_split(split, x_aug, f_aug, backbone)
+    copies = [0] * (aug.g.m - inst.g.m)  # the auxiliary copies carry nothing yet
+    x_aug = [2 * v for v in inst._x_num] + copies
+    f_aug = [2 * v for v in witness.f] + copies
+    z = lift_to_split(split, x_aug, f_aug)
     checker.check(is_split_circulation(split, z), "lifted-z-circulation")
     cost, cost_den = split.g.cost_num, split.g.cost_den
-    cost_z = sum(cost[eid] * val for eid, val in z.items())
+    cost_z = sum(c * val for c, val in zip(cost, z))
     # cost_z / (unit * cost_den) is the LP value _lp_num / (_den * _x_den)
     checker.check(cost_z * inst._den * inst._x_den == inst._lp_num * unit * cost_den,
                   "lifted-z-cost", lambda: f"{cost_z}/{unit * cost_den}")
@@ -585,9 +574,9 @@ def lift_and_reroute(cover: SubtourCoverInstance, witness: WitnessFlow,
                 z[down] += lam
         checker.check(budget == 0, "rerouting-half-unit",
                       lambda: f"component {i} moved {Fraction(half - budget, unit)}")
-        checker.check(all(val >= 0 for val in z.values()), "rerouted-z-nonnegative")
+        checker.check(all(val >= 0 for val in z), "rerouted-z-nonnegative")
     checker.check(is_split_circulation(split, z), "rerouted-z-circulation")
-    cost_num = sum(cost[eid] * val for eid, val in z.items())
+    cost_num = sum(c * val for c, val in zip(cost, z))
     checker.check(cost_num <= cost_z, "rerouted-z-cost")
     for i, q in enumerate(q_level):
         a = aug.aux_of[i]
@@ -604,9 +593,9 @@ def lift_and_reroute(cover: SubtourCoverInstance, witness: WitnessFlow,
 
 @dataclass
 class RoundedCirculation:
-    z_star: dict[int, int]
+    z_star: list[int]
     f_bar: EdgeMultiset
-    f_star_lower: dict[int, int]  # witness part per augmented eid
+    f_star_lower: list[int]  # witness part per augmented eid
 
 
 def _ceil2(num: int, den: int) -> int:
@@ -630,22 +619,12 @@ def round_circulation(rerouted: ReroutedCirculation, aug: AugmentedGraph,
     for v in range(aug.g.n):
         node = split.upper(v)
         in_cap[node] = _ceil2(sum(z[eid] for eid in sg.in_edges[node]), den)
-    forced_nodes = {}
-    for i, q in enumerate(rerouted.q_level):
-        a = aug.aux_of[i]
-        node = split.lower(a) if q == 0 else split.upper(a)
-        forced_nodes[node] = True
-    # node-split: every split vertex becomes (in, out); constrained vertices
-    # get a bounded internal arc
-    n_nodes = 2 * sg.n
-    prob = CirculationProblem(n_nodes)
-
-    def in_node(v: int) -> int:
-        return 2 * v
-
-    def out_node(v: int) -> int:
-        return 2 * v + 1
-
+    forced_nodes = {split.lower(a) if q == 0 else split.upper(a)
+                    for a, q in zip(aug.aux_of, rerouted.q_level)}
+    # node-split: split vertex v becomes in-node 2v and out-node 2v + 1,
+    # joined by arc v, bounded where v is constrained; arc sg.n + eid
+    # carries split edge eid
+    prob = CirculationProblem(2 * sg.n)
     for v in range(sg.n):
         if v in forced_nodes:
             lo, hi = 1, 1
@@ -653,18 +632,15 @@ def round_circulation(rerouted: ReroutedCirculation, aug: AugmentedGraph,
             lo, hi = 0, in_cap[v]
         else:
             lo, hi = 0, 10 ** 9
-        prob.add_arc(in_node(v), out_node(v), lo, hi, 0)
-    edge_cap = [_ceil2(z[eid], den) for eid in range(sg.m)]
-    edge_arc: dict[int, int] = {}
-    for eid in range(sg.m):
-        e = sg.edge(eid)
-        edge_arc[eid] = prob.add_arc(out_node(e.tail), in_node(e.head), 0,
-                                     edge_cap[eid], cost[eid])
+        prob.add_arc(2 * v, 2 * v + 1, lo, hi, 0)
+    edge_cap = [_ceil2(val, den) for val in z]
+    for e in sg.edges:
+        prob.add_arc(2 * e.tail + 1, 2 * e.head, 0, edge_cap[e.eid], cost[e.eid])
     flows = prob.solve()
     if flows is None:
         raise InternalCheckError("rounding-infeasible",
                                  "2z is a feasible fractional point")
-    z_star = {eid: flows[edge_arc[eid]] for eid in range(sg.m)}
+    z_star = flows[sg.n:]
     for eid in range(sg.m):
         checker.check(0 <= z_star[eid] <= edge_cap[eid], "rounding-edge-caps",
                       lambda: f"edge {eid}")
@@ -684,32 +660,30 @@ def round_circulation(rerouted: ReroutedCirculation, aug: AugmentedGraph,
                       lambda: f"component {i}: {in0},{in1}")
     # project to the augmented graph
     f_bar = EdgeMultiset()
-    f_star_lower: dict[int, int] = {}
+    f_star_lower = [0] * aug.g.m
     for eid in range(aug.g.m):
         lo = split.lower_of.get(eid)
         up = split.upper_of.get(eid)
-        mult = (z_star[lo] if lo is not None else 0) + (
-            z_star[up] if up is not None else 0
-        )
+        if lo is not None:
+            f_star_lower[eid] = z_star[lo]
+        mult = f_star_lower[eid] + (z_star[up] if up is not None else 0)
         if mult:
             f_bar.add(eid, mult)
-        f_star_lower[eid] = z_star[lo] if lo is not None else 0
     _split_cycles_touch_backbone(split, z_star, aug, checker)
     _check_rounded_structure(f_bar, f_star_lower, aug, cover, checker)
     return RoundedCirculation(z_star, f_bar, f_star_lower)
 
 
-def _split_cycles_touch_backbone(split: SplitGraph, z_star: dict[int, int],
+def _split_cycles_touch_backbone(split: SplitGraph, z_star: list[int],
                                  aug: AugmentedGraph,
                                  checker: Checker) -> None:
     """Cycle-decompose the integral split circulation and re-check that any
     cycle whose image crosses a non-singleton family set climbs an up edge
     of a backbone vertex (the split graph's reason for existing)."""
-    remaining = dict(z_star)
+    remaining = list(z_star)
     sg = split.g
     while True:
-        start = next((eid for eid in sorted(remaining) if remaining[eid] > 0),
-                     None)
+        start = next((eid for eid, k in enumerate(remaining) if k > 0), None)
         if start is None:
             break
         cycle = [start]
@@ -734,7 +708,7 @@ def _split_cycles_touch_backbone(split: SplitGraph, z_star: dict[int, int],
                           lambda: [split.kind[eid] for eid in cycle])
 
 
-def _check_rounded_structure(f_bar: EdgeMultiset, f_star: dict[int, int],
+def _check_rounded_structure(f_bar: EdgeMultiset, f_star: list[int],
                              aug: AugmentedGraph, cover: SubtourCoverInstance,
                              checker: Checker) -> None:
     g = aug.g
@@ -747,7 +721,7 @@ def _check_rounded_structure(f_bar: EdgeMultiset, f_star: dict[int, int],
                       lambda: f"component {i}")
         checker.check(outdeg.get(a, 0) == 1, "aux-one-outgoing",
                       lambda: f"component {i}")
-    support = [eid for eid, k in f_star.items() if k > 0]
+    support = [eid for eid, k in enumerate(f_star) if k > 0]
     checker.check(_support_acyclic(g, support), "rounded-witness-acyclic")
     for comp, comp_edges in f_bar.components(g):
         if comp & backbone:
@@ -821,7 +795,7 @@ def subtour_cover(cover: SubtourCoverInstance,
     f = map_back(rounded, aug, cover, checker)
     # solution properties
     checker.balanced(g, f, "cover-eulerian", range(g.n))
-    for i, w in enumerate(cover.components()):
+    for i, w in enumerate(cover.w_sets):
         checker.check(f.crossing(g, w) > 0, "cover-crosses-component",
                       lambda: f"W_{i + 1}={sorted(w)}")
     backbone = cover.pair.backbone_vertices

@@ -1,21 +1,22 @@
 """Exact network-flow routines: max-flow/min-cut and min-cost circulation.
 
-Max-flow (integer Edmonds-Karp on a :class:`FlowNetwork`, whose flat arrays
-are built once and copied per call) powers the cut separation oracle of the
-LP module, which scales x by the lcm of its denominators and builds one
-network per separation round.  The min-cost circulation solver, which
-finds the witness flows of the subtour cover and rounds its lifted
-circulation, takes integer lower/upper arc bounds and integer costs (callers
-with rational costs scale them by the lcm of their denominators, which keeps
-every comparison and every heap tie), and runs the standard lower-bound
-transformation followed by successive shortest paths with potentials; with
-integral bounds the result is integral and cost-minimal.
+Both solvers run on one network type, :class:`FlowNetwork`, whose flat
+arrays pair each arc with its reverse.  Max-flow (integer Edmonds-Karp on a
+copy of the capacities) powers the cut separation oracle of the LP module,
+which scales x by the lcm of its denominators and builds one network per
+separation round.  The min-cost circulation solver, which finds the
+witness flows of the subtour cover and rounds its lifted circulation, keeps
+integer lower/upper arc bounds and integer costs beside its network
+(callers with rational costs scale them by the lcm of their denominators,
+which keeps every comparison and every heap tie), and runs the standard
+lower-bound transformation followed by successive shortest paths with
+potentials on the network's residuals; with integral bounds the result is
+integral and cost-minimal.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ContractViolation, InternalCheckError
@@ -98,78 +99,69 @@ def max_flow_min_cut(network: FlowNetwork, source: int, sink: int) -> tuple[int,
         value += bottleneck
 
 
-@dataclass
-class _Arc:
-    tail: int
-    head: int
-    lower: int
-    upper: int
-    cost: int
-    flow: int = 0
-
-
-@dataclass
 class CirculationProblem:
     """Min-cost circulation with integer bounds and integer costs.
 
-    A rational cost vector is passed as its numerators over one common
-    denominator: a positive scale changes no comparison, so the flows are
-    those of the unscaled problem, ties included."""
+    Arc i is arcs 2i and 2i + 1 of a :class:`FlowNetwork` whose capacity is
+    upper - lower, with its bounds and cost kept in the lists beside it;
+    vertices n and n + 1 are the super source and sink of the lower-bound
+    transformation.  A rational cost vector is passed as its numerators over
+    one common denominator: a positive scale changes no comparison, so the
+    flows are those of the unscaled problem, ties included."""
 
-    n: int
-    arcs: list[_Arc] = field(default_factory=list)
+    __slots__ = ("n", "network", "lower", "upper", "cost", "solved")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.network = FlowNetwork(n + 2)
+        self.lower: list[int] = []
+        self.upper: list[int] = []
+        self.cost: list[int] = []
+        self.solved = False
 
     def add_arc(self, tail: int, head: int, lower: int, upper: int, cost: int) -> int:
         if not (0 <= tail < self.n and 0 <= head < self.n):
             raise ContractViolation("arc endpoint out of range")
+        if not (type(lower) is type(upper) is type(cost) is int):
+            raise ContractViolation(f"arc bounds [{lower!r},{upper!r}] and cost "
+                                    f"{cost!r} are not all ints")
         if not (0 <= lower <= upper):
             raise ContractViolation(f"bad arc bounds [{lower},{upper}]")
-        if type(cost) is not int:
-            raise ContractViolation(f"arc cost {cost!r} is not an int")
-        self.arcs.append(_Arc(tail, head, lower, upper, cost))
-        return len(self.arcs) - 1
+        if cost < 0:
+            raise ContractViolation("negative arc cost not supported")
+        self.network.add_arc(tail, head, upper - lower)
+        self.lower.append(lower)
+        self.upper.append(upper)
+        self.cost.append(cost)
+        return len(self.cost) - 1
 
     def solve(self) -> Optional[list[int]]:
         """Return per-arc flows of a minimum-cost feasible circulation.
 
-        None when no feasible circulation exists.  Costs must be
-        nonnegative; optimality follows from the successive-shortest-path
-        invariant.
+        None when no feasible circulation exists.  Optimality follows from
+        the successive-shortest-path invariant.  The network's capacities
+        become the residuals, so a problem is solved once.
         """
-        n = self.n
-        for arc in self.arcs:
-            if arc.cost < 0:
-                raise ContractViolation("negative arc cost not supported")
-        # residual graph arrays; forward arc 2i, backward 2i+1
-        head_of: list[int] = []
-        next_out: list[list[int]] = [[] for _ in range(n + 2)]
-        residual: list[int] = []
-        rcost: list[int] = []
+        if self.solved:
+            raise ContractViolation("circulation problem already solved")
+        self.solved = True
+        n, net, lower = self.n, self.network, self.lower
+        head_of, next_out, residual = net.head, net.out, net.capacity
         src, snk = n, n + 1
-
-        def push_arc(u: int, v: int, capacity: int, cost: int) -> None:
-            next_out[u].append(len(head_of))
-            head_of.append(v)
-            residual.append(capacity)
-            rcost.append(cost)
-            next_out[v].append(len(head_of))
-            head_of.append(u)
-            residual.append(0)
-            rcost.append(-cost)
-
+        # the tail of arc i is the head of its reverse, 2i + 1
         excess = [0] * n
-        for arc in self.arcs:
-            arc.flow = arc.lower
-            excess[arc.tail] -= arc.lower
-            excess[arc.head] += arc.lower
-            push_arc(arc.tail, arc.head, arc.upper - arc.lower, arc.cost)
+        for i, lo in enumerate(lower):
+            excess[head_of[2 * i + 1]] -= lo
+            excess[head_of[2 * i]] += lo
         total_supply = 0
         for v in range(n):
             if excess[v] > 0:
-                push_arc(src, v, excess[v], 0)
+                net.add_arc(src, v, excess[v])
                 total_supply += excess[v]
             elif excess[v] < 0:
-                push_arc(v, snk, -excess[v], 0)
+                net.add_arc(v, snk, -excess[v])
+        rcost = [c for cost in self.cost for c in (cost, -cost)]
+        rcost += [0] * (len(head_of) - len(rcost))
         # successive shortest paths with Johnson potentials
         potential = [0] * (n + 2)
         shipped = 0
@@ -211,16 +203,14 @@ class CirculationProblem:
                 residual[aid ^ 1] += bottleneck
                 v = head_of[aid ^ 1]
             shipped += bottleneck
-        for i, arc in enumerate(self.arcs):
-            used = residual[2 * i + 1]  # backward residual = flow above lower
-            arc.flow = arc.lower + used
-            if not (arc.lower <= arc.flow <= arc.upper):
-                raise InternalCheckError("circulation-bounds", f"arc {i}")
-        flows = [arc.flow for arc in self.arcs]
+        # the backward residual of arc i is its flow above the lower bound
+        flows = [lo + residual[2 * i + 1] for i, lo in enumerate(lower)]
         balance = [0] * n
-        for arc in self.arcs:
-            balance[arc.tail] -= arc.flow
-            balance[arc.head] += arc.flow
+        for i, (flow, lo, hi) in enumerate(zip(flows, lower, self.upper)):
+            if not (lo <= flow <= hi):
+                raise InternalCheckError("circulation-bounds", f"arc {i}")
+            balance[head_of[2 * i + 1]] -= flow
+            balance[head_of[2 * i]] += flow
         if any(balance):
             raise InternalCheckError("circulation-conservation", balance)
         return flows

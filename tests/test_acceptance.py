@@ -251,7 +251,7 @@ def _verify_cover_solution(cover: SubtourCoverInstance, f: EdgeMultiset) -> None
     indeg, outdeg = f.degrees(g)
     for v in range(g.n):
         assert indeg.get(v, 0) == outdeg.get(v, 0)  # balanced everywhere
-    for w in cover.components():
+    for w in cover.w_sets:
         assert f.crossing(g, w) > 0, sorted(w)  # every component is entered
     comps = undirected_components(g, f.mult.keys())
     for comp in comps:
@@ -319,24 +319,25 @@ def test_acceptance_6_witness_flow_minimality(cover_instances):
         if not neutral:
             continue
         outside = cover.pair.outside_vertices()
-        comps = cover.components()
+        comps = cover.w_sets
         cross_count = {
             e.eid: sum(1 for w in comps if (e.tail in w) != (e.head in w))
             for e in g.edges
         }
+        # the witness is kept as numerators over x's denominator
+        f = [F(v, inst._x_den) for v in witness.f]
+        boundary_optimum = F(witness.boundary_optimum, inst._x_den)
         excess = [F(0)] * g.n
         for e in g.edges:
-            excess[e.tail] += witness.f[e.eid]
-            excess[e.head] -= witness.f[e.eid]
-        boundary = witness_boundary_mass(cover, witness.f)
-        assert boundary == witness.boundary_optimum
-        f = list(witness.f)
+            excess[e.tail] += f[e.eid]
+            excess[e.head] -= f[e.eid]
+        assert witness_boundary_mass(cover, witness.f) == witness.boundary_optimum
         base_excess = list(excess)
         for _ in range(1000):
             perturbations += 1
             trial_f = list(f)
             trial_excess = list(base_excess)
-            trial_boundary = boundary
+            trial_boundary = boundary_optimum
             for _ in range(rng.randint(1, 4)):
                 eid = neutral[rng.randrange(len(neutral))]
                 e = g.edge(eid)
@@ -355,7 +356,7 @@ def test_acceptance_6_witness_flow_minimality(cover_instances):
                 trial_excess[e.tail] += delta
                 trial_excess[e.head] -= delta
                 trial_boundary += cross_count[eid] * delta
-            assert trial_boundary >= witness.boundary_optimum
+            assert trial_boundary >= boundary_optimum
     assert perturbations >= 1000
     print(f"ACCEPTANCE 6: PASS - all witness-flow properties verified; "
           f"{perturbations} feasible perturbations never beat stage 1")
@@ -377,7 +378,7 @@ def test_acceptance_7_rounding_properties(cover_instances):
         checker = Checker()
         subtour_cover(cover, checker)
         for key in ROUNDING_LABELS:
-            needed = cover.components() or key not in (
+            needed = cover.w_sets or key not in (
                 "rounding-aux-unit", "aux-one-incoming")
             if needed:
                 assert checker.counters.get(key, 0) >= 1, key

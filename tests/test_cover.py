@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from atsp_approx import cover as cover_mod
 from atsp_approx.checks import Checker
 from atsp_approx.cover import (
     BACKWARD,
@@ -17,10 +18,12 @@ from atsp_approx.cover import (
     subtour_cover,
 )
 from atsp_approx.graph import Digraph, EdgeMultiset, LaminarFamily, is_eulerian_connected
+from atsp_approx.harness import run_pipeline
 from atsp_approx.instance import StronglyLaminarInstance
 from atsp_approx.lp import build_strongly_laminar_instance
 from atsp_approx.pair import VertebratePair
 from fixtures import c3, two_tri
+from test_determinism import REDUCTION_CASES
 
 F = Fraction
 
@@ -169,7 +172,7 @@ def test_witness_flow_forced_on_forward_edges():
     g = pair.instance.g
     for e in g.edges:
         if levels.edge_class[e.eid] == FORWARD:
-            assert witness.f[e.eid] == pair.instance.x[e.eid]
+            assert witness.f[e.eid] == pair.instance._x_num[e.eid]
         if levels.edge_class[e.eid] == BACKWARD:
             assert witness.f[e.eid] == 0
 
@@ -181,10 +184,9 @@ def test_lift_project_roundtrip():
     witness = compute_witness_flow(cover, levels)
     split = build_split_graph(pair.instance.g, levels.edge_class,
                               pair.backbone_vertices)
-    z = lift_to_split(split, list(pair.instance.x), witness.f,
-                      pair.backbone_vertices)
+    z = lift_to_split(split, pair.instance._x_num, witness.f)
     x_back, f_back = project_from_split(split, z)
-    assert x_back == list(pair.instance.x)
+    assert x_back == pair.instance._x_num
     assert f_back == witness.f
 
 
@@ -206,7 +208,7 @@ def test_augmented_graph_first_scc():
     witness = compute_witness_flow(cover, levels, Checker())
     checker = Checker()
     aug = build_augmented_graph(cover, witness, levels, checker)
-    assert aug.k == len(cover.components())
+    assert aug.k == len(cover.w_sets)
     for i, hat in enumerate(aug.w_hat):
         assert hat <= aug.w_sets[i]
     assert checker.counters["first-scc-source-in-residual"] == aug.k
@@ -218,7 +220,7 @@ def test_subtour_cover_on_c3_singleton_components():
     checker = Checker()
     f = subtour_cover(cover, checker)
     g = pair.instance.g
-    for w in cover.components():
+    for w in cover.w_sets:
         assert f.crossing(g, w) > 0
     assert checker.counters["cover-global-bound"] == 1
     assert not checker.failures
@@ -230,8 +232,8 @@ def test_subtour_cover_two_tri_h_empty():
     checker = Checker()
     f = subtour_cover(cover, checker)
     g = pair.instance.g
-    assert len(cover.components()) == 5  # singletons 0,1,2,4,5
-    for w in cover.components():
+    assert len(cover.w_sets) == 5  # singletons 0,1,2,4,5
+    for w in cover.w_sets:
         assert f.crossing(g, w) > 0
 
 
@@ -243,8 +245,7 @@ def test_subtour_cover_two_tri_h_triangle():
         if {e.tail, e.head} <= {0, 1, 2}:
             tri.add(e.eid)
     cover = SubtourCoverInstance(pair, tri)
-    comps = cover.components()
-    assert frozenset({0, 1, 2}) in comps
+    assert frozenset({0, 1, 2}) in cover.w_sets
     checker = Checker()
     f = subtour_cover(cover, checker)
     assert f.crossing(g, frozenset({0, 1, 2})) > 0
@@ -310,3 +311,22 @@ def test_backbone_free_component_bound():
     assert checker.counters["backbone-free-zero-witness"] >= 1
     assert checker.counters["backbone-free-no-forward"] >= 1
     assert not checker.failures
+
+
+def test_components_are_built_once_per_cover(monkeypatch):
+    # W_1..W_k are computed when the cover instance is made and read from
+    # there by the witness, the augmented graph and the final checks
+    calls = [0]
+    original = cover_mod.undirected_components
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cover_mod, "undirected_components", counting)
+    covers = 0
+    for name, build in sorted(REDUCTION_CASES.items()):
+        report = run_pipeline(name, build(), F(1))
+        covers += report.assertion_counts.get("cover-global-bound", 0)
+    assert covers >= 3
+    assert calls[0] == covers

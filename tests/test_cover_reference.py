@@ -30,7 +30,7 @@ from atsp_approx.cover import (
     subtour_cover,
 )
 from atsp_approx.errors import InternalCheckError
-from atsp_approx.flows import CirculationProblem, _Arc
+from atsp_approx.flows import CirculationProblem
 from atsp_approx.graph import Digraph, EdgeMultiset
 from atsp_approx.harness import run_pipeline
 from test_acceptance import cover_instances  # noqa: F401
@@ -49,8 +49,9 @@ class FractionCirculation(CirculationProblem):
     potentials become `Fraction`s."""
 
     def add_arc(self, tail: int, head: int, lower: int, upper: int, cost) -> int:
-        self.arcs.append(_Arc(tail, head, lower, upper, F(cost)))
-        return len(self.arcs) - 1
+        arc = super().add_arc(tail, head, lower, upper, 0)
+        self.cost[arc] = F(cost)
+        return arc
 
 
 @dataclass
@@ -161,7 +162,7 @@ def ref_lift_and_reroute(cover: SubtourCoverInstance, witness: WitnessFlow,
     f_aug = [ZERO] * aug.g.m
     for eid in range(inst.g.m):
         x_aug[eid] = inst.x[eid]
-        f_aug[eid] = witness.f[eid]
+        f_aug[eid] = F(witness.f[eid], inst._x_den)
     z = ref_lift_to_split(split, x_aug, f_aug)
     checker.check(ref_is_split_circulation(split, z), "lifted-z-circulation")
     cost_z = ref_split_cost(split, z)
@@ -244,14 +245,11 @@ def ref_round_circulation(rerouted: FractionRerouted, aug: AugmentedGraph,
         else:
             lo, hi = 0, 10 ** 9
         prob.add_arc(2 * v, 2 * v + 1, lo, hi, ZERO)
-    edge_arc: dict[int, int] = {}
-    for eid in range(sg.m):
-        e = sg.edge(eid)
-        edge_arc[eid] = prob.add_arc(2 * e.tail + 1, 2 * e.head, 0,
-                                     ref_ceil2(z[eid]), e.cost)
+    edge_arc = [prob.add_arc(2 * e.tail + 1, 2 * e.head, 0, ref_ceil2(z[e.eid]), e.cost)
+                for e in sg.edges]
     flows = prob.solve()
     assert flows is not None
-    z_star = {eid: flows[edge_arc[eid]] for eid in range(sg.m)}
+    z_star = [flows[arc] for arc in edge_arc]
     for eid in range(sg.m):
         checker.check(0 <= z_star[eid] <= ref_ceil2(z[eid]), "rounding-edge-caps")
     cost_star = sum((sg.edge(eid).cost * z_star[eid] for eid in range(sg.m)), ZERO)
@@ -266,7 +264,7 @@ def ref_round_circulation(rerouted: FractionRerouted, aug: AugmentedGraph,
         in1 = sum(z_star[eid] for eid in sg.in_edges[split.upper(a)])
         checker.check(in0 == 1 or in1 == 1, "rounding-aux-unit")
     f_bar = EdgeMultiset()
-    f_star_lower: dict[int, int] = {}
+    f_star_lower: list[int] = []
     for eid in range(aug.g.m):
         lo = split.lower_of.get(eid)
         up = split.upper_of.get(eid)
@@ -275,7 +273,7 @@ def ref_round_circulation(rerouted: FractionRerouted, aug: AugmentedGraph,
         )
         if mult:
             f_bar.add(eid, mult)
-        f_star_lower[eid] = z_star[lo] if lo is not None else 0
+        f_star_lower.append(z_star[lo] if lo is not None else 0)
     _split_cycles_touch_backbone(split, z_star, aug, checker)
     _check_rounded_structure(f_bar, f_star_lower, aug, cover, checker)
     return RoundedCirculation(z_star, f_bar, f_star_lower)
@@ -298,7 +296,7 @@ def compared(monkeypatch):
         ref = ref_lift_and_reroute(cover, witness, aug, ref_checker)
         assert checker.counters - before == ref_checker.counters
         assert rerouted.q_level == ref.q_level
-        assert {eid: F(v, rerouted.den) for eid, v in rerouted.z.items()} == ref.z
+        assert {eid: F(v, rerouted.den) for eid, v in enumerate(rerouted.z)} == ref.z
         assert [F(c, rerouted.cost_den) for c in rerouted.cost] == \
             [e.cost for e in ref.split.g.edges]
         assert F(rerouted.cost_num, rerouted.den * rerouted.cost_den) == \

@@ -152,12 +152,48 @@ def test_circulation_prefers_cheap_return():
 
 @pytest.mark.parametrize("cost", [F(1), F(1, 2), 1.0, True, False])
 def test_circulation_rejects_non_int_costs(cost):
-    # costs are integer numerators over a denominator the caller chose; a
-    # Fraction, a float or a bool is refused rather than mixed in
+    # costs and bounds are integer numerators over a denominator the caller
+    # chose; a Fraction, a float or a bool is refused rather than mixed in,
+    # as a cost, a lower bound or an upper bound, and nothing is stored
+    for lower, upper, c in ((0, 1, cost), (cost, 2, 0), (0, cost, 0)):
+        prob = CirculationProblem(2)
+        with pytest.raises(ContractViolation):
+            prob.add_arc(0, 1, lower, upper, c)
+        assert not (prob.lower or prob.upper or prob.cost or prob.network.head)
+
+
+def test_circulation_refuses_negative_cost_in_add_arc():
     prob = CirculationProblem(2)
     with pytest.raises(ContractViolation):
-        prob.add_arc(0, 1, 0, 1, cost)
-    assert not prob.arcs
+        prob.add_arc(0, 1, 0, 1, -1)
+    assert not (prob.cost or prob.network.head)
+
+
+def test_circulation_arcs_share_the_max_flow_layout():
+    # arc i is residual arcs 2i and 2i + 1 of the network; the supply and
+    # demand arcs of the lower-bound transformation come after them
+    prob = CirculationProblem(3)
+    a = prob.add_arc(0, 1, 1, 3, 2)
+    b = prob.add_arc(1, 2, 0, 4, 1)
+    prob.add_arc(2, 0, 0, 4, 0)
+    net = prob.network
+    assert (a, b) == (0, 1)
+    assert net.head[:6] == [1, 0, 2, 1, 0, 2]
+    assert net.capacity[:6] == [2, 0, 4, 0, 4, 0]
+    assert prob.solve() == [1, 1, 1]
+    # in vertex order: vertex 0's demand arc to the sink 4, then vertex 1's
+    # supply arc from the source 3
+    assert net.head[6:] == [4, 0, 1, 3]
+    assert max_flow_min_cut(net, 3, 4)[0] == 0  # the supply was shipped
+
+
+def test_circulation_is_solved_once():
+    prob = CirculationProblem(2)
+    prob.add_arc(0, 1, 1, 1, 0)
+    prob.add_arc(1, 0, 0, 1, 0)
+    assert prob.solve() == [1, 1]
+    with pytest.raises(ContractViolation):
+        prob.solve()
 
 
 def test_circulation_min_cost_against_enumeration():

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from atsp_approx import cover as cover_module
 from atsp_approx import lp as lp_module
 from atsp_approx import svensson as svensson_module
 from atsp_approx.checks import Checker
@@ -195,7 +196,9 @@ def test_no_fraction_arithmetic_in_integer_checks(monkeypatch):
 
         monkeypatch.setattr(Fraction, name, counting)
     watched = [(StronglyLaminarInstance, "validate"), (EdgeMultiset, "cost"),
-               (EllFunction, "of_set"), (lp_module, "dual_feasible")]
+               (EllFunction, "of_set"), (lp_module, "dual_feasible"),
+               (cover_module, "compute_witness_flow"),
+               (cover_module, "validate_witness_flow")]
     for owner, attr in watched:
         def watching(*args, _original=getattr(owner, attr), _attr=attr, **kwargs):
             inside[0] += 1

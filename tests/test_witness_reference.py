@@ -66,22 +66,22 @@ def _check_against_highs(scipy, cover, levels, witness, stage1):
     flow, stage1 being its scaled integers) match HiGHS."""
     inst = cover.pair.instance
     g = inst.g
-    comps = cover.components()
+    comps = cover.w_sets
     crossings = {e.eid: sum(1 for w in comps if (e.tail in w) != (e.head in w))
                  for e in g.edges}
     neutral = [e.eid for e in g.edges if levels.edge_class[e.eid] == NEUTRAL]
     fixed_boundary = sum((crossings[e.eid] * inst.x[e.eid] for e in g.edges
                           if levels.edge_class[e.eid] == FORWARD), F(0))
     opt1 = _highs_witness_optimum(scipy, cover, levels, crossings, inst.x)
-    assert abs(float(witness.boundary_optimum - fixed_boundary) - opt1) < 1e-7
     scale = 1
     for q in inst.x:
         scale = lcm(scale, q.denominator)
+    assert abs(float(F(witness.boundary_optimum, scale) - fixed_boundary) - opt1) < 1e-7
     assert sorted(stage1) == neutral
     bound = {eid: F(stage1[eid], scale) for eid in neutral}
     opt2 = _highs_witness_optimum(scipy, cover, levels, {eid: 1 for eid in neutral},
                                   bound)
-    total = sum((witness.f[eid] for eid in neutral), F(0))
+    total = F(sum(witness.f[eid] for eid in neutral), scale)
     assert abs(float(total) - opt2) < 1e-7
 
 

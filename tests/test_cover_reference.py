@@ -245,11 +245,11 @@ def ref_round_circulation(rerouted: FractionRerouted, aug: AugmentedGraph,
         else:
             lo, hi = 0, 10 ** 9
         prob.add_arc(2 * v, 2 * v + 1, lo, hi, ZERO)
-    edge_arc = [prob.add_arc(2 * e.tail + 1, 2 * e.head, 0, ref_ceil2(z[e.eid]), e.cost)
-                for e in sg.edges]
+    for e in sg.edges:
+        prob.add_arc(2 * e.tail + 1, 2 * e.head, 0, ref_ceil2(z[e.eid]), e.cost)
     flows = prob.solve()
     assert flows is not None
-    z_star = [flows[arc] for arc in edge_arc]
+    z_star = flows[sg.n:]
     for eid in range(sg.m):
         checker.check(0 <= z_star[eid] <= ref_ceil2(z[eid]), "rounding-edge-caps")
     cost_star = sum((sg.edge(eid).cost * z_star[eid] for eid in range(sg.m)), ZERO)

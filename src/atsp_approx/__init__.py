@@ -25,6 +25,7 @@ from .graph import (
     check_laminar,
     contract,
     euler_walk,
+    integer_edges,
     is_eulerian_connected,
     scc_topological,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "euler_walk",
     "gen_instance",
     "held_karp_opt",
+    "integer_edges",
     "is_eulerian_connected",
     "parse_instance",
     "run_pipeline",

@@ -57,7 +57,7 @@ def _resolve_tour(g: Digraph, walk: list) -> EdgeMultiset:
     by_pair: dict[tuple[int, int], int] = {}
     for e in g.edges:
         key = (e.tail, e.head)
-        if key not in by_pair or e.cost < g.edge(by_pair[key]).cost:
+        if key not in by_pair or e.cost_num < g.cost_num[by_pair[key]]:
             by_pair[key] = e.eid
     tour = EdgeMultiset()
     for item in walk:

@@ -30,8 +30,6 @@ from .graph import Digraph, EdgeMultiset, bfs_path, scc_topological, undirected_
 from .instance import cut_value, path_crossings
 from .pair import VertebratePair
 
-ZERO = Fraction(0)
-
 FORWARD = "forward"
 BACKWARD = "backward"
 NEUTRAL = "neutral"
@@ -119,31 +117,31 @@ class SplitGraph:
 
 def build_split_graph(base: Digraph, edge_class: list[str],
                       backbone_vertices: frozenset) -> SplitGraph:
-    edges: list[tuple[int, int, Fraction]] = []
+    edges: list[tuple[int, int, int]] = []
     kind: list[tuple] = []
     lower_of: dict[int, int] = {}
     upper_of: dict[int, int] = {}
     down_of: dict[int, int] = {}
     up_of: dict[int, int] = {}
 
-    def push(tail: int, head: int, cost: Fraction, tag: tuple) -> int:
+    def push(tail: int, head: int, cost: int, tag: tuple) -> int:
         edges.append((tail, head, cost))
         kind.append(tag)
         return len(edges) - 1
 
     for v in range(base.n):
-        down_of[v] = push(SplitGraph.upper(v), SplitGraph.lower(v), ZERO, ("down", v))
+        down_of[v] = push(SplitGraph.upper(v), SplitGraph.lower(v), 0, ("down", v))
         if v in backbone_vertices:
-            up_of[v] = push(SplitGraph.lower(v), SplitGraph.upper(v), ZERO, ("up", v))
+            up_of[v] = push(SplitGraph.lower(v), SplitGraph.upper(v), 0, ("up", v))
     for e in base.edges:
         cls = edge_class[e.eid]
         if cls in (FORWARD, NEUTRAL):
             lower_of[e.eid] = push(SplitGraph.lower(e.tail), SplitGraph.lower(e.head),
-                                   e.cost, ("lower", e.eid))
+                                   e.cost_num, ("lower", e.eid))
         if cls in (BACKWARD, NEUTRAL):
             upper_of[e.eid] = push(SplitGraph.upper(e.tail), SplitGraph.upper(e.head),
-                                   e.cost, ("upper", e.eid))
-    return SplitGraph(Digraph(2 * base.n, edges), base, kind,
+                                   e.cost_num, ("upper", e.eid))
+    return SplitGraph(Digraph(2 * base.n, edges, base.cost_den), base, kind,
                       lower_of, upper_of, down_of, up_of)
 
 
@@ -281,8 +279,7 @@ def witness_boundary_mass(cover: SubtourCoverInstance, f: list[int]) -> int:
 def _support_acyclic(g: Digraph, support: list[int]) -> bool:
     """True iff the given edges contain no directed cycle, that is, every
     strongly connected component of the subgraph they form is one vertex."""
-    sub = Digraph(g.n, [(g.edge(eid).tail, g.edge(eid).head, ZERO)
-                        for eid in support])
+    sub = Digraph(g.n, [(g.edges[eid].tail, g.edges[eid].head, 0) for eid in support])
     return all(len(comp) == 1 for comp in scc_topological(sub))
 
 
@@ -333,7 +330,7 @@ def build_augmented_graph(cover: SubtourCoverInstance, witness: WitnessFlow,
         for v in sorted(w):
             for u in residual_adj[v]:
                 if u in w:
-                    res_edges.append((v, u, ZERO))
+                    res_edges.append((v, u, 0))
         sub = Digraph(g.n, res_edges)
         return scc_topological(sub, w)[0]
 
@@ -347,7 +344,7 @@ def build_augmented_graph(cover: SubtourCoverInstance, witness: WitnessFlow,
                       lambda: f"W={sorted(w)} hat={sorted(hat)}")
         w_hat.append(hat)
 
-    edges: list[tuple[int, int, Fraction]] = [(e.tail, e.head, e.cost) for e in g.edges]
+    edges: list[tuple[int, int, int]] = [(e.tail, e.head, e.cost_num) for e in g.edges]
     base_eid: list[int] = list(range(g.m))
     r_aug: list[int] = list(levels.r)
     in_copy: dict[tuple[int, int], int] = {}
@@ -371,7 +368,7 @@ def build_augmented_graph(cover: SubtourCoverInstance, witness: WitnessFlow,
                 edges.append((a, head, cost))
                 base_eid.append(base_eid[eid])
                 out_copy[(eid, i)] = len(edges) - 1
-    aug_g = Digraph(g.n + len(comps), edges)
+    aug_g = Digraph(g.n + len(comps), edges, g.cost_den)
     edge_class = [classify_edge(r_aug[e.tail], r_aug[e.head])
                   for e in aug_g.edges]
     for eid in range(aug_g.m):

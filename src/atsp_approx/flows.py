@@ -122,14 +122,23 @@ class CirculationProblem:
     def add_arc(self, tail: int, head: int, lower: int, upper: int, cost: int) -> int:
         if not (0 <= tail < self.n and 0 <= head < self.n):
             raise ContractViolation("arc endpoint out of range")
-        if not (type(lower) is type(upper) is type(cost) is int):
+        if type(lower) is not int or type(upper) is not int or type(cost) is not int:
             raise ContractViolation(f"arc bounds [{lower!r},{upper!r}] and cost "
                                     f"{cost!r} are not all ints")
-        if not (0 <= lower <= upper):
+        if not 0 <= lower <= upper:
             raise ContractViolation(f"bad arc bounds [{lower},{upper}]")
         if cost < 0:
             raise ContractViolation("negative arc cost not supported")
-        self.network.add_arc(tail, head, upper - lower)
+        # FlowNetwork.add_arc inlined: arc 2i and its reverse 2i + 1
+        net = self.network
+        heads, capacity = net.head, net.capacity
+        arc = len(heads)
+        net.out[tail].append(arc)
+        net.out[head].append(arc + 1)
+        heads.append(head)
+        heads.append(tail)
+        capacity.append(upper - lower)
+        capacity.append(0)
         self.lower.append(lower)
         self.upper.append(upper)
         self.cost.append(cost)

@@ -1,11 +1,16 @@
 """Directed multigraph primitives and the laminar-family machinery.
 
 Everything downstream (LP solving, flow rounding, the recursive reduction)
-works on these types; cost sums and comparisons run on each digraph's integer
-cost numerators.  Graphs, families, and contraction maps are immutable
-after construction; edge multisets are value-like builders whose combining
-operations (union, restrict_to) return fresh objects, and every algorithm
-here is a pure function, so shared instances are safe across threads.
+works on these types.  A digraph is built from (tail, head, cost_num) triples
+whose costs are nonnegative int numerators over one ``cost_den``; every cost
+sum and comparison runs on those ints, and ``Edge.cost`` is the exact
+``Fraction`` for readers that want one.  Input boundaries with rational costs
+scale them once with :func:`integer_edges`; a graph derived from another
+passes the parent's numerators and denominator on unchanged.  Graphs,
+families, and contraction maps are immutable after construction; edge
+multisets are value-like builders whose combining operations (union,
+restrict_to) return fresh objects, and every algorithm here is a pure
+function, so shared instances are safe across threads.
 """
 
 from __future__ import annotations
@@ -13,20 +18,35 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ContractViolation, InputError
 from .rational import common_denominator
 
 
-@dataclass(frozen=True)
-class Edge:
-    """One directed edge of a multigraph; ids are dense 0..m-1."""
+class Edge(NamedTuple):
+    """One directed edge of a multigraph; ids are dense 0..m-1, and
+    ``cost_num / cost_den`` is its cost."""
 
     eid: int
     tail: int
     head: int
-    cost: Fraction
+    cost_num: int
+    cost_den: int
+
+    @property
+    def cost(self) -> Fraction:
+        return Fraction(self.cost_num, self.cost_den)
+
+
+def integer_edges(edge_list: Iterable[tuple[int, int, Fraction]]
+                  ) -> tuple[list[tuple[int, int, int]], int]:
+    """Rational-cost (tail, head, cost) triples as (tail, head, numerator)
+    over the lcm of the cost denominators: ``Digraph(n, *integer_edges(...))``
+    builds the graph with those costs."""
+    edge_list = list(edge_list)
+    nums, den = common_denominator([cost for _, _, cost in edge_list])
+    return [(tail, head, c) for (tail, head, _), c in zip(edge_list, nums)], den
 
 
 class Digraph:
@@ -34,37 +54,45 @@ class Digraph:
 
     Parallel edges are permitted; self-loops are rejected (contraction
     silently discards the loops it would create, and nothing else ever
-    produces one).  ``cost_num[eid] / cost_den`` is the cost of edge eid.
+    produces one).  ``cost_num[eid] / cost_den`` is the cost of edge eid;
+    each numerator must be an ``int`` (not a bool, float or Fraction) and
+    ``cost_den`` a positive ``int``.
     """
 
     __slots__ = ("n", "edges", "out_edges", "in_edges", "cost_num", "cost_den")
 
-    def __init__(self, n: int, edge_list: Iterable[tuple[int, int, Fraction]]):
+    def __init__(self, n: int, edge_list: Iterable[tuple[int, int, int]],
+                 cost_den: int = 1):
         if n < 1:
             raise InputError("vertex count must be at least 1")
+        if type(cost_den) is not int or cost_den < 1:
+            raise InputError(f"cost denominator must be a positive int, got {cost_den!r}")
         edges = []
         costs = []
         out_edges: list[list[int]] = [[] for _ in range(n)]
         in_edges: list[list[int]] = [[] for _ in range(n)]
+        new_edge = tuple.__new__  # skips Edge's generated, Python-level __new__
         for eid, (tail, head, cost) in enumerate(edge_list):
             if not (0 <= tail < n and 0 <= head < n):
                 raise InputError(f"edge endpoint out of range: ({tail},{head}) with n={n}")
             if tail == head:
                 raise InputError(f"self-loop at vertex {tail} not allowed")
-            if type(cost) is not Fraction:
-                cost = Fraction(cost)
-            if cost.numerator < 0:
-                raise InputError(f"negative cost {cost} on edge ({tail},{head})")
-            edges.append(Edge(eid, tail, head, cost))
+            if type(cost) is not int:
+                raise InputError(f"cost numerator {cost!r} on edge ({tail},{head}) "
+                                 "is not an int")
+            if cost < 0:
+                raise InputError(f"negative cost {Fraction(cost, cost_den)} "
+                                 f"on edge ({tail},{head})")
+            edges.append(new_edge(Edge, (eid, tail, head, cost, cost_den)))
             costs.append(cost)
             out_edges[tail].append(eid)
             in_edges[head].append(eid)
         self.n = n
         self.edges: tuple[Edge, ...] = tuple(edges)
-        self.out_edges: tuple[tuple[int, ...], ...] = tuple(tuple(a) for a in out_edges)
-        self.in_edges: tuple[tuple[int, ...], ...] = tuple(tuple(a) for a in in_edges)
-        cost_num, self.cost_den = common_denominator(costs)
-        self.cost_num: tuple[int, ...] = tuple(cost_num)
+        self.out_edges: tuple[tuple[int, ...], ...] = tuple(map(tuple, out_edges))
+        self.in_edges: tuple[tuple[int, ...], ...] = tuple(map(tuple, in_edges))
+        self.cost_num: tuple[int, ...] = tuple(costs)
+        self.cost_den = cost_den
 
     @property
     def m(self) -> int:
@@ -153,12 +181,17 @@ class EdgeMultiset:
     def __contains__(self, eid: int) -> bool:
         return eid in self.mult
 
+    def _edges(self, g: Digraph) -> tuple[Edge, ...]:
+        """g's edges, once every id of the multiset is known to be one."""
+        for eid in self.mult:
+            if not 0 <= eid < len(g.edges):
+                raise InputError(f"unknown edge id {eid}")
+        return g.edges
+
     def cost_num(self, g: Digraph) -> int:
         """The cost in g as a numerator over ``g.cost_den``."""
+        self._edges(g)
         nums = g.cost_num
-        for eid in self.mult:
-            if not 0 <= eid < len(nums):
-                raise InputError(f"unknown edge id {eid}")
         return sum(nums[eid] * k for eid, k in self.mult.items())
 
     def cost(self, g: Digraph) -> Fraction:
@@ -166,8 +199,9 @@ class EdgeMultiset:
 
     def vertices(self, g: Digraph) -> frozenset:
         verts = set()
+        edges = self._edges(g)
         for eid in self.mult:
-            e = g.edge(eid)
+            e = edges[eid]
             verts.add(e.tail)
             verts.add(e.head)
         return frozenset(verts)
@@ -176,8 +210,9 @@ class EdgeMultiset:
         """(in-degree, out-degree) per vertex under multiplicity."""
         indeg: dict[int, int] = {}
         outdeg: dict[int, int] = {}
+        edges = self._edges(g)
         for eid, k in self.mult.items():
-            e = g.edge(eid)
+            e = edges[eid]
             outdeg[e.tail] = outdeg.get(e.tail, 0) + k
             indeg[e.head] = indeg.get(e.head, 0) + k
         return indeg, outdeg
@@ -185,8 +220,9 @@ class EdgeMultiset:
     def restrict_to(self, g: Digraph, vertex_set: frozenset | set) -> "EdgeMultiset":
         """Sub-multiset of edges with both endpoints in the given set."""
         out = EdgeMultiset()
+        edges = self._edges(g)
         for eid, k in self.mult.items():
-            e = g.edge(eid)
+            e = edges[eid]
             if e.tail in vertex_set and e.head in vertex_set:
                 out.add(eid, k)
         return out
@@ -194,8 +230,9 @@ class EdgeMultiset:
     def crossing(self, g: Digraph, vertex_set: frozenset | set) -> int:
         """Total multiplicity of edges with exactly one endpoint in the set."""
         count = 0
+        edges = self._edges(g)
         for eid, k in self.mult.items():
-            e = g.edge(eid)
+            e = edges[eid]
             if (e.tail in vertex_set) != (e.head in vertex_set):
                 count += k
         return count
@@ -204,8 +241,16 @@ class EdgeMultiset:
         """(vertex set, edges) per undirected component of the support that
         has an edge, ordered by smallest vertex."""
         # a singleton component has no edge: there are no self-loops
-        return [(comp, self.restrict_to(g, comp))
-                for comp in undirected_components(g, self.mult) if len(comp) > 1]
+        comps = [comp for comp in undirected_components(g, self.mult) if len(comp) > 1]
+        index = [0] * g.n
+        parts = [EdgeMultiset() for _ in comps]
+        for i, comp in enumerate(comps):
+            for v in comp:
+                index[v] = i
+        edges = g.edges
+        for eid, k in self.mult.items():
+            parts[index[edges[eid].tail]].mult[eid] = k
+        return list(zip(comps, parts))
 
 
 def check_laminar(sets: Sequence[frozenset]) -> bool:
@@ -333,9 +378,9 @@ def contract(g: Digraph, classes: Sequence[frozenset]) -> tuple[Digraph, Contrac
         t, h = vertex_map[e.tail], vertex_map[e.head]
         if t == h:
             continue
-        child_edges.append((t, h, e.cost))
+        child_edges.append((t, h, e.cost_num))
         origins.append(e.eid)
-    child = Digraph(next_id, child_edges)
+    child = Digraph(next_id, child_edges, g.cost_den)
     return child, ContractionMap(tuple(vertex_map), tuple(origins))
 
 
@@ -345,27 +390,46 @@ def undirected_components(g: Digraph, support: Iterable[int],
     vertices as singletons.  Sorted by smallest member.
 
     With ``within``, only those vertices are grouped, and edges with an
-    endpoint outside them are ignored.
+    endpoint outside them are ignored.  Union-find over a parent list with
+    path halving; the smaller root always wins a union, so every root is the
+    smallest member of its component and one ascending scan lists the
+    components in order.
     """
-    verts = range(g.n) if within is None else sorted(within)
-    parent = {v: v for v in verts}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    n, edges = g.n, g.edges
+    parent = list(range(n))
+    inside = None
+    if within is not None:
+        inside = [False] * n
+        for v in within:
+            inside[v] = True
     for eid in support:
-        e = g.edge(eid)
-        if e.tail in parent and e.head in parent:
-            ra, rb = find(e.tail), find(e.head)
-            if ra != rb:
-                parent[rb] = ra
-    groups: dict[int, set[int]] = {}
-    for v in verts:
-        groups.setdefault(find(v), set()).add(v)
-    return sorted((frozenset(s) for s in groups.values()), key=min)
+        if not 0 <= eid < len(edges):
+            raise InputError(f"unknown edge id {eid}")
+        _, a, b, _, _ = edges[eid]
+        if inside is not None and not (inside[a] and inside[b]):
+            continue
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    groups: list[list[int]] = []
+    slot = [0] * n
+    for v in range(n):
+        if inside is not None and not inside[v]:
+            continue
+        r = v
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        if r == v:
+            slot[v] = len(groups)
+            groups.append([v])
+        else:
+            groups[slot[r]].append(v)
+    return [frozenset(members) for members in groups]
 
 
 def is_eulerian_connected(g: Digraph, f: EdgeMultiset) -> tuple[bool, list[frozenset]]:
@@ -385,7 +449,7 @@ def euler_walk(g: Digraph, f: EdgeMultiset, start: int) -> list[int]:
     Hierholzer's algorithm.  Requires f Eulerian with connected support and
     positive degree at the start vertex.
     """
-    eulerian, comps = is_eulerian_connected(g, f)
+    eulerian, comps = is_eulerian_connected(g, f)  # refuses ids that are not edges
     if not eulerian:
         raise ContractViolation("edge multiset is not Eulerian")
     support_verts = f.vertices(g)
@@ -398,7 +462,7 @@ def euler_walk(g: Digraph, f: EdgeMultiset, start: int) -> list[int]:
     # per-vertex list of out-edges with positive multiplicity, ascending eid
     out_pool: dict[int, list[int]] = {}
     for eid in sorted(remaining, reverse=True):
-        out_pool.setdefault(g.edge(eid).tail, []).append(eid)
+        out_pool.setdefault(g.edges[eid].tail, []).append(eid)
     vertex_stack: list[int] = [start]
     edge_stack: list[int] = []
     walk: list[int] = []
@@ -412,7 +476,7 @@ def euler_walk(g: Digraph, f: EdgeMultiset, start: int) -> list[int]:
             remaining[eid] -= 1
             if remaining[eid] == 0:
                 pool.pop()
-            vertex_stack.append(g.edge(eid).head)
+            vertex_stack.append(g.edges[eid].head)
             edge_stack.append(eid)
         else:
             vertex_stack.pop()

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .checks import Checker
 from .errors import BudgetError, InfeasibleInstanceError, InputError
-from .graph import Digraph, EdgeMultiset, euler_walk, is_eulerian_connected
+from .graph import Digraph, EdgeMultiset, euler_walk, integer_edges, is_eulerian_connected
 from .rational import format_rational, parse_rational
 from .vertebrate import solve_atsp
 
@@ -84,7 +84,7 @@ def _parse_json(text: str) -> tuple[str, Digraph]:
     # refusing here also keeps a huge n from allocating adjacency lists.
     if n > 1 and n > len(edges):
         raise InfeasibleInstanceError("instance graph is not strongly connected")
-    return str(doc.get("name", "instance")), Digraph(n, edges)
+    return str(doc.get("name", "instance")), Digraph(n, *integer_edges(edges))
 
 
 def _parse_tsplib(text: str) -> tuple[str, Digraph]:
@@ -141,7 +141,7 @@ def _parse_tsplib(text: str) -> tuple[str, Digraph]:
         for j in range(dimension):
             if i != j:
                 edges.append((i, j, numbers[i * dimension + j]))
-    return name, Digraph(dimension, edges)
+    return name, Digraph(dimension, *integer_edges(edges))
 
 
 def instance_to_json(name: str, g: Digraph) -> str:
@@ -171,7 +171,7 @@ def gen_instance(model: str, n: int, seed: int = 0) -> Digraph:
     if model == "cycle":
         if n == 1:
             return Digraph(1, [])
-        return Digraph(n, [(i, (i + 1) % n, Fraction(1)) for i in range(n)])
+        return Digraph(n, [(i, (i + 1) % n, 1) for i in range(n)])
     if model == "two-cluster":
         if n == 1:
             return Digraph(1, [])
@@ -182,10 +182,10 @@ def gen_instance(model: str, n: int, seed: int = 0) -> Digraph:
             if size >= 2:
                 for i in range(lo, hi):
                     nxt = lo + (i - lo + 1) % size
-                    edges.append((i, nxt, Fraction(1)))
-        edges.append((0, half % n, Fraction(5)))
+                    edges.append((i, nxt, 1))
+        edges.append((0, half % n, 5))
         if half % n != 0:
-            edges.append((half % n, 0, Fraction(5)))
+            edges.append((half % n, 0, 5))
         return Digraph(n, edges)
     # random topologies
     if n == 1:
@@ -204,7 +204,7 @@ def gen_instance(model: str, n: int, seed: int = 0) -> Digraph:
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
             edges.append((u, v, cost()))
-    return Digraph(n, edges)
+    return Digraph(n, *integer_edges(edges))
 
 
 def held_karp_opt(g: Digraph) -> Fraction:

@@ -79,8 +79,8 @@ def crossing_num(g: Digraph, members: Sequence[frozenset],
 def induced_graph(g: Digraph, family: LaminarFamily) -> Digraph:
     """g with each edge costing the total weight of the family sets it crosses."""
     weight_num, den = common_denominator([family.weights[s] for s in family.members])
-    return Digraph(g.n, [(e.tail, e.head, Fraction(c, den)) for e, c
-                         in zip(g.edges, crossing_num(g, family.members, weight_num))])
+    return Digraph(g.n, [(e.tail, e.head, c) for e, c
+                         in zip(g.edges, crossing_num(g, family.members, weight_num))], den)
 
 
 def _common_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> int:

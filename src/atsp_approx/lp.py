@@ -264,19 +264,17 @@ def make_strongly_laminar(g: Digraph, x: list[Fraction], dual: DualLp,
     """Repair the dual so every support set induces a strongly connected
     subgraph of g (g must already be restricted to the support of x).
 
-    While some support set U fails, the minimal such U donates its weight to
-    the first strongly connected component S of g[U] in topological order,
-    and the potentials of U minus S drop by y_U.  Terminates within the
-    support size because each step removes one bad set and adds none.
+    Each failing support set U, smallest first, donates its weight to the
+    first strongly connected component S of g[U] in topological order, and
+    the potentials of U minus S drop by y_U.  g never changes and S induces
+    a strongly connected subgraph, so a step adds no failing set: the
+    failing sets are found once, before the first step.
     """
     checker = checker or Checker()
     dual = dual.copy()
-    cap = 2 * g.n + 2
-    for _ in range(cap):
-        bad = [u for u in dual.y if not g.is_strongly_connected(u)]
-        if not bad:
-            break
-        u_set = min(bad, key=lambda s: (len(s), sorted(s)))
+    bad = sorted((u for u in dual.y if not g.is_strongly_connected(u)),
+                 key=lambda s: (len(s), sorted(s)))
+    for u_set in bad:
         comps = scc_topological(g, u_set)
         s_set = comps[0]
         incoming_inside = [
@@ -293,8 +291,6 @@ def make_strongly_laminar(g: Digraph, x: list[Fraction], dual: DualLp,
         if checker.check_all:
             checker.check(dual_feasible(g, dual), "strongly-laminar-step-feasible",
                           lambda: sorted(u_set))
-    else:
-        raise InternalCheckError("strongly-laminar-cap", "loop failed to terminate")
     out = DualLp(dual.a, dual.y, _dual_objective(dual.y))
     checker.check(check_laminar(list(out.y.keys())), "strongly-laminar-support-laminar")
     checker.check(dual_feasible(g, out), "strongly-laminar-feasibility")
@@ -320,8 +316,8 @@ def build_strongly_laminar_instance(
         return inst, ZERO, ()
     primal, dual0 = solve_atsp_lp(g, checker)
     support = [e.eid for e in g.edges if primal.x[e.eid].numerator > 0]
-    sub = Digraph(g.n, [(g.edges[eid].tail, g.edges[eid].head, g.edges[eid].cost)
-                        for eid in support])
+    sub = Digraph(g.n, [(g.edges[eid].tail, g.edges[eid].head, g.cost_num[eid])
+                        for eid in support], g.cost_den)
     x_sub = [primal.x[eid] for eid in support]
     dual1 = uncross_dual(sub, dual0, checker)
     dual2 = make_strongly_laminar(sub, x_sub, dual1, checker)

@@ -42,10 +42,14 @@ def parse_rational(value) -> Fraction:
         return Fraction(int(value))
     if isinstance(value, str):
         text = value.strip()
-        digits = sum(c.isdecimal() for c in text)
+        # a plain ASCII integer, the common token, skips Fraction's regex
+        plain = text.isascii() and text.isdigit()
+        digits = len(text) if plain else sum(c.isdecimal() for c in text)
         if digits > MAX_DIGITS:
             raise InputError(f"refusing rational string with {digits} digits "
                              f"(limit {MAX_DIGITS})")
+        if plain:
+            return Fraction(int(text))
         _, has_exponent, exponent = text.lower().partition("e")
         if has_exponent:
             try:

@@ -2,30 +2,26 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from atsp_approx.graph import Digraph, EdgeMultiset
-
-F = Fraction
 
 
 def c3() -> Digraph:
     """Directed triangle on {0,1,2}, unit costs."""
-    return Digraph(3, [(0, 1, F(1)), (1, 2, F(1)), (2, 0, F(1))])
+    return Digraph(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
 
 
 def k2() -> Digraph:
     """Two vertices with arcs both ways, cost 1."""
-    return Digraph(2, [(0, 1, F(1)), (1, 0, F(1))])
+    return Digraph(2, [(0, 1, 1), (1, 0, 1)])
 
 
 def two_tri() -> Digraph:
     """Two unit-cost triangles {0,1,2} and {3,4,5} joined by arcs (0,3) and
     (3,0) of cost 5."""
     return Digraph(6, [
-        (0, 1, F(1)), (1, 2, F(1)), (2, 0, F(1)),
-        (3, 4, F(1)), (4, 5, F(1)), (5, 3, F(1)),
-        (0, 3, F(5)), (3, 0, F(5)),
+        (0, 1, 1), (1, 2, 1), (2, 0, 1),
+        (3, 4, 1), (4, 5, 1), (5, 3, 1),
+        (0, 3, 5), (3, 0, 5),
     ])
 
 

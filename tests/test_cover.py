@@ -116,7 +116,7 @@ def fig6_style_graph():
         (5, 2), (2, 6), (6, 1), (1, 5),
         (5, 4), (4, 7), (7, 3), (3, 5),
     ]
-    g = Digraph(8, [(t, h, F(1)) for t, h in edges])
+    g = Digraph(8, [(t, h, 1) for t, h in edges])
     r = [1, 3, 3, 4, 4, 1, 3, 4]  # V=1, L2=2, {1,2,6}=3, {3,4,7}=4
     classes = []
     for t, h in edges:
@@ -285,10 +285,10 @@ def remote_cluster_pair() -> VertebratePair:
     triangle as its own component, away from the backbone."""
     half = F(1, 2)
     g = Digraph(6, [
-        (0, 1, half), (1, 2, F(1)), (2, 0, half),
-        (3, 4, half), (4, 5, F(1)), (5, 3, half),
-        (0, 3, F(0)), (3, 0, F(0)),
-    ])
+        (0, 1, 1), (1, 2, 2), (2, 0, 1),
+        (3, 4, 1), (4, 5, 2), (5, 3, 1),
+        (0, 3, 0), (3, 0, 0),
+    ], 2)
     fam = LaminarFamily([(frozenset({v}), half) for v in (1, 2, 4, 5)], 6)
     inst = StronglyLaminarInstance(g, fam, [F(1)] * 8)
     inst.validate(Checker())

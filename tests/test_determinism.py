@@ -72,7 +72,7 @@ def nested_hub(ring_sizes: tuple[int, ...], inner_sizes: tuple[int, ...]) -> Dig
     def ring(size: int) -> int:
         verts = [vertex() for _ in range(size)]
         for i, (a, b) in enumerate(zip(verts, verts[1:] + verts[:1])):
-            edges.append((a, b, Fraction(1 + i % 2)))
+            edges.append((a, b, 1 + i % 2))
         return verts[0]
 
     def hub(sizes, level, inner) -> int:
@@ -81,7 +81,7 @@ def nested_hub(ring_sizes: tuple[int, ...], inner_sizes: tuple[int, ...]) -> Dig
         if inner is not None:
             ports.append(hub(inner, level + 1, None))
         for k, port in enumerate(ports):
-            cost = Fraction((2 + k) * (2 - level))
+            cost = (2 + k) * (2 - level)
             edges.extend([(center, port, cost), (port, center, cost)])
         return center
 

@@ -14,6 +14,7 @@ from atsp_approx.graph import (
     check_laminar,
     contract,
     euler_walk,
+    integer_edges,
     is_eulerian_connected,
     scc_topological,
     undirected_components,
@@ -25,11 +26,32 @@ F = Fraction
 
 def test_digraph_rejects_bad_edges():
     with pytest.raises(InputError):
-        Digraph(2, [(0, 0, F(1))])
+        Digraph(2, [(0, 0, 1)])
     with pytest.raises(InputError):
-        Digraph(2, [(0, 2, F(1))])
+        Digraph(2, [(0, 2, 1)])
     with pytest.raises(InputError):
-        Digraph(2, [(0, 1, F(-1))])
+        Digraph(2, [(0, 1, -1)])
+    with pytest.raises(InputError):
+        Digraph(2, [(-1, 1, 1)])
+    # a cost numerator is an int and nothing else, not even an integral one
+    for cost in (True, False, 1.0, 2.5, F(1), F(1, 2), "1", None):
+        with pytest.raises(InputError, match="not an int"):
+            Digraph(2, [(0, 1, 1), (1, 0, cost)])
+    for den in (0, -3, True, 2.0, F(2), None):
+        with pytest.raises(InputError, match="cost denominator"):
+            Digraph(2, [(0, 1, 1), (1, 0, 1)], den)
+    with pytest.raises(InputError, match="negative cost -1/3"):
+        Digraph(2, [(0, 1, 1), (1, 0, -1)], 3)
+
+
+def test_edge_cost_is_the_numerator_over_the_denominator():
+    g = Digraph(3, [(0, 1, 3), (1, 2, 0), (2, 0, 6)], 4)
+    assert g.cost_num == (3, 0, 6) and g.cost_den == 4
+    assert [e.cost for e in g.edges] == [F(3, 4), F(0), F(3, 2)]
+    assert g.edges[2] == (2, 2, 0, 6, 4) and g.edges[2].cost_num == 6
+    assert integer_edges([(0, 1, F(1, 2)), (1, 0, 3), (1, 2, F(5, 6))]) == (
+        [(0, 1, 3), (1, 0, 18), (1, 2, 5)], 6)
+    assert integer_edges([]) == ([], 1)
 
 
 def test_edge_ids_outside_the_graph_are_refused():
@@ -83,6 +105,58 @@ def test_edge_multiset_components_ordered_by_smallest_vertex():
     assert EdgeMultiset().components(g) == []
 
 
+def _bfs_components(n, pairs, within):
+    """Reference: breadth-first search over the undirected support."""
+    adj = {v: set() for v in within}
+    for a, b in pairs:
+        if a in adj and b in adj:
+            adj[a].add(b)
+            adj[b].add(a)
+    seen, comps = set(), []
+    for v in sorted(within):
+        if v in seen:
+            continue
+        comp, queue = {v}, [v]
+        for u in queue:
+            for w in adj[u] - comp:
+                comp.add(w)
+                queue.append(w)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return comps
+
+
+def test_components_match_breadth_first_search_on_random_multigraphs():
+    rng = random.Random(11)
+    for trial in range(300):
+        n = rng.randint(1, 12)
+        edges = []
+        if n > 1:
+            for _ in range(rng.randint(0, 2 * n)):
+                u, v = rng.sample(range(n), 2)
+                edges += [(u, v, 1)] * rng.choice([1, 1, 2])  # parallel edges too
+        g = Digraph(n, edges)
+        support = [eid for eid in range(g.m) if rng.random() < 0.6]
+        pairs = [(g.edges[eid].tail, g.edges[eid].head) for eid in support]
+        within = frozenset(v for v in range(n) if rng.random() < 0.7)
+        for verts in (None, within):
+            got = undirected_components(g, support, verts)
+            want = _bfs_components(n, pairs, range(n) if verts is None else verts)
+            assert got == want, trial
+            assert [min(c) for c in got] == sorted(min(c) for c in got)
+        f = EdgeMultiset({eid: rng.randint(1, 3) for eid in support})
+        parts = f.components(g)
+        assert [comp for comp, _ in parts] == [c for c in _bfs_components(n, pairs, range(n))
+                                               if len(c) > 1]
+        assert sum(len(part) for _, part in parts) == len(f)
+        for comp, part in parts:
+            assert part == f.restrict_to(g, comp)
+    empty = Digraph(4, [(0, 1, 1), (1, 0, 1)])
+    assert undirected_components(empty, []) == [frozenset({v}) for v in range(4)]
+    assert undirected_components(empty, [], within=set()) == []
+    assert EdgeMultiset().components(empty) == []
+
+
 def test_checker_balanced_counts_per_vertex():
     g = c3()
     checker = Checker()
@@ -102,7 +176,7 @@ def test_support_acyclic_detects_cycles():
     assert not _support_acyclic(g, [0, 1, 2])  # the triangle 0->1->2->0
     assert not _support_acyclic(g, [6, 7])  # 0->3->0
     n = 3000  # deeper than the interpreter's recursion limit
-    path = Digraph(n, [(i, i + 1, F(1)) for i in range(n - 1)])
+    path = Digraph(n, [(i, i + 1, 1) for i in range(n - 1)])
     assert _support_acyclic(path, list(range(n - 1)))
 
 
@@ -154,12 +228,12 @@ def test_euler_walk_replay_random_multisets():
         n = rng.randint(2, 7)
         edges = []
         for i in range(n):
-            edges.append((i, (i + 1) % n, F(1)))
+            edges.append((i, (i + 1) % n, 1))
         for _ in range(rng.randint(0, 10)):
             u = rng.randrange(n)
             v = rng.randrange(n)
             if u != v:
-                edges.append((u, v, F(1)))
+                edges.append((u, v, 1))
         g = Digraph(n, edges)
         # random Eulerian multiset: sum of directed cycles found by walking
         f = EdgeMultiset()
@@ -197,13 +271,13 @@ def test_scc_topological_strongly_connected():
 
 
 def test_scc_topological_path():
-    g = Digraph(3, [(0, 1, F(1)), (1, 2, F(1))])
+    g = Digraph(3, [(0, 1, 1), (1, 2, 1)])
     assert scc_topological(g) == [frozenset({0}), frozenset({1}), frozenset({2})]
 
 
 def test_scc_topological_one_way_bridge():
     g = two_tri()
-    edges = [(e.tail, e.head, e.cost) for e in g.edges if (e.tail, e.head) != (3, 0)]
+    edges = [(e.tail, e.head, e.cost_num) for e in g.edges if (e.tail, e.head) != (3, 0)]
     g2 = Digraph(6, edges)
     assert scc_topological(g2) == [frozenset({0, 1, 2}), frozenset({3, 4, 5})]
 
@@ -216,7 +290,7 @@ def test_scc_topological_edge_direction_property():
         for _ in range(rng.randint(1, 2 * n)):
             u, v = rng.randrange(n), rng.randrange(n)
             if u != v:
-                edges.append((u, v, F(1)))
+                edges.append((u, v, 1))
         g = Digraph(n, edges)
         restrict = frozenset(v for v in range(n) if rng.random() < 0.8)
         if not restrict:

@@ -6,7 +6,7 @@ import pytest
 
 from atsp_approx.checks import Checker
 from atsp_approx.errors import InternalCheckError
-from atsp_approx.graph import Digraph, LaminarFamily
+from atsp_approx.graph import Digraph, LaminarFamily, integer_edges
 from atsp_approx.instance import StronglyLaminarInstance, path_crossings
 from atsp_approx.lp import build_strongly_laminar_instance
 from fixtures import c3, two_tri
@@ -47,7 +47,7 @@ def detour_instance() -> StronglyLaminarInstance:
         (frozenset({6}), y_single),
         (frozenset({9}), y_single),
     ], 10)
-    return StronglyLaminarInstance(Digraph(10, edges), family, x)
+    return StronglyLaminarInstance(Digraph(10, *integer_edges(edges)), family, x)
 
 
 L3 = frozenset({1, 2, 4})

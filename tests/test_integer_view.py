@@ -21,7 +21,7 @@ from atsp_approx import svensson as svensson_module
 from atsp_approx.checks import Checker
 from atsp_approx.cover import subtour_cover
 from atsp_approx.errors import InternalCheckError
-from atsp_approx.graph import Digraph, EdgeMultiset, LaminarFamily
+from atsp_approx.graph import Digraph, EdgeMultiset, LaminarFamily, integer_edges
 from atsp_approx.harness import GENERATOR_MODELS, gen_instance, run_pipeline
 from atsp_approx.instance import StronglyLaminarInstance
 from atsp_approx.pair import VertebratePair
@@ -45,7 +45,7 @@ def _rebuilt(inst: StronglyLaminarInstance, costs=None, weights=None, x=None):
     costs, family weights or x in place of its own."""
     g = inst.g
     costs = costs or [e.cost for e in g.edges]
-    g2 = Digraph(g.n, [(e.tail, e.head, c) for e, c in zip(g.edges, costs)])
+    g2 = Digraph(g.n, *integer_edges((e.tail, e.head, c) for e, c in zip(g.edges, costs)))
     weights = weights or inst.family.weights
     family = LaminarFamily([(s, weights[s]) for s in inst.family.members], g.n)
     return StronglyLaminarInstance(g2, family, x or inst.x)
@@ -112,7 +112,7 @@ def _singleton_ring(n: int) -> VertebratePair:
         j = (i + 1) % n
         cost = y.get(i, F(0)) + y.get(j, F(0))
         edges.extend([(i, j, cost), (j, i, cost)])
-    g = Digraph(n, edges)
+    g = Digraph(n, *integer_edges(edges))
     family = LaminarFamily([(frozenset({v}), half) for v in range(1, n)], n)
     inst = StronglyLaminarInstance(g, family, [half] * g.m)
     inst.validate(Checker())

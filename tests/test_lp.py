@@ -10,7 +10,7 @@ from atsp_approx import lp, simplex
 from atsp_approx.checks import Checker
 from atsp_approx.errors import BudgetError, ContractViolation, InfeasibleInstanceError
 from atsp_approx.flows import max_flow_min_cut
-from atsp_approx.graph import Digraph, check_laminar
+from atsp_approx.graph import Digraph, check_laminar, integer_edges
 from atsp_approx.harness import gen_instance
 from atsp_approx.lp import (
     DualLp,
@@ -82,7 +82,7 @@ def test_lp_on_two_tri():
 
 
 def test_lp_rejects_weakly_connected():
-    g = Digraph(3, [(0, 1, F(1)), (1, 2, F(1))])
+    g = Digraph(3, [(0, 1, 1), (1, 2, 1)])
     with pytest.raises(InfeasibleInstanceError):
         solve_atsp_lp(g)
 
@@ -93,7 +93,7 @@ def test_lp_over_budget_is_refused_before_any_row_is_built(monkeypatch):
     # solved, one cell less is refused before a cut row is built or the
     # simplex is called
     n = 10
-    g = Digraph(n, [(i, (i + 1) % n, F(1)) for i in range(n)])
+    g = Digraph(n, [(i, (i + 1) % n, 1) for i in range(n)])
     monkeypatch.setattr(simplex, "MAX_TABLEAU_CELLS", 6 * n * n)
     assert solve_atsp_lp(g)[0].objective == n
 
@@ -123,7 +123,7 @@ def test_separate_subtour_satisfied():
 
 def test_separate_subtour_half_cut():
     # K2 plus an extra vertex attached by half-unit arcs
-    g = Digraph(3, [(0, 1, F(1)), (1, 0, F(1)), (1, 2, F(1)), (2, 1, F(1))])
+    g = Digraph(3, [(0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 1, 1)])
     x = [F(1), F(1), F(1, 2), F(1, 2)]
     u = separate_subtour(g, x)
     assert u is not None and cut_value(g, x, u) < 2
@@ -143,7 +143,7 @@ def _random_circulation(rng, n):
         a, b = rng.sample(range(n), 2)
         x_of.setdefault((a, b), F(0))
     arcs = sorted(x_of)
-    g = Digraph(n, [(a, b, F(1)) for a, b in arcs])
+    g = Digraph(n, [(a, b, 1) for a, b in arcs])
     return g, [x_of[arc] for arc in arcs]
 
 
@@ -190,7 +190,7 @@ def test_separation_rejects_non_circulations():
 
 def test_uncross_crossing_pair():
     # 4-cycle; support {{0,1},{1,2}} crosses and resolves to {1},{0,1,2}
-    g = Digraph(4, [(0, 1, F(1)), (1, 2, F(1)), (2, 3, F(1)), (3, 0, F(1))])
+    g = Digraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
     dual = DualLp([F(0)] * 4, {frozenset({0, 1}): F(1, 4), frozenset({1, 2}): F(1, 4)},
                   F(1))
     out = uncross_dual(g, dual)
@@ -211,7 +211,7 @@ def test_uncross_laminar_unchanged():
 
 def test_uncross_complement_canonicalization():
     # A and its complement cross nothing after canonicalization
-    g = Digraph(4, [(0, 1, F(1)), (1, 2, F(1)), (2, 3, F(1)), (3, 0, F(1))])
+    g = Digraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
     a = frozenset({1, 2})
     comp = frozenset({0, 3})
     dual = DualLp([F(0)] * 4, {a: F(1, 3), comp: F(1, 5)}, 2 * (F(1, 3) + F(1, 5)))
@@ -223,7 +223,7 @@ def test_uncross_complement_canonicalization():
 def test_make_strongly_laminar_moves_weight():
     # U = {0,1,2} induces SCCs {0}, {1,2} in order; weight moves to {0}
     g = Digraph(4, [
-        (0, 1, F(1)), (1, 2, F(1)), (2, 1, F(1)), (2, 3, F(1)), (3, 0, F(1)),
+        (0, 1, 1), (1, 2, 1), (2, 1, 1), (2, 3, 1), (3, 0, 1),
     ])
     x = [F(1)] * g.m
     u = frozenset({0, 1, 2})
@@ -235,6 +235,27 @@ def test_make_strongly_laminar_moves_weight():
     assert out.y == {frozenset({0}): F(1)}
     assert out.a == [F(0), F(-1), F(-1), F(0)]
     assert out.objective == dual.objective
+
+
+def test_make_strongly_laminar_tests_each_set_once(monkeypatch):
+    # {0,1} and {0,1,2} both fail and both donate to {0}; the failing sets
+    # are found in one scan, and the final check scans the one set left
+    g = Digraph(4, [(0, 1, 2), (1, 2, 2), (2, 1, 2), (2, 3, 2), (3, 0, 2)])
+    dual = DualLp([F(0)] * 4, {frozenset({0, 1, 2}): F(1), frozenset({0, 1}): F(1, 2)},
+                  F(3))
+    assert dual_feasible(g, dual)
+    calls = []
+    original = Digraph.is_strongly_connected
+
+    def counting(self, restrict=None):
+        calls.append(restrict)
+        return original(self, restrict)
+
+    monkeypatch.setattr(Digraph, "is_strongly_connected", counting)
+    out = make_strongly_laminar(g, [F(1)] * g.m, dual)
+    assert out.y == {frozenset({0}): F(3, 2)}
+    assert out.a == [F(0), F(-3, 2), F(-1), F(0)]
+    assert len(calls) == 3
 
 
 def test_make_strongly_laminar_noop_on_sccs():
@@ -301,7 +322,7 @@ def test_uncross_random_feasible_duals():
         for (u, v) in arcs:
             base = sum((w for ss, w in y.items() if (u in ss) != (v in ss)), F(0))
             costed.append((u, v, base + F(rng.randint(0, 3), 2)))
-        g = Digraph(n, costed)
+        g = Digraph(n, *integer_edges(costed))
         dual = DualLp([F(0)] * n, dict(y),
                       sum((2 * w for w in y.values()), F(0)))
         assert dual_feasible(g, dual)
@@ -341,7 +362,7 @@ def test_dual_feasible_matches_fraction_reference():
             tight = a[v] - a[u] + cross
             cost = max(F(0), tight + rng.choice([0, 0, 1, -1]) * F(1, rng.randint(1, 12)))
             edges.append((u, v, cost))
-        g = Digraph(n, edges)
+        g = Digraph(n, *integer_edges(edges))
         dual = DualLp(a, y, sum((2 * w for w in y.values()), F(0)))
         expected = reference(g, dual)
         assert dual_feasible(g, dual) == expected
@@ -362,7 +383,7 @@ def test_cutting_plane_matches_full_enumeration_small_random():
             u, v = rng.randrange(n), rng.randrange(n)
             if u != v:
                 edges.append((u, v, F(rng.randint(0, 8), rng.choice([1, 2])))),
-        g = Digraph(n, edges)
+        g = Digraph(n, *integer_edges(edges))
         primal, dual = solve_atsp_lp(g)
         assert primal.objective == full_enumeration_lp_value(g)
         assert dual.objective == primal.objective
@@ -422,7 +443,7 @@ def test_cycle_lp_takes_one_round_and_n_pivots(n, monkeypatch):
     # every arc of a directed n-cycle is forced to 1: one dual simplex run
     # brings each arc into the basis once, and x violates no cut
     events = _count_simplex_work(monkeypatch)
-    g = Digraph(n, [(i, (i + 1) % n, F(1)) for i in range(n)])
+    g = Digraph(n, [(i, (i + 1) % n, 1) for i in range(n)])
     primal, dual = solve_atsp_lp(g)
     assert primal.objective == dual.objective == n
     assert "".join(events) == "cd" + "p" * n
@@ -431,7 +452,7 @@ def test_cycle_lp_takes_one_round_and_n_pivots(n, monkeypatch):
 def _dense(n: int, seed: int) -> Digraph:
     """The complete digraph on n vertices with costs 1-100."""
     rng = random.Random(f"dense/{n}/{seed}")
-    return Digraph(n, [(i, j, F(rng.randint(1, 100)))
+    return Digraph(n, [(i, j, rng.randint(1, 100))
                        for i in range(n) for j in range(n) if i != j])
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from atsp_approx.graph import Digraph
+from atsp_approx.graph import Digraph, integer_edges
 from atsp_approx.harness import GENERATOR_MODELS, gen_instance, run_pipeline
 from atsp_approx.lp import solve_atsp_lp
 
@@ -26,8 +26,9 @@ def test_scaling_costs_scales_lp_value_and_tour(model, n, seed):
     g = gen_instance(model, n, seed)
     base = run_pipeline("base", g, Fraction(1))
     for q in (Fraction(7, 3), Fraction(1, 10)):
-        scaled = run_pipeline("scaled", Digraph(g.n, [(e.tail, e.head, q * e.cost)
-                                                      for e in g.edges]), Fraction(1))
+        scaled_g = Digraph(g.n, *integer_edges((e.tail, e.head, q * e.cost)
+                                               for e in g.edges))
+        scaled = run_pipeline("scaled", scaled_g, Fraction(1))
         assert scaled.lp_value == q * base.lp_value
         assert scaled.tour_cost == q * base.tour_cost
         assert scaled.tour_walk == base.tour_walk
@@ -38,5 +39,6 @@ def test_relabelling_vertices_keeps_lp_value(model, n, seed):
     g = gen_instance(model, n, seed)
     perm = list(range(n))
     random.Random(seed).shuffle(perm)
-    relabelled = Digraph(n, [(perm[e.tail], perm[e.head], e.cost) for e in g.edges])
+    relabelled = Digraph(n, [(perm[e.tail], perm[e.head], e.cost_num) for e in g.edges],
+                         g.cost_den)
     assert solve_atsp_lp(relabelled)[0].objective == solve_atsp_lp(g)[0].objective

@@ -14,7 +14,7 @@ from atsp_approx.cover import (
     compute_witness_flow,
     lift_and_reroute,
 )
-from atsp_approx.graph import Digraph, EdgeMultiset, LaminarFamily
+from atsp_approx.graph import Digraph, EdgeMultiset, LaminarFamily, integer_edges
 from atsp_approx.instance import StronglyLaminarInstance
 from atsp_approx.pair import VertebratePair
 from atsp_approx.svensson import ComponentState, build_ell, improved_initialization
@@ -28,9 +28,9 @@ def test_reroute_upper_entry_lower_exit_uses_down_edge():
     # the hub's cover unit enters its auxiliary vertex on the upper level
     # and leaves on the lower one, crossing the free vertical edge
     g = Digraph(6, [
-        (0, 1, F(1)), (1, 2, F(1)), (2, 0, F(1)),
-        (3, 4, F(1)), (4, 5, F(1)), (5, 3, F(1)),
-        (0, 3, F(50)), (3, 0, F(50)),
+        (0, 1, 1), (1, 2, 1), (2, 0, 1),
+        (3, 4, 1), (4, 5, 1), (5, 3, 1),
+        (0, 3, 50), (3, 0, 50),
     ])
     pair = make_pair(g)
     cover = SubtourCoverInstance(pair, EdgeMultiset())
@@ -62,7 +62,7 @@ def big_ring_pair() -> VertebratePair:
         cost = y.get(i, F(0)) + y.get(j, F(0))
         edges.append((i, j, cost))
         edges.append((j, i, cost))
-    g = Digraph(n, edges)
+    g = Digraph(n, *integer_edges(edges))
     fam = LaminarFamily([(frozenset({v}), half) for v in range(1, n)], n)
     inst = StronglyLaminarInstance(g, fam, [half] * g.m)
     inst.validate(Checker())

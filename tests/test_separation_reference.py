@@ -151,7 +151,7 @@ def random_circulation(rng: random.Random) -> tuple[Digraph, list[Fraction]]:
         a, b = rng.sample(range(n), 2)
         edges.append((a, b, F(0)))
     rng.shuffle(edges)
-    g = Digraph(n, [(a, b, F(1)) for a, b, _ in edges])
+    g = Digraph(n, [(a, b, 1) for a, b, _ in edges])
     return g, [w for _, _, w in edges]
 
 

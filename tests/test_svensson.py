@@ -8,7 +8,8 @@ import pytest
 from atsp_approx.checks import Checker
 from atsp_approx.cover import subtour_cover
 from atsp_approx.errors import ContractViolation
-from atsp_approx.graph import Digraph, EdgeMultiset, LaminarFamily, is_eulerian_connected
+from atsp_approx.graph import (Digraph, EdgeMultiset, LaminarFamily, integer_edges,
+                               is_eulerian_connected)
 from atsp_approx.instance import StronglyLaminarInstance
 from atsp_approx.pair import VertebratePair
 from atsp_approx.svensson import (
@@ -86,7 +87,7 @@ def ring_pair() -> VertebratePair:
         cost = y.get(i, F(0)) + y.get(j, F(0))
         edges.append((i, j, cost))
         edges.append((j, i, cost))
-    g = Digraph(6, edges)
+    g = Digraph(6, *integer_edges(edges))
     fam = LaminarFamily([(frozenset({v}), half) for v in range(1, 6)], 6)
     inst = StronglyLaminarInstance(g, fam, [half] * g.m)
     inst.validate(Checker())

@@ -7,7 +7,7 @@ import pytest
 
 from atsp_approx.checks import Checker
 from atsp_approx.errors import ContractViolation
-from atsp_approx.graph import Digraph, EdgeMultiset, is_eulerian_connected
+from atsp_approx.graph import Digraph, EdgeMultiset, integer_edges, is_eulerian_connected
 from atsp_approx.lp import build_strongly_laminar_instance
 from atsp_approx.vertebrate import construct_backbone, reduce_and_solve, solve_atsp
 from atsp_approx.svensson import vertebrate_solve
@@ -99,7 +99,7 @@ def test_solve_atsp_random_small():
             u, v = rng.randrange(n), rng.randrange(n)
             if u != v:
                 edges.append((u, v, F(rng.randint(0, 9), rng.choice([1, 2, 3]))))
-        g = Digraph(n, edges)
+        g = Digraph(n, *integer_edges(edges))
         checker = Checker()
         cert = solve_atsp(g, F(1), checker)
         assert cert.cost <= 23 * cert.lp_value
@@ -130,7 +130,7 @@ def three_branch_star():
         (frozenset({2}), F(3)), (frozenset({4}), F(3)),
         (frozenset({6}), quarter),
     ], 7)
-    inst = StronglyLaminarInstance(Digraph(7, edges), fam, x)
+    inst = StronglyLaminarInstance(Digraph(7, *integer_edges(edges)), fam, x)
     inst.validate(Checker())
     return inst
 
@@ -175,11 +175,11 @@ def test_solve_atsp_all_zero_costs():
         perm = list(range(n))
         rng.shuffle(perm)
         for i in range(n):
-            edges.append((perm[i], perm[(i + 1) % n], F(0)))
+            edges.append((perm[i], perm[(i + 1) % n], 0))
         for _ in range(n):
             u, v = rng.randrange(n), rng.randrange(n)
             if u != v:
-                edges.append((u, v, F(0)))
+                edges.append((u, v, 0))
         checker = Checker()
         cert = solve_atsp(Digraph(n, edges), F(1), checker)
         assert cert.lp_value == 0 and cert.cost == 0 and cert.ratio == 1

@@ -116,8 +116,7 @@ def thirds_cover() -> SubtourCoverInstance:
     arcs = [(0, 1, 1), (0, 4, 11), (1, 0, 8), (1, 3, 10), (1, 5, 8), (2, 0, 8),
             (2, 3, 2), (2, 4, 5), (2, 5, 9), (3, 2, 2), (3, 5, 7), (4, 1, 5),
             (4, 3, 4), (4, 5, 5), (5, 3, 2), (5, 0, 8)]
-    inst, _, _ = build_strongly_laminar_instance(
-        Digraph(6, [(t, h, F(c)) for t, h, c in arcs]))
+    inst, _, _ = build_strongly_laminar_instance(Digraph(6, arcs))
     pair = VertebratePair(inst, EdgeMultiset(), frozenset({2}))
     pair.validate()
     cover = SubtourCoverInstance(pair, EdgeMultiset())
@@ -145,7 +144,7 @@ def random_covers(trials: int = 300) -> tuple[SubtourCoverInstance, ...]:
         perm = list(range(n))
         rng.shuffle(perm)
         arcs |= {(perm[i], perm[(i + 1) % n]) for i in range(n)}
-        g = Digraph(n, [(t, h, F(rng.randint(1, 12))) for t, h in sorted(arcs)])
+        g = Digraph(n, [(t, h, rng.randint(1, 12)) for t, h in sorted(arcs)])
         inst, _, _ = build_strongly_laminar_instance(g)
         common = set(range(inst.g.n))
         for s in inst.family.nonsingletons():

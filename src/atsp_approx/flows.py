@@ -129,16 +129,7 @@ class CirculationProblem:
             raise ContractViolation(f"bad arc bounds [{lower},{upper}]")
         if cost < 0:
             raise ContractViolation("negative arc cost not supported")
-        # FlowNetwork.add_arc inlined: arc 2i and its reverse 2i + 1
-        net = self.network
-        heads, capacity = net.head, net.capacity
-        arc = len(heads)
-        net.out[tail].append(arc)
-        net.out[head].append(arc + 1)
-        heads.append(head)
-        heads.append(tail)
-        capacity.append(upper - lower)
-        capacity.append(0)
+        self.network.add_arc(tail, head, upper - lower)
         self.lower.append(lower)
         self.upper.append(upper)
         self.cost.append(cost)

@@ -157,7 +157,9 @@ def solve_atsp_lp(g: Digraph, checker: Optional[Checker] = None) -> tuple[Primal
     simplex.check_tableau_budget(2 * g.n, g.m)
     cuts: list[frozenset] = [frozenset({v}) for v in range(g.n)]
     cut_set = set(cuts)
-    objective = [e.cost for e in g.edges]
+    # the costs are cost_num / cost_den: a positive scale leaves every pivot
+    # as it is, so the LP runs on the numerators and its values are divided after
+    den = g.cost_den
     rows: list[dict[int, int]] = []
     for v in range(g.n):
         row: dict[int, int] = {}
@@ -177,25 +179,27 @@ def solve_atsp_lp(g: Digraph, checker: Optional[Checker] = None) -> tuple[Primal
             rows.append(row)
             senses.append(">=")
             rhs.append(2)
-        res = simplex.solve_lp(objective, rows, senses, rhs, warm=res)
+        res = simplex.solve_lp(g.cost_num, rows, senses, rhs, warm=res)
         if res.status != simplex.OPTIMAL:
             raise InternalCheckError("atsp-lp-solvable",
                                      f"status {res.status} on a strongly connected graph")
         new_cuts = [u for u in _separate_all(g, res.x) if u not in cut_set]
         if not new_cuts:
-            a = res.duals[: g.n]
+            duals = res.duals if den == 1 else [d / den for d in res.duals]
+            lp_value = res.objective / den
+            a = duals[: g.n]
             y: dict[frozenset, Fraction] = {}
             for i, u_set in enumerate(cuts):
-                yv = res.duals[g.n + i]
+                yv = duals[g.n + i]
                 checker.check(yv.numerator >= 0, "cut-dual-nonnegative",
                               lambda: sorted(u_set))
                 if yv.numerator:
                     y[u_set] = yv  # the cuts are distinct
             dual = DualLp(list(a), y, _dual_objective(y))
-            checker.check(dual.objective == res.objective, "strong-duality",
-                          lambda: f"{dual.objective} != {res.objective}")
+            checker.check(dual.objective == lp_value, "strong-duality",
+                          lambda: f"{dual.objective} != {lp_value}")
             checker.check(dual_feasible(g, dual), "dual-feasible")
-            return PrimalLp(list(res.x), res.objective), dual
+            return PrimalLp(list(res.x), lp_value), dual
         cut_set.update(new_cuts)
         cuts.extend(new_cuts)
     raise InternalCheckError("cutting-plane-rounds", f"exceeded {_CUTTING_ROUND_CAP} rounds")

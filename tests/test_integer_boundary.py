@@ -1,7 +1,7 @@
 """Where rational costs become int numerators: the input parsers scale them
 once, and every graph derived inside the pipeline passes numerators over a
-denominator on, so each edge's `cost` is its numerator over that
-denominator."""
+denominator on, so each derived edge costs what its source edge (or the
+family's induced cost) does."""
 
 from __future__ import annotations
 
@@ -58,19 +58,47 @@ def test_parsers_and_generators_scale_costs_once():
         _assert_cost_identity(gen_instance(model, 9, 1))
 
 
-def test_every_graph_the_pipeline_builds_reads_its_costs_from_ints(monkeypatch):
-    built: list[tuple[str, Digraph]] = []
+def _derived_costs(builder: str, local: dict) -> list[Fraction]:
+    """The cost of each edge a builder derives, in `Fraction`s, from the
+    graph (or family) it derives it from: the builder's locals at the
+    moment it calls `Digraph`."""
+    if builder == "contract":
+        return [local["g"].edges[eid].cost for eid in local["origins"]]
+    if builder == "induced_graph":
+        family = local["family"]
+        return [sum((family.weights[s] for s in family.members
+                     if (e.tail in s) != (e.head in s)), F(0))
+                for e in local["g"].edges]
+    if builder == "build_strongly_laminar_instance":
+        return [local["g"].edges[eid].cost for eid in local["support"]]
+    if builder == "build_split_graph":
+        return [local["base"].edges[tag[1]].cost if tag[0] in ("lower", "upper") else F(0)
+                for tag in local["kind"]]
+    if builder == "build_augmented_graph":
+        return [local["g"].edges[eid].cost for eid in local["base_eid"]]
+    assert builder in ("_support_acyclic", "first_residual_scc"), builder
+    return [F(0)] * len(local["support" if builder == "_support_acyclic" else "res_edges"])
+
+
+def test_every_graph_the_pipeline_builds_keeps_its_source_costs(monkeypatch):
+    # costs over 7, so a builder that drops the source's denominator is seen
+    g = REDUCTION_CASES["nested-hub-a"]()
+    g = Digraph(g.n, [(e.tail, e.head, e.cost_num) for e in g.edges], 7 * g.cost_den)
+    built: list[tuple[str, Digraph, list[Fraction]]] = []
     original = Digraph.__init__
 
     def recording(self, *args, **kwargs):
         original(self, *args, **kwargs)
-        built.append((sys._getframe(1).f_code.co_name, self))
+        frame = sys._getframe(1)
+        if frame.f_globals["__name__"].startswith("atsp_approx."):
+            name = frame.f_code.co_name
+            built.append((name, self, _derived_costs(name, frame.f_locals)))
 
     monkeypatch.setattr(Digraph, "__init__", recording)
-    run_pipeline("nested-hub-a", REDUCTION_CASES["nested-hub-a"](), F(1))
-    builders = {name for name, _ in built}
-    assert {"contract", "induced_graph", "build_strongly_laminar_instance",
-            "build_split_graph", "build_augmented_graph", "_support_acyclic",
-            "first_residual_scc"} <= builders
-    for _, g in built:
-        _assert_cost_identity(g)
+    run_pipeline("nested-hub-a", g, F(1))
+    assert {name for name, _, _ in built} == {
+        "contract", "induced_graph", "build_strongly_laminar_instance",
+        "build_split_graph", "build_augmented_graph", "_support_acyclic",
+        "first_residual_scc"}
+    for name, sub, want in built:
+        assert [e.cost for e in sub.edges] == want, name

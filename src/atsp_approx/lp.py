@@ -185,8 +185,9 @@ def solve_atsp_lp(g: Digraph, checker: Optional[Checker] = None) -> tuple[Primal
                                      f"status {res.status} on a strongly connected graph")
         new_cuts = [u for u in _separate_all(g, res.x) if u not in cut_set]
         if not new_cuts:
-            duals = res.duals if den == 1 else [d / den for d in res.duals]
-            lp_value = res.objective / den
+            duals, lp_value = res.duals, res.objective
+            if den != 1:
+                duals, lp_value = [d / den for d in duals], lp_value / den
             a = duals[: g.n]
             y: dict[frozenset, Fraction] = {}
             for i, u_set in enumerate(cuts):

@@ -37,6 +37,19 @@ class Checker:
                 detail = detail()
             raise InternalCheckError(label, detail)
 
+    def check_many(self, label: str, k: int, first_failure: Optional[int] = None,
+                   detail: Any = None) -> None:
+        """Count k conditions evaluated under one label, as k calls of
+        `check` would: all of them hold unless first_failure is the position
+        of the first that fails, and then the ones up to and including it
+        are counted and the check raises with detail."""
+        if first_failure is None:
+            if k:
+                self.counters[label] += k
+            return
+        self.counters[label] += first_failure
+        self.check(False, label, detail)
+
     def balanced(self, g: Digraph, f: EdgeMultiset, label: str,
                  vertices: Optional[Iterable[int]] = None) -> None:
         """One check per vertex that f enters as often as it leaves: the

@@ -26,7 +26,7 @@ from typing import Optional
 from .checks import Checker
 from .errors import InternalCheckError
 from .flows import CirculationProblem
-from .graph import Digraph, EdgeMultiset, bfs_path, scc_topological, undirected_components
+from .graph import Digraph, EdgeMultiset, bfs_path, scc_successors, undirected_components
 from .instance import cut_value, path_crossings
 from .pair import VertebratePair
 
@@ -279,8 +279,12 @@ def witness_boundary_mass(cover: SubtourCoverInstance, f: list[int]) -> int:
 def _support_acyclic(g: Digraph, support: list[int]) -> bool:
     """True iff the given edges contain no directed cycle, that is, every
     strongly connected component of the subgraph they form is one vertex."""
-    sub = Digraph(g.n, [(g.edges[eid].tail, g.edges[eid].head, 0) for eid in support])
-    return all(len(comp) == 1 for comp in scc_topological(sub))
+    succ: dict[int, list[int]] = {}
+    for eid in support:
+        e = g.edges[eid]
+        succ.setdefault(e.tail, []).append(e.head)
+        succ.setdefault(e.head, [])
+    return all(len(comp) == 1 for comp in scc_successors(succ, succ))
 
 
 @dataclass
@@ -325,18 +329,9 @@ def build_augmented_graph(cover: SubtourCoverInstance, witness: WitnessFlow,
         if f[e.eid] > 0:
             residual_adj[e.head].append(e.tail)
 
-    def first_residual_scc(w: frozenset) -> frozenset:
-        res_edges = []
-        for v in sorted(w):
-            for u in residual_adj[v]:
-                if u in w:
-                    res_edges.append((v, u, 0))
-        sub = Digraph(g.n, res_edges)
-        return scc_topological(sub, w)[0]
-
     w_hat = []
     for w in comps:
-        hat = first_residual_scc(w)
+        hat = scc_successors(residual_adj, w)[0]
         incoming = [
             (v, u) for v in w - hat for u in residual_adj[v] if u in hat
         ]
@@ -399,23 +394,6 @@ def lift_to_split(split: SplitGraph, x_vec: list, f_vec: list) -> list:
         if v in split.up_of:
             z[split.up_of[v]] = max(0, f_in - f_out)
     return z
-
-
-def project_from_split(split: SplitGraph, z: list) -> tuple[list, list]:
-    """The projection pi: per base edge, x' = z(lower) + z(upper) and
-    f' = z(lower)."""
-    base = split.base
-    x_vec = [0] * base.m
-    f_vec = [0] * base.m
-    for eid in range(base.m):
-        lo = split.lower_of.get(eid)
-        up = split.upper_of.get(eid)
-        if lo is not None:
-            x_vec[eid] += z[lo]
-            f_vec[eid] += z[lo]
-        if up is not None:
-            x_vec[eid] += z[up]
-    return x_vec, f_vec
 
 
 def is_split_circulation(split: SplitGraph, z: list[int]) -> bool:

@@ -16,12 +16,13 @@ function, so shared instances are safe across threads.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ContractViolation, InputError
-from .rational import common_denominator
+from .rational import MAX_DEN_BITS
 
 
 class Edge(NamedTuple):
@@ -43,10 +44,16 @@ def integer_edges(edge_list: Iterable[tuple[int, int, Fraction]]
                   ) -> tuple[list[tuple[int, int, int]], int]:
     """Rational-cost (tail, head, cost) triples as (tail, head, numerator)
     over the lcm of the cost denominators: ``Digraph(n, *integer_edges(...))``
-    builds the graph with those costs."""
+    builds the graph with those costs.  An lcm of more than MAX_DEN_BITS
+    bits is refused as soon as it is reached."""
     edge_list = list(edge_list)
-    nums, den = common_denominator([cost for _, _, cost in edge_list])
-    return [(tail, head, c) for (tail, head, _), c in zip(edge_list, nums)], den
+    den = 1
+    for _, _, cost in edge_list:
+        den = math.lcm(den, cost.denominator)
+        if den.bit_length() > MAX_DEN_BITS:
+            raise InputError(f"the costs' common denominator exceeds {MAX_DEN_BITS} bits")
+    return [(tail, head, cost.numerator * (den // cost.denominator))
+            for tail, head, cost in edge_list], den
 
 
 class Digraph:
@@ -495,10 +502,21 @@ def scc_topological(g: Digraph, restrict: Optional[Iterable[int]] = None) -> lis
     one; in particular the first component has no incoming edge from within
     the restriction.  Deterministic: ties broken by smallest member.
     """
-    verts = sorted(set(restrict) if restrict is not None else range(g.n))
-    vset = set(verts)
-    if not vset <= set(range(g.n)):
+    verts = set(restrict) if restrict is not None else range(g.n)
+    if restrict is not None and not verts <= set(range(g.n)):
         raise InputError("restriction contains unknown vertex")
+    edges = g.edges
+    return scc_successors({v: [edges[e].head for e in g.out_edges[v]] for v in verts},
+                          verts)
+
+
+def scc_successors(succ: Mapping[int, Sequence[int]],
+                   verts: Iterable[int]) -> list[frozenset]:
+    """`scc_topological` on successor lists: the SCCs of the digraph on
+    verts with an arc v -> w for each w of succ[v] that lies in verts, in
+    topological order of the condensation, ties broken by smallest member."""
+    verts = sorted(verts)
+    vset = set(verts)
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     on_stack: set[int] = set()
@@ -507,7 +525,7 @@ def scc_topological(g: Digraph, restrict: Optional[Iterable[int]] = None) -> lis
     counter = [0]
 
     def strongconnect(root: int) -> None:
-        work = [(root, iter([e for e in g.out_edges[root] if g.edges[e].head in vset]))]
+        work = [(root, iter([w for w in succ[root] if w in vset]))]
         index[root] = low[root] = counter[0]
         counter[0] += 1
         stack.append(root)
@@ -515,14 +533,13 @@ def scc_topological(g: Digraph, restrict: Optional[Iterable[int]] = None) -> lis
         while work:
             v, it = work[-1]
             advanced = False
-            for eid in it:
-                w = g.edges[eid].head
+            for w in it:
                 if w not in index:
                     index[w] = low[w] = counter[0]
                     counter[0] += 1
                     stack.append(w)
                     on_stack.add(w)
-                    work.append((w, iter([e for e in g.out_edges[w] if g.edges[e].head in vset])))
+                    work.append((w, iter([x for x in succ[w] if x in vset])))
                     advanced = True
                     break
                 if w in on_stack:
@@ -554,8 +571,7 @@ def scc_topological(g: Digraph, restrict: Optional[Iterable[int]] = None) -> lis
     indegree = [0] * len(sccs)
     succs: list[set[int]] = [set() for _ in sccs]
     for v in verts:
-        for eid in g.out_edges[v]:
-            w = g.edges[eid].head
+        for w in succ[v]:
             if w in vset and comp_id[v] != comp_id[w] and comp_id[w] not in succs[comp_id[v]]:
                 succs[comp_id[v]].add(comp_id[w])
                 indegree[comp_id[w]] += 1

@@ -30,11 +30,18 @@ its cost and niceness are read off the tree and no path is built; a pair
 whose mask is not zero repairs the tree path set by set.  A path is built
 only when `nice_path` asks for it (or a repair needs it) and is memoized
 then, as is each window's value(W).
+
+The nice-path costs of all n^2 ordered pairs form one table, built once
+per instance by reading each (source, hull) tree once for all the targets
+whose hull it is (`validate_paths` builds it; `value_and_dw` builds it on
+first use otherwise).  Every window's D_W is then a scan of table rows,
+and `validate_paths` re-walks only the stored paths.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .checks import Checker
@@ -152,13 +159,11 @@ class StronglyLaminarInstance:
             self._enter_mask.append(_mask(ch[k:]))
         # (source, hull depth) -> {vertex: (parent edge, cost, violated mask)}
         self._trees: dict[tuple[int, int], dict[int, tuple[int, int, int]]] = {}
-        self._windows: dict[frozenset, tuple[int, frozenset, int]] = {}
+        self._windows: dict[frozenset, tuple[int, frozenset]] = {}
+        # row u, column v: the cost numerator of the nice u-v path
+        self._table: Optional[list[list[int]]] = None
 
     # -- basic derived quantities -------------------------------------------------
-
-    def y_vertex(self, v: int) -> Fraction:
-        """Weight of the singleton {v}, or 0."""
-        return Fraction(self._singleton_num[v], self._den)
 
     def singleton_mass(self, verts: Iterable[int]) -> int:
         """2 * sum of y_v over the vertices, as a numerator over `_den`."""
@@ -174,12 +179,6 @@ class StronglyLaminarInstance:
         if rest:
             raise ContractViolation(f"{q} is not a multiple of 1/{self._den}")
         return q.numerator * scale
-
-    def family_or_ground(self) -> list[frozenset]:
-        out = list(self.family.members)
-        if self.ground not in self.family.weights:
-            out.insert(0, self.ground)
-        return out
 
     # -- nice paths ---------------------------------------------------------------
 
@@ -231,29 +230,14 @@ class StronglyLaminarInstance:
         self._trees[(u, k)] = tree
         return tree
 
-    def _hull_tree(self, u: int, v: int, k: Optional[int] = None
-                   ) -> dict[int, tuple[int, int, int]]:
-        """u's search tree inside hull(u, v), the k-th set of u's chain (its
-        chain prefix shared with v's, walked when not given); it must reach v."""
-        if k is None:
-            k = _common_prefix(self._chains[u], self._chains[v])
-        tree = self._tree(u, k)
+    def _hull_tree(self, u: int, v: int) -> dict[int, tuple[int, int, int]]:
+        """u's search tree inside hull(u, v), the set of u's chain at the
+        depth of its chain prefix shared with v's; it must reach v."""
+        tree = self._tree(u, _common_prefix(self._chains[u], self._chains[v]))
         if v not in tree:
             raise ContractViolation(f"no {u}-{v} path inside {sorted(self.hull(u, v))}; "
                                     "instance not strongly laminar")
         return tree
-
-    def _hull_depths(self, u: int, verts: Iterable[int], k0: int) -> dict[int, int]:
-        """The hull depth of (u, v) for each v of verts, all of which lie in
-        the first k0 sets of u's chain: one pass over the deeper sets of the
-        chain instead of a chain walk per pair."""
-        chain = self._chains[u]
-        depth = dict.fromkeys(verts, k0)
-        for k in range(k0 + 1, len(chain) + 1):
-            for w in self.family.members[chain[k - 1]]:
-                if w in depth:
-                    depth[w] = k
-        return depth
 
     def nice_path(self, v: int, w: int) -> tuple[int, ...]:
         """The fixed nice v-w path (edge ids); empty when v == w."""
@@ -308,7 +292,7 @@ class StronglyLaminarInstance:
         checker = checker or Checker()
         path = self.nice_path(u, v)
         verts = set(_path_vertices(self.g, u, list(path)))
-        _, inner, _ = self._window(w_set)
+        _, inner = self._window(w_set)
         cost = sum(self._cost_num[eid] for eid in path)
         touched = 2 * sum(self._weight_num[i] for i in inner
                           if verts & self.family.members[i])
@@ -319,16 +303,13 @@ class StronglyLaminarInstance:
 
     # -- value(W) and D_W ---------------------------------------------------------
 
-    def _window(self, w_set: frozenset) -> tuple[int, frozenset, int]:
-        """value(W) as a numerator, the indices of the sets strictly inside
-        W, and the number of sets holding W (the hull depth every pair of W
-        shares); memoized per window."""
+    def _window(self, w_set: frozenset) -> tuple[int, frozenset]:
+        """value(W) as a numerator and the indices of the sets strictly
+        inside W; memoized per window."""
         hit = self._windows.get(w_set)
         if hit is None:
-            members = self.family.members
-            inner = frozenset(i for i, s in enumerate(members) if s < w_set)
-            hit = (2 * sum(self._weight_num[i] for i in inner), inner,
-                   sum(1 for s in members if w_set <= s))
+            inner = frozenset(i for i, s in enumerate(self.family.members) if s < w_set)
+            hit = (2 * sum(self._weight_num[i] for i in inner), inner)
             self._windows[w_set] = hit
         return hit
 
@@ -336,52 +317,92 @@ class StronglyLaminarInstance:
         """Weight of the sets strictly inside the window that hold u."""
         return sum(self._weight_num[i] for i in self._chains[u] if i in inner)
 
-    def _nice_path_num(self, u: int, v: int, k: Optional[int] = None) -> int:
-        """Cost numerator of the nice u-v path: its tree path's unless it is
-        stored or needs a repair; k as in `_hull_tree`."""
-        if u == v:
-            return 0
-        path = self._paths.get((u, v))
-        if path is None:
-            _, cost, bad = self._hull_tree(u, v, k)[v]
-            if not bad:
-                return cost
-            path = self.nice_path(u, v)
-        return sum(self._cost_num[eid] for eid in path)
+    def _path_table(self) -> list[list[int]]:
+        """The cost numerators of the nice paths: row u, column v for the
+        u-v path (0 when u == v); built whole on first request."""
+        table = self._table
+        if table is None:
+            table = self._table = self._build_path_table()
+        return table
+
+    def _build_path_table(self) -> list[list[int]]:
+        """Each row u reads u's search trees from the outermost hull in,
+        one per depth of u's chain at which some vertex has its hull with u
+        (the vertices of that set outside the next one), so each vertex's
+        entry is last written from the tree of its hull.  A pair whose tree
+        mask is not zero, or whose path is stored, takes the cost of
+        `nice_path` instead."""
+        n = self.g.n
+        members = self.family.members
+        cost = self._cost_num
+        table = []
+        for u in range(n):
+            sets = [self.ground] + [members[i] for i in self._chains[u]]
+            sizes = [len(s) for s in sets] + [1]
+            row = [0] * n
+            repair = []
+            for k, hull in enumerate(sets):
+                if sizes[k] == sizes[k + 1]:
+                    continue  # the next set is this one, or {u} is
+                tree = self._tree(u, k)
+                if len(tree) < sizes[k]:
+                    v = min(hull - tree.keys())
+                    raise ContractViolation(f"no {u}-{v} path inside "
+                                            f"{sorted(self.hull(u, v))}; "
+                                            "instance not strongly laminar")
+                for w, (_, c, bad) in tree.items():
+                    row[w] = c
+                    if bad:
+                        repair.append((w, k))
+            for w, k in repair:
+                if k + 1 == len(sets) or w not in sets[k + 1]:
+                    self.nice_path(u, w)
+            table.append(row)
+        for (u, v), path in list(self._paths.items()):
+            table[u][v] = sum(cost[eid] for eid in path)
+        return table
 
     def value(self, w_set: frozenset) -> Fraction:
         return Fraction(self._window(w_set)[0], self._den)
 
     def reach(self, w_set: frozenset, u: int, v: int) -> Fraction:
         """D_W(u, v): endpoint crossing weights plus the nice-path cost."""
-        _, inner, _ = self._window(w_set)
+        _, inner = self._window(w_set)
         return Fraction(self._end_num(inner, u) + self._end_num(inner, v)
-                        + self._nice_path_num(u, v), self._den)
+                        + self._path_table()[u][v], self._den)
 
     def value_and_dw(self, w_set: frozenset,
                      checker: Optional[Checker] = None
                      ) -> tuple[Fraction, Fraction, int, int]:
         """(value(W), D_W, argmax pair); ties broken lexicographically.
 
-        Also re-checks D_W(u,v) <= value(W) for every scanned pair.
+        Also re-checks D_W(u,v) <= value(W) for every pair of W, counted
+        once per pair in row-major order: each row of reaches is computed
+        whole and its maximum compared, and on a failure the count stops at
+        the first pair over value(W).
         """
         checker = checker or Checker()
         den = self._den
-        val_num, inner, k0 = self._window(w_set)
+        val_num, inner = self._window(w_set)
+        table = self._path_table()
         verts = sorted(w_set)
         ends = [self._end_num(inner, u) for u in verts]
-        best = None
-        best_pair = (verts[0], verts[0])
-        for u, end_u in zip(verts, ends):
-            depth = self._hull_depths(u, verts, k0)
-            for v, end_v in zip(verts, ends):
-                d = end_u + end_v + self._nice_path_num(u, v, depth[v])
-                checker.check(d <= val_num, "reach-at-most-value",
-                              lambda: f"D_W({u},{v})={Fraction(d, den)} > "
-                                      f"value={Fraction(val_num, den)}")
-                if best is None or d > best:
-                    best = d
-                    best_pair = (u, v)
+        best = best_pair = None
+        for i, (u, end_u) in enumerate(zip(verts, ends)):
+            # end_v + cost of the nice u-v path, for v in verts
+            reach = list(map(add, ends, map(table[u].__getitem__, verts)))
+            top = max(reach)
+            if end_u + top > val_num:
+                j = next(j for j, r in enumerate(reach) if end_u + r > val_num)
+                d, v = end_u + reach[j], verts[j]
+                checker.check_many("reach-at-most-value", len(verts) ** 2,
+                                   i * len(verts) + j,
+                                   lambda: f"D_W({u},{v})={Fraction(d, den)} > "
+                                           f"value={Fraction(val_num, den)}")
+            if best is None or end_u + top > best:
+                best = end_u + top
+                best_pair = (u, verts[reach.index(top)])
+        checker.check_many("reach-at-most-value", len(verts) ** 2)
         return Fraction(val_num, den), Fraction(best, den), best_pair[0], best_pair[1]
 
     # -- validation ---------------------------------------------------------------
@@ -431,18 +452,17 @@ class StronglyLaminarInstance:
 
     def validate_paths(self, checker: Optional[Checker] = None) -> None:
         """Crossing-count check for the nice path of every ordered pair (at
-        most once each way).  A stored or repaired path is re-walked; any
-        other pair's path is its tree path, which stays in the hull by
-        construction and is nice when its tree's violated mask is zero."""
+        most once each way), counted once per pair in row-major order;
+        builds the nice-path cost table.  A pair whose path is not stored
+        takes its tree path, which stays in the hull by construction and
+        which the table build found nice (its tree mask is zero); a stored
+        or repaired path is re-walked."""
         checker = checker or Checker()
         n = self.g.n
-        for u in range(n):
-            depth = self._hull_depths(u, range(n), 0)
-            for v in range(n):
-                if u == v:
-                    continue
-                path = self._paths.get((u, v))
-                if path is None and self._hull_tree(u, v, depth[v])[v][2]:
-                    path = self.nice_path(u, v)
-                nice = path is None or self.is_nice(u, v, path)
-                checker.check(nice, "stored-path-nice", lambda: f"pair ({u},{v})")
+        self._path_table()
+        for u, v in sorted(self._paths):
+            if not self.is_nice(u, v, self._paths[(u, v)]):
+                checker.check_many("stored-path-nice", n * (n - 1),
+                                   u * (n - 1) + v - (v > u),
+                                   lambda: f"pair ({u},{v})")
+        checker.check_many("stored-path-nice", n * (n - 1))

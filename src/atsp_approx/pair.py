@@ -64,11 +64,6 @@ class VertebratePair:
     def outside_vertices(self) -> frozenset:
         return self.instance.ground - self.backbone_vertices
 
-    def outside_singleton_mass(self) -> Fraction:
-        """sum of 2 y_v over vertices outside the backbone."""
-        inst = self.instance
-        return Fraction(inst.singleton_mass(self.outside_vertices()), inst._den)
-
     def cost_at_most(self, edges: EdgeMultiset, kappa: Fraction, beta: Fraction) -> bool:
         """Whether c(edges) <= kappa * LP + beta * (outside singleton mass),
         compared as integers over the instance's denominators."""

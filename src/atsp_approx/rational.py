@@ -14,6 +14,10 @@ from .errors import InputError
 # from expanding into a huge integer.
 MAX_DIGITS = 4300
 _INT_LIMIT = 10 ** MAX_DIGITS
+# The common denominator of an instance's costs may have no more bits than
+# the denominator of one numeral can (10^MAX_DIGITS): each numeral is
+# bounded, but the lcm of many distinct denominators is not.
+MAX_DEN_BITS = _INT_LIMIT.bit_length()
 
 
 def parse_rational(value) -> Fraction:
@@ -67,8 +71,15 @@ def parse_rational(value) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    """Render a Fraction as "p" or "p/q" for exact JSON round-tripping."""
+    """Render a Fraction as "p" or "p/q" for exact JSON round-tripping.
+
+    A numerator or denominator of more than MAX_DIGITS digits, which
+    `parse_rational` would not read back (and CPython would not convert),
+    is refused as input too large to report exactly."""
     q = Fraction(q)
+    if abs(q.numerator) >= _INT_LIMIT or q.denominator >= _INT_LIMIT:
+        raise InputError(f"refusing to report a rational with more than {MAX_DIGITS} "
+                         "digits; the instance's costs are too large")
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

@@ -28,6 +28,7 @@ from atsp_approx.harness import gen_instance, run_pipeline
 from atsp_approx.lp import build_strongly_laminar_instance, solve_atsp_lp
 from atsp_approx.svensson import vertebrate_solve
 from atsp_approx.vertebrate import contracted_pair
+from oracles import family_or_ground, outside_singleton_mass, y_vertex
 from test_svensson import ring_cycle_avoiding_backbone, ring_pair
 
 F = Fraction
@@ -263,9 +264,9 @@ def _verify_cover_solution(cover: SubtourCoverInstance, f: EdgeMultiset) -> None
         if crosses:
             assert comp & pair.backbone_vertices, sorted(comp)  # crossing parts reach the backbone
         if not comp & pair.backbone_vertices:
-            mass = sum((2 * inst.y_vertex(v) for v in comp), F(0))
+            mass = sum((2 * y_vertex(inst, v) for v in comp), F(0))
             assert comp_edges.cost(g) <= 3 * mass, sorted(comp)  # per-component bound
-    outside_mass = pair.outside_singleton_mass()
+    outside_mass = outside_singleton_mass(pair)
     assert f.cost(g) <= 2 * inst.lp_value + outside_mass  # global bound
 
 
@@ -437,7 +438,7 @@ def test_acceptance_9_micro_identities():
         g = gen_instance(model, n, rng.randint(0, 999))
         inst, _, _ = build_strongly_laminar_instance(g)
         instances += 1
-        for w in inst.family_or_ground():
+        for w in family_or_ground(inst):
             verts = sorted(w)
             for u in verts:
                 for v in verts:

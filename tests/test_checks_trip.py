@@ -14,6 +14,7 @@ from atsp_approx.graph import EdgeMultiset, LaminarFamily
 from atsp_approx.instance import StronglyLaminarInstance
 from atsp_approx.vertebrate import reduce_and_solve
 from fixtures import two_tri
+from oracles import outside_singleton_mass
 from test_cover import make_pair
 
 F = Fraction
@@ -76,7 +77,7 @@ def test_overpriced_solver_breach_is_caught():
         honest = vertebrate_solve(p, F(1))
         bloat = honest.copy()
         scale = 1
-        bound = 2 * p.instance.lp_value + 15 * p.outside_singleton_mass()
+        bound = 2 * p.instance.lp_value + 15 * outside_singleton_mass(p)
         while bloat.cost(p.instance.g) <= bound:
             for eid, k in honest.items():
                 bloat.add(eid, k)
@@ -88,3 +89,25 @@ def test_overpriced_solver_breach_is_caught():
     with pytest.raises(InternalCheckError) as info:
         reduce_and_solve(inst, inst.ground, bloated, F(1), Checker())
     assert info.value.label in ("solver-contract", "lifting-cost-monotone")
+
+
+def test_check_many_counts_as_the_loop_of_checks_would():
+    for conds in ([True] * 5, [True, True, False, True, False], [False], []):
+        looped, batched = Checker(), Checker()
+        try:
+            for i, cond in enumerate(conds):
+                looped.check(cond, "label", f"at {i}")
+        except InternalCheckError as exc:
+            looped_error = str(exc)
+        else:
+            looped_error = None
+        first = conds.index(False) if False in conds else None
+        try:
+            batched.check_many("label", len(conds), first, lambda: f"at {first}")
+        except InternalCheckError as exc:
+            batched_error = str(exc)
+        else:
+            batched_error = None
+        assert batched.as_dict() == looped.as_dict(), conds
+        assert batched.failures == looped.failures, conds
+        assert batched_error == looped_error, conds

@@ -14,7 +14,6 @@ from atsp_approx.cover import (
     build_split_graph,
     compute_witness_flow,
     lift_to_split,
-    project_from_split,
     subtour_cover,
 )
 from atsp_approx.graph import Digraph, EdgeMultiset, LaminarFamily, is_eulerian_connected
@@ -23,6 +22,7 @@ from atsp_approx.instance import StronglyLaminarInstance
 from atsp_approx.lp import build_strongly_laminar_instance
 from atsp_approx.pair import VertebratePair
 from fixtures import c3, two_tri
+from oracles import project_from_split
 from test_determinism import REDUCTION_CASES
 
 F = Fraction

@@ -59,7 +59,23 @@ def _plausible_docs(draw):
     return json.dumps({"n": n, "edges": [[t, h, c] for (t, h), c in zip(arcs, costs)]})
 
 
-_JSON_DOCS = st.one_of(_HOSTILE_DOCS, _plausible_docs())
+
+
+@st.composite
+def _large_denominator_docs(draw):
+    """A cycle and its reverse whose costs have many distinct large
+    denominators: each numeral parses, but on 16 vertices or more their lcm
+    passes the denominator budget, and on 2 or 3 it does not."""
+    n = draw(st.one_of(st.integers(2, 3), st.integers(16, 60)))
+    digits = draw(st.integers(150, 400))
+    step = draw(st.integers(1, 9))
+    arcs = [(v, (v + 1) % n) for v in range(n)] + [((v + 1) % n, v) for v in range(n - 1)]
+    nums = draw(st.lists(st.integers(1, 3), min_size=len(arcs), max_size=len(arcs)))
+    return json.dumps({"n": n, "edges": [[t, h, f"{p}/{10 ** digits + step * i + 3}"]
+                                         for i, ((t, h), p) in enumerate(zip(arcs, nums))]})
+
+
+_JSON_DOCS = st.one_of(_HOSTILE_DOCS, _plausible_docs(), _large_denominator_docs())
 
 # TSPLIB headers, values and separators, so that the text reaches the weight
 # section with a plausible and an implausible matrix alike
@@ -173,3 +189,40 @@ def test_cli_verify_exits_cleanly(c3_file, text):
         assert code == 1
         assert err.getvalue().startswith("error: ")
         assert len(err.getvalue().splitlines()) == 1
+
+
+def _cli_solve(path):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["solve", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=20)
+@hypothesis.given(text=_large_denominator_docs())
+def test_large_denominators_are_refused_or_reported(tmp_path_factory, text):
+    doc = json.loads(text)
+    path = tmp_path_factory.mktemp("dens") / "inst.json"
+    path.write_text(text)
+    code, out, err = _cli_solve(path)
+    if doc["n"] >= 16:  # 31 or more nearly coprime denominators of 150+ digits
+        with pytest.raises(InputError, match="common denominator exceeds"):
+            parse_instance(text)
+        assert code == 1 and not out
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+    else:
+        assert code in (0, 1) and "Traceback" not in err
+        assert json.loads(out)["tour_cost"] if code == 0 else len(err.splitlines()) == 1
+
+
+def test_reported_values_stay_within_the_digit_limit(tmp_path):
+    # every numeral within the limit, but the tour, LP value and ratio of
+    # these instances are not: refused with one line, not a traceback
+    for edges in ([[0, 1, "9" * 4300], [1, 0, "9" * 4300]],
+                  [[0, 1, "1e-4300"], [1, 0, "9" * 4300]]):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"n": 2, "edges": edges}))
+        parse_instance(path.read_text())
+        code, out, err = _cli_solve(path)
+        assert code == 1 and not out
+        assert err.startswith("error: refusing to report") and len(err.splitlines()) == 1

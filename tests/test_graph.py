@@ -16,6 +16,7 @@ from atsp_approx.graph import (
     euler_walk,
     integer_edges,
     is_eulerian_connected,
+    scc_successors,
     scc_topological,
     undirected_components,
 )
@@ -304,6 +305,27 @@ def test_scc_topological_edge_direction_property():
         for e in g.edges:
             if e.tail in restrict and e.head in restrict:
                 assert pos[e.tail] <= pos[e.head]
+
+
+def test_scc_successors_matches_mutual_reachability():
+    # successor lists with repeats and heads outside the vertex set, which
+    # must be ignored, against components found by reachability alone
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        succ = {v: [rng.randrange(n + 2) for _ in range(rng.randint(0, 4))]
+                for v in range(n + 2)}
+        verts = {v for v in range(n) if rng.random() < 0.8}
+        reach = {v: {v} for v in verts}
+        for _ in range(n):
+            for v in verts:
+                reach[v] |= {x for w in reach[v] for x in succ[w] if x in verts}
+        order = scc_successors(succ, verts)
+        assert {v: comp for comp in order for v in comp} == {
+            v: frozenset(w for w in verts if v in reach[w] and w in reach[v])
+            for v in verts}
+        pos = {v: i for i, comp in enumerate(order) for v in comp}
+        assert all(pos[v] <= pos[w] for v in verts for w in succ[v] if w in verts)
 
 
 def test_contract_triangle():

@@ -10,6 +10,7 @@ from atsp_approx.graph import Digraph, LaminarFamily, integer_edges
 from atsp_approx.instance import StronglyLaminarInstance, path_crossings
 from atsp_approx.lp import build_strongly_laminar_instance
 from fixtures import c3, two_tri
+from oracles import family_or_ground
 
 F = Fraction
 
@@ -105,12 +106,12 @@ def test_cost_identity_on_detour_fixture():
 def test_cost_identity_every_pair_every_window():
     inst = detour_instance()
     checker = Checker()
-    for w in inst.family_or_ground():
+    for w in family_or_ground(inst):
         for u in sorted(w):
             for v in sorted(w):
                 inst.nice_path_cost_identity(w, u, v, checker)
     inst2, _, _ = build_strongly_laminar_instance(two_tri())
-    for w in inst2.family_or_ground():
+    for w in family_or_ground(inst2):
         for u in sorted(w):
             for v in sorted(w):
                 inst2.nice_path_cost_identity(w, u, v, checker)

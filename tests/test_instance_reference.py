@@ -24,6 +24,7 @@ from atsp_approx.instance import StronglyLaminarInstance, induced_graph
 from atsp_approx.lp import build_strongly_laminar_instance
 from atsp_approx.vertebrate import construct_backbone, contracted_pair
 from fixtures import c3, two_tri
+from oracles import family_or_ground
 from test_instance import detour_instance
 from test_vertebrate import three_branch_star
 
@@ -187,7 +188,7 @@ def _assert_matches_member_scan(name, inst):
             # a shortest path through the whole graph is often not nice
             raw = bfs_path(inst.g, u, v)
             assert inst.is_nice(u, v, raw) == ref_is_nice(inst, u, v, raw), (name, u, v)
-    for w_set in inst.family_or_ground():
+    for w_set in family_or_ground(inst):
         got, want = Checker(), Checker()
         expected = ref_value_and_dw(inst, w_set, paths, want)
         assert inst.value_and_dw(w_set, got) == expected, (name, sorted(w_set))

@@ -74,10 +74,8 @@ def _derived_costs(builder: str, local: dict) -> list[Fraction]:
     if builder == "build_split_graph":
         return [local["base"].edges[tag[1]].cost if tag[0] in ("lower", "upper") else F(0)
                 for tag in local["kind"]]
-    if builder == "build_augmented_graph":
-        return [local["g"].edges[eid].cost for eid in local["base_eid"]]
-    assert builder in ("_support_acyclic", "first_residual_scc"), builder
-    return [F(0)] * len(local["support" if builder == "_support_acyclic" else "res_edges"])
+    assert builder == "build_augmented_graph", builder
+    return [local["g"].edges[eid].cost for eid in local["base_eid"]]
 
 
 def test_every_graph_the_pipeline_builds_keeps_its_source_costs(monkeypatch):
@@ -98,7 +96,6 @@ def test_every_graph_the_pipeline_builds_keeps_its_source_costs(monkeypatch):
     run_pipeline("nested-hub-a", g, F(1))
     assert {name for name, _, _ in built} == {
         "contract", "induced_graph", "build_strongly_laminar_instance",
-        "build_split_graph", "build_augmented_graph", "_support_acyclic",
-        "first_residual_scc"}
+        "build_split_graph", "build_augmented_graph"}
     for name, sub, want in built:
         assert [e.cost for e in sub.edges] == want, name

@@ -4,7 +4,9 @@ One breadth-first search tree per (source, hull) stands in for the
 per-pair searches: each tree path must be the path `graph.bfs_path` finds
 inside the hull, with its cost and its twice-crossed sets carried down the
 tree, and a path is built only for a pair that needs a repair or that
-`nice_path` asks for.
+`nice_path` asks for.  The nice-path cost table read by `validate_paths`
+and `value_and_dw` must agree with the paths entry by entry, and its
+checks must count as a per-pair loop would.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from atsp_approx.instance import StronglyLaminarInstance
 from atsp_approx.lp import build_strongly_laminar_instance
 from test_determinism import nested_hub
 from test_instance import detour_instance
-from test_instance_reference import _fixtures, _generated, _random_laminar, _with_children
+from test_instance_reference import (_fixtures, _generated, _random_laminar, _with_children,
+                                     ref_nice_path)
 
 
 def _assert_tree_invariants(name, inst):
@@ -49,7 +52,7 @@ def _assert_tree_invariants(name, inst):
             if not bad:
                 assert list(path) == tree_path, (name, u, v)
             assert inst.is_nice(u, v, path), (name, u, v)
-            assert inst._nice_path_num(u, v) == sum(inst._cost_num[eid] for eid in path)
+            assert inst._path_table()[u][v] == sum(inst._cost_num[eid] for eid in path)
     return repaired
 
 
@@ -134,3 +137,66 @@ def test_hull_depths_are_not_walked_per_pair(graph, monkeypatch):
     inst.validate_paths(Checker())
     inst.value_and_dw(inst.ground, Checker())
     assert len(walks) <= inst.g.n + inst.g.m
+
+
+def _assert_table_matches_paths(name, inst):
+    inst = StronglyLaminarInstance(inst.g, inst.family, inst.x)  # cold memo tables
+    inst.validate_paths(Checker())
+    table = inst._path_table()
+    n = inst.g.n
+    assert len(table) == n and all(len(row) == n for row in table), name
+    for u in range(n):
+        for v in range(n):
+            want = sum(inst._cost_num[eid] for eid in inst.nice_path(u, v))
+            assert table[u][v] == want, (name, u, v)
+            if u != v:
+                ref = sum(inst._cost_num[eid] for eid in ref_nice_path(inst, u, v))
+                assert table[u][v] == ref, (name, u, v)
+
+
+def test_path_table_matches_nice_paths():
+    _assert_table_matches_paths("detour", detour_instance())
+    for name, inst in _random_laminar(300):
+        _assert_table_matches_paths(name, inst)
+
+
+def _pair_position(verts, u, v):
+    """How many pairs a row-major loop over verts x verts checks up to and
+    including (u, v)."""
+    return verts.index(u) * len(verts) + verts.index(v) + 1
+
+
+@pytest.mark.parametrize("window", ["ground", "inner"])
+def test_raised_table_entry_trips_reach_at_most_value(window):
+    inst = detour_instance()
+    w_set = inst.ground if window == "ground" else frozenset({1, 2, 4})
+    verts = sorted(w_set)
+    value_num = inst.as_num(inst.value(w_set))
+    table = inst._path_table()
+    u, v = verts[-2], verts[1]
+    table[u][v] = value_num + 1
+    table[verts[-1]][verts[0]] = value_num + 1  # a later pair over value(W) too
+    checker = Checker()
+    with pytest.raises(InternalCheckError) as info:
+        inst.value_and_dw(w_set, checker)
+    assert info.value.label == "reach-at-most-value"
+    assert f"D_W({u},{v})" in str(info.value)
+    assert checker.counters["reach-at-most-value"] == _pair_position(verts, u, v)
+    # with the entry back in range, every pair counts once
+    table[u][v] = table[verts[-1]][verts[0]] = 0
+    checker = Checker()
+    inst.value_and_dw(w_set, checker)
+    assert checker.counters["reach-at-most-value"] == len(verts) ** 2
+
+
+def test_corrupted_stored_path_stops_the_count_at_its_pair():
+    inst = detour_instance()
+    inst._paths[(3, 1)] = (2, 7)  # 3 -> 2 -> 1 stays outside no set: nice
+    inst._paths[(1, 5)] = (1, 2, 7, 5, 6, 3)  # enters {1, 2, 4} twice
+    inst._paths[(9, 2)] = (0,)  # a later pair, not even a 9-2 path
+    checker = Checker()
+    with pytest.raises(InternalCheckError) as info:
+        inst.validate_paths(checker)
+    assert "pair (1,5)" in str(info.value)
+    # pairs (0, 1..9) and (1, 0), (1, 2..5): 9 + 5
+    assert checker.counters["stored-path-nice"] == 14

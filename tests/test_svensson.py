@@ -22,6 +22,7 @@ from atsp_approx.svensson import (
 )
 from test_cover import make_pair, remote_cluster_pair, spanning_pair
 from fixtures import c3, two_tri
+from oracles import outside_singleton_mass
 
 F = Fraction
 
@@ -198,7 +199,7 @@ def assert_vertebrate_contract(pair: VertebratePair, f: EdgeMultiset,
     assert eulerian
     assert comps == [frozenset(range(g.n))]
     eta = 4 * F(3) + F(1) + 1 + epsilon
-    bound = 2 * pair.instance.lp_value + eta * pair.outside_singleton_mass()
+    bound = 2 * pair.instance.lp_value + eta * outside_singleton_mass(pair)
     assert f.cost(g) <= bound
 
 

@@ -3,15 +3,16 @@
 Both solvers run on one network type, :class:`FlowNetwork`, whose flat
 arrays pair each arc with its reverse.  Max-flow (integer Edmonds-Karp on a
 copy of the capacities) powers the cut separation oracle of the LP module,
-which scales x by the lcm of its denominators and builds one network per
-separation round.  The min-cost circulation solver, which finds the
-witness flows of the subtour cover and rounds its lifted circulation, keeps
-integer lower/upper arc bounds and integer costs beside its network
-(callers with rational costs scale them by the lcm of their denominators,
-which keeps every comparison and every heap tie), and runs the standard
-lower-bound transformation followed by successive shortest paths with
-potentials on the network's residuals; with integral bounds the result is
-integral and cost-minimal.
+which scales x by the lcm of its denominators, builds one network per
+separation round and stops each flow once it reaches the scaled unit.  The
+min-cost circulation solver, which finds the witness flows of the subtour
+cover and rounds its lifted circulation, keeps integer lower/upper arc
+bounds and integer costs beside its network (callers with rational costs
+scale them by the lcm of their denominators, which keeps every comparison
+and every heap tie), and runs the standard lower-bound transformation
+followed by successive shortest paths with potentials on the network's
+residuals, each Dijkstra search stopping once the sink is settled; with
+integral bounds the result is integral and cost-minimal.
 """
 
 from __future__ import annotations
@@ -52,20 +53,24 @@ class FlowNetwork:
         self.capacity.append(0)
 
 
-def max_flow_min_cut(network: FlowNetwork, source: int, sink: int) -> tuple[int, frozenset]:
+def max_flow_min_cut(network: FlowNetwork, source: int, sink: int,
+                     limit: Optional[int] = None) -> tuple[int, frozenset]:
     """Maximum s-t flow value and the source side of a minimum cut.
 
     Edmonds-Karp on a copy of the network's capacities: the number of
     augmentations is O(V*E), and the side returned (the vertices the source
     reaches in the final residual graph) is the intersection of all
-    minimum-cut source sides, whichever maximum flow was found.
+    minimum-cut source sides, whichever maximum flow was found.  With a
+    ``limit``, the search stops once the flow reaches it and returns that
+    flow's value, which is at least ``limit``, with an empty side; a maximum
+    flow below the limit is returned as without one.
     """
     if source == sink:
         raise ContractViolation("source equals sink")
     head, out = network.head, network.out
     residual = list(network.capacity)
     value = 0
-    while True:
+    while limit is None or value < limit:
         # breadth-first search; pred[w] is the arc the search entered w by
         pred: list[Optional[int]] = [None] * network.n
         pred[source] = -1
@@ -97,6 +102,7 @@ def max_flow_min_cut(network: FlowNetwork, source: int, sink: int) -> tuple[int,
             residual[a ^ 1] += bottleneck
             w = head[a ^ 1]
         value += bottleneck
+    return value, frozenset()
 
 
 class CirculationProblem:
@@ -176,6 +182,8 @@ class CirculationProblem:
                 if done[v]:
                     continue
                 done[v] = True
+                if v == snk:
+                    break
                 for aid in next_out[v]:
                     if residual[aid] <= 0:
                         continue
@@ -187,9 +195,12 @@ class CirculationProblem:
                         heapq.heappush(heap, (nd, w))
             if not done[snk]:
                 return None
+            # a settled vertex moves by its distance and every other one by
+            # the sink's, which bounds their distances from below: every
+            # residual arc keeps a nonnegative reduced cost
+            reach = dist[snk]
             for v in range(n + 2):
-                if dist[v] is not None:
-                    potential[v] += dist[v]
+                potential[v] += dist[v] if done[v] else reach
             bottleneck = total_supply - shipped
             v = snk
             while v != src:

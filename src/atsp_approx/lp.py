@@ -101,8 +101,8 @@ def _separate_all(g: Digraph, x: list[Fraction], first_only: bool = False) -> li
     other terminal t and back.
 
     x is scaled once by the lcm of its denominators, and one integer flow
-    network of the positive edges serves every max-flow call; a flow value
-    is compared with the scaled unit.  x must be a circulation, so
+    network of the positive edges serves every max-flow call, which stops
+    once its flow reaches the scaled unit.  x must be a circulation, so
     x(delta+(U)) = x(delta-(U)) for every U and both directions between 0
     and t have the same min-cut value: when the (0, t) value is at least 1
     the (t, 0) call is skipped.  Below 1 both calls are made, because their
@@ -127,7 +127,7 @@ def _separate_all(g: Digraph, x: list[Fraction], first_only: bool = False) -> li
     seen: set[frozenset] = set()
     for t in range(1, g.n):
         for s, d in ((0, t), (t, 0)):
-            value, side = max_flow_min_cut(network, s, d)
+            value, side = max_flow_min_cut(network, s, d, limit=unit)
             if value >= unit:
                 break
             if side not in seen:

@@ -10,7 +10,9 @@ cheap cycles.  When a cover comes back too expensive relative to the budget
 of the component it touches first, the run restarts from a provably better
 initialization obtained through a knapsack argument; a superpolynomial-decay
 potential (diagnostic only, evaluated in high-precision logs) certifies that
-restarts make strict progress.
+restarts make strict progress.  Only that potential uses ``mpmath``, and it
+is imported where the potential is evaluated, so a run that never restarts
+never loads it.
 
 With the (3,2,1) subtour-cover solver this yields a (2, 14+epsilon)
 algorithm for vertebrate pairs; the final cost bound and every ledger used
@@ -22,9 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
-
-import mpmath
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from .checks import Checker
 from .cover import (
@@ -38,6 +38,9 @@ from .errors import ContractViolation, InternalCheckError
 from .graph import EdgeMultiset, dijkstra_path, undirected_components
 from .pair import VertebratePair
 from .rational import common_denominator
+
+if TYPE_CHECKING:
+    import mpmath
 
 ZERO = Fraction(0)
 
@@ -146,16 +149,22 @@ def build_ell(pair: VertebratePair, epsilon: Fraction,
 
 def p_exponent(ell: EllFunction) -> mpmath.mpf:
     """log base (1+eps') of (2+eps')/eps'; the potential uses 1+p."""
+    import mpmath
+
     with mpmath.workdps(_PHI_DPS):
         ep = mpmath.mpf(ell.eps_prime.numerator) / ell.eps_prime.denominator
         return mpmath.log((2 + ep) / ep) / mpmath.log(1 + ep)
 
 
 def _mpf(q: Fraction) -> mpmath.mpf:
+    import mpmath
+
     return mpmath.mpf(q.numerator) / q.denominator
 
 
 def _pow_term(value: Fraction, one_plus_p: mpmath.mpf) -> mpmath.mpf:
+    import mpmath
+
     if value <= 0:
         return mpmath.mpf(0)
     return mpmath.e ** (one_plus_p * mpmath.log(_mpf(value)))
@@ -194,6 +203,8 @@ class ComponentState:
         return self.h_tilde.restrict_to(self.pair.instance.g, self.parts[idx])
 
     def phi_terms(self, one_plus_p: mpmath.mpf) -> mpmath.mpf:
+        import mpmath
+
         total = mpmath.mpf(0)
         for part in self.parts[1:]:
             total += _pow_term(self.ell.of_set(part), one_plus_p)
@@ -255,6 +266,8 @@ def improved_initialization(state: ComponentState, d_vertices: frozenset,
     pair.check_initialization(merged, checker, "initialization-")
     check_light(pair, ell, merged, checker, "better-init-light")
     # strict potential growth of the merged component, in log space
+    import mpmath
+
     with mpmath.workdps(_PHI_DPS):
         one_plus_p = 1 + p_exponent(ell)
         star_vertices = set(d_vertices)
@@ -512,6 +525,8 @@ def vertebrate_solve(pair: VertebratePair, epsilon: Fraction,
             return h
         # restart with the better initialization; the potential must grow by
         # more than the regularity floor to the 1+p
+        import mpmath
+
         with mpmath.workdps(_PHI_DPS):
             one_plus_p = 1 + p_exponent(ell)
             new_phi = ComponentState(pair, ell, result.edges).phi_terms(one_plus_p)

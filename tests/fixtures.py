@@ -1,6 +1,11 @@
-"""Canonical graphs shared across the test suite."""
+"""Canonical graphs shared across the test suite, and the benchmark's
+workload module."""
 
 from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
 
 from atsp_approx.graph import Digraph, EdgeMultiset
 
@@ -30,3 +35,14 @@ def multiset(pairs) -> EdgeMultiset:
     for eid, k in pairs:
         ms.add(eid, k)
     return ms
+
+
+def perfbench_workloads():
+    """perfbench/workloads.py, loaded by path: perfbench is not a package.
+    Its dataclass needs the module registered while it is defined."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module

@@ -393,18 +393,9 @@ def test_acceptance_7_rounding_properties(cover_instances):
           "components)")
 
 
-def test_acceptance_8_svensson_bounds(reports):
-    for model, n, seed, g, report, _ in reports:
-        if n == 1:
-            continue
-        counts = report.assertion_counts
-        label = f"{model}-{n}-{seed}"
-        assert counts.get("solution-cost-bound", 0) >= 1, label
-        assert counts.get("x-ledger-bound", 0) >= 1, label
-        assert counts.get("f-ledger-bound", 0) >= 1, label
-        assert counts.get("vertebrate-bound", 0) >= 1, label
-    # engineered restart: an expensive first cover forces a better
-    # initialization, whose lightness and potential growth are asserted
+def engineered_restart() -> None:
+    """An expensive first cover forces a better initialization, whose
+    lightness and potential growth are asserted."""
     pair = ring_pair()
     ring = ring_cycle_avoiding_backbone(pair)
     calls = [0]
@@ -416,14 +407,26 @@ def test_acceptance_8_svensson_bounds(reports):
         return subtour_cover(cover, checker)
 
     checker = Checker()
-    f = vertebrate_solve(pair, EPSILON, cover_fn=two_phase_cover,
-                         checker=checker)
+    vertebrate_solve(pair, EPSILON, cover_fn=two_phase_cover, checker=checker)
     assert checker.counters.get("better-init-light", 0) >= 1
     assert checker.counters.get("better-init-potential-growth", 0) >= 1
     assert checker.counters.get("restart-potential-progress", 0) >= 1
     # the restarted run re-checks the new initialization's lightness
     assert checker.counters.get("initialization-light", 0) >= 1
     assert not checker.failures
+
+
+def test_acceptance_8_svensson_bounds(reports):
+    for model, n, seed, g, report, _ in reports:
+        if n == 1:
+            continue
+        counts = report.assertion_counts
+        label = f"{model}-{n}-{seed}"
+        assert counts.get("solution-cost-bound", 0) >= 1, label
+        assert counts.get("x-ledger-bound", 0) >= 1, label
+        assert counts.get("f-ledger-bound", 0) >= 1, label
+        assert counts.get("vertebrate-bound", 0) >= 1, label
+    engineered_restart()
     print("ACCEPTANCE 8: PASS - solution bound, ledgers, and restart "
           "potential progress all asserted")
 

@@ -16,16 +16,14 @@ below and says so in CHANGES.md.
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from atsp_approx.graph import Digraph
 from atsp_approx.harness import GENERATOR_MODELS, gen_instance, parse_instance, run_pipeline
+from fixtures import perfbench_workloads
 from test_vertebrate import three_branch_star
 
 DIGESTS = {
@@ -114,22 +112,11 @@ def test_reduction_heavy_digest(name):
 REFERENCE_DIGEST = "a9f472bba2ad1a8676de9f293f292117169655657502ddedf650b255f826f0cd"
 
 
-def _perfbench_workloads():
-    """perfbench/workloads.py, loaded by path: perfbench is not a package.
-    Its dataclass needs the module registered while it is defined."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
 def reference_reports():
     """The 234 reference reports: the 60 benchmark pool instances (parsed
     from their serialized text, the oracle on dense-oracle), every generator
     model at n 2-15 with seeds 0-2, and three models at n 20 and 25."""
-    workloads = _perfbench_workloads()
+    workloads = perfbench_workloads()
     for workload in workloads.WORKLOADS:
         for _, _, text in workloads.make_batch(workload, 1):
             name, g = parse_instance(text)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import heapq
 import random
 from fractions import Fraction
 from math import lcm
@@ -239,3 +240,125 @@ def test_circulation_min_cost_against_enumeration():
             assert flows is not None
             got = sum(c * f for (_, _, _, _, c), f in zip(arcs, flows))
             assert got == best
+
+
+def test_max_flow_limit_agrees_with_the_full_flow():
+    # a flow stopped at the limit tells, as the full one does, whether the
+    # maximum reaches it; below the limit it is the full flow, side included
+    rng = random.Random(17)
+    stopped = below = 0
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        net = FlowNetwork(n)
+        for _ in range(rng.randint(1, 18)):
+            u, v = rng.sample(range(n), 2)
+            net.add_arc(u, v, rng.randint(0, 12))
+        s, t = rng.sample(range(n), 2)
+        value, side = max_flow_min_cut(net, s, t)
+        limit = rng.randint(0, value + 3)
+        got, got_side = max_flow_min_cut(net, s, t, limit)
+        assert (got >= limit) == (value >= limit)
+        if value < limit:
+            assert (got, got_side) == (value, side)
+            below += 1
+        else:
+            assert limit <= got <= value and got_side == frozenset()
+            stopped += 1
+    assert stopped and below
+
+
+def reference_circulation(n, arcs):
+    """Per-arc flows of a minimum-cost circulation, or None: successive
+    shortest paths whose every Dijkstra search settles all it can reach,
+    on a network of its own.  `arcs` are (tail, head, lower, upper, cost)."""
+    head, residual, out = [], [], [[] for _ in range(n + 2)]
+
+    def add(u, v, cap):
+        out[u].append(len(head))
+        head.append(v)
+        residual.append(cap)
+        out[v].append(len(head))
+        head.append(u)
+        residual.append(0)
+
+    excess = [0] * n
+    for u, v, lo, hi, _ in arcs:
+        add(u, v, hi - lo)
+        excess[u] -= lo
+        excess[v] += lo
+    src, snk = n, n + 1
+    supply = 0
+    for v in range(n):
+        if excess[v] > 0:
+            add(src, v, excess[v])
+            supply += excess[v]
+        elif excess[v] < 0:
+            add(v, snk, -excess[v])
+    rcost = [c for *_, cost in arcs for c in (cost, -cost)]
+    rcost += [0] * (len(head) - len(rcost))
+    potential = [0] * (n + 2)
+    shipped = 0
+    while shipped < supply:
+        dist = [None] * (n + 2)
+        prev = [-1] * (n + 2)
+        dist[src] = 0
+        heap = [(0, src)]
+        done = [False] * (n + 2)
+        while heap:
+            d, v = heapq.heappop(heap)
+            if done[v]:
+                continue
+            done[v] = True
+            for a in out[v]:
+                if residual[a] > 0:
+                    w = head[a]
+                    nd = d + rcost[a] + potential[v] - potential[w]
+                    if dist[w] is None or nd < dist[w]:
+                        dist[w], prev[w] = nd, a
+                        heapq.heappush(heap, (nd, w))
+        if not done[snk]:
+            return None
+        for v in range(n + 2):
+            if dist[v] is not None:
+                potential[v] += dist[v]
+        push, v = supply - shipped, snk
+        while v != src:
+            push = min(push, residual[prev[v]])
+            v = head[prev[v] ^ 1]
+        v = snk
+        while v != src:
+            residual[prev[v]] -= push
+            residual[prev[v] ^ 1] += push
+            v = head[prev[v] ^ 1]
+        shipped += push
+    return [lo + residual[2 * i + 1] for i, (_, _, lo, _, _) in enumerate(arcs)]
+
+
+def test_circulation_stopped_at_the_sink_matches_the_full_search():
+    # costs 0-2 on up to 40 arcs make equal-cost shortest paths common, so
+    # the early stop meets many ties; the optimal cost and feasibility must
+    # agree with the search that settles every reachable vertex
+    rng = random.Random(31)
+    feasible = 0
+    for _ in range(400):
+        n = rng.randint(2, 10)
+        arcs = []
+        for _ in range(rng.randint(2, 40)):
+            u, v = rng.sample(range(n), 2)
+            lo = rng.choice([0, 0, 1, 2])
+            arcs.append((u, v, lo, lo + rng.randint(0, 3), rng.randint(0, 2)))
+        prob = CirculationProblem(n)
+        for arc in arcs:
+            prob.add_arc(*arc)
+        flows = prob.solve()
+        expected = reference_circulation(n, arcs)
+        assert (flows is None) == (expected is None)
+        if flows is None:
+            continue
+        feasible += 1
+
+        def total(fs):
+            return sum(arc[4] * f for arc, f in zip(arcs, fs))
+
+        assert total(flows) == total(expected)
+    assert feasible >= 100

@@ -122,9 +122,9 @@ def assert_same_cuts(g, x, monkeypatch):
     calls = []
     real = lp.max_flow_min_cut
 
-    def recording(network, source, sink):
+    def recording(network, source, sink, limit=None):
         calls.append((source, sink))
-        return real(network, source, sink)
+        return real(network, source, sink, limit)
 
     with monkeypatch.context() as patch:
         patch.setattr(lp, "max_flow_min_cut", recording)

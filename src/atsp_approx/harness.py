@@ -18,6 +18,7 @@ from .checks import Checker
 from .errors import BudgetError, InfeasibleInstanceError, InputError
 from .graph import Digraph, EdgeMultiset, euler_walk, integer_edges, is_eulerian_connected
 from .rational import format_rational, parse_rational
+from .simplex import check_tableau_budget
 from .vertebrate import solve_atsp
 
 ZERO = Fraction(0)
@@ -160,6 +161,10 @@ def gen_instance(model: str, n: int, seed: int = 0) -> Digraph:
     fixture).  random-strong: a random Hamiltonian cycle for strong
     connectivity plus random arcs with small rational costs.  unit-digraph:
     the same topology with every cost 1.
+
+    An n too large for `solve` is refused with BudgetError, an InputError,
+    before anything is built: the n-cycle, the sparsest instance, has n
+    arcs, and its first LP n degree rows and n singleton cuts.
     """
     import random as _random
 
@@ -167,6 +172,10 @@ def gen_instance(model: str, n: int, seed: int = 0) -> Digraph:
         raise InputError("n must be positive")
     if model not in GENERATOR_MODELS:
         raise InputError(f"unknown model {model!r}; choose from {GENERATOR_MODELS}")
+    try:
+        check_tableau_budget(2 * n, n)
+    except BudgetError as exc:
+        raise BudgetError(f"n = {n} is too large to solve: {exc}") from None
     rng = _random.Random(f"{model}/{n}/{seed}")
     if model == "cycle":
         if n == 1:

@@ -40,46 +40,60 @@ _CUTTING_ROUND_CAP = 200
 
 @dataclass
 class PrimalLp:
-    """Optimal circulation: per-edge values and the objective c(x)."""
+    """Optimal circulation: per-edge values x_num / x_den over their least
+    common denominator, and the objective c(x)."""
 
-    x: list[Fraction]
+    x_num: list[int]
+    x_den: int
     objective: Fraction
+
+    @property
+    def x(self) -> list[Fraction]:
+        return [Fraction(v, self.x_den) for v in self.x_num]
 
 
 @dataclass
 class DualLp:
-    """Dual solution: vertex potentials a, cut weights y on an explicit
-    support, and the dual objective sum(2 y_U)."""
+    """Dual solution: vertex potentials a and cut weights y on an explicit
+    support, as integer numerators over one positive den, a multiple of the
+    graph's cost denominator; objective is the numerator of the dual
+    objective sum(2 y_U) over den."""
 
-    a: list[Fraction]
-    y: dict[frozenset, Fraction]
-    objective: Fraction
+    a: list[int]
+    y: dict[frozenset, int]
+    objective: int
+    den: int
 
     def copy(self) -> "DualLp":
-        return DualLp(list(self.a), dict(self.y), self.objective)
+        return DualLp(list(self.a), dict(self.y), self.objective, self.den)
 
 
-def _dual_objective(y: dict[frozenset, Fraction]) -> Fraction:
-    """sum(2 y_U), summed as integer numerators."""
-    nums, den = common_denominator(list(y.values()))
-    return Fraction(2 * sum(nums), den)
+def _dual_objective(y: dict[frozenset, int]) -> int:
+    """The numerator of sum(2 y_U)."""
+    return 2 * sum(y.values())
+
+
+def _same_value(num: int, den: int, q: Fraction) -> bool:
+    """num / den == q, cross-multiplied."""
+    return num * q.denominator == q.numerator * den
 
 
 def _dual_slack(g: Digraph, dual: DualLp) -> list[int]:
-    """Per edge, cost - a_head + a_tail - y(sets the edge crosses): a, y and
-    the costs as integer numerators over one denominator, a multiple of the
-    graph's cost denominator."""
-    n = len(dual.a)
-    nums, scale = common_denominator([*dual.a, *dual.y.values()], g.cost_den)
-    a, c_scale = nums[:n], scale // g.cost_den
+    """Per edge, the numerator over dual.den of cost - a_head + a_tail -
+    y(sets the edge crosses)."""
+    c_scale, rest = divmod(dual.den, g.cost_den)
+    if rest:
+        raise ContractViolation(f"dual denominator {dual.den} is not a multiple of the "
+                                f"cost denominator {g.cost_den}")
+    a = dual.a
     return [c * c_scale + a[e.tail] - a[e.head] - y for e, c, y
-            in zip(g.edges, g.cost_num, crossing_num(g, list(dual.y), nums[n:]))]
+            in zip(g.edges, g.cost_num, crossing_num(g, list(dual.y), list(dual.y.values())))]
 
 
 def dual_feasible(g: Digraph, dual: DualLp) -> bool:
     """Exact feasibility of (a, y) for the dual LP: y >= 0, and on every
     edge a_head - a_tail + y(sets the edge crosses) <= cost."""
-    if any(y.numerator < 0 for y in dual.y.values()):
+    if any(y < 0 for y in dual.y.values()):
         return False
     return all(v >= 0 for v in _dual_slack(g, dual))
 
@@ -92,29 +106,29 @@ def separate_subtour(g: Digraph, x: list[Fraction]) -> Optional[frozenset]:
     suffices to compare global minimum directed cuts against 1.  Root
     vertex 0; one max-flow call per other terminal when all cuts hold.
     """
-    violated = _separate_all(g, x, first_only=True)
+    violated = _separate_all(g, *common_denominator(x), first_only=True)
     return violated[0] if violated else None
 
 
-def _separate_all(g: Digraph, x: list[Fraction], first_only: bool = False) -> list[frozenset]:
+def _separate_all(g: Digraph, x_num: list[int], unit: int,
+                  first_only: bool = False) -> list[frozenset]:
     """Sides of the minimum cuts with x(delta+) < 1, from vertex 0 to each
-    other terminal t and back.
+    other terminal t and back, for x = x_num / unit with unit > 0.
 
-    x is scaled once by the lcm of its denominators, and one integer flow
-    network of the positive edges serves every max-flow call, which stops
-    once its flow reaches the scaled unit.  x must be a circulation, so
-    x(delta+(U)) = x(delta-(U)) for every U and both directions between 0
-    and t have the same min-cut value: when the (0, t) value is at least 1
-    the (t, 0) call is skipped.  Below 1 both calls are made, because their
-    sides can differ.
+    One integer flow network of the positive edges serves every max-flow
+    call, which stops once its flow reaches unit.  x must be a
+    circulation, so x(delta+(U)) = x(delta-(U)) for every U and both
+    directions between 0 and t have the same min-cut value: when the
+    (0, t) value is at least 1 the (t, 0) call is skipped.  Below 1 both
+    calls are made, because their sides can differ.
     """
-    x_num, unit = common_denominator(x)
     network = FlowNetwork(g.n)
     excess = [0] * g.n
     for e in g.edges:
         scaled = x_num[e.eid]
         if scaled < 0:
-            raise ContractViolation(f"separation needs x >= 0; edge {e.eid} has {x[e.eid]}")
+            raise ContractViolation(f"separation needs x >= 0; edge {e.eid} has "
+                                    f"{Fraction(scaled, unit)}")
         if scaled:
             network.add_arc(e.tail, e.head, scaled)
             excess[e.head] += scaled
@@ -183,24 +197,21 @@ def solve_atsp_lp(g: Digraph, checker: Optional[Checker] = None) -> tuple[Primal
         if res.status != simplex.OPTIMAL:
             raise InternalCheckError("atsp-lp-solvable",
                                      f"status {res.status} on a strongly connected graph")
-        new_cuts = [u for u in _separate_all(g, res.x) if u not in cut_set]
+        new_cuts = [u for u in _separate_all(g, res.x_num, res.x_den) if u not in cut_set]
         if not new_cuts:
-            duals, lp_value = res.duals, res.objective
-            if den != 1:
-                duals, lp_value = [d / den for d in duals], lp_value / den
-            a = duals[: g.n]
-            y: dict[frozenset, Fraction] = {}
-            for i, u_set in enumerate(cuts):
-                yv = duals[g.n + i]
-                checker.check(yv.numerator >= 0, "cut-dual-nonnegative",
-                              lambda: sorted(u_set))
-                if yv.numerator:
+            # the LP ran on the cost numerators: its duals and value are in
+            # units of 1 / den
+            duals, dual_den, lp_value = res.dual_num, res.dual_den * den, res.objective / den
+            y: dict[frozenset, int] = {}
+            for u_set, yv in zip(cuts, duals[g.n:]):
+                checker.check(yv >= 0, "cut-dual-nonnegative", lambda: sorted(u_set))
+                if yv:
                     y[u_set] = yv  # the cuts are distinct
-            dual = DualLp(list(a), y, _dual_objective(y))
-            checker.check(dual.objective == lp_value, "strong-duality",
-                          lambda: f"{dual.objective} != {lp_value}")
+            dual = DualLp(duals[: g.n], y, _dual_objective(y), dual_den)
+            checker.check(_same_value(dual.objective, dual_den, lp_value), "strong-duality",
+                          lambda: f"{Fraction(dual.objective, dual_den)} != {lp_value}")
             checker.check(dual_feasible(g, dual), "dual-feasible")
-            return PrimalLp(list(res.x), lp_value), dual
+            return PrimalLp(res.x_num, res.x_den, lp_value), dual
         cut_set.update(new_cuts)
         cuts.extend(new_cuts)
     raise InternalCheckError("cutting-plane-rounds", f"exceeded {_CUTTING_ROUND_CAP} rounds")
@@ -220,7 +231,7 @@ def uncross_dual(g: Digraph, dual: DualLp, checker: Optional[Checker] = None) ->
     """
     checker = checker or Checker()
     ground = frozenset(range(g.n))
-    y: dict[frozenset, Fraction] = {}
+    y: dict[frozenset, int] = {}
     for u_set, weight in dual.y.items():
         if 0 in u_set:
             u_set = ground - u_set
@@ -248,16 +259,16 @@ def uncross_dual(g: Digraph, dual: DualLp, checker: Optional[Checker] = None) ->
             if not y[s]:
                 del y[s]
         for s in (a_set & b_set, a_set | b_set):
-            y[s] = y.get(s, ZERO) + eps
+            y[s] = y.get(s, 0) + eps
         checker.check(_dual_objective(y) == total, "uncross-step-objective")
         if checker.check_all:
-            step = DualLp(list(dual.a), dict(y), total)
+            step = DualLp(list(dual.a), dict(y), total, dual.den)
             checker.check(dual_feasible(g, step), "uncross-step-feasible",
                           lambda: (sorted(a_set), sorted(b_set)))
     else:
         raise InternalCheckError("uncross-iteration-cap",
                                  {"support": [sorted(s) for s in y]})
-    out = DualLp(list(dual.a), y, _dual_objective(y))
+    out = DualLp(list(dual.a), y, _dual_objective(y), dual.den)
     checker.check(check_laminar(list(y.keys())), "uncrossed-support-laminar")
     checker.check(out.objective == dual.objective, "uncross-objective-preserved")
     checker.check(dual_feasible(g, out), "uncross-feasibility-preserved")
@@ -288,7 +299,7 @@ def make_strongly_laminar(g: Digraph, x: list[Fraction], dual: DualLp,
         checker.check(not incoming_inside, "first-scc-no-incoming",
                       lambda: f"U={sorted(u_set)} S={sorted(s_set)}")
         y_u = dual.y.pop(u_set)
-        dual.y[s_set] = dual.y.get(s_set, ZERO) + y_u
+        dual.y[s_set] = dual.y.get(s_set, 0) + y_u
         for v in u_set - s_set:
             dual.a[v] -= y_u
         checker.check(_dual_objective(dual.y) == dual.objective,
@@ -296,7 +307,7 @@ def make_strongly_laminar(g: Digraph, x: list[Fraction], dual: DualLp,
         if checker.check_all:
             checker.check(dual_feasible(g, dual), "strongly-laminar-step-feasible",
                           lambda: sorted(u_set))
-    out = DualLp(dual.a, dual.y, _dual_objective(dual.y))
+    out = DualLp(dual.a, dual.y, _dual_objective(dual.y), dual.den)
     checker.check(check_laminar(list(out.y.keys())), "strongly-laminar-support-laminar")
     checker.check(dual_feasible(g, out), "strongly-laminar-feasibility")
     for u_set in out.y:
@@ -320,28 +331,32 @@ def build_strongly_laminar_instance(
         inst = StronglyLaminarInstance(Digraph(1, []), LaminarFamily([], 1), [])
         return inst, ZERO, ()
     primal, dual0 = solve_atsp_lp(g, checker)
-    support = [e.eid for e in g.edges if primal.x[e.eid].numerator > 0]
+    x_num, x_den = primal.x_num, primal.x_den
+    support = [e.eid for e in g.edges if x_num[e.eid] > 0]
     sub = Digraph(g.n, [(g.edges[eid].tail, g.edges[eid].head, g.cost_num[eid])
                         for eid in support], g.cost_den)
-    x_sub = [primal.x[eid] for eid in support]
+    x_sub = [x_num[eid] for eid in support]  # over x_den, still the least denominator
+    x_frac = [Fraction(v, x_den) for v in x_sub]
     dual1 = uncross_dual(sub, dual0, checker)
-    dual2 = make_strongly_laminar(sub, x_sub, dual1, checker)
-    checker.check(dual2.objective == primal.objective, "pipeline-objective-preserved")
+    dual2 = make_strongly_laminar(sub, x_frac, dual1, checker)
+    checker.check(_same_value(dual2.objective, dual2.den, primal.objective),
+                  "pipeline-objective-preserved")
     # complementary slackness: every support set is a tight cut
-    x_num, x_den = common_denominator(x_sub)
     for u_set in dual2.y:
-        cut = cut_value(sub, x_num, u_set)
+        cut = cut_value(sub, x_sub, u_set)
         checker.check(cut == 2 * x_den, "support-cut-tight",
                       lambda: f"{sorted(u_set)}: x(delta)={Fraction(cut, x_den)}")
     # tightness on every retained edge gives the induced-cost identity:
     # y(sets the edge crosses) = cost + a_tail - a_head, a zero dual slack
-    family = LaminarFamily(dual2.y.items(), sub.n)
+    family = LaminarFamily([(s, Fraction(w, dual2.den)) for s, w in dual2.y.items()],
+                           sub.n)
     g_induced = induced_graph(sub, family)
+    a, den = dual2.a, dual2.den
     for e, slack in zip(sub.edges, _dual_slack(sub, dual2)):
         checker.check(slack == 0, "induced-cost-identity",
                       lambda: f"edge {e.tail}->{e.head}: {g_induced.edges[e.eid].cost} != "
-                              f"{e.cost + dual2.a[e.tail] - dual2.a[e.head]}")
-    inst = StronglyLaminarInstance(g_induced, family, x_sub)
+                              f"{e.cost + Fraction(a[e.tail] - a[e.head], den)}")
+    inst = StronglyLaminarInstance(g_induced, family, x_frac)
     checker.check(inst.lp_value == primal.objective, "lp-value-invariant",
                   lambda: f"{inst.lp_value} != {primal.objective}")
     inst.validate(checker)

@@ -46,14 +46,19 @@ def parse_rational(value) -> Fraction:
         return Fraction(int(value))
     if isinstance(value, str):
         text = value.strip()
-        # a plain ASCII integer, the common token, skips Fraction's regex
-        plain = text.isascii() and text.isdigit()
-        digits = len(text) if plain else sum(c.isdecimal() for c in text)
+        # a plain ASCII integer or a ratio p/q of two, the common tokens,
+        # skips Fraction's regex
+        num, slash, den = text.partition("/")
+        plain = text.isascii() and num.isdigit() and (not slash or den.isdigit())
+        digits = len(text) - len(slash) if plain else sum(c.isdecimal() for c in text)
         if digits > MAX_DIGITS:
             raise InputError(f"refusing rational string with {digits} digits "
                              f"(limit {MAX_DIGITS})")
         if plain:
-            return Fraction(int(text))
+            q = int(den) if slash else 1
+            if not q:
+                raise InputError(f"cannot parse rational {value!r}: Fraction({int(num)}, 0)")
+            return Fraction(int(num), q)
         _, has_exponent, exponent = text.lower().partition("e")
         if has_exponent:
             try:

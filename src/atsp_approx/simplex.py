@@ -32,7 +32,9 @@ integer operations and at most two gcd calls, where a `Fraction` entry
 costs a gcd and new objects per operation.  A pivot touches only the
 nonzeros of the pivot row, and signs and order compare exactly on
 numerators because every denominator is positive.  The pivot loop builds
-no `Fraction`; x and the duals become `Fraction`s only at the end.
+no `Fraction`, and neither does the result: x is handed on as integer
+numerators over their least common denominator, and the duals as the
+z-row's numerators over its denominator (`LpResult`).
 
 Warm start.  An optimal result keeps its final tableau: the integer rows,
 their denominators, the basis and the z-row.  Solving again with `warm=`
@@ -211,53 +213,84 @@ class _Tableau:
         return 50000 + 500 * (len(self.rows) + self.ncols)
 
     def result(self) -> "LpResult":
-        """The optimal x and objective, with this tableau kept for a warm
-        start and for reading the duals."""
-        rhs = self.ncols
-        x = [ZERO] * self.nvars
-        for r, j in enumerate(self.basis):
-            if j < self.nvars:
-                x[j] = Fraction(self.rows[r][rhs], self.dens[r])
-        return LpResult(OPTIMAL, x, Fraction(-self.zrow[rhs], self.zden), tableau=self)
-
-    def duals(self) -> list[Fraction]:
-        """The row duals of the optimal basis: the surplus of row i has
-        column -e_i, so its reduced cost is the dual of row i."""
-        zrow, zden = self.zrow, self.zden
-        return [Fraction(v, zden) for v in zrow[self.nvars:self.ncols]]
+        """The optimal x as integer numerators over their least common
+        denominator, and the objective, with this tableau kept for a warm
+        start and for reading the duals.  x is read over L, the lcm of the
+        basic rows' denominators, and L and the numerators are divided by
+        their gcd."""
+        rhs, nvars = self.ncols, self.nvars
+        basic = [(j, self.rows[r][rhs], self.dens[r])
+                 for r, j in enumerate(self.basis) if j < nvars]
+        den = 1
+        for _, _, d in basic:
+            den = lcm(den, d)
+        x_num = [0] * nvars
+        g = den
+        for j, v, d in basic:
+            x_num[j] = v = v * (den // d)
+            if g != 1:
+                g = gcd(g, v)
+        if g != 1:
+            x_num = [v // g for v in x_num]
+            den //= g
+        return LpResult(OPTIMAL, x_num, den, Fraction(-self.zrow[rhs], self.zden),
+                        tableau=self)
 
 
 class LpResult:
     """The status, x, objective and row duals of one solve.
 
-    An optimal result keeps its final tableau for a warm start.  Its duals
-    are read from that tableau on first access, so a cutting loop that
-    reads only its last round's duals builds them once.  A warm start
-    rewrites the tableau it takes over, so the duals of a result must be
-    read before it is warm-started from; later they are refused."""
+    x is kept as integer numerators x_num over their least common
+    denominator x_den.  An optimal result keeps its final tableau for a
+    warm start, and its row duals are the numerators dual_num over
+    dual_den, read from that tableau's z-row on first access: the surplus
+    of row i has column -e_i, so its reduced cost is the dual of row i.  A
+    cutting loop that reads only its last round's duals thus reads them
+    once.  A warm start rewrites the tableau it takes over, so the duals of
+    a result must be read before it is warm-started from; later they are
+    refused.  x and duals give the same values as `Fraction` lists, built
+    on first access."""
 
-    __slots__ = ("status", "x", "objective", "_duals", "tableau")
+    __slots__ = ("status", "x_num", "x_den", "objective", "tableau", "dual_den",
+                 "_dual_num", "_x", "_duals")
 
-    def __init__(self, status: str, x: list[Fraction], objective: Fraction,
-                 duals: Optional[list[Fraction]] = None,
+    def __init__(self, status: str, x_num: list[int], x_den: int, objective: Fraction,
                  tableau: Optional[_Tableau] = None) -> None:
         self.status = status
-        self.x = x
+        self.x_num = x_num
+        self.x_den = x_den
         self.objective = objective
-        self._duals = duals
         self.tableau = tableau
+        self.dual_den = 1 if tableau is None else tableau.zden
+        self._dual_num: Optional[list[int]] = None if tableau is not None else []
+        self._x: Optional[list[Fraction]] = None
+        self._duals: Optional[list[Fraction]] = None
+
+    @property
+    def dual_num(self) -> list[int]:
+        if self._dual_num is None:
+            tab = self.tableau
+            if tab is None:
+                raise ContractViolation("the duals of a result are gone once a warm "
+                                        "start has taken its tableau")
+            self._dual_num = tab.zrow[tab.nvars:tab.ncols]
+        return self._dual_num
+
+    @property
+    def x(self) -> list[Fraction]:
+        if self._x is None:
+            self._x = [Fraction(v, self.x_den) for v in self.x_num]
+        return self._x
 
     @property
     def duals(self) -> list[Fraction]:
         if self._duals is None:
-            if self.tableau is None:
-                raise ContractViolation("the duals of a result are gone once a warm "
-                                        "start has taken its tableau")
-            self._duals = self.tableau.duals()
+            den = self.dual_den
+            self._duals = [Fraction(v, den) for v in self.dual_num]
         return self._duals
 
     def __repr__(self) -> str:
-        if self._duals is None and self.tableau is None:
+        if self._dual_num is None and self.tableau is None:
             duals = "<taken by a warm start>"
         else:
             duals = repr(self.duals)
@@ -375,5 +408,5 @@ def solve_lp(
         warm.tableau = None
     tab.append_ge_rows(new)
     if _dual(tab) == INFEASIBLE:
-        return LpResult(INFEASIBLE, [], ZERO, [])
+        return LpResult(INFEASIBLE, [], 1, ZERO)
     return tab.result()

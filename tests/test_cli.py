@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+import random
 
+from atsp_approx import harness
 from atsp_approx.cli import main
-from atsp_approx.harness import instance_to_json
+from atsp_approx.harness import GENERATOR_MODELS, gen_instance, instance_to_json
 from atsp_approx.simplex import MAX_TABLEAU_CELLS
 from fixtures import c3, two_tri
 
@@ -27,6 +29,25 @@ def test_gen_then_solve(tmp_path, capsys):
     assert doc["lp_value"] == "16"
     assert doc["held_karp_opt"] == "16"
     assert doc["instance"] == "two-cluster-6-0"
+
+
+def test_gen_refuses_an_n_too_large_to_solve(capsys, monkeypatch):
+    # the first LP of the n-cycle has 6 n^2 cells: n = 1825 fits the
+    # budget and is built, n = 1826 is refused for every model before a
+    # generator or graph is made, with exit 1 and one line
+    assert 6 * 1825 ** 2 <= MAX_TABLEAU_CELLS < 6 * 1826 ** 2
+    assert gen_instance("cycle", 1825).m == 1825
+
+    def not_called(*args):
+        raise AssertionError("an n over the budget reached the generator")
+
+    monkeypatch.setattr(harness, "Digraph", not_called)
+    monkeypatch.setattr(random, "Random", not_called)
+    for model in GENERATOR_MODELS:
+        code, out, err = run_cli(capsys, ["gen", "--model", model, "--n", "1826"])
+        assert (code, out) == (1, "")
+        assert err == ("error: n = 1826 is too large to solve: LP tableau of 3652 rows x "
+                       f"5478 columns exceeds the budget of {MAX_TABLEAU_CELLS} cells\n")
 
 
 def test_solve_from_stdin(capsys, monkeypatch, tmp_path):

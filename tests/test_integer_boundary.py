@@ -6,6 +6,7 @@ family's induced cost) does."""
 from __future__ import annotations
 
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -35,6 +36,36 @@ def test_parse_rational_values():
             parse_rational(text)
     with pytest.raises(InputError, match=f"with {MAX_DIGITS + 1} digits"):
         parse_rational("9" * (MAX_DIGITS + 1))
+
+
+def test_parse_rational_ratios_match_fraction():
+    # an ASCII-digit p/q skips Fraction's regex: on random ratios, with
+    # leading zeros and surrounding blanks, the value is Fraction's; every
+    # other string, signed, non-ASCII or malformed, is parsed or refused as
+    # Fraction's regex decides
+    rng = random.Random(18)
+    for _ in range(2000):
+        p = str(rng.randrange(10 ** rng.randint(1, 40))).zfill(rng.randint(1, 3))
+        q = str(rng.randrange(1, 10 ** rng.randint(1, 40))).zfill(rng.randint(1, 3))
+        text = rng.choice(["", " ", "\t"]) + p + "/" + q + rng.choice(["", " ", "\n"])
+        got = parse_rational(text)
+        assert type(got) is Fraction and got == Fraction(text), text
+    for text in ("3/0", "0/0", " 007/000 "):
+        with pytest.raises(InputError, match=r"^cannot parse rational .*: Fraction\(\d+, 0\)$"):
+            parse_rational(text)
+    for text in ("-3/4", "+3/4", "-3/0", "3/-4", "3/+4", "٣/٤", "3/٤", "3/²", "²/3",
+                 "3//4", "/4", "3/", "3 / 4", "3/4/5", "0x3/4"):
+        try:
+            want = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(InputError):
+                parse_rational(text)
+        else:
+            assert parse_rational(text) == want, text
+    half = MAX_DIGITS // 2
+    assert parse_rational("7" * half + "/" + "3" * half) == F(int("7" * half), int("3" * half))
+    with pytest.raises(InputError, match=f"with {MAX_DIGITS + 1} digits"):
+        parse_rational("7" * MAX_DIGITS + "/3")
 
 
 def _assert_cost_identity(g: Digraph) -> None:

@@ -12,6 +12,7 @@ from atsp_approx.errors import BudgetError, ContractViolation, InfeasibleInstanc
 from atsp_approx.flows import max_flow_min_cut
 from atsp_approx.graph import Digraph, check_laminar, integer_edges
 from atsp_approx.harness import gen_instance
+from atsp_approx.rational import common_denominator
 from atsp_approx.lp import (
     DualLp,
     build_strongly_laminar_instance,
@@ -51,6 +52,20 @@ def full_enumeration_lp_value(g: Digraph) -> Fraction:
     return res.objective
 
 
+def int_dual(g: Digraph, a, y) -> DualLp:
+    """The dual (a, y) of `Fraction`s as `DualLp` holds it: integer
+    numerators over one denominator, a multiple of g's cost denominator."""
+    nums, den = common_denominator([*a, *y.values()], g.cost_den)
+    y_num = dict(zip(y, nums[len(a):]))
+    return DualLp(nums[:len(a)], y_num, 2 * sum(y_num.values()), den)
+
+
+def fractions_of(dual: DualLp) -> tuple[list[Fraction], dict, Fraction]:
+    """a, y and the dual objective of dual as `Fraction`s."""
+    return ([F(v, dual.den) for v in dual.a], {s: F(w, dual.den) for s, w in dual.y.items()},
+            F(dual.objective, dual.den))
+
+
 def cut_value(g: Digraph, x, u) -> Fraction:
     return sum((x[e] for e in g.delta_plus(u)), F(0)) + sum(
         (x[e] for e in g.delta_minus(u)), F(0)
@@ -61,7 +76,7 @@ def test_lp_on_triangle():
     primal, dual = solve_atsp_lp(c3())
     assert primal.objective == 3
     assert primal.x == [F(1), F(1), F(1)]
-    assert dual.objective == 3
+    assert fractions_of(dual)[2] == 3
 
 
 def test_lp_on_k2():
@@ -191,22 +206,21 @@ def test_separation_rejects_non_circulations():
 def test_uncross_crossing_pair():
     # 4-cycle; support {{0,1},{1,2}} crosses and resolves to {1},{0,1,2}
     g = Digraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
-    dual = DualLp([F(0)] * 4, {frozenset({0, 1}): F(1, 4), frozenset({1, 2}): F(1, 4)},
-                  F(1))
+    dual = int_dual(g, [F(0)] * 4, {frozenset({0, 1}): F(1, 4), frozenset({1, 2}): F(1, 4)})
+    assert fractions_of(dual)[2] == 1
     out = uncross_dual(g, dual)
     # {0,1} is canonicalized to its complement {2,3} first, which nests with
     # nothing, so it crosses {1,2}: intersection {2}, union {1,2,3}
-    assert out.objective == dual.objective
+    assert out.objective == dual.objective and out.den == dual.den
     assert check_laminar(list(out.y.keys()))
-    assert sum(out.y.values()) == F(1, 2)
+    assert sum(fractions_of(out)[1].values()) == F(1, 2)
 
 
 def test_uncross_laminar_unchanged():
     g = c3()
-    dual = DualLp([F(0)] * 3, {frozenset({1}): F(1, 2), frozenset({1, 2}): F(1, 2)},
-                  F(2))
+    dual = int_dual(g, [F(0)] * 3, {frozenset({1}): F(1, 2), frozenset({1, 2}): F(1, 2)})
     out = uncross_dual(g, dual)
-    assert out.y == dual.y
+    assert fractions_of(out)[1] == {frozenset({1}): F(1, 2), frozenset({1, 2}): F(1, 2)}
 
 
 def test_uncross_complement_canonicalization():
@@ -214,9 +228,10 @@ def test_uncross_complement_canonicalization():
     g = Digraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
     a = frozenset({1, 2})
     comp = frozenset({0, 3})
-    dual = DualLp([F(0)] * 4, {a: F(1, 3), comp: F(1, 5)}, 2 * (F(1, 3) + F(1, 5)))
+    dual = int_dual(g, [F(0)] * 4, {a: F(1, 3), comp: F(1, 5)})
+    assert fractions_of(dual)[2] == 2 * (F(1, 3) + F(1, 5))
     out = uncross_dual(g, dual)
-    assert out.y == {a: F(1, 3) + F(1, 5)}
+    assert fractions_of(out)[1] == {a: F(1, 3) + F(1, 5)}
     assert out.objective == dual.objective
 
 
@@ -227,22 +242,22 @@ def test_make_strongly_laminar_moves_weight():
     ])
     x = [F(1)] * g.m
     u = frozenset({0, 1, 2})
-    dual = DualLp([F(0)] * 4, {u: F(1)}, F(2))
+    dual = int_dual(g, [F(0)] * 4, {u: F(1)})
     # feasibility of the starting dual on this graph
     assert dual_feasible(g, dual)
     out = make_strongly_laminar(g, x, dual)
-    assert u not in out.y
-    assert out.y == {frozenset({0}): F(1)}
-    assert out.a == [F(0), F(-1), F(-1), F(0)]
-    assert out.objective == dual.objective
+    a, y, objective = fractions_of(out)
+    assert u not in y
+    assert y == {frozenset({0}): F(1)}
+    assert a == [F(0), F(-1), F(-1), F(0)]
+    assert objective == 2
 
 
 def test_make_strongly_laminar_tests_each_set_once(monkeypatch):
     # {0,1} and {0,1,2} both fail and both donate to {0}; the failing sets
     # are found in one scan, and the final check scans the one set left
     g = Digraph(4, [(0, 1, 2), (1, 2, 2), (2, 1, 2), (2, 3, 2), (3, 0, 2)])
-    dual = DualLp([F(0)] * 4, {frozenset({0, 1, 2}): F(1), frozenset({0, 1}): F(1, 2)},
-                  F(3))
+    dual = int_dual(g, [F(0)] * 4, {frozenset({0, 1, 2}): F(1), frozenset({0, 1}): F(1, 2)})
     assert dual_feasible(g, dual)
     calls = []
     original = Digraph.is_strongly_connected
@@ -253,16 +268,17 @@ def test_make_strongly_laminar_tests_each_set_once(monkeypatch):
 
     monkeypatch.setattr(Digraph, "is_strongly_connected", counting)
     out = make_strongly_laminar(g, [F(1)] * g.m, dual)
-    assert out.y == {frozenset({0}): F(3, 2)}
-    assert out.a == [F(0), F(-3, 2), F(-1), F(0)]
+    a, y, _ = fractions_of(out)
+    assert y == {frozenset({0}): F(3, 2)}
+    assert a == [F(0), F(-3, 2), F(-1), F(0)]
     assert len(calls) == 3
 
 
 def test_make_strongly_laminar_noop_on_sccs():
     g = c3()
-    dual = DualLp([F(0)] * 3, {frozenset({0}): F(1, 2)}, F(1))
+    dual = int_dual(g, [F(0)] * 3, {frozenset({0}): F(1, 2)})
     out = make_strongly_laminar(g, [F(1)] * 3, dual)
-    assert out.y == dual.y and out.a == dual.a
+    assert fractions_of(out) == ([F(0)] * 3, {frozenset({0}): F(1, 2)}, F(1))
 
 
 def test_build_instance_triangle():
@@ -294,6 +310,41 @@ def test_build_instance_two_tri():
     assert any(len(s) == 3 for s in inst.family)
 
 
+def test_reduction_scales_x_and_the_dual_only_in_separate_subtour(monkeypatch):
+    # x and the dual leave the simplex as integer numerators, so the cutting
+    # loop, the uncrossing and the repair call common_denominator nowhere;
+    # only separate_subtour, which `x-feasible-all-cuts` calls with the
+    # instance's `Fraction` x, scales
+    depth = [0]
+    scaled = []
+    separate, common = lp.separate_subtour, lp.common_denominator
+
+    def counted_separate(g, x):
+        depth[0] += 1
+        try:
+            return separate(g, x)
+        finally:
+            depth[0] -= 1
+
+    def only_in_separate(values, den=1):
+        assert depth[0], "common_denominator called outside separate_subtour"
+        scaled.append(len(values))
+        return common(values, den)
+
+    monkeypatch.setattr(lp, "separate_subtour", counted_separate)
+    monkeypatch.setattr(lp, "common_denominator", only_in_separate)
+    rounds = []
+    solve_lp = simplex.solve_lp
+    monkeypatch.setattr(simplex, "solve_lp", lambda *args, **kw: rounds.append(1) or
+                        solve_lp(*args, **kw))
+    checker = Checker()
+    for n in range(10, 15):
+        for seed in range(3):
+            build_strongly_laminar_instance(gen_instance("random-strong", n, seed), checker)
+    assert len(rounds) > 15  # some LPs take several cutting rounds
+    assert len(scaled) == checker.counters["x-feasible-all-cuts"] == 15
+
+
 def test_build_instance_n1():
     inst, lp_value, origin = build_strongly_laminar_instance(Digraph(1, []))
     assert lp_value == 0 and origin == () and inst.g.n == 1
@@ -323,12 +374,12 @@ def test_uncross_random_feasible_duals():
             base = sum((w for ss, w in y.items() if (u in ss) != (v in ss)), F(0))
             costed.append((u, v, base + F(rng.randint(0, 3), 2)))
         g = Digraph(n, *integer_edges(costed))
-        dual = DualLp([F(0)] * n, dict(y),
-                      sum((2 * w for w in y.values()), F(0)))
+        dual = int_dual(g, [F(0)] * n, y)
+        assert fractions_of(dual)[2] == sum((2 * w for w in y.values()), F(0))
         assert dual_feasible(g, dual)
         out = uncross_dual(g, dual)
         assert check_laminar(list(out.y.keys())), trial
-        assert out.objective == dual.objective, trial
+        assert fractions_of(out)[2] == fractions_of(dual)[2], trial
         assert dual_feasible(g, out), trial
 
 
@@ -339,11 +390,11 @@ def test_dual_feasible_matches_fraction_reference():
     # verdicts and exact ties occur; a few y are negative.
     rng = random.Random(2718)
 
-    def reference(g, dual):
-        if any(y < 0 for y in dual.y.values()):
+    def reference(g, a, y):
+        if any(w < 0 for w in y.values()):
             return False
-        return all(dual.a[e.head] - dual.a[e.tail]
-                   + sum((w for s, w in dual.y.items() if (e.tail in s) != (e.head in s)),
+        return all(a[e.head] - a[e.tail]
+                   + sum((w for s, w in y.items() if (e.tail in s) != (e.head in s)),
                          F(0)) <= e.cost
                    for e in g.edges)
 
@@ -363,8 +414,8 @@ def test_dual_feasible_matches_fraction_reference():
             cost = max(F(0), tight + rng.choice([0, 0, 1, -1]) * F(1, rng.randint(1, 12)))
             edges.append((u, v, cost))
         g = Digraph(n, *integer_edges(edges))
-        dual = DualLp(a, y, sum((2 * w for w in y.values()), F(0)))
-        expected = reference(g, dual)
+        dual = int_dual(g, a, y)
+        expected = reference(g, a, y)
         assert dual_feasible(g, dual) == expected
         verdicts.add(expected)
     assert verdicts == {True, False}
@@ -386,7 +437,7 @@ def test_cutting_plane_matches_full_enumeration_small_random():
         g = Digraph(n, *integer_edges(edges))
         primal, dual = solve_atsp_lp(g)
         assert primal.objective == full_enumeration_lp_value(g)
-        assert dual.objective == primal.objective
+        assert fractions_of(dual)[2] == primal.objective
 
 
 def _count_simplex_work(monkeypatch):
@@ -445,7 +496,7 @@ def test_cycle_lp_takes_one_round_and_n_pivots(n, monkeypatch):
     events = _count_simplex_work(monkeypatch)
     g = Digraph(n, [(i, (i + 1) % n, 1) for i in range(n)])
     primal, dual = solve_atsp_lp(g)
-    assert primal.objective == dual.objective == n
+    assert primal.objective == fractions_of(dual)[2] == n
     assert "".join(events) == "cd" + "p" * n
 
 

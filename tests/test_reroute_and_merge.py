@@ -6,6 +6,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
+
+from atsp_approx import cover as cover_mod
 from atsp_approx.checks import Checker
 from atsp_approx.cover import (
     SubtourCoverInstance,
@@ -14,6 +17,7 @@ from atsp_approx.cover import (
     compute_witness_flow,
     lift_and_reroute,
 )
+from atsp_approx.errors import InternalCheckError
 from atsp_approx.graph import Digraph, EdgeMultiset, LaminarFamily, integer_edges
 from atsp_approx.instance import StronglyLaminarInstance
 from atsp_approx.pair import VertebratePair
@@ -23,10 +27,9 @@ from test_cover import make_pair
 F = Fraction
 
 
-def test_reroute_upper_entry_lower_exit_uses_down_edge():
-    # expensive joiners force the witness flow onto the forward joiner, so
-    # the hub's cover unit enters its auxiliary vertex on the upper level
-    # and leaves on the lower one, crossing the free vertical edge
+def hub_cover():
+    """Two unit triangles joined by cost-50 arcs, as a pair with an empty
+    H: its cover, witness flow and augmented graph."""
     g = Digraph(6, [
         (0, 1, 1), (1, 2, 1), (2, 0, 1),
         (3, 4, 1), (4, 5, 1), (5, 3, 1),
@@ -37,8 +40,15 @@ def test_reroute_upper_entry_lower_exit_uses_down_edge():
     checker = Checker()
     levels = build_level_structure(pair)
     witness = compute_witness_flow(cover, levels, checker)
-    aug = build_augmented_graph(cover, witness, levels, checker)
-    rerouted = lift_and_reroute(cover, witness, aug, checker)
+    return cover, witness, build_augmented_graph(cover, witness, levels, checker)
+
+
+def test_reroute_upper_entry_lower_exit_uses_down_edge():
+    # expensive joiners force the witness flow onto the forward joiner, so
+    # the hub's cover unit enters its auxiliary vertex on the upper level
+    # and leaves on the lower one, crossing the free vertical edge
+    cover, witness, aug = hub_cover()
+    rerouted = lift_and_reroute(cover, witness, aug, Checker())
     assert aug.w_sets[0] == frozenset({0})
     assert rerouted.q_level[0] == 1
     down = rerouted.split.down_of[aug.aux_of[0]]
@@ -106,3 +116,32 @@ def test_knapsack_merge_absorbs_partial_overlap():
     assert frozenset({10, 11}) in new_state.parts  # untouched part survives
     assert checker.counters["better-init-potential-growth"] == 1
     assert not checker.failures
+
+
+def test_negative_lowered_entry_trips_at_its_component(monkeypatch):
+    # the entry edges of component k's pieces are zeroed before its reroute,
+    # so the first rerouted piece drives its entry edge negative: the check
+    # scans only what each later reroute lowers, yet trips at component k,
+    # after k + 1 checks, as a scan of the whole z after every component does
+    cover, witness, aug = hub_cover()
+    assert aug.k >= 2
+    decompose = cover_mod._decompose_unit_through
+    for k in range(aug.k):
+        calls = []
+
+        def zeroing(g, z, inside, unit):
+            pieces = decompose(g, z, inside, unit)
+            if len(calls) == k:
+                for e_in, _, _, _ in pieces:
+                    z[e_in] = 0
+            calls.append(inside)
+            return pieces
+
+        checker = Checker()
+        with monkeypatch.context() as patch:
+            patch.setattr(cover_mod, "_decompose_unit_through", zeroing)
+            with pytest.raises(InternalCheckError) as err:
+                lift_and_reroute(cover, witness, aug, checker)
+        assert err.value.label == "rerouted-z-nonnegative"
+        assert checker.counters["rerouted-z-nonnegative"] == k + 1
+        assert len(calls) == k + 1

@@ -1,8 +1,9 @@
 """Differential test of the separation oracle: `lp._separate_all` against
 the dict-based Edmonds-Karp it replaced.
 
-`_separate_all` scales x once by the lcm of its denominators and runs every
-max-flow on one integer network of flat arrays.  The reference keeps the
+`_separate_all` takes x as integer numerators over one unit, here the lcm
+of its denominators, and runs every max-flow on one integer network of
+flat arrays.  The reference keeps the
 earlier routine: per call, it scales the `Fraction` capacities again,
 builds a dict-of-dicts residual graph with parallel arcs merged, and
 returns a `Fraction` value that is compared with 1.  Both return the
@@ -23,6 +24,7 @@ from atsp_approx import lp
 from atsp_approx.errors import ContractViolation
 from atsp_approx.graph import Digraph
 from atsp_approx.harness import GENERATOR_MODELS, gen_instance, run_pipeline
+from atsp_approx.rational import common_denominator
 from test_determinism import REDUCTION_CASES
 
 F = Fraction
@@ -132,7 +134,7 @@ def assert_same_cuts(g, x, monkeypatch):
             calls.clear()
             expected_calls: list = []
             expected = reference_separate_all(g, x, first_only, expected_calls)
-            assert lp._separate_all(g, x, first_only) == expected
+            assert lp._separate_all(g, *common_denominator(x), first_only) == expected
             assert calls == expected_calls
 
 
@@ -161,7 +163,7 @@ def test_random_circulations_against_reference(monkeypatch):
     for _ in range(300):
         g, x = random_circulation(rng)
         assert_same_cuts(g, x, monkeypatch)
-        outcomes.add(bool(lp._separate_all(g, x)))
+        outcomes.add(bool(lp._separate_all(g, *common_denominator(x))))
     assert outcomes == {True, False}
 
 
@@ -173,7 +175,7 @@ def test_non_circulations_raise_the_reference_messages():
         x[eid] = rng.choice([-x[eid] - F(1, rng.randint(1, 12)),
                              x[eid] + F(1, rng.randint(1, 12))])
         with pytest.raises(ContractViolation) as got:
-            lp._separate_all(g, x)
+            lp._separate_all(g, *common_denominator(x))
         with pytest.raises(ContractViolation) as expected:
             reference_separate_all(g, x)
         assert str(got.value) == str(expected.value)
@@ -184,9 +186,9 @@ def recorded_separations(graphs, monkeypatch) -> list[tuple[Digraph, list[Fracti
     seen = []
     real = lp._separate_all
 
-    def recording(g, x, first_only=False):
-        seen.append((g, list(x)))
-        return real(g, x, first_only)
+    def recording(g, x_num, unit, first_only=False):
+        seen.append((g, [F(v, unit) for v in x_num]))
+        return real(g, x_num, unit, first_only)
 
     with monkeypatch.context() as patch:
         patch.setattr(lp, "_separate_all", recording)

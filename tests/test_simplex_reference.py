@@ -11,6 +11,10 @@ cold or warm-started, must return the same status, x, objective and duals
 as the reference, down to the types of their entries: the integer rows,
 their denominators and the in-place updates may not alter a pivot.
 
+Every optimal result also hands x on as integer numerators over their
+least common denominator, which must be what `common_denominator` makes
+of the reference's `Fraction` x.
+
 The second is the two-phase primal simplex with `Fraction` basic values
 that solved the first cutting round before the dual simplex did.  It
 takes another pivot path, so it serves as an independent oracle for the
@@ -31,7 +35,8 @@ from atsp_approx import simplex
 from atsp_approx.errors import ContractViolation, InternalCheckError
 from atsp_approx.harness import GENERATOR_MODELS, gen_instance, run_pipeline
 from atsp_approx.lp import solve_atsp_lp
-from atsp_approx.simplex import INFEASIBLE, OPTIMAL, LpResult
+from atsp_approx.rational import common_denominator
+from atsp_approx.simplex import INFEASIBLE, OPTIMAL
 from test_determinism import REDUCTION_CASES
 import test_simplex
 from test_simplex import random_lps, warm_started_lps
@@ -39,6 +44,18 @@ from test_simplex import random_lps, warm_started_lps
 F = Fraction
 ZERO = F(0)
 UNBOUNDED = "unbounded"  # a status of the two-phase reference only
+
+
+class RefResult:
+    """A reference's status, `Fraction` x, objective and duals, printed as
+    `simplex.LpResult` prints them."""
+
+    def __init__(self, status, x, objective, duals) -> None:
+        self.status, self.x, self.objective, self.duals = status, x, objective, duals
+
+    def __repr__(self) -> str:
+        return (f"LpResult(status={self.status!r}, x={self.x!r}, "
+                f"objective={self.objective!r}, duals={self.duals!r})")
 
 
 def _ref_nonzeros(row: list[int]) -> list[int]:
@@ -92,7 +109,7 @@ class RefDualSimplex:
         self.rows: list[list[Fraction]] = []
         self.basis: list[int] = []
 
-    def solve(self, rows, rhs) -> LpResult:
+    def solve(self, rows, rhs) -> RefResult:
         """Append the rows after those already held, then re-optimise."""
         first = len(self.rows)
         k = len(rows) - first
@@ -112,12 +129,12 @@ class RefDualSimplex:
             self.rows.append(new)
             self.basis.append(self.nvars + i)
         if not self._optimise():
-            return LpResult(INFEASIBLE, [], ZERO, [])
+            return RefResult(INFEASIBLE, [], ZERO, [])
         x = [ZERO] * self.nvars
         for row, col in zip(self.rows, self.basis):
             if col < self.nvars:
                 x[col] = row[-1]
-        return LpResult(OPTIMAL, x, -self.zrow[-1], self.zrow[self.nvars:-1])
+        return RefResult(OPTIMAL, x, -self.zrow[-1], self.zrow[self.nvars:-1])
 
     def _optimise(self) -> bool:
         rows, basis, zrow = self.rows, self.basis, self.zrow
@@ -148,7 +165,7 @@ class RefDualSimplex:
             self.zrow = zrow = [v - f * p for v, p in zip(zrow, prow)]
 
 
-def ref_solve_lp(objective, rows, senses, rhs) -> LpResult:
+def ref_solve_lp(objective, rows, senses, rhs) -> RefResult:
     """The two-phase primal simplex with `Fraction` basic values that once
     solved every cold LP: Dantzig's rule in both phases, or Bland's rule
     after a run of degenerate pivots, read from the module's streak limit."""
@@ -267,7 +284,7 @@ def ref_solve_lp(objective, rows, senses, rhs) -> LpResult:
     art_set = set(art_col)
     infeas = sum((beta[i] for i in range(nrows) if basis[i] in art_set), ZERO)
     if infeas > 0:
-        return LpResult(INFEASIBLE, [], ZERO, [])
+        return RefResult(INFEASIBLE, [], ZERO, [])
     for r in range(nrows):
         if basis[r] not in art_set:
             continue
@@ -286,14 +303,14 @@ def ref_solve_lp(objective, rows, senses, rhs) -> LpResult:
     phase2_cost, phase2_den = _ref_integer_row(dict(enumerate(costs)), ncols, 1)
     status, zrow, zden = run_phase(phase2_cost, phase2_den)
     if status == UNBOUNDED:
-        return LpResult(UNBOUNDED, [], ZERO, [])
+        return RefResult(UNBOUNDED, [], ZERO, [])
     x = [ZERO] * ncols
     for r in range(nrows):
         x[basis[r]] = beta[r]
     solution = x[:nvars]
     obj = sum((costs[j] * solution[j] for j in range(nvars)), ZERO)
     duals = [Fraction(-zrow[art_col[i]], zden) * art_sign[i] for i in range(nrows)]
-    return LpResult(OPTIMAL, solution, obj, duals)
+    return RefResult(OPTIMAL, solution, obj, duals)
 
 
 @pytest.fixture
@@ -303,18 +320,23 @@ def compared(monkeypatch):
     before the caller can extend its lists.  A cold call starts a new
     `RefDualSimplex`; a warm-started one continues the reference of the
     result it starts from, so both solve the same LP along the same pivot
-    path and must return the same result.  The two-phase reference must
-    reach the same status and objective.  Collects the statuses."""
+    path and must return the same result, and an optimal one's x_num over
+    x_den must be the reference's x over its least common denominator.
+    The two-phase reference must reach the same status and objective.
+    Collects the statuses."""
     statuses = []
-    refs: dict[int, tuple[LpResult, RefDualSimplex]] = {}  # by id of a live result
+    refs: dict[int, tuple[simplex.LpResult, RefDualSimplex]] = {}  # by id of a live result
     solve = simplex.solve_lp
 
     def solve_both(objective, rows, senses, rhs, warm=None):
         res = solve(objective, rows, senses, rhs, warm=warm)
         ref = RefDualSimplex(objective) if warm is None else refs.pop(id(warm))[1]
+        expected = ref.solve(rows, rhs)
         # repr compares the values and their types, so an int where the
         # reference has a `Fraction` fails too
-        assert repr(res) == repr(ref.solve(rows, rhs))
+        assert repr(res) == repr(expected)
+        if res.status == OPTIMAL:
+            assert (res.x_num, res.x_den) == common_denominator(expected.x)
         two_phase = ref_solve_lp(objective, rows, senses, rhs)
         assert (res.status, res.objective) == (two_phase.status, two_phase.objective)
         if res.status == OPTIMAL:

@@ -12,7 +12,6 @@ from atsp_approx.errors import BudgetError, ContractViolation, InfeasibleInstanc
 from atsp_approx.flows import max_flow_min_cut
 from atsp_approx.graph import Digraph, check_laminar, integer_edges
 from atsp_approx.harness import gen_instance
-from atsp_approx.rational import common_denominator
 from atsp_approx.lp import (
     DualLp,
     build_strongly_laminar_instance,
@@ -22,6 +21,7 @@ from atsp_approx.lp import (
     solve_atsp_lp,
     uncross_dual,
 )
+from atsp_approx.rational import common_denominator
 from fixtures import c3, k2, two_tri
 
 F = Fraction
@@ -419,6 +419,14 @@ def test_dual_feasible_matches_fraction_reference():
         assert dual_feasible(g, dual) == expected
         verdicts.add(expected)
     assert verdicts == {True, False}
+
+
+def test_dual_over_a_denominator_the_costs_do_not_divide_is_refused():
+    # costs in halves cannot be read over a dual denominator of 3
+    g = Digraph(2, [(0, 1, 1), (1, 0, 3)], 2)
+    assert dual_feasible(g, DualLp([0, 0], {frozenset({1}): 1}, 2, 4))
+    with pytest.raises(ContractViolation, match="not a multiple of the cost denominator 2"):
+        dual_feasible(g, DualLp([0, 0], {frozenset({1}): 1}, 2, 3))
 
 
 def test_cutting_plane_matches_full_enumeration_small_random():

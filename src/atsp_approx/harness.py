@@ -12,12 +12,13 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Optional
 
 from .checks import Checker
 from .errors import BudgetError, InfeasibleInstanceError, InputError
 from .graph import Digraph, EdgeMultiset, euler_walk, integer_edges, is_eulerian_connected
-from .rational import format_rational, parse_rational
+from .rational import MAX_DIGITS, format_rational, parse_rational
 from .simplex import check_tableau_budget
 from .vertebrate import solve_atsp
 
@@ -89,12 +90,19 @@ def _parse_json(text: str) -> tuple[str, Digraph]:
 
 
 def _parse_tsplib(text: str) -> tuple[str, Digraph]:
+    """A TSPLIB ATSP file with an EXPLICIT FULL_MATRIX weight section.
+
+    A weight line whose tokens are all ASCII digits, each within
+    MAX_DIGITS, is read with `int`; any other line goes token by token
+    through `parse_rational`, with its errors.  Both give the same costs,
+    so the Digraph does not depend on which lines took which path."""
     name = "instance"
     dimension = None
     weight_type = None
     weight_format = None
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    numbers: list[Fraction] = []
+    numbers: list[int | Fraction] = []
+    rational = False
     in_section = False
     tsp_type = None
     for line in lines:
@@ -102,7 +110,13 @@ def _parse_tsplib(text: str) -> tuple[str, Digraph]:
         if in_section:
             if upper == "EOF":
                 break
-            numbers.extend(parse_rational(tok) for tok in line.split())
+            tokens = line.split()
+            if line.isascii() and "".join(tokens).isdigit() and \
+                    max(map(len, tokens)) <= MAX_DIGITS:
+                numbers.extend(map(int, tokens))
+            else:
+                numbers.extend(map(parse_rational, tokens))
+                rational = True
             continue
         if ":" in line:
             key, _, value = line.partition(":")
@@ -137,12 +151,11 @@ def _parse_tsplib(text: str) -> tuple[str, Digraph]:
         raise InputError(
             f"matrix needs {dimension * dimension} entries, got {len(numbers)}"
         )
-    edges = []
-    for i in range(dimension):
-        for j in range(dimension):
-            if i != j:
-                edges.append((i, j, numbers[i * dimension + j]))
-    return name, Digraph(dimension, *integer_edges(edges))
+    edges = [(i, j, numbers[i * dimension + j])
+             for i in range(dimension) for j in range(dimension) if i != j]
+    if rational:
+        return name, Digraph(dimension, *integer_edges(edges))
+    return name, Digraph(dimension, edges)
 
 
 def instance_to_json(name: str, g: Digraph) -> str:
@@ -218,52 +231,61 @@ def gen_instance(model: str, n: int, seed: int = 0) -> Digraph:
 
 def held_karp_opt(g: Digraph) -> Fraction:
     """Exact optimum tour cost (closed walks allowed): the Hamiltonian
-    optimum of the metric closure, by bitmask dynamic programming.  The
-    closure and the DP run on the digraph's integer cost numerators."""
+    optimum of the metric closure, by bitmask dynamic programming (Held and
+    Karp, 1962; Bellman, 1962) on the digraph's integer cost numerators.
+
+    The closure (Floyd-Warshall) runs on int rows in which the sum of all
+    cost numerators plus one stands for "unreachable": no shortest path
+    costs that much, so an entry still equal to it after the closure means
+    the digraph is not strongly connected.  The DP row of a vertex set S
+    holds, for each j in S, the cheapest path from vertex 0 through S that
+    ends at j, and a pad above any path cost at every other j.  So
+    dp[S][j] is one C-level `min(map(add, ...))` of the whole row of S - j
+    against the closure costs into j, with no gather of the members of
+    S - j; the j in S are read off the bits of S."""
     n = g.n
     if n > HELD_KARP_MAX_N:
         raise BudgetError(f"Held-Karp oracle capped at n = {HELD_KARP_MAX_N}")
     if n == 1:
         return ZERO
-    dist: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
+    unreachable = sum(g.cost_num) + 1
+    dist = [[unreachable] * n for _ in range(n)]
     for v in range(n):
         dist[v][v] = 0
     for e, cost in zip(g.edges, g.cost_num):
-        cur = dist[e.tail][e.head]
-        if cur is None or cost < cur:
-            dist[e.tail][e.head] = cost
+        row = dist[e.tail]
+        if cost < row[e.head]:
+            row[e.head] = cost
     for mid in range(n):
-        for a in range(n):
-            via = dist[a][mid]
-            if via is None:
-                continue
-            row = dist[mid]
-            for b in range(n):
-                if row[b] is None:
-                    continue
-                cand = via + row[b]
-                if dist[a][b] is None or cand < dist[a][b]:
-                    dist[a][b] = cand
-    if any(dist[a][b] is None for a in range(n) for b in range(n)):
+        through = dist[mid]
+        for row in dist:
+            via = row[mid]
+            if via < unreachable:
+                for b, step in enumerate(through):
+                    cand = via + step
+                    if cand < row[b]:
+                        row[b] = cand
+    if any(unreachable in row for row in dist):
         raise InfeasibleInstanceError("graph is not strongly connected")
-    # dp[mask][j]: cheapest path from 0 through the vertices of mask (bit i
-    # stands for vertex i + 1) that ends at vertex j + 1; each entry is
-    # pulled from the masks without j
+    # bit j of a set stands for vertex j + 1; into holds (j, bit j, col) with
+    # col[i] the closure cost from vertex i + 1 to vertex j + 1.  A path of
+    # k arcs costs less than k * unreachable, the pad
     k = n - 1
     full = 1 << k
-    into = [[dist[i + 1][j + 1] for i in range(k)] for j in range(k)]
-    dp = [[0] * k for _ in range(full)]
+    pad = k * unreachable
+    into = [(j, 1 << j, [dist[i + 1][j + 1] for i in range(k)]) for j in range(k)]
+    dp: list[list[int]] = [[]] * full
     for j in range(k):
-        dp[1 << j][j] = dist[0][j + 1]
+        row = [pad] * k
+        row[j] = dist[0][j + 1]
+        dp[1 << j] = row
     for mask in range(3, full):
-        if not mask & (mask - 1):
-            continue
-        members = [i for i in range(k) if mask >> i & 1]
-        row = dp[mask]
-        for j in members:
-            prev = dp[mask ^ (1 << j)]
-            col = into[j]
-            row[j] = min([prev[i] + col[i] for i in members if i != j])
+        if mask & (mask - 1):
+            row = [pad] * k
+            for j, bit, col in into:
+                if mask & bit:
+                    row[j] = min(map(add, dp[mask ^ bit], col))
+            dp[mask] = row
     last = dp[full - 1]
     return Fraction(min(last[j] + dist[j + 1][0] for j in range(k)), g.cost_den)
 

@@ -275,10 +275,11 @@ def uncross_dual(g: Digraph, dual: DualLp, checker: Optional[Checker] = None) ->
     return out
 
 
-def make_strongly_laminar(g: Digraph, x: list[Fraction], dual: DualLp,
+def make_strongly_laminar(g: Digraph, dual: DualLp,
                           checker: Optional[Checker] = None) -> DualLp:
     """Repair the dual so every support set induces a strongly connected
-    subgraph of g (g must already be restricted to the support of x).
+    subgraph of g (g must already be restricted to the support of the LP
+    optimum x).
 
     Each failing support set U, smallest first, donates its weight to the
     first strongly connected component S of g[U] in topological order, and
@@ -338,7 +339,7 @@ def build_strongly_laminar_instance(
     x_sub = [x_num[eid] for eid in support]  # over x_den, still the least denominator
     x_frac = [Fraction(v, x_den) for v in x_sub]
     dual1 = uncross_dual(sub, dual0, checker)
-    dual2 = make_strongly_laminar(sub, x_frac, dual1, checker)
+    dual2 = make_strongly_laminar(sub, dual1, checker)
     checker.check(_same_value(dual2.objective, dual2.den, primal.objective),
                   "pipeline-objective-preserved")
     # complementary slackness: every support set is a tight cut

@@ -89,16 +89,34 @@ def _nonzeros(row: list[int]) -> list[int]:
     return list(compress(range(len(row)), row))
 
 
-def _integer_row(coeffs: dict[int, Fraction | int], ncols: int, sign: int,
+def _integer_row(coeffs: dict[int, Fraction | int], nvars: int, ncols: int, sign: int,
                  rhs: Fraction | int) -> tuple[list[int], int]:
     """Numerators over the lcm of the denominators of sign * coeffs, with
-    sign * rhs as entry ncols."""
-    den = rhs.denominator
-    for q in coeffs.values():
-        den = lcm(den, q.denominator)
+    sign * rhs as entry ncols, in one pass over the row: a variable outside
+    0..nvars-1 raises ContractViolation, a value neither int nor `Fraction`
+    is converted with `Fraction`, and lcm is called only for a denominator
+    other than 1.  The entries are rescaled to the lcm only when it is not
+    1."""
     num = [0] * (ncols + 1)
+    den = rhs.denominator
+    fractional = []
     for j, q in coeffs.items():
-        num[j] = sign * q.numerator * (den // q.denominator)
+        if not (0 <= j < nvars):
+            raise ContractViolation(f"row references unknown variable {j}")
+        if type(q) is not int:
+            if type(q) is not Fraction:
+                q = Fraction(q)
+            d = q.denominator
+            if d != 1:
+                den = lcm(den, d)
+                fractional.append((j, d))
+            q = q.numerator
+        num[j] = sign * q
+    if den != 1:
+        for j in coeffs:
+            num[j] *= den
+        for j, d in fractional:
+            num[j] //= d
     num[ncols] = sign * rhs.numerator * (den // rhs.denominator)
     return num, den
 
@@ -156,7 +174,8 @@ class _Tableau:
         self.rows: list[list[int]] = []
         self.dens: list[int] = []
         self.basis: list[int] = []
-        self.zrow, self.zden = _integer_row(dict(enumerate(costs)), self.ncols, 1, 0)
+        self.zrow, self.zden = _integer_row(dict(enumerate(costs)), self.nvars, self.ncols,
+                                            1, 0)
 
     def pivot_on(self, r: int, col: int) -> list[int]:
         """Column col enters the basis at row r.  Row r's nonzeros get the
@@ -184,9 +203,11 @@ class _Tableau:
                        ) -> None:
         """Append the rows coeffs.x >= b, each as s - coeffs.x = -b with its
         surplus s basic, in terms of the current basis.  The new surplus
-        columns go last, before the right-hand side."""
+        columns go last, before the right-hand side.  Every row is read
+        into integers, and so checked, before the tableau changes."""
         k = len(rows)
         first = self.ncols
+        built = [_integer_row(coeffs, self.nvars, first + k, -1, b) for coeffs, b in rows]
         pad = [0] * k
         for row in self.rows:
             row[first:first] = pad
@@ -195,10 +216,9 @@ class _Tableau:
         old = list(enumerate(zip(self.rows, self.dens)))
         basis = self.basis
         nonzeros: dict[int, list[int]] = {}  # of the old rows, as needed
-        for t, (coeffs, b) in enumerate(rows):
-            self.coeffs.append(coeffs)
+        for t, ((coeffs, b), (num, den)) in enumerate(zip(rows, built)):
+            self.coeffs.append(dict(coeffs))
             self.rhs.append(b)
-            num, den = _integer_row(coeffs, self.ncols, -1, b)
             num[first + t] = den
             for r, (row, rden) in old:
                 if num[basis[r]]:
@@ -341,15 +361,6 @@ def _dual(tab: _Tableau) -> str:
             zrow, zden = _eliminate(zrow, zden, enter, tableau[leave], dens[leave], nz)
 
 
-def _rational_row(row: dict[int, Fraction | int], nvars: int) -> dict[int, Fraction | int]:
-    coeffs = {}
-    for j, coeff in row.items():
-        if not (0 <= j < nvars):
-            raise ContractViolation(f"row references unknown variable {j}")
-        coeffs[j] = coeff if type(coeff) in _RATIONAL else Fraction(coeff)
-    return coeffs
-
-
 def solve_lp(
     objective: Sequence[Fraction | int],
     rows: Sequence[dict[int, Fraction | int]],
@@ -403,10 +414,9 @@ def solve_lp(
         if list(rows[:first]) != tab.coeffs or b[:first] != tab.rhs:
             raise ContractViolation("a warm start needs the rows and right-hand sides "
                                     "it was solved with first, unchanged")
-    new = [(_rational_row(rows[i], nvars), b[i]) for i in range(first, nrows)]
+    tab.append_ge_rows([(rows[i], b[i]) for i in range(first, nrows)])
     if warm is not None:
         warm.tableau = None
-    tab.append_ge_rows(new)
     if _dual(tab) == INFEASIBLE:
         return LpResult(INFEASIBLE, [], 1, ZERO)
     return tab.result()

@@ -91,7 +91,8 @@ def _tsplib_matrices(draw):
     dim = draw(st.sampled_from(["2", "3", "2", "3", "1", "0", "-1", "abc", "9999999999"]))
     size = int(dim) ** 2 if dim in ("1", "2", "3") else draw(st.integers(0, 12))
     size = max(size + draw(st.sampled_from([0, 0, 0, 0, -1, 1])), 0)
-    cells = draw(st.lists(st.sampled_from(["0", "1", "2", "7", "1/3", "5", "-1", "x"]),
+    cells = draw(st.lists(st.sampled_from(["0", "1", "2", "7", "1/3", "5", "-1", "x",
+                                           "007", "\u0663", "+3"]),
                           min_size=size, max_size=size))
     return ("TYPE: ATSP\nDIMENSION: %s\nEDGE_WEIGHT_FORMAT: FULL_MATRIX\n"
             "EDGE_WEIGHT_SECTION\n%s\nEOF\n" % (dim, " ".join(cells)))

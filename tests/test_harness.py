@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from atsp_approx.errors import BudgetError, InfeasibleInstanceError, InputError
-from atsp_approx.graph import Digraph
+from atsp_approx.graph import Digraph, integer_edges
 from atsp_approx.harness import (
     gen_instance,
     held_karp_opt,
@@ -16,6 +16,7 @@ from atsp_approx.harness import (
     run_pipeline,
     verify_tour,
 )
+from atsp_approx.rational import MAX_DIGITS, parse_rational
 from fixtures import c3, k2, two_tri, multiset
 
 F = Fraction
@@ -91,6 +92,56 @@ def test_parse_tsplib_requires_atsp():
         parse_instance(text)
     with pytest.raises(InputError, match="DIMENSION"):
         parse_instance(text.replace("TSP", "ATSP").replace("2", "abc", 1))
+
+
+def _tsplib_text(rows: list[list[str]], one_line: bool = False) -> str:
+    lines = [" ".join(sum(rows, []))] if one_line else [" ".join(row) for row in rows]
+    return ("NAME: m\nTYPE: ATSP\nDIMENSION: %d\nEDGE_WEIGHT_TYPE: EXPLICIT\n"
+            "EDGE_WEIGHT_FORMAT: FULL_MATRIX\nEDGE_WEIGHT_SECTION\n%s\nEOF\n"
+            % (len(rows), "\n".join(lines)))
+
+
+def _per_token_graph(rows: list[list[str]]) -> Digraph:
+    """The matrix read token by token through parse_rational, as
+    _parse_tsplib reads every line that is not all ASCII digits."""
+    n = len(rows)
+    return Digraph(n, *integer_edges([(i, j, parse_rational(rows[i][j]))
+                                      for i in range(n) for j in range(n) if i != j]))
+
+
+def _same_graph(a: Digraph, b: Digraph) -> bool:
+    return (a.n, a.edges, a.cost_num, a.cost_den) == (b.n, b.edges, b.cost_num, b.cost_den)
+
+
+def test_parse_tsplib_integer_lines_match_the_per_token_read():
+    rng = random.Random(7)
+    for n in (2, 3, 5, 9):
+        rows = [[("0" * rng.randint(0, 2)) + str(rng.randint(0, 100)) for _ in range(n)]
+                for _ in range(n)]
+        _, g = parse_instance(_tsplib_text(rows))
+        assert g.cost_den == 1 and all(type(c) is int for c in g.cost_num)
+        assert _same_graph(g, _per_token_graph(rows))
+
+
+@pytest.mark.parametrize("token", ["1/3", "2.5", "+3", "-1", "\u0663", "\u00b2",
+                                   "9" * MAX_DIGITS, "1" * (MAX_DIGITS + 1),
+                                   "0" * MAX_DIGITS + "7"])
+def test_parse_tsplib_odd_tokens_match_the_per_token_read(token):
+    # one row per line, the odd token's line is read token by token and the
+    # others with int; with the matrix on one line every token is read token
+    # by token.  Both give the per-token read's graph or one-line InputError
+    rows = [["0", "007", "12"], ["5", "0", token], ["1", "2", "0"]]
+    try:
+        expected = _per_token_graph(rows)
+    except InputError as exc:
+        expected = str(exc)
+    for text in (_tsplib_text(rows), _tsplib_text(rows, one_line=True)):
+        try:
+            _, got = parse_instance(text)
+        except InputError as exc:
+            assert str(exc) == expected and "\n" not in expected
+        else:
+            assert _same_graph(got, expected)
 
 
 def test_instance_json_roundtrip():

@@ -240,12 +240,11 @@ def test_make_strongly_laminar_moves_weight():
     g = Digraph(4, [
         (0, 1, 1), (1, 2, 1), (2, 1, 1), (2, 3, 1), (3, 0, 1),
     ])
-    x = [F(1)] * g.m
     u = frozenset({0, 1, 2})
     dual = int_dual(g, [F(0)] * 4, {u: F(1)})
     # feasibility of the starting dual on this graph
     assert dual_feasible(g, dual)
-    out = make_strongly_laminar(g, x, dual)
+    out = make_strongly_laminar(g, dual)
     a, y, objective = fractions_of(out)
     assert u not in y
     assert y == {frozenset({0}): F(1)}
@@ -267,7 +266,7 @@ def test_make_strongly_laminar_tests_each_set_once(monkeypatch):
         return original(self, restrict)
 
     monkeypatch.setattr(Digraph, "is_strongly_connected", counting)
-    out = make_strongly_laminar(g, [F(1)] * g.m, dual)
+    out = make_strongly_laminar(g, dual)
     a, y, _ = fractions_of(out)
     assert y == {frozenset({0}): F(3, 2)}
     assert a == [F(0), F(-3, 2), F(-1), F(0)]
@@ -277,7 +276,7 @@ def test_make_strongly_laminar_tests_each_set_once(monkeypatch):
 def test_make_strongly_laminar_noop_on_sccs():
     g = c3()
     dual = int_dual(g, [F(0)] * 3, {frozenset({0}): F(1, 2)})
-    out = make_strongly_laminar(g, [F(1)] * 3, dual)
+    out = make_strongly_laminar(g, dual)
     assert fractions_of(out) == ([F(0)] * 3, {frozenset({0}): F(1, 2)}, F(1))
 
 

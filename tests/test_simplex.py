@@ -337,6 +337,23 @@ def test_warm_start_contract():
         solve_lp(c, rows, senses, rhs, warm=infeasible)
 
 
+def test_rows_are_checked_before_the_tableau_changes():
+    c, rows, senses, rhs = [F(1), F(1)], [{0: F(1), 1: F(1)}], [">="], [F(2)]
+    for bad in ({2: F(1)}, {-1: F(1)}):
+        with pytest.raises(ContractViolation, match="unknown variable"):
+            solve_lp(c, [bad], senses, rhs)
+    res = solve_lp(c, rows, senses, rhs)
+    # a bad appended row, after a good one, leaves res's tableau as it was
+    with pytest.raises(ContractViolation, match="unknown variable 2"):
+        solve_lp(c, rows + [{0: F(1)}, {1: F(1), 2: F(1)}], senses * 3, rhs + [F(3), 0],
+                 warm=res)
+    # values of other types are read through Fraction: 0.5 * x0 >= 3/2
+    warm = solve_lp(c, rows + [{0: 0.5}], senses * 2, rhs + [F(3, 2)], warm=res)
+    cold = solve_lp(c, rows + [{0: F(1, 2)}], senses * 2, rhs + [F(3, 2)])
+    assert (warm.status, warm.x, warm.objective, warm.duals) == \
+        (cold.status, cold.x, cold.objective, cold.duals) == (OPTIMAL, [3, 0], 3, [0, 2])
+
+
 def test_repr_of_a_result_whose_tableau_a_warm_start_took():
     # repr shows duals once read, and says so when a warm start took the
     # tableau first, instead of raising as the duals property does

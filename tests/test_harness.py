@@ -18,6 +18,7 @@ from atsp_approx.harness import (
 )
 from atsp_approx.rational import MAX_DIGITS, parse_rational
 from fixtures import c3, k2, two_tri, multiset
+from test_held_karp_reference import brute_force_opt
 
 F = Fraction
 
@@ -201,33 +202,11 @@ def test_held_karp_budget():
 
 
 def test_held_karp_matches_brute_force_walks():
-    # brute-force oracle: Hamiltonian cycles over the metric closure
-    import itertools
-
     rng = random.Random(41)
     for _ in range(10):
         n = rng.randint(2, 6)
         g = gen_instance("random-strong", n, rng.randint(0, 99))
-        dist = [[None] * n for _ in range(n)]
-        for v in range(n):
-            dist[v][v] = F(0)
-        for e in g.edges:
-            if dist[e.tail][e.head] is None or e.cost < dist[e.tail][e.head]:
-                dist[e.tail][e.head] = e.cost
-        for mid in range(n):
-            for a in range(n):
-                for b in range(n):
-                    if dist[a][mid] is not None and dist[mid][b] is not None:
-                        cand = dist[a][mid] + dist[mid][b]
-                        if dist[a][b] is None or cand < dist[a][b]:
-                            dist[a][b] = cand
-        best = None
-        for perm in itertools.permutations(range(1, n)):
-            order = (0,) + perm
-            total = sum(dist[order[i]][order[(i + 1) % n]] for i in range(n))
-            if best is None or total < best:
-                best = total
-        assert held_karp_opt(g) == best
+        assert held_karp_opt(g) == brute_force_opt(g)
 
 
 def test_verify_tour_cases():

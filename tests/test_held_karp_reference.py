@@ -26,6 +26,8 @@ F = Fraction
 
 
 def brute_force_opt(g: Digraph) -> Fraction:
+    """The cheapest Hamiltonian cycle of the metric closure, over every
+    order of the vertices."""
     n = g.n
     dist: list[list[Optional[Fraction]]] = [[None] * n for _ in range(n)]
     for v in range(n):

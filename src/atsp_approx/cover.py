@@ -77,7 +77,7 @@ class LevelStructure:
 
 def build_level_structure(pair: VertebratePair) -> LevelStructure:
     inst = pair.instance
-    sets = [inst.ground] + inst.family.nonsingletons()
+    sets = [inst.ground, *inst.family.nonsingletons()]
     sets.sort(key=lambda s: (-len(s), sorted(s)))
     r = [0] * inst.g.n
     for idx, s in enumerate(sets, start=1):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ContractViolation, InputError
-from .rational import MAX_DEN_BITS
+from .rational import MAX_DEN_BITS, lowest_terms
 
 
 class Edge(NamedTuple):
@@ -275,12 +275,16 @@ class LaminarFamily:
     """A laminar family of vertex sets, each with a positive rational weight.
 
     Members are kept in a canonical order (decreasing size, then sorted
-    contents) so iteration is deterministic.
+    contents) so iteration is deterministic.  The weights come in as int
+    numerators over one ``den`` and are kept only that way, reduced to
+    least terms once: ``weight_num[i] / den`` is the weight of
+    ``members[i]``, and ``den`` is 1 for an empty family.  ``weight(s)`` is
+    a ``Fraction`` view built on request.
     """
 
-    __slots__ = ("members", "weights")
+    __slots__ = ("members", "weight_num", "den", "_nonsingletons")
 
-    def __init__(self, weighted_sets: Iterable[tuple[frozenset, Fraction]], n: Optional[int] = None):
+    def __init__(self, weighted_sets: Iterable[tuple[frozenset, int]], n: int, den: int):
         pairs = []
         seen = set()
         for s, y in weighted_sets:
@@ -289,19 +293,21 @@ class LaminarFamily:
                 raise ContractViolation("empty set in laminar family")
             if s in seen:
                 raise ContractViolation(f"duplicate set {sorted(s)} in laminar family")
-            if type(y) is not Fraction:
-                y = Fraction(y)
-            if y.numerator <= 0:
-                raise ContractViolation(f"nonpositive weight {y} for {sorted(s)}")
             seen.add(s)
             pairs.append((s, y))
         pairs.sort(key=lambda p: (-len(p[0]), sorted(p[0])))
         self.members: tuple[frozenset, ...] = tuple(p[0] for p in pairs)
-        self.weights: dict[frozenset, Fraction] = {s: y for s, y in pairs}
+        weight_num, self.den = lowest_terms([p[1] for p in pairs], den)
+        for s, y in zip(self.members, weight_num):
+            if y <= 0:
+                raise ContractViolation(f"nonpositive weight {Fraction(y, self.den)} "
+                                        f"for {sorted(s)}")
+        self.weight_num: tuple[int, ...] = tuple(weight_num)
         if not check_laminar(self.members):
             raise ContractViolation("set system is not laminar")
-        if n is not None and len(self.members) > 2 * n:
+        if len(self.members) > 2 * n:
             raise ContractViolation(f"laminar family has {len(self.members)} > 2n members")
+        self._nonsingletons = tuple(s for s in self.members if len(s) >= 2)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -310,13 +316,13 @@ class LaminarFamily:
         return iter(self.members)
 
     def __contains__(self, s: frozenset) -> bool:
-        return frozenset(s) in self.weights
+        return frozenset(s) in self.members
 
     def weight(self, s: frozenset) -> Fraction:
-        return self.weights[frozenset(s)]
+        return Fraction(self.weight_num[self.members.index(frozenset(s))], self.den)
 
-    def nonsingletons(self) -> list[frozenset]:
-        return [s for s in self.members if len(s) >= 2]
+    def nonsingletons(self) -> tuple[frozenset, ...]:
+        return self._nonsingletons
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,10 @@ Each vertex keeps its *chain*, the indices of the family sets containing it
 family, and each edge keeps the sets it enters and exits as bit masks over
 family indices.
 
-x, the costs and the weights are kept once as integer numerators over one
-denominator each, so every sum and comparison runs on ints; `validate`
-derives its own such view from g, the family and x.
+x and the family weights come in as int numerators over one denominator
+each and are kept only that way, in least terms; the costs are scaled once
+to the weights' denominator.  Every sum and comparison runs on those ints,
+and `validate` re-checks the very integers every later stage reads.
 
 The nice u-v path starts from the fewest-edge u-v path inside the hull,
 ties to the smallest edge ids.  All pairs (u, v) of one hull share a
@@ -40,6 +41,7 @@ and `validate_paths` re-walks only the stored paths.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Optional, Sequence
@@ -47,7 +49,7 @@ from typing import Iterable, Optional, Sequence
 from .checks import Checker
 from .errors import ContractViolation
 from .graph import Digraph, EdgeMultiset, LaminarFamily, bfs_path
-from .rational import common_denominator
+from .rational import lowest_terms
 
 _REPAIR_CAP_SLACK = 2
 
@@ -84,10 +86,11 @@ def crossing_num(g: Digraph, members: Sequence[frozenset],
 
 
 def induced_graph(g: Digraph, family: LaminarFamily) -> Digraph:
-    """g with each edge costing the total weight of the family sets it crosses."""
-    weight_num, den = common_denominator([family.weights[s] for s in family.members])
-    return Digraph(g.n, [(e.tail, e.head, c) for e, c
-                         in zip(g.edges, crossing_num(g, family.members, weight_num))], den)
+    """g with each edge costing the total weight of the family sets it
+    crosses, over the family's denominator."""
+    return Digraph(g.n, [(e.tail, e.head, c) for e, c in
+                         zip(g.edges, crossing_num(g, family.members, family.weight_num))],
+                   family.den)
 
 
 def _common_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -113,27 +116,31 @@ def _path_vertices(g: Digraph, start: int, path: list[int]) -> list[int]:
 class StronglyLaminarInstance:
     """(G, L, x, y) with memoized nice-path search trees.
 
-    The digraph's edge costs are the induced costs; ``validate`` re-derives
-    them from (L, y) and re-checks the full definition.  The instance never
-    changes after construction; the memo tables only fill in.
+    x comes in as int numerators ``x_num`` over ``x_den`` (one per edge)
+    and is kept in least terms; the family brings y the same way.  The
+    digraph's edge costs are the induced costs; ``validate`` re-checks
+    them against the weights, and the full definition, on the stored
+    integers.  The instance never changes after construction; the memo
+    tables only fill in.
 
     The integer view: ``_x_num[e] / _x_den`` is x_e; ``_cost_num[e] /
     _den`` is the cost of edge e and ``_weight_num[i] / _den`` the weight
     of the i-th family set; ``_singleton_num[v] / _den`` is y_v; and
-    ``_lp_num / (_den * _x_den)`` is the LP value.
+    ``_lp_num / (_den * _x_den)`` is the LP value.  `value`, `reach` and
+    `value_and_dw` return numerators over ``_den``; ``x`` is a ``Fraction``
+    view built on request.
     """
 
-    def __init__(self, g: Digraph, family: LaminarFamily, x: Iterable[Fraction]):
+    def __init__(self, g: Digraph, family: LaminarFamily, x_num: Sequence[int],
+                 x_den: int):
         self.g = g
         self.family = family
-        self.x: tuple[Fraction, ...] = tuple(
-            v if type(v) is Fraction else Fraction(v) for v in x)
-        if len(self.x) != g.m:
+        if len(x_num) != g.m:
             raise ContractViolation("x must assign a value to every edge")
         self.ground: frozenset = frozenset(range(g.n))
-        self._x_num, self._x_den = common_denominator(self.x)
-        self._weight_num, self._den = common_denominator(
-            [family.weights[s] for s in family.members], g.cost_den)
+        self._x_num, self._x_den = lowest_terms(x_num, x_den)
+        self._den = math.lcm(family.den, g.cost_den)
+        self._weight_num = [w * (self._den // family.den) for w in family.weight_num]
         scale = self._den // g.cost_den
         self._cost_num = [c * scale for c in g.cost_num]
         self._lp_num = sum(c * v for c, v in zip(self._cost_num, self._x_num))
@@ -165,6 +172,11 @@ class StronglyLaminarInstance:
 
     # -- basic derived quantities -------------------------------------------------
 
+    @property
+    def x(self) -> tuple[Fraction, ...]:
+        """x as Fractions, for readers outside the integer checks."""
+        return tuple(Fraction(v, self._x_den) for v in self._x_num)
+
     def singleton_mass(self, verts: Iterable[int]) -> int:
         """2 * sum of y_v over the vertices, as a numerator over `_den`."""
         return 2 * sum(self._singleton_num[v] for v in verts)
@@ -172,13 +184,6 @@ class StronglyLaminarInstance:
     def cost_num(self, edges: EdgeMultiset) -> int:
         """The cost of an edge multiset as a numerator over `_den`."""
         return edges.cost_num(self.g) * (self._den // self.g.cost_den)
-
-    def as_num(self, q: Fraction) -> int:
-        """A weight, value(W) or D_W of the instance as a numerator over `_den`."""
-        scale, rest = divmod(self._den, q.denominator)
-        if rest:
-            raise ContractViolation(f"{q} is not a multiple of 1/{self._den}")
-        return q.numerator * scale
 
     # -- nice paths ---------------------------------------------------------------
 
@@ -362,19 +367,22 @@ class StronglyLaminarInstance:
             table[u][v] = sum(cost[eid] for eid in path)
         return table
 
-    def value(self, w_set: frozenset) -> Fraction:
-        return Fraction(self._window(w_set)[0], self._den)
+    def value(self, w_set: frozenset) -> int:
+        """value(W), as a numerator over `_den`."""
+        return self._window(w_set)[0]
 
-    def reach(self, w_set: frozenset, u: int, v: int) -> Fraction:
-        """D_W(u, v): endpoint crossing weights plus the nice-path cost."""
+    def reach(self, w_set: frozenset, u: int, v: int) -> int:
+        """D_W(u, v), as a numerator over `_den`: endpoint crossing weights
+        plus the nice-path cost."""
         _, inner = self._window(w_set)
-        return Fraction(self._end_num(inner, u) + self._end_num(inner, v)
-                        + self._path_table()[u][v], self._den)
+        return (self._end_num(inner, u) + self._end_num(inner, v)
+                + self._path_table()[u][v])
 
     def value_and_dw(self, w_set: frozenset,
                      checker: Optional[Checker] = None
-                     ) -> tuple[Fraction, Fraction, int, int]:
-        """(value(W), D_W, argmax pair); ties broken lexicographically.
+                     ) -> tuple[int, int, int, int]:
+        """(value(W), D_W, argmax pair), the first two as numerators over
+        `_den`; ties broken lexicographically.
 
         Also re-checks D_W(u,v) <= value(W) for every pair of W, counted
         once per pair in row-major order: each row of reaches is computed
@@ -403,7 +411,7 @@ class StronglyLaminarInstance:
                 best = end_u + top
                 best_pair = (u, verts[reach.index(top)])
         checker.check_many("reach-at-most-value", len(verts) ** 2)
-        return Fraction(val_num, den), Fraction(best, den), best_pair[0], best_pair[1]
+        return val_num, best, best_pair[0], best_pair[1]
 
     # -- validation ---------------------------------------------------------------
 
@@ -422,14 +430,11 @@ class StronglyLaminarInstance:
             checker.check(g.is_strongly_connected(frozenset(s)),
                           "family-set-strongly-connected",
                           lambda: sorted(s))
-        x_num, x_den = common_denominator(self.x)
-        weight_num, den = common_denominator(
-            [self.family.weights[s] for s in members], g.cost_den)
-        scale = den // g.cost_den
-        induced = crossing_num(g, members, weight_num)
+        x_num, x_den, cost_num = self._x_num, self._x_den, self._cost_num
+        induced = crossing_num(g, members, self._weight_num)
         for e in range(g.m):
             checker.check(x_num[e] > 0, "x-positive", lambda: f"edge {e}")
-            checker.check(g.cost_num[e] * scale == induced[e],
+            checker.check(cost_num[e] == induced[e],
                           "induced-cost-consistent", lambda: f"edge {e}")
         for v in range(g.n):
             inflow = sum(x_num[e] for e in g.in_edges[v])
@@ -439,9 +444,8 @@ class StronglyLaminarInstance:
             cut = cut_value(g, x_num, s)
             checker.check(cut == 2 * x_den, "family-cut-tight",
                           lambda: f"{sorted(s)} has x(delta)={Fraction(cut, x_den)}")
-        # c(x) over cost_den * x_den against 2 * sum(y) over den
-        lp_num = sum(c * v for c, v in zip(g.cost_num, x_num))
-        checker.check(lp_num * den == 2 * sum(weight_num) * g.cost_den * x_den,
+        # c(x) over _den * x_den against 2 * sum(y) over _den
+        checker.check(self._lp_num == 2 * sum(self._weight_num) * x_den,
                       "lp-equals-dual-objective")
         if checker.check_all and g.n >= 2:
             from .lp import separate_subtour  # local import to avoid a cycle

@@ -329,7 +329,7 @@ def build_strongly_laminar_instance(
     """
     checker = checker or Checker()
     if g.n == 1:
-        inst = StronglyLaminarInstance(Digraph(1, []), LaminarFamily([], 1), [])
+        inst = StronglyLaminarInstance(Digraph(1, []), LaminarFamily([], 1, 1), [], 1)
         return inst, ZERO, ()
     primal, dual0 = solve_atsp_lp(g, checker)
     x_num, x_den = primal.x_num, primal.x_den
@@ -337,7 +337,6 @@ def build_strongly_laminar_instance(
     sub = Digraph(g.n, [(g.edges[eid].tail, g.edges[eid].head, g.cost_num[eid])
                         for eid in support], g.cost_den)
     x_sub = [x_num[eid] for eid in support]  # over x_den, still the least denominator
-    x_frac = [Fraction(v, x_den) for v in x_sub]
     dual1 = uncross_dual(sub, dual0, checker)
     dual2 = make_strongly_laminar(sub, dual1, checker)
     checker.check(_same_value(dual2.objective, dual2.den, primal.objective),
@@ -349,15 +348,14 @@ def build_strongly_laminar_instance(
                       lambda: f"{sorted(u_set)}: x(delta)={Fraction(cut, x_den)}")
     # tightness on every retained edge gives the induced-cost identity:
     # y(sets the edge crosses) = cost + a_tail - a_head, a zero dual slack
-    family = LaminarFamily([(s, Fraction(w, dual2.den)) for s, w in dual2.y.items()],
-                           sub.n)
+    family = LaminarFamily(dual2.y.items(), sub.n, dual2.den)
     g_induced = induced_graph(sub, family)
     a, den = dual2.a, dual2.den
     for e, slack in zip(sub.edges, _dual_slack(sub, dual2)):
         checker.check(slack == 0, "induced-cost-identity",
                       lambda: f"edge {e.tail}->{e.head}: {g_induced.edges[e.eid].cost} != "
                               f"{e.cost + Fraction(a[e.tail] - a[e.head], den)}")
-    inst = StronglyLaminarInstance(g_induced, family, x_frac)
+    inst = StronglyLaminarInstance(g_induced, family, x_sub, x_den)
     checker.check(inst.lp_value == primal.objective, "lp-value-invariant",
                   lambda: f"{inst.lp_value} != {primal.objective}")
     inst.validate(checker)

@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InputError
+from .errors import ContractViolation, InputError
 
 
 # CPython 3.11's default limit on int <-> str conversion; bounding numerals
@@ -100,3 +100,22 @@ def common_denominator(values: Sequence[Fraction], den: int = 1) -> tuple[list[i
     for q in values:
         den = math.lcm(den, q.denominator)
     return [q.numerator * (den // q.denominator) for q in values], den
+
+
+def lowest_terms(nums: Sequence[int], den: int) -> tuple[list[int], int]:
+    """Int numerators over ``den`` divided by their gcd with it: the same
+    values over their least common denominator, which is what
+    `common_denominator` gives for them (1 when there are none).  Each
+    numerator must be an int (not a bool, float or Fraction) and ``den`` a
+    positive int.
+
+    A loop rather than ``gcd(*...)``, for the reason `common_denominator`
+    gives."""
+    if type(den) is not int or den < 1:
+        raise ContractViolation(f"denominator must be a positive int, got {den!r}")
+    d = den
+    for a in nums:
+        if type(a) is not int:
+            raise ContractViolation(f"numerator {a!r} is not an int")
+        d = math.gcd(d, a)
+    return [a // d for a in nums], den // d

@@ -316,14 +316,12 @@ def _connected_with_backbone(pair: VertebratePair, h: EdgeMultiset) -> bool:
 def _allowed_cycle_edges(pair: VertebratePair) -> set[int]:
     g = pair.instance.g
     outside = pair.outside_vertices()
+    nonsingletons = pair.instance.family.nonsingletons()
     allowed = set()
     for e in g.edges:
         if e.tail not in outside or e.head not in outside:
             continue
-        crossing = any(
-            (e.tail in s) != (e.head in s)
-            for s in pair.instance.family.nonsingletons()
-        )
+        crossing = any((e.tail in s) != (e.head in s) for s in nonsingletons)
         if not crossing:
             allowed.add(e.eid)
     return allowed

@@ -58,10 +58,10 @@ def construct_backbone(inst: StronglyLaminarInstance, w_set: frozenset,
                        checker: Optional[Checker] = None):
     """Backbone for the window: both fixed nice paths between the reach
     argmax pair, glued into a closed walk.  Returns the backbone multiset,
-    its vertex set, and the maximal family sets it misses."""
+    its vertex set, the maximal family sets it misses, value(W) and D_W as
+    numerators over the instance's denominator, and the argmax pair."""
     checker = checker or Checker()
-    value_w, d_w, u_star, v_star = inst.value_and_dw(w_set, checker)
-    val_num, d_num = inst.as_num(value_w), inst.as_num(d_w)
+    val_num, d_num, u_star, v_star = inst.value_and_dw(w_set, checker)
     forward = inst.nice_path(u_star, v_star)
     backward = inst.nice_path(v_star, u_star)
     backbone = EdgeMultiset()
@@ -73,49 +73,48 @@ def construct_backbone(inst: StronglyLaminarInstance, w_set: frozenset,
         touched = backbone.vertices(inst.g)
     else:
         touched = frozenset({u_star})
+    den = inst._den
     checker.check(inst.cost_num(backbone) <= 2 * d_num, "backbone-cost",
-                  lambda: f"{backbone.cost(inst.g)} > 2*{d_w}")
-    candidates = [s for s in inst.family.members
-                  if s < w_set and not (s & touched)]
-    missed = [s for s in candidates
-              if not any(s < t for t in candidates)]
-    missed.sort(key=min)
-    slack = sum(2 * inst.as_num(inst.family.weight(s)) + inst.as_num(inst.value(s))
-                for s in missed)
+                  lambda: f"{backbone.cost(inst.g)} > 2*{Fraction(d_num, den)}")
+    members = inst.family.members
+    candidates = [i for i, s in enumerate(members) if s < w_set and not (s & touched)]
+    maximal = [i for i in candidates
+               if not any(members[i] < members[j] for j in candidates)]
+    slack = sum(2 * inst._weight_num[i] + inst.value(members[i]) for i in maximal)
+    missed = sorted((members[i] for i in maximal), key=min)
     checker.check(slack <= val_num - d_num, "missed-sets-slack",
-                  lambda: f"{Fraction(slack, inst._den)} > {value_w} - {d_w}")
-    return backbone, touched, missed, value_w, d_w, (u_star, v_star)
+                  lambda: f"{Fraction(slack, den)} > "
+                          f"{Fraction(val_num, den)} - {Fraction(d_num, den)}")
+    return backbone, touched, missed, val_num, d_num, (u_star, v_star)
 
 
 def _build_child_instance(inst: StronglyLaminarInstance, w_set: frozenset,
                           backbone_vertices: frozenset, missed: list[frozenset],
-                          d_w: Fraction, reach_of: dict[frozenset, Fraction],
+                          d_num: int, reach_of: dict[frozenset, int],
                           checker: Checker):
     """Contract the window complement and the missed sets, push x forward,
-    and re-derive the child family with its adjusted weights."""
+    and re-derive the child family with its adjusted weights, as
+    numerators over twice the parent's denominator."""
     g = inst.g
     ground = inst.ground
     classes = list(missed)
     if w_set != ground:
         classes.append(ground - w_set)
     child_graph_raw, cmap = contract(g, classes)
-    child_x = [inst.x[cmap.origin_of(eid)] for eid in range(child_graph_raw.m)]
-    weighted: list[tuple[frozenset, Fraction]] = []
-    for s in inst.family.members:
-        if s < w_set and s & backbone_vertices:
-            image = frozenset(cmap.child_of(v) for v in s)
-            weighted.append((image, inst.family.weight(s)))
-    for s in missed:
-        image = frozenset({cmap.child_of(min(s))})
-        # y_S + D_S / 2
-        weighted.append((image, Fraction(
-            2 * inst.as_num(inst.family.weight(s)) + inst.as_num(reach_of[s]),
-            2 * inst._den)))
-    if w_set != ground and d_w.numerator > 0:
-        image = frozenset(cmap.child_of(v) for v in w_set)
-        weighted.append((image, Fraction(d_w.numerator, 2 * d_w.denominator)))
-    family = LaminarFamily(weighted, child_graph_raw.n)
-    child = StronglyLaminarInstance(induced_graph(child_graph_raw, family), family, child_x)
+    child_x = [inst._x_num[cmap.origin_of(eid)] for eid in range(child_graph_raw.m)]
+    weighted: list[tuple[frozenset, int]] = []
+    for s, w in zip(inst.family.members, inst._weight_num):
+        if not s < w_set:
+            continue
+        if s & backbone_vertices:
+            weighted.append((frozenset(cmap.child_of(v) for v in s), 2 * w))
+        elif s in reach_of:  # a missed set: y_S + D_S / 2
+            weighted.append((frozenset({cmap.child_of(min(s))}), 2 * w + reach_of[s]))
+    if w_set != ground and d_num > 0:
+        weighted.append((frozenset(cmap.child_of(v) for v in w_set), d_num))
+    family = LaminarFamily(weighted, child_graph_raw.n, 2 * inst._den)
+    child = StronglyLaminarInstance(induced_graph(child_graph_raw, family), family,
+                                    child_x, inst._x_den)
     child.validate(checker)
     return child, cmap
 
@@ -156,17 +155,16 @@ def contracted_pair(inst: StronglyLaminarInstance, w_set: frozenset,
                     checker: Optional[Checker] = None):
     """Steps 1-2 of the reduction: backbone, contraction, child instance.
 
-    Returns (pair, backbone, missed sets, contraction map, value(W), D_W).
+    Returns (pair, backbone, backbone vertices, missed sets, contraction
+    map, value(W), D_W), the last two as numerators over the instance's
+    denominator.
     """
     checker = checker or Checker()
-    backbone, touched, missed, value_w, d_w, _ = construct_backbone(
+    backbone, touched, missed, val_num, d_num, _ = construct_backbone(
         inst, w_set, checker
     )
-    reach_of = {}
-    for s in missed:
-        _, d_s, _, _ = inst.value_and_dw(s, checker)
-        reach_of[s] = d_s
-    child, cmap = _build_child_instance(inst, w_set, touched, missed, d_w,
+    reach_of = {s: inst.value_and_dw(s, checker)[1] for s in missed}
+    child, cmap = _build_child_instance(inst, w_set, touched, missed, d_num,
                                         reach_of, checker)
     child_edge_of = cmap.child_edge_of()
     child_backbone = EdgeMultiset()
@@ -177,7 +175,7 @@ def contracted_pair(inst: StronglyLaminarInstance, w_set: frozenset,
     child_backbone_vertices = frozenset(cmap.child_of(v) for v in touched)
     pair = VertebratePair(child, child_backbone, child_backbone_vertices)
     pair.validate(checker)
-    return pair, backbone, touched, missed, cmap, value_w, d_w
+    return pair, backbone, touched, missed, cmap, val_num, d_num
 
 
 def reduce_and_solve(inst: StronglyLaminarInstance, w_set: frozenset,
@@ -198,7 +196,7 @@ def reduce_and_solve(inst: StronglyLaminarInstance, w_set: frozenset,
                   lambda: _calls[0])
     if len(w_set) == 1:
         return EdgeMultiset()
-    pair, backbone, touched, missed, cmap, value_w, d_w = contracted_pair(
+    pair, backbone, touched, missed, cmap, val_num, d_num = contracted_pair(
         inst, w_set, checker
     )
     child = pair.instance
@@ -245,7 +243,6 @@ def reduce_and_solve(inst: StronglyLaminarInstance, w_set: frozenset,
                   lambda: sorted(w_set - (support_comp or frozenset())))
     # c(T) <= (2 kappa + 2) value(W) + (kappa + eta) (value(W) - D_W)
     (c1, c2), d = common_denominator([2 * KAPPA + 2, KAPPA + eta_for(epsilon)])
-    val_num, d_num = inst.as_num(value_w), inst.as_num(d_w)
     checker.check(inst.cost_num(total) * d <= c1 * val_num + c2 * (val_num - d_num),
                   "window-cost-bound", lambda: f"{total.cost(inst.g)}")
     return total

@@ -7,7 +7,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from atsp_approx.graph import Digraph, EdgeMultiset
+from atsp_approx.graph import Digraph, EdgeMultiset, LaminarFamily
+from atsp_approx.instance import StronglyLaminarInstance
+from atsp_approx.rational import common_denominator
 
 
 def c3() -> Digraph:
@@ -35,6 +37,17 @@ def multiset(pairs) -> EdgeMultiset:
     for eid, k in pairs:
         ms.add(eid, k)
     return ms
+
+
+def rational_instance(g: Digraph, weighted_sets, x) -> StronglyLaminarInstance:
+    """The instance on g whose family has the given rational weights (pairs
+    of a vertex set and its weight) and whose x is the given rational
+    vector, each handed over as numerators over a common denominator."""
+    weighted_sets = list(weighted_sets)
+    sets = [s for s, _ in weighted_sets]
+    weight_num, den = common_denominator([y for _, y in weighted_sets])
+    family = LaminarFamily(zip(sets, weight_num), g.n, den)
+    return StronglyLaminarInstance(g, family, *common_denominator(x))
 
 
 def perfbench_workloads():

@@ -16,14 +16,15 @@ def family_or_ground(inst: StronglyLaminarInstance) -> list[frozenset]:
     """Every window of the instance: the family sets, led by the ground set
     when the family does not hold it."""
     out = list(inst.family.members)
-    if inst.ground not in inst.family.weights:
+    if inst.ground not in inst.family:
         out.insert(0, inst.ground)
     return out
 
 
 def y_vertex(inst: StronglyLaminarInstance, v: int) -> Fraction:
     """Weight of the singleton {v}, or 0."""
-    return inst.family.weights.get(frozenset({v}), Fraction(0))
+    s = frozenset({v})
+    return inst.family.weight(s) if s in inst.family else Fraction(0)
 
 
 def outside_singleton_mass(pair: VertebratePair) -> Fraction:

@@ -22,22 +22,15 @@ F = Fraction
 
 def test_broken_tight_cut_is_caught():
     # halving x breaks the tight-cut clause of the instance definition
-    pair = make_pair(two_tri())
-    inst = pair.instance
-    bad = StronglyLaminarInstance.__new__(StronglyLaminarInstance)
-    bad.g = inst.g
-    bad.family = inst.family
-    bad.x = tuple(v / 2 for v in inst.x)
-    bad.ground = inst.ground
-    bad.lp_value = inst.lp_value / 2
-    bad._paths = inst._paths
+    inst = make_pair(two_tri()).instance
+    bad = StronglyLaminarInstance(inst.g, inst.family, inst._x_num, 2 * inst._x_den)
     with pytest.raises(InternalCheckError):
         bad.validate(Checker())
 
 
 def test_nonlaminar_family_rejected():
     with pytest.raises(ContractViolation):
-        LaminarFamily([(frozenset({0, 1}), F(1)), (frozenset({1, 2}), F(1))], 3)
+        LaminarFamily([(frozenset({0, 1}), 1), (frozenset({1, 2}), 1)], 3, 1)
 
 
 def test_h_crossing_family_cut_rejected():

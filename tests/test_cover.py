@@ -16,12 +16,11 @@ from atsp_approx.cover import (
     lift_to_split,
     subtour_cover,
 )
-from atsp_approx.graph import Digraph, EdgeMultiset, LaminarFamily, is_eulerian_connected
+from atsp_approx.graph import Digraph, EdgeMultiset, is_eulerian_connected
 from atsp_approx.harness import run_pipeline
-from atsp_approx.instance import StronglyLaminarInstance
 from atsp_approx.lp import build_strongly_laminar_instance
 from atsp_approx.pair import VertebratePair
-from fixtures import c3, two_tri
+from fixtures import c3, rational_instance, two_tri
 from oracles import project_from_split
 from test_determinism import REDUCTION_CASES
 
@@ -289,8 +288,7 @@ def remote_cluster_pair() -> VertebratePair:
         (3, 4, 1), (4, 5, 2), (5, 3, 1),
         (0, 3, 0), (3, 0, 0),
     ], 2)
-    fam = LaminarFamily([(frozenset({v}), half) for v in (1, 2, 4, 5)], 6)
-    inst = StronglyLaminarInstance(g, fam, [F(1)] * 8)
+    inst = rational_instance(g, [(frozenset({v}), half) for v in (1, 2, 4, 5)], [1] * 8)
     inst.validate(Checker())
     pair = VertebratePair(inst, EdgeMultiset(), frozenset({0}))
     pair.validate()

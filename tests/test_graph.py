@@ -11,6 +11,7 @@ from atsp_approx.errors import ContractViolation, InputError, InternalCheckError
 from atsp_approx.graph import (
     Digraph,
     EdgeMultiset,
+    LaminarFamily,
     check_laminar,
     contract,
     euler_walk,
@@ -368,6 +369,23 @@ def test_check_laminar_examples():
     assert check_laminar([frozenset({0, 1}), frozenset({0, 1, 2}), frozenset({3})])
     assert not check_laminar([frozenset({0, 1}), frozenset({1, 2})])
     assert check_laminar([])
+
+
+@pytest.mark.parametrize("weight", [F(1), 1.0, True, 0, -2])
+def test_laminar_family_takes_positive_int_numerators(weight):
+    with pytest.raises(ContractViolation):
+        LaminarFamily([(frozenset({0, 1}), 2), (frozenset({1}), weight)], 2, 6)
+
+
+def test_laminar_family_keeps_its_weights_in_least_terms():
+    # 4/6 and 2/6 are 2/3 and 1/3; an empty family has denominator 1
+    sets = (frozenset({0, 1}), frozenset({1}))
+    given = LaminarFamily(zip(sets, (4, 2)), 2, 6)
+    reduced = LaminarFamily(zip(sets, (2, 1)), 2, 3)
+    assert (given.members, given.weight_num, given.den) == (sets, (2, 1), 3)
+    assert (reduced.members, reduced.weight_num, reduced.den) == (sets, (2, 1), 3)
+    assert given.weight(frozenset({1})) == F(1, 3)
+    assert LaminarFamily([], 1, 6).den == 1
 
 
 def test_check_laminar_matches_definition_on_random_systems():

@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 from atsp_approx.checks import Checker
-from atsp_approx.errors import InternalCheckError
+from atsp_approx.errors import ContractViolation, InternalCheckError
 from atsp_approx.graph import Digraph, LaminarFamily, integer_edges
-from atsp_approx.instance import StronglyLaminarInstance, path_crossings
+from atsp_approx.instance import StronglyLaminarInstance, induced_graph, path_crossings
 from atsp_approx.lp import build_strongly_laminar_instance
-from fixtures import c3, two_tri
+from fixtures import c3, k2, rational_instance, two_tri
 from oracles import family_or_ground
 
 F = Fraction
@@ -42,13 +42,12 @@ def detour_instance() -> StronglyLaminarInstance:
     ]
     x = [F(1, 2), F(1, 2), F(1, 2), F(1, 2), F(3, 2),
          F(1), F(1), F(1), F(1), F(1), F(1), F(1), F(1), F(1)]
-    family = LaminarFamily([
+    return rational_instance(Digraph(10, *integer_edges(edges)), [
         (frozenset({1, 2, 4}), y_l3),
         (frozenset({4}), y_single),
         (frozenset({6}), y_single),
         (frozenset({9}), y_single),
-    ], 10)
-    return StronglyLaminarInstance(Digraph(10, *integer_edges(edges)), family, x)
+    ], x)
 
 
 L3 = frozenset({1, 2, 4})
@@ -120,22 +119,22 @@ def test_cost_identity_every_pair_every_window():
 def test_value_and_dw_singleton():
     inst = detour_instance()
     val, dw, u, v = inst.value_and_dw(frozenset({7}))
-    assert (val, dw, u, v) == (0, 0, 7, 7)
+    assert (F(val, inst._den), F(dw, inst._den), u, v) == (0, 0, 7, 7)
 
 
 def test_value_and_dw_ground():
     inst = detour_instance()
     val, dw, u, v = inst.value_and_dw(inst.ground)
-    assert val == 5
-    assert dw == 4
+    assert F(val, inst._den) == 5
+    assert F(dw, inst._den) == 4
     assert (u, v) == (1, 6)
 
 
 def test_value_and_dw_inner_set():
     inst = detour_instance()
     val, dw, u, v = inst.value_and_dw(L3)
-    assert val == 1
-    assert dw == 1
+    assert F(val, inst._den) == 1
+    assert F(dw, inst._den) == 1
     assert (u, v) == (1, 2)
 
 
@@ -143,15 +142,34 @@ def test_value_and_dw_c3_uniform():
     # C3 with y = 1/2 on each singleton: value(V) = 3.  Adjacent ordered
     # pairs give y_u + y_v + c(path) = 2; the reversed pairs need two-edge
     # paths through the third vertex, giving 1/2 + 1/2 + 2 = 3, so D_V = 3.
-    g = c3()
-    family = LaminarFamily([(frozenset({v}), F(1, 2)) for v in range(3)], 3)
-    inst = StronglyLaminarInstance(g, family, [F(1)] * 3)
-    assert inst.reach(inst.ground, 0, 1) == 2
-    assert inst.reach(inst.ground, 0, 2) == 3
+    inst = rational_instance(c3(), [(frozenset({v}), F(1, 2)) for v in range(3)], [1] * 3)
+    assert F(inst.reach(inst.ground, 0, 1), inst._den) == 2
+    assert F(inst.reach(inst.ground, 0, 2), inst._den) == 3
     val, dw, u, v = inst.value_and_dw(inst.ground)
-    assert val == 3
-    assert dw == 3
+    assert F(val, inst._den) == 3
+    assert F(dw, inst._den) == 3
     assert (u, v) == (0, 2)
+
+
+@pytest.mark.parametrize("x_num", [[F(1)] * 3, [1.0] * 3, [True] * 3, [1] * 2, [1] * 4])
+def test_instance_takes_one_int_numerator_of_x_per_edge(x_num):
+    family = LaminarFamily([(frozenset({v}), 1) for v in range(3)], 3, 2)
+    with pytest.raises(ContractViolation):
+        StronglyLaminarInstance(c3(), family, x_num, 1)
+
+
+def test_inputs_not_in_least_terms_give_the_reduced_instance():
+    # weights 2, 4 over 6 are 1, 2 over 3; x 2, 2 over 4 is 1, 1 over 2
+    sets = (frozenset({0}), frozenset({1}))
+    built = []
+    for weights, den, x_num, x_den in (((2, 4), 6, [2, 2], 4), ((1, 2), 3, [1, 1], 2)):
+        family = LaminarFamily(zip(sets, weights), 2, den)
+        g = induced_graph(k2(), family)
+        inst = StronglyLaminarInstance(g, family, x_num, x_den)
+        built.append((family.weight_num, family.den, inst._x_num, inst._x_den,
+                      g.edges, g.cost_den))
+    assert built[0] == built[1] == ((1, 2), 3, [1, 1], 2, built[1][4], 3)
+    assert [e.cost_num for e in built[0][4]] == [3, 3]
 
 
 def test_identity_violation_detected():

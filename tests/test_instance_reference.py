@@ -166,15 +166,17 @@ def _random_laminar(count, seed=3):
             a, b = rng.randrange(n), rng.randrange(n)
             if a != b:
                 arcs.add((a, b))
-        fam = LaminarFamily([(s, Fraction(rng.randint(1, 4), rng.randint(1, 3)))
-                             for s in sorted(sets, key=sorted)], n)
+        # weights a / b with a in 1..4 and b in 1..3, over 6
+        fam = LaminarFamily([(s, rng.randint(1, 4) * (6 // rng.randint(1, 3)))
+                             for s in sorted(sets, key=sorted)], n, 6)
         arcs = rng.sample(sorted(arcs), len(arcs))
         g = induced_graph(Digraph(n, [(a, b, 0) for a, b in arcs]), fam)
-        yield f"random-laminar-{k}", StronglyLaminarInstance(g, fam, [Fraction(1)] * g.m)
+        yield f"random-laminar-{k}", StronglyLaminarInstance(g, fam, [1] * g.m, 1)
 
 
 def _assert_matches_member_scan(name, inst):
-    inst = StronglyLaminarInstance(inst.g, inst.family, inst.x)  # cold memo tables
+    # a copy with cold memo tables
+    inst = StronglyLaminarInstance(inst.g, inst.family, inst._x_num, inst._x_den)
     n = inst.g.n
     paths = {}
     for u in range(n):
@@ -191,9 +193,11 @@ def _assert_matches_member_scan(name, inst):
     for w_set in family_or_ground(inst):
         got, want = Checker(), Checker()
         expected = ref_value_and_dw(inst, w_set, paths, want)
-        assert inst.value_and_dw(w_set, got) == expected, (name, sorted(w_set))
+        val, d_w, u, v = inst.value_and_dw(w_set, got)
+        assert (Fraction(val, inst._den), Fraction(d_w, inst._den), u, v) == expected, \
+            (name, sorted(w_set))
         assert got.as_dict() == want.as_dict(), (name, sorted(w_set))
-        assert inst.value(w_set) == expected[0]
+        assert Fraction(inst.value(w_set), inst._den) == expected[0]
 
 
 @pytest.mark.parametrize("source", ("fixtures",) + GENERATOR_MODELS)

@@ -97,7 +97,7 @@ def _derived_costs(builder: str, local: dict) -> list[Fraction]:
         return [local["g"].edges[eid].cost for eid in local["origins"]]
     if builder == "induced_graph":
         family = local["family"]
-        return [sum((family.weights[s] for s in family.members
+        return [sum((family.weight(s) for s in family.members
                      if (e.tail in s) != (e.head in s)), F(0))
                 for e in local["g"].edges]
     if builder == "build_strongly_laminar_instance":

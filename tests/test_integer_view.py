@@ -18,10 +18,11 @@ import pytest
 from atsp_approx import cover as cover_module
 from atsp_approx import lp as lp_module
 from atsp_approx import svensson as svensson_module
+from atsp_approx import vertebrate as vertebrate_module
 from atsp_approx.checks import Checker
 from atsp_approx.cover import subtour_cover
 from atsp_approx.errors import InternalCheckError
-from atsp_approx.graph import Digraph, EdgeMultiset, LaminarFamily, integer_edges
+from atsp_approx.graph import Digraph, EdgeMultiset, integer_edges
 from atsp_approx.harness import GENERATOR_MODELS, gen_instance, run_pipeline
 from atsp_approx.instance import StronglyLaminarInstance
 from atsp_approx.pair import VertebratePair
@@ -32,7 +33,7 @@ from atsp_approx.svensson import (
     svensson_iterate,
     vertebrate_solve,
 )
-from fixtures import two_tri
+from fixtures import rational_instance, two_tri
 from test_cover import make_pair
 from test_determinism import REDUCTION_CASES
 from test_svensson import ring_cycle_avoiding_backbone, ring_pair
@@ -46,9 +47,9 @@ def _rebuilt(inst: StronglyLaminarInstance, costs=None, weights=None, x=None):
     g = inst.g
     costs = costs or [e.cost for e in g.edges]
     g2 = Digraph(g.n, *integer_edges((e.tail, e.head, c) for e, c in zip(g.edges, costs)))
-    weights = weights or inst.family.weights
-    family = LaminarFamily([(s, weights[s]) for s in inst.family.members], g.n)
-    return StronglyLaminarInstance(g2, family, x or inst.x)
+    weights = weights or {s: inst.family.weight(s) for s in inst.family}
+    return rational_instance(g2, [(s, weights[s]) for s in inst.family.members],
+                             x or inst.x)
 
 
 def _raised(inst):
@@ -77,6 +78,17 @@ def test_unbalanced_x_trips_x_circulation():
     assert _raised(_rebuilt(inst, x=x)) == "x-circulation"
 
 
+def test_corrupted_stored_integers_trip_validate():
+    # validate reads the numerators every later stage reads, so a change to
+    # them after construction is seen
+    inst = make_pair(two_tri()).instance
+    inst._x_num[0] += 1
+    assert _raised(inst) == "x-circulation"
+    inst = make_pair(two_tri()).instance
+    inst._weight_num[inst.family.members.index(inst.family.nonsingletons()[0])] += 1
+    assert _raised(inst) == "induced-cost-consistent"
+
+
 class _RecordingChecker(Checker):
     """Records failed labels instead of raising."""
 
@@ -92,7 +104,7 @@ def test_raised_weight_trips_lp_equals_dual_objective():
     # objective check must trip as well.
     inst = make_pair(two_tri()).instance
     s = inst.family.nonsingletons()[0]
-    weights = dict(inst.family.weights)
+    weights = {t: inst.family.weight(t) for t in inst.family}
     weights[s] += F(1, 3)
     bad = _rebuilt(inst, weights=weights)
     assert _raised(bad) == "induced-cost-consistent"
@@ -113,8 +125,7 @@ def _singleton_ring(n: int) -> VertebratePair:
         cost = y.get(i, F(0)) + y.get(j, F(0))
         edges.extend([(i, j, cost), (j, i, cost)])
     g = Digraph(n, *integer_edges(edges))
-    family = LaminarFamily([(frozenset({v}), half) for v in range(1, n)], n)
-    inst = StronglyLaminarInstance(g, family, [half] * g.m)
+    inst = rational_instance(g, [(frozenset({v}), half) for v in range(1, n)], [half] * g.m)
     inst.validate(Checker())
     return VertebratePair(inst, EdgeMultiset(), frozenset({0}))
 
@@ -195,7 +206,11 @@ def test_no_fraction_arithmetic_in_integer_checks(monkeypatch):
             return _original(self, other)
 
         monkeypatch.setattr(Fraction, name, counting)
-    watched = [(StronglyLaminarInstance, "validate"), (EdgeMultiset, "cost"),
+    # induced_graph is watched where lp and vertebrate look it up
+    watched = [(StronglyLaminarInstance, "__init__"), (StronglyLaminarInstance, "validate"),
+               (lp_module, "induced_graph"), (vertebrate_module, "induced_graph"),
+               (vertebrate_module, "construct_backbone"),
+               (vertebrate_module, "_build_child_instance"), (EdgeMultiset, "cost"),
                (EllFunction, "of_set"), (lp_module, "dual_feasible"),
                (cover_module, "compute_witness_flow"),
                (cover_module, "validate_witness_flow")]

@@ -29,7 +29,8 @@ from test_instance_reference import (_fixtures, _generated, _random_laminar, _wi
 def _assert_tree_invariants(name, inst):
     """Validates a cold copy of inst, then checks every ordered pair against
     a search of its own; returns the repaired pairs."""
-    inst = StronglyLaminarInstance(inst.g, inst.family, inst.x)  # cold memo tables
+    # a copy with cold memo tables
+    inst = StronglyLaminarInstance(inst.g, inst.family, inst._x_num, inst._x_den)
     n = inst.g.n
     checker = Checker()
     inst.validate_paths(checker)
@@ -99,7 +100,7 @@ def test_validate_paths_and_dw_build_no_path(model, n, monkeypatch):
     # work counts, not times: no per-pair search, at most one tree per
     # (source, set on its chain or the ground set), and no path built
     built = build_strongly_laminar_instance(gen_instance(model, n, 0))[0]
-    inst = StronglyLaminarInstance(built.g, built.family, built.x)
+    inst = StronglyLaminarInstance(built.g, built.family, built._x_num, built._x_den)
     searches = []
 
     def counting(*args, **kwargs):
@@ -124,7 +125,7 @@ def test_hull_depths_are_not_walked_per_pair(graph, monkeypatch):
     # work counts, not times: the hull of a pair is looked up from its
     # source's chain, so chain-prefix walks stay O(n + m), not O(n^2)
     built = build_strongly_laminar_instance(graph())[0]
-    inst = StronglyLaminarInstance(built.g, built.family, built.x)
+    inst = StronglyLaminarInstance(built.g, built.family, built._x_num, built._x_den)
     assert max(len(chain) for chain in inst._chains) >= 1
     walks = []
 
@@ -140,7 +141,8 @@ def test_hull_depths_are_not_walked_per_pair(graph, monkeypatch):
 
 
 def _assert_table_matches_paths(name, inst):
-    inst = StronglyLaminarInstance(inst.g, inst.family, inst.x)  # cold memo tables
+    # a copy with cold memo tables
+    inst = StronglyLaminarInstance(inst.g, inst.family, inst._x_num, inst._x_den)
     inst.validate_paths(Checker())
     table = inst._path_table()
     n = inst.g.n
@@ -171,7 +173,7 @@ def test_raised_table_entry_trips_reach_at_most_value(window):
     inst = detour_instance()
     w_set = inst.ground if window == "ground" else frozenset({1, 2, 4})
     verts = sorted(w_set)
-    value_num = inst.as_num(inst.value(w_set))
+    value_num = inst.value(w_set)
     table = inst._path_table()
     u, v = verts[-2], verts[1]
     table[u][v] = value_num + 1

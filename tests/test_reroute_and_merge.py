@@ -18,10 +18,10 @@ from atsp_approx.cover import (
     lift_and_reroute,
 )
 from atsp_approx.errors import InternalCheckError
-from atsp_approx.graph import Digraph, EdgeMultiset, LaminarFamily, integer_edges
-from atsp_approx.instance import StronglyLaminarInstance
+from atsp_approx.graph import Digraph, EdgeMultiset, integer_edges
 from atsp_approx.pair import VertebratePair
 from atsp_approx.svensson import ComponentState, build_ell, improved_initialization
+from fixtures import rational_instance
 from test_cover import make_pair
 
 F = Fraction
@@ -73,8 +73,7 @@ def big_ring_pair() -> VertebratePair:
         edges.append((i, j, cost))
         edges.append((j, i, cost))
     g = Digraph(n, *integer_edges(edges))
-    fam = LaminarFamily([(frozenset({v}), half) for v in range(1, n)], n)
-    inst = StronglyLaminarInstance(g, fam, [half] * g.m)
+    inst = rational_instance(g, [(frozenset({v}), half) for v in range(1, n)], [half] * g.m)
     inst.validate(Checker())
     pair = VertebratePair(inst, EdgeMultiset(), frozenset({0}))
     pair.validate()

@@ -8,9 +8,7 @@ import pytest
 from atsp_approx.checks import Checker
 from atsp_approx.cover import subtour_cover
 from atsp_approx.errors import ContractViolation
-from atsp_approx.graph import (Digraph, EdgeMultiset, LaminarFamily, integer_edges,
-                               is_eulerian_connected)
-from atsp_approx.instance import StronglyLaminarInstance
+from atsp_approx.graph import Digraph, EdgeMultiset, integer_edges, is_eulerian_connected
 from atsp_approx.pair import VertebratePair
 from atsp_approx.svensson import (
     ComponentState,
@@ -21,7 +19,7 @@ from atsp_approx.svensson import (
     vertebrate_solve,
 )
 from test_cover import make_pair, remote_cluster_pair, spanning_pair
-from fixtures import c3, two_tri
+from fixtures import c3, rational_instance, two_tri
 from oracles import outside_singleton_mass
 
 F = Fraction
@@ -89,8 +87,7 @@ def ring_pair() -> VertebratePair:
         edges.append((i, j, cost))
         edges.append((j, i, cost))
     g = Digraph(6, *integer_edges(edges))
-    fam = LaminarFamily([(frozenset({v}), half) for v in range(1, 6)], 6)
-    inst = StronglyLaminarInstance(g, fam, [half] * g.m)
+    inst = rational_instance(g, [(frozenset({v}), half) for v in range(1, 6)], [half] * g.m)
     inst.validate(Checker())
     pair = VertebratePair(inst, EdgeMultiset(), frozenset({0}))
     pair.validate()

@@ -11,7 +11,7 @@ from atsp_approx.graph import Digraph, EdgeMultiset, integer_edges, is_eulerian_
 from atsp_approx.lp import build_strongly_laminar_instance
 from atsp_approx.vertebrate import construct_backbone, reduce_and_solve, solve_atsp
 from atsp_approx.svensson import vertebrate_solve
-from fixtures import c3, k2, two_tri
+from fixtures import c3, k2, rational_instance, two_tri
 from test_instance import detour_instance
 
 F = Fraction
@@ -23,7 +23,7 @@ def test_backbone_on_triangle_instance():
     backbone, touched, missed, value_w, d_w, pair = construct_backbone(
         inst, inst.ground, checker
     )
-    assert backbone.cost(inst.g) <= 2 * d_w
+    assert backbone.cost(inst.g) <= 2 * F(d_w, inst._den)
     assert missed == [] or all(not (s & touched) for s in missed)
     assert checker.counters["missed-sets-slack"] == 1
 
@@ -113,9 +113,6 @@ def three_branch_star():
     the reach argmax, so the light branch {5, 6} is a missed non-singleton
     family set and forces a genuine recursive call with path splicing at
     its contracted vertex."""
-    from atsp_approx.graph import LaminarFamily
-    from atsp_approx.instance import StronglyLaminarInstance
-
     half, quarter = F(1, 2), F(1, 4)
     edges = [
         (0, 1, F(3)), (1, 0, F(3)), (1, 2, F(3)), (2, 1, F(3)),
@@ -124,13 +121,12 @@ def three_branch_star():
         (0, 6, half), (6, 5, quarter), (5, 0, quarter),
     ]
     x = [F(1)] * 8 + [half] * 6
-    fam = LaminarFamily([
+    inst = rational_instance(Digraph(7, *integer_edges(edges)), [
         (frozenset({1, 2}), F(3)), (frozenset({3, 4}), F(3)),
         (frozenset({5, 6}), quarter),
         (frozenset({2}), F(3)), (frozenset({4}), F(3)),
         (frozenset({6}), quarter),
-    ], 7)
-    inst = StronglyLaminarInstance(Digraph(7, *integer_edges(edges)), fam, x)
+    ], x)
     inst.validate(Checker())
     return inst
 
@@ -141,11 +137,12 @@ def test_three_branch_star_misses_light_cluster():
     backbone, touched, missed, value_w, d_w, pair = construct_backbone(
         inst, inst.ground, checker
     )
-    assert (value_w, d_w) == (25, 24)
+    assert (F(value_w, inst._den), F(d_w, inst._den)) == (25, 24)
     assert pair == (2, 4)
     assert missed == [frozenset({5, 6})]
     # the missed-set slack of the reduction analysis is exactly tight here
-    assert 2 * F(1, 4) + inst.value(frozenset({5, 6})) == value_w - d_w
+    assert 2 * F(1, 4) + F(inst.value(frozenset({5, 6})), inst._den) == \
+        F(value_w - d_w, inst._den)
 
 
 def test_three_branch_star_recursion_end_to_end():

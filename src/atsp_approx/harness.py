@@ -229,20 +229,25 @@ def gen_instance(model: str, n: int, seed: int = 0) -> Digraph:
     return Digraph(n, *integer_edges(edges))
 
 
-def held_karp_opt(g: Digraph) -> Fraction:
+def held_karp_opt(g: Digraph, upper: Optional[Fraction] = None) -> Fraction:
     """Exact optimum tour cost (closed walks allowed): the Hamiltonian
     optimum of the metric closure, by bitmask dynamic programming (Held and
     Karp, 1962; Bellman, 1962) on the digraph's integer cost numerators.
+    ``upper``, when given, is the cost of a known tour; the search then
+    keeps only the states that can still close a tour costing at most that.
 
     The closure (Floyd-Warshall) runs on int rows in which the sum of all
     cost numerators plus one stands for "unreachable": no shortest path
     costs that much, so an entry still equal to it after the closure means
-    the digraph is not strongly connected.  The DP row of a vertex set S
-    holds, for each j in S, the cheapest path from vertex 0 through S that
-    ends at j, and a pad above any path cost at every other j.  So
-    dp[S][j] is one C-level `min(map(add, ...))` of the whole row of S - j
-    against the closure costs into j, with no gather of the members of
-    S - j; the j in S are read off the bits of S."""
+    the digraph is not strongly connected.  Every row and then every
+    column of the closure is reduced by its minimum off the diagonal
+    (Little, Murty, Sweeney and Karel, 1963), so each Hamiltonian cycle
+    costs base, the sum of the reductions, plus its nonnegative reduced
+    costs, and no path on the way to a tour costing at most upper has a
+    reduced cost above upper - base.  `_cheapest_reduced_tour` grows the
+    paths from vertex 0 one vertex set size at a time under that limit.
+    If upper is below the optimum, that search finds no tour, and it runs
+    again with no limit, so the result is the optimum whatever upper is."""
     n = g.n
     if n > HELD_KARP_MAX_N:
         raise BudgetError(f"Held-Karp oracle capped at n = {HELD_KARP_MAX_N}")
@@ -267,27 +272,73 @@ def held_karp_opt(g: Digraph) -> Fraction:
                         row[b] = cand
     if any(unreachable in row for row in dist):
         raise InfeasibleInstanceError("graph is not strongly connected")
-    # bit j of a set stands for vertex j + 1; into holds (j, bit j, col) with
-    # col[i] the closure cost from vertex i + 1 to vertex j + 1.  A path of
-    # k arcs costs less than k * unreachable, the pad
+    base = 0
+    for v, row in enumerate(dist):
+        low = min(row[:v] + row[v + 1:])
+        base += low
+        dist[v] = [c - low for c in row]
+    for b in range(n):
+        low = min(dist[a][b] for a in range(n) if a != b)
+        base += low
+        for row in dist:
+            row[b] -= low
+    for v, row in enumerate(dist):
+        row[v] = 0
+    # reduced costs are below unreachable, so a path of k arcs costs less
+    # than k * unreachable, the pad of a row entry with no path
     k = n - 1
-    full = 1 << k
     pad = k * unreachable
+    limit = pad if upper is None else \
+        upper.numerator * g.cost_den // upper.denominator - base
+    first = dist[0][1:]
     into = [(j, 1 << j, [dist[i + 1][j + 1] for i in range(k)]) for j in range(k)]
-    dp: list[list[int]] = [[]] * full
-    for j in range(k):
-        row = [pad] * k
-        row[j] = dist[0][j + 1]
-        dp[1 << j] = row
-    for mask in range(3, full):
-        if mask & (mask - 1):
-            row = [pad] * k
+    close = [dist[i + 1][0] for i in range(k)]
+    best = _cheapest_reduced_tour(first, into, close, pad, limit)
+    if best is None:  # upper is below the optimum
+        best = _cheapest_reduced_tour(first, into, close, pad, pad)
+    return Fraction(base + best, g.cost_den)
+
+
+def _cheapest_reduced_tour(first: list[int], into: list[tuple[int, int, list[int]]],
+                           close: list[int], pad: int, limit: int) -> Optional[int]:
+    """The cost of the cheapest Hamiltonian cycle under nonnegative
+    reduced costs if it is at most limit, else None.  Bit j of a set stands
+    for vertex j + 1; first[j] is the cost from vertex 0 to it, close[j]
+    the cost back, and into holds (j, bit j, col) with col[i] the cost from
+    vertex i + 1 to vertex j + 1.
+
+    A layer lists the live sets S of one size, and rows[S] holds, for
+    each j in S, the cheapest path from 0 through S that ends at j, or pad
+    where that costs more than limit.  Entry j of S + j is one C-level
+    `min(map(add, ...))` of the row of S against col.  No path over limit
+    extends to one within it, so such entries stay pad, and a set with no
+    entry left gets no row and joins no layer.  A row is cleared once it
+    has been extended, so at most two layers of rows are held at once."""
+    width = len(first)
+    rows: list[Optional[list[int]]] = [None] * (1 << width)
+    layer = []
+    for j, bit, _ in into:
+        if first[j] <= limit:
+            row = rows[bit] = [pad] * width
+            row[j] = first[j]
+            layer.append(bit)
+    for _ in range(width - 1):
+        grown = []
+        for mask in layer:
+            row = rows[mask]
+            rows[mask] = None
             for j, bit, col in into:
-                if mask & bit:
-                    row[j] = min(map(add, dp[mask ^ bit], col))
-            dp[mask] = row
-    last = dp[full - 1]
-    return Fraction(min(last[j] + dist[j + 1][0] for j in range(k)), g.cost_den)
+                if not mask & bit:
+                    value = min(map(add, row, col))
+                    if value <= limit:
+                        out = rows[mask | bit]
+                        if out is None:
+                            out = rows[mask | bit] = [pad] * width
+                            grown.append(mask | bit)
+                        out[j] = value
+        layer = grown
+    best = min((min(map(add, rows[mask], close)) for mask in layer), default=limit + 1)
+    return best if best <= limit else None
 
 
 def verify_tour(g: Digraph, tour: EdgeMultiset) -> tuple[bool, dict]:
@@ -363,7 +414,7 @@ def run_pipeline(name: str, g: Digraph, epsilon: Fraction,
     held = None
     if with_oracle:
         start = time.perf_counter()
-        held = held_karp_opt(g)
+        held = held_karp_opt(g, cert.cost)
         timings["oracle_s"] = time.perf_counter() - start
         checker.check(cert.lp_value <= held, "oracle-above-lp",
                       lambda: f"{held} < {cert.lp_value}")

@@ -15,7 +15,7 @@ from .checks import Checker
 from .errors import ContractViolation
 from .graph import EdgeMultiset, is_eulerian_connected
 from .instance import StronglyLaminarInstance
-from .rational import common_denominator
+from .rational import over_lcm
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class VertebratePair:
         """Whether c(edges) <= kappa * LP + beta * (outside singleton mass),
         compared as integers over the instance's denominators."""
         inst = self.instance
-        (k, b), d = common_denominator([kappa, beta])
+        k, b, d = over_lcm(kappa, beta)
         mass = inst.singleton_mass(self.outside_vertices())
         # c / den <= (k * lp / (den * x_den) + b * mass / den) / d
         return inst.cost_num(edges) * inst._x_den * d <= \

@@ -102,6 +102,14 @@ def common_denominator(values: Sequence[Fraction], den: int = 1) -> tuple[list[i
     return [q.numerator * (den // q.denominator) for q in values], den
 
 
+def over_lcm(a: Fraction, b: Fraction) -> tuple[int, int, int]:
+    """a and b as int numerators over the lcm of their denominators, that
+    lcm last: what `common_denominator([a, b])` gives, with no list built,
+    for the constant factors the checks compare on every call."""
+    den = math.lcm(a.denominator, b.denominator)
+    return a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
+
+
 def lowest_terms(nums: Sequence[int], den: int) -> tuple[list[int], int]:
     """Int numerators over ``den`` divided by their gcd with it: the same
     values over their least common denominator, which is what

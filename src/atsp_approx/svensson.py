@@ -37,7 +37,7 @@ from .cover import (
 from .errors import ContractViolation, InternalCheckError
 from .graph import EdgeMultiset, dijkstra_path, undirected_components
 from .pair import VertebratePair
-from .rational import common_denominator
+from .rational import common_denominator, over_lcm
 
 if TYPE_CHECKING:
     import mpmath
@@ -125,7 +125,7 @@ def build_ell(pair: VertebratePair, epsilon: Fraction,
     eps_prime = epsilon / (3 + 2 * two_alpha + 1 / two_alpha)
     outside = pair.outside_vertices()
     mass = inst.singleton_mass(outside)
-    (k, b), d = common_denominator([kappa, beta])  # for kappa * LP + beta * mass
+    k, b, d = over_lcm(kappa, beta)  # for kappa * LP + beta * mass
     backbone_total = Fraction(k * inst._lp_num + b * mass * inst._x_den,
                               d * inst._den * inst._x_den)
     # ell(v) is share on the backbone; outside it is per times the 2 y_v

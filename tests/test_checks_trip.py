@@ -3,10 +3,12 @@ checks instead of producing uncertified output."""
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from atsp_approx import harness
 from atsp_approx.checks import Checker
 from atsp_approx.cover import SubtourCoverInstance, subtour_cover
 from atsp_approx.errors import ContractViolation, InternalCheckError
@@ -82,6 +84,23 @@ def test_overpriced_solver_breach_is_caught():
     with pytest.raises(InternalCheckError) as info:
         reduce_and_solve(inst, inst.ground, bloated, F(1), Checker())
     assert info.value.label in ("solver-contract", "lifting-cost-monotone")
+
+
+def test_a_tour_cheaper_than_the_optimum_trips_the_oracle(monkeypatch):
+    # the oracle prunes with the certificate's cost; a cost one unit below
+    # the optimum must still fail oracle-below-tour, not be taken as a bound
+    g = harness.gen_instance("random-strong", 8, 5)
+    opt = harness.held_karp_opt(g)
+    solve = harness.solve_atsp
+
+    def undercut(graph, epsilon, checker):
+        cert = solve(graph, epsilon, checker)
+        return dataclasses.replace(cert, cost=opt - F(1, graph.cost_den))
+
+    monkeypatch.setattr(harness, "solve_atsp", undercut)
+    with pytest.raises(InternalCheckError) as info:
+        harness.run_pipeline("r8", g, F(1), with_oracle=True)
+    assert info.value.label == "oracle-below-tour"
 
 
 def test_check_many_counts_as_the_loop_of_checks_would():

@@ -19,7 +19,6 @@ mass.  Both bounds, and every intermediate property, are asserted exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -29,6 +28,7 @@ from .flows import CirculationProblem
 from .graph import Digraph, EdgeMultiset, bfs_path, scc_successors, undirected_components
 from .instance import cut_value, path_crossings
 from .pair import VertebratePair
+from .records import Record
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -39,18 +39,17 @@ SUBTOUR_COVER_KAPPA = Fraction(2)
 SUBTOUR_COVER_BETA = Fraction(1)
 
 
-@dataclass
-class SubtourCoverInstance:
+class SubtourCoverInstance(Record):
     """A pair and H; w_sets holds W_1..W_k, the components of
     (V minus backbone, H), smallest vertex first."""
 
-    pair: VertebratePair
-    h: EdgeMultiset
-    w_sets: list[frozenset] = field(init=False)
+    __slots__ = ("pair", "h", "w_sets")
 
-    def __post_init__(self) -> None:
-        self.w_sets = undirected_components(self.pair.instance.g, self.h.mult,
-                                            within=self.pair.outside_vertices())
+    def __init__(self, pair: VertebratePair, h: EdgeMultiset) -> None:
+        self.pair = pair
+        self.h = h
+        self.w_sets: list[frozenset] = undirected_components(
+            pair.instance.g, h.mult, within=pair.outside_vertices())
 
     def validate(self, checker: Optional[Checker] = None) -> None:
         self.pair.check_initialization(self.h, checker or Checker(), "h-")
@@ -64,15 +63,17 @@ def classify_edge(r_tail: int, r_head: int) -> str:
     return NEUTRAL
 
 
-@dataclass
 class LevelStructure:
     """Numbering of the non-singleton family sets plus V by non-increasing
     size; r(v) is the highest-numbered set containing v, and an edge is
     forward/backward/neutral according to the r of its endpoints."""
 
-    order: list[frozenset]
-    r: list[int]
-    edge_class: list[str]
+    __slots__ = ("order", "r", "edge_class")
+
+    def __init__(self, order: list[frozenset], r: list[int], edge_class: list[str]) -> None:
+        self.order = order
+        self.r = r
+        self.edge_class = edge_class
 
 
 def build_level_structure(pair: VertebratePair) -> LevelStructure:
@@ -87,19 +88,23 @@ def build_level_structure(pair: VertebratePair) -> LevelStructure:
     return LevelStructure(sets, r, classes)
 
 
-@dataclass
 class SplitGraph:
     """Two-level copy of a digraph: forward edges live on the lower level,
     backward edges on the upper, neutral on both; every vertex has a free
     down edge and backbone vertices also a free up edge."""
 
-    g: Digraph
-    base: Digraph
-    kind: list[tuple]  # per split eid: ("lower"|"upper", base_eid) | ("down"|"up", v)
-    lower_of: dict[int, int]
-    upper_of: dict[int, int]
-    down_of: dict[int, int]
-    up_of: dict[int, int]
+    __slots__ = ("g", "base", "kind", "lower_of", "upper_of", "down_of", "up_of")
+
+    def __init__(self, g: Digraph, base: Digraph, kind: list[tuple],
+                 lower_of: dict[int, int], upper_of: dict[int, int],
+                 down_of: dict[int, int], up_of: dict[int, int]) -> None:
+        self.g = g
+        self.base = base
+        self.kind = kind  # per split eid: ("lower"|"upper", base_eid) | ("down"|"up", v)
+        self.lower_of = lower_of
+        self.upper_of = upper_of
+        self.down_of = down_of
+        self.up_of = up_of
 
     @staticmethod
     def lower(v: int) -> int:
@@ -145,7 +150,6 @@ def build_split_graph(base: Digraph, edge_class: list[str],
                       lower_of, upper_of, down_of, up_of)
 
 
-@dataclass
 class WitnessFlow:
     """Sub-flow of x certifying the circulation lifts into the split graph:
     zero on backward edges, full on forward, within [0, x] on neutral, with
@@ -153,8 +157,11 @@ class WitnessFlow:
     component-boundary mass, then minimal total flow (hence acyclic).  f
     and boundary_optimum are numerators over the instance's x denominator."""
 
-    f: list[int]
-    boundary_optimum: int
+    __slots__ = ("f", "boundary_optimum")
+
+    def __init__(self, f: list[int], boundary_optimum: int) -> None:
+        self.f = f
+        self.boundary_optimum = boundary_optimum
 
 
 def _witness_circulation(g: Digraph, need: list[int], outside: frozenset,
@@ -287,21 +294,27 @@ def _support_acyclic(g: Digraph, support: list[int]) -> bool:
     return all(len(comp) == 1 for comp in scc_successors(succ, succ))
 
 
-@dataclass
 class AugmentedGraph:
     """The instance graph plus one auxiliary vertex per component, carrying
     copies of the edges entering/leaving the first residual SCC of that
     component; copies of copies arise when components interface directly."""
 
-    g: Digraph
-    base: Digraph
-    w_sets: list[frozenset]
-    w_hat: list[frozenset]
-    aux_of: list[int]
-    base_eid: list[int]
-    in_copy: dict[tuple[int, int], int]
-    out_copy: dict[tuple[int, int], int]
-    edge_class: list[str]
+    __slots__ = ("g", "base", "w_sets", "w_hat", "aux_of", "base_eid", "in_copy",
+                 "out_copy", "edge_class")
+
+    def __init__(self, g: Digraph, base: Digraph, w_sets: list[frozenset],
+                 w_hat: list[frozenset], aux_of: list[int], base_eid: list[int],
+                 in_copy: dict[tuple[int, int], int], out_copy: dict[tuple[int, int], int],
+                 edge_class: list[str]) -> None:
+        self.g = g
+        self.base = base
+        self.w_sets = w_sets
+        self.w_hat = w_hat
+        self.aux_of = aux_of
+        self.base_eid = base_eid
+        self.in_copy = in_copy
+        self.out_copy = out_copy
+        self.edge_class = edge_class
 
     @property
     def k(self) -> int:
@@ -405,20 +418,23 @@ def is_split_circulation(split: SplitGraph, z: list[int]) -> bool:
     return True
 
 
-@dataclass
 class ReroutedCirculation:
     """The rerouted split circulation in integers: z[eid] / den on each
     split edge, at cost cost[eid] / cost_den per unit, for a total of
     cost_num / (den * cost_den); q_level[i] is the level at which the flow
     enters auxiliary vertex i."""
 
-    split: SplitGraph
-    z: list[int]
-    den: int
-    cost: tuple[int, ...]
-    cost_den: int
-    cost_num: int
-    q_level: list[int]
+    __slots__ = ("split", "z", "den", "cost", "cost_den", "cost_num", "q_level")
+
+    def __init__(self, split: SplitGraph, z: list[int], den: int, cost: tuple[int, ...],
+                 cost_den: int, cost_num: int, q_level: list[int]) -> None:
+        self.split = split
+        self.z = z
+        self.den = den
+        self.cost = cost
+        self.cost_den = cost_den
+        self.cost_num = cost_num
+        self.q_level = q_level
 
 
 def _decompose_unit_through(g: Digraph, z: list[int], inside: frozenset,
@@ -571,11 +587,14 @@ def lift_and_reroute(cover: SubtourCoverInstance, witness: WitnessFlow,
     return ReroutedCirculation(split, z, unit, cost, cost_den, cost_num, q_level)
 
 
-@dataclass
 class RoundedCirculation:
-    z_star: list[int]
-    f_bar: EdgeMultiset
-    f_star_lower: list[int]  # witness part per augmented eid
+    __slots__ = ("z_star", "f_bar", "f_star_lower")
+
+    def __init__(self, z_star: list[int], f_bar: EdgeMultiset,
+                 f_star_lower: list[int]) -> None:
+        self.z_star = z_star
+        self.f_bar = f_bar
+        self.f_star_lower = f_star_lower  # witness part per augmented eid
 
 
 def _ceil2(num: int, den: int) -> int:

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ContractViolation, InputError
 from .rational import MAX_DEN_BITS, lowest_terms
+from .records import FrozenRecord
 
 
 class Edge(NamedTuple):
@@ -325,8 +325,7 @@ class LaminarFamily:
         return self._nonsingletons
 
 
-@dataclass(frozen=True)
-class ContractionMap:
+class ContractionMap(FrozenRecord):
     """Bookkeeping for a vertex contraction.
 
     vertex_map[v] is the child vertex of parent vertex v; edge_origin[e'] is
@@ -334,8 +333,11 @@ class ContractionMap:
     the parent graph, so recursive algorithms can keep using it.
     """
 
-    vertex_map: tuple[int, ...]
-    edge_origin: tuple[int, ...]
+    __slots__ = ("vertex_map", "edge_origin")
+
+    def __init__(self, vertex_map: tuple[int, ...], edge_origin: tuple[int, ...]) -> None:
+        object.__setattr__(self, "vertex_map", vertex_map)
+        object.__setattr__(self, "edge_origin", edge_origin)
 
     def child_of(self, parent_vertex: int) -> int:
         return self.vertex_map[parent_vertex]

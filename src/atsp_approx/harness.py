@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 from typing import Optional
@@ -19,6 +18,7 @@ from .checks import Checker
 from .errors import BudgetError, InfeasibleInstanceError, InputError
 from .graph import Digraph, EdgeMultiset, euler_walk, integer_edges, is_eulerian_connected
 from .rational import MAX_DIGITS, format_rational, parse_rational
+from .records import Record
 from .simplex import check_tableau_budget
 from .vertebrate import solve_atsp
 
@@ -361,20 +361,27 @@ def verify_tour(g: Digraph, tour: EdgeMultiset) -> tuple[bool, dict]:
     return ok, diagnostics
 
 
-@dataclass
-class RunReport:
-    """Machine-readable result of one pipeline run."""
+class RunReport(Record):
+    """Machine-readable result of one pipeline run; timings default to a
+    fresh empty dict."""
 
-    instance: str
-    n: int
-    epsilon: Fraction
-    lp_value: Fraction
-    tour_cost: Fraction
-    ratio: Fraction
-    tour_walk: list[list[int]]
-    assertion_counts: dict[str, int]
-    held_karp: Optional[Fraction] = None
-    timings: dict[str, float] = field(default_factory=dict)
+    __slots__ = ("instance", "n", "epsilon", "lp_value", "tour_cost", "ratio",
+                 "tour_walk", "assertion_counts", "held_karp", "timings")
+
+    def __init__(self, instance: str, n: int, epsilon: Fraction, lp_value: Fraction,
+                 tour_cost: Fraction, ratio: Fraction, tour_walk: list[list[int]],
+                 assertion_counts: dict[str, int], held_karp: Optional[Fraction] = None,
+                 timings: Optional[dict[str, float]] = None) -> None:
+        self.instance = instance
+        self.n = n
+        self.epsilon = epsilon
+        self.lp_value = lp_value
+        self.tour_cost = tour_cost
+        self.ratio = ratio
+        self.tour_walk = tour_walk
+        self.assertion_counts = assertion_counts
+        self.held_karp = held_karp
+        self.timings = {} if timings is None else timings
 
     def to_dict(self) -> dict:
         doc = {

@@ -21,7 +21,6 @@ feasible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -38,31 +37,36 @@ ZERO = Fraction(0)
 _CUTTING_ROUND_CAP = 200
 
 
-@dataclass
 class PrimalLp:
     """Optimal circulation: per-edge values x_num / x_den over their least
     common denominator, and the objective c(x)."""
 
-    x_num: list[int]
-    x_den: int
-    objective: Fraction
+    __slots__ = ("x_num", "x_den", "objective")
+
+    def __init__(self, x_num: list[int], x_den: int, objective: Fraction) -> None:
+        self.x_num = x_num
+        self.x_den = x_den
+        self.objective = objective
 
     @property
     def x(self) -> list[Fraction]:
         return [Fraction(v, self.x_den) for v in self.x_num]
 
 
-@dataclass
 class DualLp:
     """Dual solution: vertex potentials a and cut weights y on an explicit
     support, as integer numerators over one positive den, a multiple of the
     graph's cost denominator; objective is the numerator of the dual
     objective sum(2 y_U) over den."""
 
-    a: list[int]
-    y: dict[frozenset, int]
-    objective: int
-    den: int
+    __slots__ = ("a", "y", "objective", "den")
+
+    def __init__(self, a: list[int], y: dict[frozenset, int], objective: int,
+                 den: int) -> None:
+        self.a = a
+        self.y = y
+        self.objective = objective
+        self.den = den
 
     def copy(self) -> "DualLp":
         return DualLp(list(self.a), dict(self.y), self.objective, self.den)

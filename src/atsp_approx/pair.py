@@ -7,7 +7,6 @@ designated vertex, which is why the vertex set is stored explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -16,13 +15,17 @@ from .errors import ContractViolation
 from .graph import EdgeMultiset, is_eulerian_connected
 from .instance import StronglyLaminarInstance
 from .rational import over_lcm
+from .records import FrozenRecord
 
 
-@dataclass(frozen=True)
-class VertebratePair:
-    instance: StronglyLaminarInstance
-    backbone: EdgeMultiset
-    backbone_vertices: frozenset
+class VertebratePair(FrozenRecord):
+    __slots__ = ("instance", "backbone", "backbone_vertices")
+
+    def __init__(self, instance: StronglyLaminarInstance, backbone: EdgeMultiset,
+                 backbone_vertices: frozenset) -> None:
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "backbone", backbone)
+        object.__setattr__(self, "backbone_vertices", backbone_vertices)
 
     def validate(self, checker: Optional[Checker] = None) -> None:
         checker = checker or Checker()

@@ -22,7 +22,6 @@ numerators over one denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
@@ -81,7 +80,6 @@ def knapsack_greedy(items: list[tuple[Fraction, Fraction]],
     return chosen
 
 
-@dataclass
 class EllFunction:
     """The budget function: outside the backbone each vertex gets
     (1+eps')*2*alpha*2y_v plus an (eps'/n) share of the outside singleton
@@ -90,13 +88,17 @@ class EllFunction:
     num[v] / den, and a cost numerator of the graph times cost_scale is
     that cost over den."""
 
-    num: list[int]
-    den: int
-    cost_scale: int
-    epsilon: Fraction
-    eps_prime: Fraction
-    regularity_const: Fraction  # C with ell(v) >= ell(outside) / (C n)
-    n: int
+    __slots__ = ("num", "den", "cost_scale", "epsilon", "eps_prime", "regularity_const", "n")
+
+    def __init__(self, num: list[int], den: int, cost_scale: int, epsilon: Fraction,
+                 eps_prime: Fraction, regularity_const: Fraction, n: int) -> None:
+        self.num = num
+        self.den = den
+        self.cost_scale = cost_scale
+        self.epsilon = epsilon
+        self.eps_prime = eps_prime
+        self.regularity_const = regularity_const  # C with ell(v) >= ell(outside) / (C n)
+        self.n = n
 
     def of(self, v: int) -> Fraction:
         return Fraction(self.num[v], self.den)
@@ -170,24 +172,21 @@ def _pow_term(value: Fraction, one_plus_p: mpmath.mpf) -> mpmath.mpf:
     return mpmath.e ** (one_plus_p * mpmath.log(_mpf(value)))
 
 
-@dataclass
 class ComponentState:
     """The fixed partition of one driver run: the backbone part, then the
     components of (V minus backbone, H-tilde) by non-increasing budget."""
 
-    pair: VertebratePair
-    ell: EllFunction
-    h_tilde: EdgeMultiset
-    parts: list[frozenset] = field(init=False)
-    part_of: dict[int, int] = field(init=False)
+    __slots__ = ("pair", "ell", "h_tilde", "parts", "part_of")
 
-    def __post_init__(self) -> None:
-        g = self.pair.instance.g
-        outside = self.pair.outside_vertices()
-        comps = undirected_components(g, self.h_tilde.mult, within=outside)
-        comps.sort(key=lambda c: (-self.ell.num_of(c), min(c)))
-        self.parts = [self.pair.backbone_vertices] + comps
-        self.part_of = {}
+    def __init__(self, pair: VertebratePair, ell: EllFunction, h_tilde: EdgeMultiset) -> None:
+        self.pair = pair
+        self.ell = ell
+        self.h_tilde = h_tilde
+        comps = undirected_components(pair.instance.g, h_tilde.mult,
+                                      within=pair.outside_vertices())
+        comps.sort(key=lambda c: (-ell.num_of(c), min(c)))
+        self.parts: list[frozenset] = [pair.backbone_vertices] + comps
+        self.part_of: dict[int, int] = {}
         for idx, part in enumerate(self.parts):
             for v in part:
                 self.part_of[v] = idx
@@ -282,24 +281,29 @@ def improved_initialization(state: ComponentState, d_vertices: frozenset,
     return merged
 
 
-@dataclass
 class IterationLedger:
     """Bookkeeping the cost analysis relies on: each cheap cycle marks a
     distinct component index, and each index receives cover edges at most
-    once.  The costs are numerators over the budget denominator."""
+    once.  The costs are numerators over the budget denominator; the sets
+    default to fresh empty ones."""
 
-    x_cost: int = 0
-    f_cost: int = 0
-    marks: set[int] = field(default_factory=set)
-    f_indices: set[int] = field(default_factory=set)
+    __slots__ = ("x_cost", "f_cost", "marks", "f_indices")
+
+    def __init__(self, x_cost: int = 0, f_cost: int = 0, marks: Optional[set[int]] = None,
+                 f_indices: Optional[set[int]] = None) -> None:
+        self.x_cost = x_cost
+        self.f_cost = f_cost
+        self.marks = set() if marks is None else marks
+        self.f_indices = set() if f_indices is None else f_indices
 
 
-@dataclass
 class SvenssonResult:
-    kind: str  # "solution" | "better"
-    edges: EdgeMultiset
-    ledger: IterationLedger
-    state: ComponentState
+    __slots__ = ("kind", "edges", "state")
+
+    def __init__(self, kind: str, edges: EdgeMultiset, state: ComponentState) -> None:
+        self.kind = kind  # "solution" | "better"
+        self.edges = edges
+        self.state = state
 
 
 def _connected_with_backbone(pair: VertebratePair, h: EdgeMultiset) -> bool:
@@ -419,7 +423,7 @@ def svensson_iterate(pair: VertebratePair, ell: EllFunction,
                     d_edges = d_edges.union(comp_edges)
                 better = improved_initialization(state, d_vertices, d_edges,
                                                  checker)
-                return SvenssonResult("better", better, ledger, state)
+                return SvenssonResult("better", better, state)
         # restart trigger: a cover component whose budget beats its first part
         for comp, comp_edges in f_comps:
             i = state.ind(comp)
@@ -427,7 +431,7 @@ def svensson_iterate(pair: VertebratePair, ell: EllFunction,
                     one_eps.numerator * ell.num_of(state.parts[i]):
                 better = improved_initialization(state, frozenset(comp),
                                                  comp_edges, checker)
-                return SvenssonResult("better", better, ledger, state)
+                return SvenssonResult("better", better, state)
         # (3) pad with cheap cycles, then absorb the last component
         x_edges = EdgeMultiset()
         x_cycles: list[tuple[list[int], int]] = []
@@ -497,7 +501,7 @@ def svensson_iterate(pair: VertebratePair, ell: EllFunction,
     checker.check(cost(h) * factor.denominator <= outside_num * factor.numerator
                   + ell.num_of(pair.backbone_vertices) * factor.denominator,
                   "solution-cost-bound", lambda: f"{h.cost(g)}")
-    return SvenssonResult("solution", h, ledger, state)
+    return SvenssonResult("solution", h, state)
 
 
 def vertebrate_solve(pair: VertebratePair, epsilon: Fraction,

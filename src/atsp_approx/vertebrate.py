@@ -12,7 +12,6 @@ Each level's cost bound, the lifting's cost monotonicity, and the final
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -30,6 +29,7 @@ from .instance import StronglyLaminarInstance, induced_graph
 from .lp import build_strongly_laminar_instance
 from .pair import VertebratePair
 from .rational import over_lcm
+from .records import Record
 from .svensson import vertebrate_solve
 
 ZERO = Fraction(0)
@@ -42,16 +42,19 @@ def eta_for(epsilon: Fraction) -> Fraction:
     return Fraction(14) + Fraction(epsilon)
 
 
-@dataclass
-class TourCertificate:
+class TourCertificate(Record):
     """The verifiable output: a tour, its Euler walk, exact cost and ratio."""
 
-    tour: EdgeMultiset
-    walk: list[int]
-    cost: Fraction
-    lp_value: Fraction
-    ratio: Fraction
-    epsilon: Fraction
+    __slots__ = ("tour", "walk", "cost", "lp_value", "ratio", "epsilon")
+
+    def __init__(self, tour: EdgeMultiset, walk: list[int], cost: Fraction,
+                 lp_value: Fraction, ratio: Fraction, epsilon: Fraction) -> None:
+        self.tour = tour
+        self.walk = walk
+        self.cost = cost
+        self.lp_value = lp_value
+        self.ratio = ratio
+        self.epsilon = epsilon
 
 
 def construct_backbone(inst: StronglyLaminarInstance, w_set: frozenset,

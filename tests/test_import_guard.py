@@ -1,9 +1,13 @@
-"""Import guard: ``mpmath`` loads only when Svensson's driver restarts.
+"""Import guards: ``mpmath`` loads only when Svensson's driver restarts,
+and ``dataclasses`` and ``inspect`` never load.
 
-Its one use is the restart potential, which no benchmark instance reaches,
-so a solve that never restarts must not pay for importing it.  Each check
-runs in a fresh interpreter, because this test session may have loaded
-``mpmath`` already.
+``mpmath``'s one use is the restart potential, which no benchmark instance
+reaches, so a solve that never restarts must not pay for importing it.  The
+record classes are plain classes, so importing the package compiles no
+generated code and pulls in neither ``dataclasses`` nor the ``inspect``,
+``ast`` and ``tokenize`` it imports.  Each check runs in a fresh
+interpreter, because this test session may have loaded these modules
+already.
 """
 
 from __future__ import annotations
@@ -46,6 +50,24 @@ def test_solving_every_benchmark_instance_leaves_mpmath_unloaded():
                 solved += 1
         assert solved == 60, solved
         assert "mpmath" not in sys.modules
+    """)
+
+
+def test_importing_and_solving_loads_no_dataclasses_inspect_or_mpmath():
+    # no benchmark workload module here: it imports dataclasses itself
+    run_fresh("""
+        import atsp_approx
+        from fractions import Fraction
+        from atsp_approx.harness import gen_instance, run_pipeline
+
+        g = gen_instance("random-strong", 12, 0)
+        for with_oracle in (True, False):
+            report = run_pipeline("random-strong-12", g, Fraction(1),
+                                  with_oracle=with_oracle)
+            assert ("held_karp_opt" in report.to_json()) == with_oracle
+        loaded = [name for name in ("dataclasses", "inspect", "mpmath")
+                  if name in sys.modules]
+        assert not loaded, loaded
     """)
 
 

@@ -19,9 +19,12 @@ from .graph import Digraph, EdgeMultiset
 class Checker:
     """Counts labelled runtime checks and raises on violation.
 
-    ``check_all`` gates the expensive re-validations (full instance
-    re-checks on contracted instances, separation-certified feasibility);
-    the cheap inequality checks always run.
+    ``check_all`` gates only three checks: `x-feasible-all-cuts` (LP
+    feasibility of an instance's x, certified by separation) and the dual
+    feasibility of every uncrossing and strongly-laminar repair step
+    (`uncross-step-feasible`, `strongly-laminar-step-feasible`).  Every
+    other check always runs; child instances are re-validated in full
+    either way, that one clause apart.
     """
 
     def __init__(self, check_all: bool = True):

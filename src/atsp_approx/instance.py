@@ -20,23 +20,22 @@ to the weights' denominator.  Every sum and comparison runs on those ints,
 and `validate` re-checks the very integers every later stage reads.
 
 The nice u-v path starts from the fewest-edge u-v path inside the hull,
-ties to the smallest edge ids.  All pairs (u, v) of one hull share a
-breadth-first search tree from u inside it, built once per (u, hull) on
-first request: a truncated search is a prefix of the full one, so each tree
-path is the path a search for v alone would find.  Every tree vertex
-carries its parent edge, its path's cost (an integer numerator over one
-instance-wide denominator) and a mask of the sets that path enters or
-exits twice.  A pair whose mask is zero takes the tree path as it is, so
-its cost and niceness are read off the tree and no path is built; a pair
-whose mask is not zero repairs the tree path set by set.  A path is built
-only when `nice_path` asks for it (or a repair needs it) and is memoized
-then, as is each window's value(W).
+ties to the smallest edge ids, as `graph.bfs_path` finds it; a path that
+enters or exits some set twice is repaired set by set.  A path is built
+only when `nice_path` asks for it (or its pair needs a repair) and is
+memoized then, as is each window's value(W).
 
 The nice-path costs of all n^2 ordered pairs form one table, built once
-per instance by reading each (source, hull) tree once for all the targets
-whose hull it is (`validate_paths` builds it; `value_and_dw` builds it on
-first use otherwise).  Every window's D_W is then a scan of table rows,
-and `validate_paths` re-walks only the stored paths.
+per instance (`validate_paths` builds it; `value_and_dw` builds it on
+first use otherwise) by one breadth-first sweep per (source, hull) for all
+the targets whose hull it is.  A truncated search is a prefix of the full
+one, so each sweep path is the path `bfs_path` finds for its end; the
+sweep carries each path's cost (an integer numerator over one
+instance-wide denominator) and the sets it crosses twice, so a pair that
+needs no repair gets its cost and niceness from the sweep and no path is
+built.  A sweep is dropped once its row is written.  Every window's D_W is
+then a scan of table rows, and `validate_paths` re-walks only the stored
+paths.
 """
 
 from __future__ import annotations
@@ -114,7 +113,7 @@ def _path_vertices(g: Digraph, start: int, path: list[int]) -> list[int]:
 
 
 class StronglyLaminarInstance:
-    """(G, L, x, y) with memoized nice-path search trees.
+    """(G, L, x, y) with memoized nice paths and nice-path cost table.
 
     x comes in as int numerators ``x_num`` over ``x_den`` (one per edge)
     and is kept in least terms; the family brings y the same way.  The
@@ -164,8 +163,6 @@ class StronglyLaminarInstance:
             k = _common_prefix(ct, ch)
             self._exit_mask.append(_mask(ct[k:]))
             self._enter_mask.append(_mask(ch[k:]))
-        # (source, hull depth) -> {vertex: (parent edge, cost, violated mask)}
-        self._trees: dict[tuple[int, int], dict[int, tuple[int, int, int]]] = {}
         self._windows: dict[frozenset, tuple[int, frozenset]] = {}
         # row u, column v: the cost numerator of the nice u-v path
         self._table: Optional[list[list[int]]] = None
@@ -203,47 +200,6 @@ class StronglyLaminarInstance:
             exited |= out
         return (bad & -bad).bit_length() - 1 if bad else None
 
-    def _tree(self, u: int, k: int) -> dict[int, tuple[int, int, int]]:
-        """The breadth-first search tree from u inside the k-th set of u's
-        chain (the ground set for k = 0), out-edges scanned in id order as
-        in `graph.bfs_path`.  Each vertex maps to its parent edge (-1 at
-        u), the cost numerator of its tree path and the mask of the sets
-        that path enters or exits more than once."""
-        tree = self._trees.get((u, k))
-        if tree is not None:
-            return tree
-        hull = self.family.members[self._chains[u][k - 1]] if k else self.ground
-        edges, out_edges = self.g.edges, self.g.out_edges
-        enter, leave, cost = self._enter_mask, self._exit_mask, self._cost_num
-        tree = {u: (-1, 0, 0)}
-        crossed = {u: (0, 0)}  # the sets each tree path enters, and exits
-        frontier = [u]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                _, c, bad = tree[v]
-                entered, exited = crossed[v]
-                for eid in out_edges[v]:
-                    w = edges[eid].head
-                    if w in tree or w not in hull:
-                        continue
-                    into, out = enter[eid], leave[eid]
-                    tree[w] = (eid, c + cost[eid], bad | (entered & into) | (exited & out))
-                    crossed[w] = (entered | into, exited | out)
-                    nxt.append(w)
-            frontier = nxt
-        self._trees[(u, k)] = tree
-        return tree
-
-    def _hull_tree(self, u: int, v: int) -> dict[int, tuple[int, int, int]]:
-        """u's search tree inside hull(u, v), the set of u's chain at the
-        depth of its chain prefix shared with v's; it must reach v."""
-        tree = self._tree(u, _common_prefix(self._chains[u], self._chains[v]))
-        if v not in tree:
-            raise ContractViolation(f"no {u}-{v} path inside {sorted(self.hull(u, v))}; "
-                                    "instance not strongly laminar")
-        return tree
-
     def nice_path(self, v: int, w: int) -> tuple[int, ...]:
         """The fixed nice v-w path (edge ids); empty when v == w."""
         if v == w:
@@ -255,16 +211,11 @@ class StronglyLaminarInstance:
 
     def _compute_nice_path(self, u: int, v: int) -> list[int]:
         g = self.g
-        tree = self._hull_tree(u, v)
-        path = []
-        w = v
-        while w != u:
-            eid = tree[w][0]
-            path.append(eid)
-            w = g.edges[eid].tail
-        path.reverse()
-        if not tree[v][2]:
-            return path
+        hull = self.hull(u, v)
+        path = bfs_path(g, u, v, allowed_vertices=hull)
+        if path is None:
+            raise ContractViolation(f"no {u}-{v} path inside {sorted(hull)}; "
+                                    "instance not strongly laminar")
         cap = len(self.family) + _REPAIR_CAP_SLACK
         for _ in range(cap):
             index = self._first_violated(path)
@@ -331,15 +282,19 @@ class StronglyLaminarInstance:
         return table
 
     def _build_path_table(self) -> list[list[int]]:
-        """Each row u reads u's search trees from the outermost hull in,
-        one per depth of u's chain at which some vertex has its hull with u
-        (the vertices of that set outside the next one), so each vertex's
-        entry is last written from the tree of its hull.  A pair whose tree
-        mask is not zero, or whose path is stored, takes the cost of
-        `nice_path` instead."""
+        """Each row u comes from breadth-first sweeps from u, one per depth
+        of u's chain at which some vertex has its hull with u (the vertices
+        of that set outside the next one), outermost first, so each
+        vertex's entry is last written by the sweep inside its hull.  A
+        sweep scans out-edges in id order as `graph.bfs_path` does, so each
+        sweep path is the path a search for its end alone finds; it carries
+        the path's cost and the sets the path enters, exits, and enters or
+        exits twice.  A vertex whose path crosses a set twice takes the
+        cost of its repaired `nice_path`."""
         n = self.g.n
         members = self.family.members
-        cost = self._cost_num
+        edges, out_edges = self.g.edges, self.g.out_edges
+        enter, leave, cost = self._enter_mask, self._exit_mask, self._cost_num
         table = []
         for u in range(n):
             sets = [self.ground] + [members[i] for i in self._chains[u]]
@@ -349,22 +304,34 @@ class StronglyLaminarInstance:
             for k, hull in enumerate(sets):
                 if sizes[k] == sizes[k + 1]:
                     continue  # the next set is this one, or {u} is
-                tree = self._tree(u, k)
-                if len(tree) < sizes[k]:
-                    v = min(hull - tree.keys())
+                inner = sets[k + 1] if k + 1 < len(sets) else ()
+                # vertex -> (path cost, sets entered, sets exited, sets crossed twice)
+                seen = {u: (0, 0, 0, 0)}
+                frontier = [u]
+                while frontier:
+                    nxt = []
+                    for v in frontier:
+                        c, entered, exited, bad = seen[v]
+                        for eid in out_edges[v]:
+                            w = edges[eid].head
+                            if w in seen or w not in hull:
+                                continue
+                            into, out = enter[eid], leave[eid]
+                            twice = bad | (entered & into) | (exited & out)
+                            row[w] = c_w = c + cost[eid]
+                            seen[w] = (c_w, entered | into, exited | out, twice)
+                            if twice and w not in inner:
+                                repair.append(w)
+                            nxt.append(w)
+                    frontier = nxt
+                if len(seen) < sizes[k]:
+                    v = min(hull - seen.keys())
                     raise ContractViolation(f"no {u}-{v} path inside "
                                             f"{sorted(self.hull(u, v))}; "
                                             "instance not strongly laminar")
-                for w, (_, c, bad) in tree.items():
-                    row[w] = c
-                    if bad:
-                        repair.append((w, k))
-            for w, k in repair:
-                if k + 1 == len(sets) or w not in sets[k + 1]:
-                    self.nice_path(u, w)
+            for w in repair:
+                row[w] = sum(cost[eid] for eid in self.nice_path(u, w))
             table.append(row)
-        for (u, v), path in list(self._paths.items()):
-            table[u][v] = sum(cost[eid] for eid in path)
         return table
 
     def value(self, w_set: frozenset) -> int:
@@ -450,7 +417,7 @@ class StronglyLaminarInstance:
         if checker.check_all and g.n >= 2:
             from .lp import separate_subtour  # local import to avoid a cycle
 
-            violated = separate_subtour(self.g, list(self.x))
+            violated = separate_subtour(self.g, self._x_num, self._x_den)
             checker.check(violated is None, "x-feasible-all-cuts",
                           lambda: sorted(violated))
 
@@ -458,9 +425,9 @@ class StronglyLaminarInstance:
         """Crossing-count check for the nice path of every ordered pair (at
         most once each way), counted once per pair in row-major order;
         builds the nice-path cost table.  A pair whose path is not stored
-        takes its tree path, which stays in the hull by construction and
-        which the table build found nice (its tree mask is zero); a stored
-        or repaired path is re-walked."""
+        takes its sweep path, which stays in the hull by construction and
+        which the table build found nice (it crosses no set twice); a
+        stored or repaired path is re-walked."""
         checker = checker or Checker()
         n = self.g.n
         self._path_table()

@@ -22,7 +22,7 @@ feasible.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import simplex
 from .checks import Checker
@@ -30,7 +30,6 @@ from .errors import ContractViolation, InfeasibleInstanceError, InternalCheckErr
 from .flows import FlowNetwork, max_flow_min_cut
 from .graph import Digraph, LaminarFamily, check_laminar, scc_topological
 from .instance import StronglyLaminarInstance, crossing_num, cut_value, induced_graph
-from .rational import common_denominator
 
 ZERO = Fraction(0)
 
@@ -102,19 +101,20 @@ def dual_feasible(g: Digraph, dual: DualLp) -> bool:
     return all(v >= 0 for v in _dual_slack(g, dual))
 
 
-def separate_subtour(g: Digraph, x: list[Fraction]) -> Optional[frozenset]:
-    """Find some U with x(delta(U)) < 2, or None when all cuts hold.
+def separate_subtour(g: Digraph, x_num: Sequence[int], unit: int) -> Optional[frozenset]:
+    """Find some U with x(delta(U)) < 2, or None when all cuts hold, for
+    x = x_num / unit with unit > 0.
 
     x must be a circulation: nonnegative and balanced at every vertex
     (ContractViolation otherwise).  Then x(delta(U)) = 2 x(delta+(U)), so it
     suffices to compare global minimum directed cuts against 1.  Root
     vertex 0; one max-flow call per other terminal when all cuts hold.
     """
-    violated = _separate_all(g, *common_denominator(x), first_only=True)
+    violated = _separate_all(g, x_num, unit, first_only=True)
     return violated[0] if violated else None
 
 
-def _separate_all(g: Digraph, x_num: list[int], unit: int,
+def _separate_all(g: Digraph, x_num: Sequence[int], unit: int,
                   first_only: bool = False) -> list[frozenset]:
     """Sides of the minimum cuts with x(delta+) < 1, from vertex 0 to each
     other terminal t and back, for x = x_num / unit with unit > 0.

@@ -281,22 +281,6 @@ def improved_initialization(state: ComponentState, d_vertices: frozenset,
     return merged
 
 
-class IterationLedger:
-    """Bookkeeping the cost analysis relies on: each cheap cycle marks a
-    distinct component index, and each index receives cover edges at most
-    once.  The costs are numerators over the budget denominator; the sets
-    default to fresh empty ones."""
-
-    __slots__ = ("x_cost", "f_cost", "marks", "f_indices")
-
-    def __init__(self, x_cost: int = 0, f_cost: int = 0, marks: Optional[set[int]] = None,
-                 f_indices: Optional[set[int]] = None) -> None:
-        self.x_cost = x_cost
-        self.f_cost = f_cost
-        self.marks = set() if marks is None else marks
-        self.f_indices = set() if f_indices is None else f_indices
-
-
 class SvenssonResult:
     __slots__ = ("kind", "edges", "state")
 
@@ -377,7 +361,12 @@ def svensson_iterate(pair: VertebratePair, ell: EllFunction,
         return edges.cost_num(g) * ell.cost_scale
 
     h = h_tilde.copy()
-    ledger = IterationLedger()
+    # the cost analysis's bookkeeping: each cheap cycle marks a distinct
+    # component index, and each index receives cover edges at most once;
+    # the costs are numerators over the budget denominator
+    x_cost = f_cost = 0
+    marks: set[int] = set()
+    f_indices: set[int] = set()
     allowed = _allowed_cycle_edges(pair)
     outer_cap = g.n * max(g.m, 1) + 10
     outer = 0
@@ -474,28 +463,28 @@ def svensson_iterate(pair: VertebratePair, ell: EllFunction,
                 added_by_index[i] = added_by_index.get(i, 0) + cost(comp_edges)
                 added = added.union(comp_edges)
         for i, cost_i in sorted(added_by_index.items()):
-            checker.check(i not in ledger.f_indices, "cover-part-added-once",
+            checker.check(i not in f_indices, "cover-part-added-once",
                           lambda: f"index {i}")
             checker.check(cost_i <= ell.num_of(state.parts[i]),
                           "cover-part-within-budget", lambda: f"index {i}")
-            ledger.f_indices.add(i)
-            ledger.f_cost += cost_i
+            f_indices.add(i)
+            f_cost += cost_i
         for cycle, mark in x_cycles:
             verts = {g.edge(eid).tail for eid in cycle}
             if verts <= z_comp:
-                checker.check(mark not in ledger.marks, "cycle-marks-distinct",
+                checker.check(mark not in marks, "cycle-marks-distinct",
                               lambda: f"mark {mark}")
-                ledger.marks.add(mark)
+                marks.add(mark)
                 for eid in cycle:
                     added.add(eid)
-                    ledger.x_cost += g.cost_num[eid] * ell.cost_scale
+                    x_cost += g.cost_num[eid] * ell.cost_scale
         h = h.union(added)
     outside_num = ell.num_of(pair.outside_vertices())
     checker.check(
-        ledger.x_cost * two_alpha.numerator <= outside_num * two_alpha.denominator,
-        "x-ledger-bound", lambda: f"{ledger.x_cost}/{ell.den}")
-    checker.check(ledger.f_cost <= ell.num_of(range(g.n)), "f-ledger-bound",
-                  lambda: f"{ledger.f_cost}/{ell.den}")
+        x_cost * two_alpha.numerator <= outside_num * two_alpha.denominator,
+        "x-ledger-bound", lambda: f"{x_cost}/{ell.den}")
+    checker.check(f_cost <= ell.num_of(range(g.n)), "f-ledger-bound",
+                  lambda: f"{f_cost}/{ell.den}")
     # c(H) <= ell(backbone) + (2 + 1/(2 alpha)) ell(outside)
     factor = 2 + 1 / two_alpha
     checker.check(cost(h) * factor.denominator <= outside_num * factor.numerator

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from atsp_approx.errors import BudgetError, ContractViolation, InfeasibleInstanc
 from atsp_approx.flows import max_flow_min_cut
 from atsp_approx.graph import Digraph, check_laminar, integer_edges
 from atsp_approx.harness import gen_instance
+from atsp_approx.instance import StronglyLaminarInstance
 from atsp_approx.lp import (
     DualLp,
     build_strongly_laminar_instance,
@@ -127,20 +129,20 @@ def test_lp_over_budget_is_refused_before_any_row_is_built(monkeypatch):
 def test_separate_subtour_disconnected_support():
     g = two_tri()
     x = [F(1)] * 6 + [F(0), F(0)]  # both triangles, no joining arcs
-    u = separate_subtour(g, x)
+    u = separate_subtour(g, *common_denominator(x))
     assert u in (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
 
 
 def test_separate_subtour_satisfied():
     g = c3()
-    assert separate_subtour(g, [F(1), F(1), F(1)]) is None
+    assert separate_subtour(g, [1, 1, 1], 1) is None
 
 
 def test_separate_subtour_half_cut():
     # K2 plus an extra vertex attached by half-unit arcs
     g = Digraph(3, [(0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 1, 1)])
     x = [F(1), F(1), F(1, 2), F(1, 2)]
-    u = separate_subtour(g, x)
+    u = separate_subtour(g, [2, 2, 1, 1], 2)
     assert u is not None and cut_value(g, x, u) < 2
     assert u in (frozenset({2}), frozenset({0, 1}))
 
@@ -171,7 +173,7 @@ def test_separate_subtour_matches_brute_force():
         subsets = [frozenset(v for v in range(n) if (mask >> v) & 1)
                    for mask in range(1, (1 << n) - 1)]
         any_violated = any(cut_value(g, x, u) < 2 for u in subsets)
-        u = separate_subtour(g, x)
+        u = separate_subtour(g, *common_denominator(x))
         outcomes.add(u is None)
         if any_violated:
             assert u is not None and cut_value(g, x, u) < 2, trial
@@ -191,16 +193,16 @@ def test_separation_makes_one_flow_call_per_terminal_on_feasible_x(monkeypatch):
     g = two_tri()
     primal, _ = solve_atsp_lp(g)  # x is LP-feasible: every cut holds
     calls.clear()
-    assert separate_subtour(g, primal.x) is None
+    assert separate_subtour(g, primal.x_num, primal.x_den) is None
     assert calls == [(0, t) for t in range(1, g.n)]
 
 
 def test_separation_rejects_non_circulations():
     g = c3()
     with pytest.raises(ContractViolation):
-        separate_subtour(g, [F(1), F(1), F(1, 2)])
+        separate_subtour(g, [2, 2, 1], 2)
     with pytest.raises(ContractViolation):
-        separate_subtour(g, [F(-1), F(-1), F(-1)])
+        separate_subtour(g, [-1, -1, -1], 1)
 
 
 def test_uncross_crossing_pair():
@@ -309,29 +311,31 @@ def test_build_instance_two_tri():
     assert any(len(s) == 3 for s in inst.family)
 
 
-def test_reduction_scales_x_and_the_dual_only_in_separate_subtour(monkeypatch):
-    # x and the dual leave the simplex as integer numerators, so the cutting
-    # loop, the uncrossing and the repair call common_denominator nowhere;
-    # only separate_subtour, which `x-feasible-all-cuts` calls with the
-    # instance's `Fraction` x, scales
-    depth = [0]
-    scaled = []
-    separate, common = lp.separate_subtour, lp.common_denominator
+def test_reduction_builds_and_scales_no_fraction_x(monkeypatch):
+    # x and the dual leave the simplex as integer numerators, and
+    # `x-feasible-all-cuts` hands the instance's own numerators to
+    # separate_subtour: no Fraction x is built, and common_denominator is
+    # called nowhere in the reduction
+    def fraction_x(self):
+        raise AssertionError("Fraction x built")
 
-    def counted_separate(g, x):
-        depth[0] += 1
-        try:
-            return separate(g, x)
-        finally:
-            depth[0] -= 1
+    def scaled(values, den=1):
+        raise AssertionError("common_denominator called")
 
-    def only_in_separate(values, den=1):
-        assert depth[0], "common_denominator called outside separate_subtour"
-        scaled.append(len(values))
-        return common(values, den)
+    monkeypatch.setattr(lp.PrimalLp, "x", property(fraction_x))
+    monkeypatch.setattr(StronglyLaminarInstance, "x", property(fraction_x))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("atsp_approx") and hasattr(module, "common_denominator"):
+            monkeypatch.setattr(module, "common_denominator", scaled)
+    separations = []
+    separate = lp.separate_subtour
+
+    def counted_separate(g, x_num, unit):
+        assert all(type(v) is int for v in (*x_num, unit)), "separation got a Fraction x"
+        separations.append(unit)
+        return separate(g, x_num, unit)
 
     monkeypatch.setattr(lp, "separate_subtour", counted_separate)
-    monkeypatch.setattr(lp, "common_denominator", only_in_separate)
     rounds = []
     solve_lp = simplex.solve_lp
     monkeypatch.setattr(simplex, "solve_lp", lambda *args, **kw: rounds.append(1) or
@@ -341,7 +345,7 @@ def test_reduction_scales_x_and_the_dual_only_in_separate_subtour(monkeypatch):
         for seed in range(3):
             build_strongly_laminar_instance(gen_instance("random-strong", n, seed), checker)
     assert len(rounds) > 15  # some LPs take several cutting rounds
-    assert len(scaled) == checker.counters["x-feasible-all-cuts"] == 15
+    assert len(separations) == checker.counters["x-feasible-all-cuts"] == 15
 
 
 def test_build_instance_n1():
@@ -531,7 +535,7 @@ def test_subtour_lp_value_matches_highs(model, n, monkeypatch):
 
     monkeypatch.setattr(simplex, "solve_lp", recorded)
     primal, _ = solve_atsp_lp(g)
-    assert separate_subtour(g, primal.x) is None
+    assert separate_subtour(g, primal.x_num, primal.x_den) is None
     rows, rhs = rounds[-1]
     circulation, cuts = rows[:g.n], rows[g.n:]
 

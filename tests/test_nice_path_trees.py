@@ -1,15 +1,20 @@
-"""Invariants of the nice-path search trees of `StronglyLaminarInstance`.
+"""Invariants of the nice paths and the nice-path cost table of
+`StronglyLaminarInstance`.
 
-One breadth-first search tree per (source, hull) stands in for the
-per-pair searches: each tree path must be the path `graph.bfs_path` finds
-inside the hull, with its cost and its twice-crossed sets carried down the
-tree, and a path is built only for a pair that needs a repair or that
-`nice_path` asks for.  The nice-path cost table read by `validate_paths`
-and `value_and_dw` must agree with the paths entry by entry, and its
-checks must count as a per-pair loop would.
+One breadth-first sweep per (source, hull) stands in for the per-pair
+searches: each pair's table entry must be the cost of the path
+`graph.bfs_path` finds inside the hull when that path is nice, and a path
+is built only for a pair that needs a repair or that `nice_path` asks for.
+The sweeps are not kept: once the table is built, the memory held is the
+table's.  The table read by `validate_paths` and `value_and_dw` must agree
+with the paths entry by entry, and its checks must count as a per-pair
+loop would.
 """
 
 from __future__ import annotations
+
+import gc
+import tracemalloc
 
 import pytest
 
@@ -35,25 +40,24 @@ def _assert_tree_invariants(name, inst):
     checker = Checker()
     inst.validate_paths(checker)
     assert checker.counters["stored-path-nice"] == n * (n - 1), name
+    stored = set(inst._paths)
+    table = inst._path_table()
     repaired = set()
     for u in range(n):
         for v in range(n):
             if u == v:
                 continue
-            parent, cost, bad = inst._hull_tree(u, v)[v]
-            tree_path = bfs_path(inst.g, u, v, allowed_vertices=inst.hull(u, v))
-            assert tree_path[-1] == parent, (name, u, v)
-            assert cost == sum(inst._cost_num[eid] for eid in tree_path), (name, u, v)
-            first = inst._first_violated(tree_path)
-            assert (bad == 0) == (first is None), (name, u, v)
-            if bad:
-                assert first == (bad & -bad).bit_length() - 1, (name, u, v)
-                repaired.add((u, v))
+            search_path = bfs_path(inst.g, u, v, allowed_vertices=inst.hull(u, v))
             path = inst.nice_path(u, v)
-            if not bad:
-                assert list(path) == tree_path, (name, u, v)
+            if inst._first_violated(search_path) is None:
+                assert table[u][v] == sum(inst._cost_num[eid] for eid in search_path), \
+                    (name, u, v)
+                assert list(path) == search_path, (name, u, v)
+            else:
+                repaired.add((u, v))
             assert inst.is_nice(u, v, path), (name, u, v)
-            assert inst._path_table()[u][v] == sum(inst._cost_num[eid] for eid in path)
+            assert table[u][v] == sum(inst._cost_num[eid] for eid in path), (name, u, v)
+    assert stored == repaired, name
     return repaired
 
 
@@ -71,7 +75,7 @@ def test_tree_invariants_on_random_laminar_families():
         for pair in _assert_tree_invariants(name, inst):
             repaired[(name, *pair)] = inst
     assert len(repaired) == 65
-    # one of them: the tree path 5 -> 7 enters a set twice
+    # one of them: the search path 5 -> 7 enters a set twice
     inst = repaired[("random-laminar-8", 5, 7)]
     assert inst.nice_path(5, 7) == (4, 14, 17)
 
@@ -97,8 +101,7 @@ def test_corrupted_stored_path_trips_validate_paths():
 
 @pytest.mark.parametrize("model,n", [("cycle", 200), ("random-strong", 60)])
 def test_validate_paths_and_dw_build_no_path(model, n, monkeypatch):
-    # work counts, not times: no per-pair search, at most one tree per
-    # (source, set on its chain or the ground set), and no path built
+    # work counts, not times: no per-pair search and no path built
     built = build_strongly_laminar_instance(gen_instance(model, n, 0))[0]
     inst = StronglyLaminarInstance(built.g, built.family, built._x_num, built._x_den)
     searches = []
@@ -110,10 +113,26 @@ def test_validate_paths_and_dw_build_no_path(model, n, monkeypatch):
     monkeypatch.setattr(instance_module, "bfs_path", counting)
     inst.validate_paths(Checker())
     inst.value_and_dw(inst.ground, Checker())
-    assert not any(bad for tree in inst._trees.values() for _, _, bad in tree.values())
     assert searches == []
-    assert len(inst._trees) <= sum(len(chain) + 1 for chain in inst._chains)
     assert inst._paths == {}
+
+
+def test_validate_paths_retains_only_the_table():
+    # the sweeps that fill the cost table are dropped once their row is
+    # written: what validate_paths leaves behind on the 300-vertex cycle is
+    # about the n x n table (2.4 MB), not one search tree per source
+    built = build_strongly_laminar_instance(gen_instance("cycle", 300, 0))[0]
+    inst = StronglyLaminarInstance(built.g, built.family, built._x_num, built._x_den)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        inst.validate_paths(Checker())
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 4_000_000
 
 
 @pytest.mark.parametrize("graph", [

@@ -19,16 +19,13 @@ from .graph import Digraph, EdgeMultiset
 class Checker:
     """Counts labelled runtime checks and raises on violation.
 
-    ``check_all`` gates only three checks: `x-feasible-all-cuts` (LP
-    feasibility of an instance's x, certified by separation) and the dual
-    feasibility of every uncrossing and strongly-laminar repair step
-    (`uncross-step-feasible`, `strongly-laminar-step-feasible`).  Every
-    other check always runs; child instances are re-validated in full
-    either way, that one clause apart.
+    Every check always runs, the costliest included: `x-feasible-all-cuts`
+    (LP feasibility of an instance's x, certified by separation) and the
+    dual feasibility of every uncrossing and strongly-laminar repair step
+    (`uncross-step-feasible`, `strongly-laminar-step-feasible`).
     """
 
-    def __init__(self, check_all: bool = True):
-        self.check_all = check_all
+    def __init__(self):
         self.counters: Counter[str] = Counter()
         self.failures: list[str] = []
 

@@ -72,16 +72,14 @@ def _resolve_tour(g: Digraph, walk: list) -> EdgeMultiset:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    name, g = parse_instance(_read_source(args.instance), args.format)
-    report = run_pipeline(name, g, _epsilon(args.epsilon),
-                          with_oracle=args.oracle,
-                          check_all=args.check_all)
+    name, g = parse_instance(_read_source(args.instance))
+    report = run_pipeline(name, g, _epsilon(args.epsilon), with_oracle=args.oracle)
     print(report.to_json())
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _, g = parse_instance(_read_source(args.instance), args.format)
+    _, g = parse_instance(_read_source(args.instance))
     try:
         doc = json.loads(_read_source(args.tour))
     except ValueError as exc:  # JSONDecodeError, or an over-long integer on 3.11+
@@ -108,7 +106,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    name, g = parse_instance(_read_source(args.instance), args.format)
+    name, g = parse_instance(_read_source(args.instance))
     value = held_karp_opt(g)
     print(json.dumps({"instance": name, "held_karp_opt": format_rational(value)}))
     return EXIT_OK
@@ -122,9 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_instance_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument("instance", help="instance file, or - for stdin")
-        p.add_argument("--format", choices=("auto", "json", "tsplib"),
-                       default="auto")
+        p.add_argument("instance", help="instance file, or - for stdin; JSON when "
+                       "its first non-blank character is {, TSPLIB otherwise")
 
     solve = sub.add_parser("solve", help="run the full pipeline")
     add_instance_arg(solve)
@@ -132,9 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="approximation slack (rational, default 1)")
     solve.add_argument("--oracle", action="store_true",
                        help="also compute the exact Held-Karp optimum")
-    solve.add_argument("--check-all", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="run every internal guarantee re-validation")
     solve.set_defaults(func=cmd_solve)
 
     verify = sub.add_parser("verify", help="check a tour against an instance")

@@ -29,13 +29,15 @@ HELD_KARP_MAX_N = 18
 GENERATOR_MODELS = ("cycle", "random-strong", "two-cluster", "unit-digraph")
 
 
-def parse_instance(data: bytes | str, fmt: str = "auto") -> tuple[str, Digraph]:
+def parse_instance(data: bytes | str) -> tuple[str, Digraph]:
     """Parse an instance; returns (name, graph).
 
-    JSON schema: {"name"?: str, "n": int, "edges": [[tail, head, cost], ...]}
-    with cost an integer or a decimal/"p/q" string.  TSPLIB: TYPE ATSP with
-    EDGE_WEIGHT_FORMAT FULL_MATRIX; the matrix becomes the complete digraph
-    minus the diagonal.
+    Text whose first non-blank character is "{" is read as JSON, any other
+    as TSPLIB: a JSON instance is an object, and a TSPLIB file never starts
+    with "{".  JSON schema: {"name"?: str, "n": int, "edges": [[tail, head,
+    cost], ...]} with cost an integer or a decimal/"p/q" string.  TSPLIB:
+    TYPE ATSP with EDGE_WEIGHT_FORMAT FULL_MATRIX; the matrix becomes the
+    complete digraph minus the diagonal.
     """
     if isinstance(data, bytes):
         try:
@@ -45,14 +47,7 @@ def parse_instance(data: bytes | str, fmt: str = "auto") -> tuple[str, Digraph]:
     text = data.strip()
     if not text:
         raise InputError("empty instance input")
-    if fmt == "auto":
-        fmt = "json" if text.startswith("{") else "tsplib"
-    if fmt == "json":
-        name, g = _parse_json(text)
-    elif fmt == "tsplib":
-        name, g = _parse_tsplib(text)
-    else:
-        raise InputError(f"unknown format {fmt!r}")
+    name, g = _parse_json(text) if text.startswith("{") else _parse_tsplib(text)
     if not g.is_strongly_connected() and g.n > 1:
         raise InfeasibleInstanceError("instance graph is not strongly connected")
     return name, g
@@ -404,11 +399,10 @@ class RunReport(Record):
 
 
 def run_pipeline(name: str, g: Digraph, epsilon: Fraction,
-                 with_oracle: bool = False,
-                 check_all: bool = True) -> RunReport:
+                 with_oracle: bool = False) -> RunReport:
     """Solve, verify, optionally compare against the Held-Karp oracle, and
     assemble the report.  All sandwich inequalities are exact."""
-    checker = Checker(check_all=check_all)
+    checker = Checker()
     epsilon = Fraction(epsilon)
     timings: dict[str, float] = {}
     start = time.perf_counter()

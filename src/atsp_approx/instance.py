@@ -386,8 +386,8 @@ class StronglyLaminarInstance:
         """Re-check every clause of the instance definition.
 
         The LP-feasibility clause (every cut at least 2) is exponential to
-        check directly and is certified by the separation oracle instead;
-        it runs only when the checker has check_all enabled.
+        check directly and is certified by the separation oracle instead,
+        on every instance of at least two vertices.
         """
         checker = checker or Checker()
         g = self.g
@@ -414,7 +414,7 @@ class StronglyLaminarInstance:
         # c(x) over _den * x_den against 2 * sum(y) over _den
         checker.check(self._lp_num == 2 * sum(self._weight_num) * x_den,
                       "lp-equals-dual-objective")
-        if checker.check_all and g.n >= 2:
+        if g.n >= 2:
             from .lp import separate_subtour  # local import to avoid a cycle
 
             violated = separate_subtour(self.g, self._x_num, self._x_den)

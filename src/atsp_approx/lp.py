@@ -186,7 +186,6 @@ def solve_atsp_lp(g: Digraph, checker: Optional[Checker] = None) -> tuple[Primal
         for eid in g.out_edges[v]:
             row[eid] = row.get(eid, 0) - 1
         rows.append(row)
-    senses = [">="] * g.n
     rhs = [0] * g.n
     new_cuts = cuts
     res: Optional[simplex.LpResult] = None
@@ -195,9 +194,8 @@ def solve_atsp_lp(g: Digraph, checker: Optional[Checker] = None) -> tuple[Primal
             row = dict.fromkeys(g.delta_plus(u_set), 1)
             row.update(dict.fromkeys(g.delta_minus(u_set), 1))
             rows.append(row)
-            senses.append(">=")
             rhs.append(2)
-        res = simplex.solve_lp(g.cost_num, rows, senses, rhs, warm=res)
+        res = simplex.solve_lp(g.cost_num, rows, rhs, warm=res)
         if res.status != simplex.OPTIMAL:
             raise InternalCheckError("atsp-lp-solvable",
                                      f"status {res.status} on a strongly connected graph")
@@ -265,10 +263,9 @@ def uncross_dual(g: Digraph, dual: DualLp, checker: Optional[Checker] = None) ->
         for s in (a_set & b_set, a_set | b_set):
             y[s] = y.get(s, 0) + eps
         checker.check(_dual_objective(y) == total, "uncross-step-objective")
-        if checker.check_all:
-            step = DualLp(list(dual.a), dict(y), total, dual.den)
-            checker.check(dual_feasible(g, step), "uncross-step-feasible",
-                          lambda: (sorted(a_set), sorted(b_set)))
+        step = DualLp(list(dual.a), dict(y), total, dual.den)
+        checker.check(dual_feasible(g, step), "uncross-step-feasible",
+                      lambda: (sorted(a_set), sorted(b_set)))
     else:
         raise InternalCheckError("uncross-iteration-cap",
                                  {"support": [sorted(s) for s in y]})
@@ -309,9 +306,8 @@ def make_strongly_laminar(g: Digraph, dual: DualLp,
             dual.a[v] -= y_u
         checker.check(_dual_objective(dual.y) == dual.objective,
                       "strongly-laminar-step-objective")
-        if checker.check_all:
-            checker.check(dual_feasible(g, dual), "strongly-laminar-step-feasible",
-                          lambda: sorted(u_set))
+        checker.check(dual_feasible(g, dual), "strongly-laminar-step-feasible",
+                      lambda: sorted(u_set))
     out = DualLp(dual.a, dual.y, _dual_objective(dual.y), dual.den)
     checker.check(check_laminar(list(out.y.keys())), "strongly-laminar-support-laminar")
     checker.check(dual_feasible(g, out), "strongly-laminar-feasibility")

@@ -263,16 +263,14 @@ class LpResult:
     x is kept as integer numerators x_num over their least common
     denominator x_den.  An optimal result keeps its final tableau for a
     warm start, and its row duals are the numerators dual_num over
-    dual_den, read from that tableau's z-row on first access: the surplus
-    of row i has column -e_i, so its reduced cost is the dual of row i.  A
-    cutting loop that reads only its last round's duals thus reads them
-    once.  A warm start rewrites the tableau it takes over, so the duals of
-    a result must be read before it is warm-started from; later they are
-    refused.  x and duals give the same values as `Fraction` lists, built
-    on first access."""
+    dual_den, copied from that tableau's z-row when the result is built:
+    the surplus of row i has column -e_i, so its reduced cost is the dual
+    of row i.  The copy stays readable after a warm start has taken the
+    tableau over and rewritten it.  x and duals give the same values as
+    `Fraction` lists."""
 
-    __slots__ = ("status", "x_num", "x_den", "objective", "tableau", "dual_den",
-                 "_dual_num", "_x", "_duals")
+    __slots__ = ("status", "x_num", "x_den", "objective", "tableau", "dual_num",
+                 "dual_den")
 
     def __init__(self, status: str, x_num: list[int], x_den: int, objective: Fraction,
                  tableau: Optional[_Tableau] = None) -> None:
@@ -281,41 +279,23 @@ class LpResult:
         self.x_den = x_den
         self.objective = objective
         self.tableau = tableau
-        self.dual_den = 1 if tableau is None else tableau.zden
-        self._dual_num: Optional[list[int]] = None if tableau is not None else []
-        self._x: Optional[list[Fraction]] = None
-        self._duals: Optional[list[Fraction]] = None
-
-    @property
-    def dual_num(self) -> list[int]:
-        if self._dual_num is None:
-            tab = self.tableau
-            if tab is None:
-                raise ContractViolation("the duals of a result are gone once a warm "
-                                        "start has taken its tableau")
-            self._dual_num = tab.zrow[tab.nvars:tab.ncols]
-        return self._dual_num
+        if tableau is None:
+            self.dual_num, self.dual_den = [], 1
+        else:
+            self.dual_num = tableau.zrow[tableau.nvars:tableau.ncols]
+            self.dual_den = tableau.zden
 
     @property
     def x(self) -> list[Fraction]:
-        if self._x is None:
-            self._x = [Fraction(v, self.x_den) for v in self.x_num]
-        return self._x
+        return [Fraction(v, self.x_den) for v in self.x_num]
 
     @property
     def duals(self) -> list[Fraction]:
-        if self._duals is None:
-            den = self.dual_den
-            self._duals = [Fraction(v, den) for v in self.dual_num]
-        return self._duals
+        return [Fraction(v, self.dual_den) for v in self.dual_num]
 
     def __repr__(self) -> str:
-        if self._dual_num is None and self.tableau is None:
-            duals = "<taken by a warm start>"
-        else:
-            duals = repr(self.duals)
         return (f"LpResult(status={self.status!r}, x={self.x!r}, "
-                f"objective={self.objective!r}, duals={duals})")
+                f"objective={self.objective!r}, duals={self.duals!r})")
 
 
 def _dual(tab: _Tableau) -> str:
@@ -364,19 +344,18 @@ def _dual(tab: _Tableau) -> str:
 def solve_lp(
     objective: Sequence[Fraction | int],
     rows: Sequence[dict[int, Fraction | int]],
-    senses: Sequence[str],
     rhs: Sequence[Fraction | int],
     warm: Optional[LpResult] = None,
 ) -> LpResult:
     """Solve  min objective.x  s.t.  rows[i].x >= rhs[i],  x >= 0  exactly;
     rows are sparse {var: coeff} maps.
 
-    Every sense must be '>=' and every cost nonnegative (ContractViolation
-    otherwise), so the status is OPTIMAL or INFEASIBLE.  Coefficients,
-    costs and right-hand sides that are neither int nor `Fraction` are
-    converted with `Fraction`.  Duals follow the convention that at
-    optimality the reduced cost c_j - sum_i duals[i]*A[i][j] is nonnegative
-    for every variable; they are nonnegative.
+    Every cost must be nonnegative (ContractViolation otherwise), so the
+    status is OPTIMAL or INFEASIBLE.  Coefficients, costs and right-hand
+    sides that are neither int nor `Fraction` are converted with
+    `Fraction`.  Duals follow the convention that at optimality the
+    reduced cost c_j - sum_i duals[i]*A[i][j] is nonnegative for every
+    variable; they are nonnegative.
 
     With warm, an optimal result of this function for the same objective
     and a prefix of these rows, only the rows after that prefix are
@@ -384,17 +363,14 @@ def solve_lp(
     from its basis (see the module docstring).  An objective, row or
     right-hand side in that prefix that differs from warm's LP is refused
     with ContractViolation.  The new result takes warm's tableau over, so
-    warm cannot be warm-started from again, and warm's duals, unless read
-    before, can no longer be read.
+    warm cannot be warm-started from again; warm's x and duals stay
+    readable.
     """
     nvars = len(objective)
     nrows = len(rows)
-    if not (len(senses) == len(rhs) == nrows):
-        raise ContractViolation("rows/senses/rhs length mismatch")
+    if len(rhs) != nrows:
+        raise ContractViolation("rows/rhs length mismatch")
     check_tableau_budget(nrows, nvars)
-    for sense in senses:
-        if sense != ">=":
-            raise ContractViolation(f"solve_lp takes '>=' rows only, not {sense!r}")
     costs = [c if type(c) in _RATIONAL else Fraction(c) for c in objective]
     if any(c.numerator < 0 for c in costs):
         raise ContractViolation("solve_lp needs nonnegative costs")

@@ -47,6 +47,15 @@ _PHI_DPS = 300
 
 _RESTART_CAP = 10 ** 6
 
+# The guarantee of `vertebrate_solve`, derived from the (alpha, kappa, beta)
+# of the subtour cover: c(F) <= KAPPA * LP + eta_for(epsilon) * outside mass.
+KAPPA = SUBTOUR_COVER_KAPPA
+
+
+def eta_for(epsilon: Fraction) -> Fraction:
+    """4 alpha + beta + 1 + epsilon: 14 + epsilon with the (3,2,1) cover."""
+    return 4 * SUBTOUR_COVER_ALPHA + SUBTOUR_COVER_BETA + 1 + Fraction(epsilon)
+
 
 def knapsack_greedy(items: list[tuple[Fraction, Fraction]],
                     limit: Fraction) -> list[int]:
@@ -497,7 +506,7 @@ def vertebrate_solve(pair: VertebratePair, epsilon: Fraction,
                      cover_fn: Callable[..., EdgeMultiset] = subtour_cover,
                      checker: Optional[Checker] = None) -> EdgeMultiset:
     """Solve a vertebrate pair: returns F with E(B) + F a tour and
-    c(F) <= kappa*LP + (4 alpha + beta + 1 + epsilon) * outside mass."""
+    c(F) <= KAPPA * LP + eta_for(epsilon) * outside mass."""
     checker = checker or Checker()
     pair.validate(checker)
     ell = build_ell(pair, Fraction(epsilon), checker=checker)
@@ -510,8 +519,7 @@ def vertebrate_solve(pair: VertebratePair, epsilon: Fraction,
             checker.balanced(g, h, "solution-eulerian", range(g.n))
             checker.check(_connected_with_backbone(pair, h),
                           "solution-connects")
-            eta = 4 * SUBTOUR_COVER_ALPHA + SUBTOUR_COVER_BETA + 1 + ell.epsilon
-            checker.check(pair.cost_at_most(h, SUBTOUR_COVER_KAPPA, eta),
+            checker.check(pair.cost_at_most(h, KAPPA, eta_for(ell.epsilon)),
                           "vertebrate-bound", lambda: f"{h.cost(g)}")
             return h
         # restart with the better initialization; the potential must grow by

@@ -30,16 +30,9 @@ from .lp import build_strongly_laminar_instance
 from .pair import VertebratePair
 from .rational import over_lcm
 from .records import Record
-from .svensson import vertebrate_solve
+from .svensson import KAPPA, eta_for, vertebrate_solve
 
 ZERO = Fraction(0)
-
-KAPPA = Fraction(2)
-
-
-def eta_for(epsilon: Fraction) -> Fraction:
-    """Vertebrate-pair guarantee from the (3,2,1) subtour-cover solver."""
-    return Fraction(14) + Fraction(epsilon)
 
 
 class TourCertificate(Record):

@@ -84,7 +84,7 @@ def test_acceptance_2_oracle_sandwich(reports):
 
 
 def _full_enumeration_value(g: Digraph) -> Fraction:
-    rows, senses, rhs = [], [], []
+    rows, rhs = [], []
     for v in range(g.n):
         row = {}
         for eid in g.in_edges[v]:
@@ -92,17 +92,15 @@ def _full_enumeration_value(g: Digraph) -> Fraction:
         for eid in g.out_edges[v]:
             row[eid] = row.get(eid, F(0)) - 1
         rows.append(row)
-        senses.append(">=")  # in(v) - out(v) >= 0 at every v forces equality
-        rhs.append(F(0))
+        rhs.append(F(0))  # in(v) - out(v) >= 0 at every v forces equality
     for mask in range(1, (1 << g.n) - 1):
         u = frozenset(v for v in range(g.n) if (mask >> v) & 1)
         row = {}
         for eid in g.delta_plus(u) + g.delta_minus(u):
             row[eid] = row.get(eid, F(0)) + 1
         rows.append(row)
-        senses.append(">=")
         rhs.append(F(2))
-    res = simplex.solve_lp([e.cost for e in g.edges], rows, senses, rhs)
+    res = simplex.solve_lp([e.cost for e in g.edges], rows, rhs)
     assert res.status == simplex.OPTIMAL
     return res.objective
 

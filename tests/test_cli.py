@@ -3,8 +3,11 @@ from __future__ import annotations
 import json
 import random
 
+import pytest
+
 from atsp_approx import harness
 from atsp_approx.cli import main
+from atsp_approx.errors import InputError
 from atsp_approx.harness import GENERATOR_MODELS, gen_instance, instance_to_json
 from atsp_approx.simplex import MAX_TABLEAU_CELLS
 from fixtures import c3, two_tri
@@ -176,8 +179,7 @@ def test_tsplib_solve_end_to_end(tmp_path, capsys):
         "EDGE_WEIGHT_FORMAT: FULL_MATRIX\nEDGE_WEIGHT_SECTION\n"
         + "\n".join(rows) + "\nEOF\n"
     )
-    code, out, _ = run_cli(capsys, ["solve", str(path), "--format", "tsplib",
-                                    "--oracle"])
+    code, out, _ = run_cli(capsys, ["solve", str(path), "--oracle"])
     assert code == 0
     doc = json.loads(out)
     # sandwich holds with the exact rationals round-tripped as strings
@@ -189,15 +191,25 @@ def test_tsplib_solve_end_to_end(tmp_path, capsys):
     assert lp <= hk <= cost <= 23 * lp
 
 
-def test_no_check_all_flag(tmp_path, capsys):
-    path = tmp_path / "inst.json"
-    path.write_text(instance_to_json("c3", c3()))
-    code, out, _ = run_cli(capsys, ["solve", str(path), "--no-check-all"])
-    assert code == 0
-    doc = json.loads(out)
-    # the expensive cut re-certification is skipped, the guarantee is not
-    assert "x-feasible-all-cuts" not in doc["assertion_counts"]
-    assert doc["assertion_counts"]["approximation-guarantee"] == 1
+def test_format_is_read_from_the_first_non_blank_character(tmp_path, capsys):
+    # "{" opens a JSON instance; any other text is read as TSPLIB
+    blank = "\n \t\n"
+    name, g = harness.parse_instance(blank + instance_to_json("c3", c3()))
+    assert (name, g.n, g.m) == ("c3", 3, 3)
+    tsplib = ("NAME: k2\nTYPE: ATSP\nDIMENSION: 2\nEDGE_WEIGHT_FORMAT: FULL_MATRIX\n"
+              "EDGE_WEIGHT_SECTION\n0 1\n1 0\nEOF\n")
+    name, g = harness.parse_instance(blank + tsplib)
+    assert (name, g.n, g.m) == ("k2", 2, 2)
+    with pytest.raises(InputError, match="bad JSON"):
+        harness.parse_instance(blank + '{"n": 2, "edges": [}')
+    # a JSON array is no instance, and the TSPLIB reader says what is missing
+    with pytest.raises(InputError, match="TYPE must be ATSP"):
+        harness.parse_instance("[[0, 1, 1], [1, 0, 1]]")
+    path = tmp_path / "array.json"
+    path.write_text("[[0, 1, 1], [1, 0, 1]]")
+    code, out, err = run_cli(capsys, ["solve", str(path)])
+    assert (code, out) == (1, "")
+    assert err == "error: TYPE must be ATSP, got None\n"
 
 
 def test_solve_refuses_tableau_over_budget(tmp_path, capsys):

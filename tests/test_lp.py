@@ -31,7 +31,7 @@ F = Fraction
 
 def full_enumeration_lp_value(g: Digraph) -> Fraction:
     """Oracle: solve the LP with every one of the 2^n - 2 cut rows."""
-    rows, senses, rhs = [], [], []
+    rows, rhs = [], []
     for v in range(g.n):
         row = {}
         for eid in g.in_edges[v]:
@@ -39,17 +39,15 @@ def full_enumeration_lp_value(g: Digraph) -> Fraction:
         for eid in g.out_edges[v]:
             row[eid] = row.get(eid, F(0)) - 1
         rows.append(row)
-        senses.append(">=")  # in(v) - out(v) >= 0 at every v forces equality
-        rhs.append(F(0))
+        rhs.append(F(0))  # in(v) - out(v) >= 0 at every v forces equality
     for mask in range(1, (1 << g.n) - 1):
         u = frozenset(v for v in range(g.n) if (mask >> v) & 1)
         row = {}
         for eid in g.delta_plus(u) + g.delta_minus(u):
             row[eid] = row.get(eid, F(0)) + 1
         rows.append(row)
-        senses.append(">=")
         rhs.append(F(2))
-    res = simplex.solve_lp([e.cost for e in g.edges], rows, senses, rhs)
+    res = simplex.solve_lp([e.cost for e in g.edges], rows, rhs)
     assert res.status == simplex.OPTIMAL
     return res.objective
 
@@ -529,9 +527,9 @@ def test_subtour_lp_value_matches_highs(model, n, monkeypatch):
     rounds = []
     solve_lp = simplex.solve_lp
 
-    def recorded(objective, rows, senses, rhs, warm=None):
+    def recorded(objective, rows, rhs, warm=None):
         rounds.append((list(rows), list(rhs)))
-        return solve_lp(objective, rows, senses, rhs, warm=warm)
+        return solve_lp(objective, rows, rhs, warm=warm)
 
     monkeypatch.setattr(simplex, "solve_lp", recorded)
     primal, _ = solve_atsp_lp(g)

@@ -328,8 +328,8 @@ def compared(monkeypatch):
     refs: dict[int, tuple[simplex.LpResult, RefDualSimplex]] = {}  # by id of a live result
     solve = simplex.solve_lp
 
-    def solve_both(objective, rows, senses, rhs, warm=None):
-        res = solve(objective, rows, senses, rhs, warm=warm)
+    def solve_both(objective, rows, rhs, warm=None):
+        res = solve(objective, rows, rhs, warm=warm)
         ref = RefDualSimplex(objective) if warm is None else refs.pop(id(warm))[1]
         expected = ref.solve(rows, rhs)
         # repr compares the values and their types, so an int where the
@@ -337,7 +337,7 @@ def compared(monkeypatch):
         assert repr(res) == repr(expected)
         if res.status == OPTIMAL:
             assert (res.x_num, res.x_den) == common_denominator(expected.x)
-        two_phase = ref_solve_lp(objective, rows, senses, rhs)
+        two_phase = ref_solve_lp(objective, rows, [">="] * len(rows), rhs)
         assert (res.status, res.objective) == (two_phase.status, two_phase.objective)
         if res.status == OPTIMAL:
             refs[id(res)] = res, ref
@@ -356,8 +356,8 @@ def test_random_lps_match_reference(bland, compared, monkeypatch):
     # every pivot use Bland's rule
     if bland:
         monkeypatch.setattr(simplex, "_DEGENERATE_STREAK_LIMIT", -1)
-    for _, c, rows, senses, rhs in random_lps():
-        simplex.solve_lp(c, rows, senses, rhs)
+    for _, c, rows, rhs in random_lps():
+        simplex.solve_lp(c, rows, rhs)
     cold = len(compared)
     for _ in warm_started_lps():
         pass
@@ -404,8 +404,7 @@ def test_other_coefficient_types_are_converted(compared):
     # ints and Fractions are read as they are; any other number goes through
     # Fraction, exactly as the references convert everything
     rows = [{0: Decimal("0.5"), 1: 1.5}, {0: 2, 1: F(1, 3)}]
-    res = simplex.solve_lp([Decimal("1"), 1.0], rows, [">=", ">="],
-                           [Decimal("3"), 4.0])
+    res = simplex.solve_lp([Decimal("1"), 1.0], rows, [Decimal("3"), 4.0])
     assert res.status == OPTIMAL
     assert res.x == [F(30, 17), F(24, 17)]
     assert res.objective == F(54, 17)

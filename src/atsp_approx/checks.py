@@ -10,10 +10,20 @@ payload instead of silently producing a bad tour.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, Sequence
 
 from .errors import InternalCheckError
 from .graph import Digraph, EdgeMultiset
+
+
+def first_false(conds: Sequence[bool]) -> Optional[int]:
+    """The position of the first False among the bools, or None: with
+    `Checker.check_many`, a loop of checks evaluates its conditions into
+    one list and counts them at once."""
+    try:
+        return conds.index(False)
+    except ValueError:
+        return None
 
 
 class Checker:
@@ -37,29 +47,35 @@ class Checker:
                 detail = detail()
             raise InternalCheckError(label, detail)
 
-    def check_many(self, label: str, k: int, first_failure: Optional[int] = None,
-                   detail: Any = None) -> None:
-        """Count k conditions evaluated under one label, as k calls of
-        `check` would: all of them hold unless first_failure is the position
-        of the first that fails, and then the ones up to and including it
-        are counted and the check raises with detail."""
-        if first_failure is None:
-            if k:
-                self.counters[label] += k
-            return
-        self.counters[label] += first_failure
-        self.check(False, label, detail)
+    def check_many(self, label: str | Sequence[str], k: int,
+                   first_failure: Optional[int] = None, detail: Any = None) -> None:
+        """Count the k conditions a loop evaluates, as k calls of `check`
+        would: all of them hold unless first_failure is the position of the
+        first that fails, and then the ones up to and including it are
+        counted and the check raises with detail.  label is the label of
+        every condition, or a sequence holding the label of each, in the
+        loop's order, so that a loop checking several labels per element
+        counts each of them as far as the loop got."""
+        if isinstance(label, str):
+            passed = k if first_failure is None else first_failure
+            if passed:
+                self.counters[label] += passed
+        else:
+            self.counters.update(label[:first_failure])
+            if first_failure is not None:
+                label = label[first_failure]
+        if first_failure is not None:
+            self.check(False, label, detail)
 
     def balanced(self, g: Digraph, f: EdgeMultiset, label: str,
                  vertices: Optional[Iterable[int]] = None) -> None:
         """One check per vertex that f enters as often as it leaves: the
         vertices f touches, or else the given ones."""
         indeg, outdeg = f.degrees(g)
-        if vertices is None:
-            vertices = set(indeg) | set(outdeg)
-        for v in vertices:
-            self.check(indeg.get(v, 0) == outdeg.get(v, 0), label,
-                       lambda: f"vertex {v}")
+        verts = list(set(indeg) | set(outdeg) if vertices is None else vertices)
+        ok = [indeg.get(v, 0) == outdeg.get(v, 0) for v in verts]
+        bad = first_false(ok)
+        self.check_many(label, len(ok), bad, lambda: f"vertex {verts[bad]}")
 
     def as_dict(self) -> dict[str, int]:
         return dict(sorted(self.counters.items()))

@@ -20,19 +20,31 @@ mass.  Both bounds, and every intermediate property, are asserted exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import eq
 from typing import Optional
 
-from .checks import Checker
+from .checks import Checker, first_false
 from .errors import InternalCheckError
 from .flows import CirculationProblem
-from .graph import Digraph, EdgeMultiset, bfs_path, scc_successors, undirected_components
-from .instance import cut_value, path_crossings
+from .graph import (
+    Digraph,
+    EdgeMultiset,
+    bfs_path,
+    scc_successors,
+    undirected_components,
+    vertex_balance,
+)
+from .instance import path_crossings
 from .pair import VertebratePair
 from .records import Record
 
 FORWARD = "forward"
 BACKWARD = "backward"
 NEUTRAL = "neutral"
+
+_WITNESS_EDGE_LABEL = {BACKWARD: "witness-zero-on-backward",
+                       FORWARD: "witness-full-on-forward",
+                       NEUTRAL: "witness-bounded-on-neutral"}
 
 SUBTOUR_COVER_ALPHA = Fraction(3)
 SUBTOUR_COVER_KAPPA = Fraction(2)
@@ -205,16 +217,14 @@ def compute_witness_flow(cover: SubtourCoverInstance, levels: LevelStructure,
     x_num = inst._x_num
     cls = levels.edge_class
     outside = cover.pair.outside_vertices()
-    comps = cover.w_sets
     need = [0] * g.n  # scaled forward inflow minus outflow
     capacity: dict[int, int] = {}
     cross_count: dict[int, int] = {}
     fixed_boundary = 0
-    for e in g.edges:
+    for e, crossings in zip(g.edges, _crossing_counts(g, cover.w_sets)):
         if cls[e.eid] == BACKWARD:
             continue
         scaled = x_num[e.eid]
-        crossings = sum(1 for w in comps if (e.tail in w) != (e.head in w))
         if cls[e.eid] == NEUTRAL:
             capacity[e.eid] = scaled
             cross_count[e.eid] = crossings
@@ -251,23 +261,18 @@ def validate_witness_flow(cover: SubtourCoverInstance, levels: LevelStructure,
     inst = cover.pair.instance
     g = inst.g
     f, x = witness.f, inst._x_num
-    outside = cover.pair.outside_vertices()
-    for e in g.edges:
-        cls = levels.edge_class[e.eid]
-        if cls == BACKWARD:
-            checker.check(f[e.eid] == 0, "witness-zero-on-backward",
-                          lambda: f"edge {e.eid}")
-        elif cls == FORWARD:
-            checker.check(f[e.eid] == x[e.eid], "witness-full-on-forward",
-                          lambda: f"edge {e.eid}")
-        else:
-            checker.check(0 <= f[e.eid] <= x[e.eid],
-                          "witness-bounded-on-neutral", lambda: f"edge {e.eid}")
-    for v in sorted(outside):
-        excess = sum(f[eid] for eid in g.out_edges[v]) - sum(
-            f[eid] for eid in g.in_edges[v])
-        checker.check(excess >= 0, "witness-nonnegative-excess",
-                      lambda: f"vertex {v}")
+    classes = levels.edge_class
+    ok = [fe == 0 if cls == BACKWARD else fe == xe if cls == FORWARD else 0 <= fe <= xe
+          for cls, fe, xe in zip(classes, f, x)]
+    bad = first_false(ok)
+    checker.check_many([_WITNESS_EDGE_LABEL[cls] for cls in classes], g.m, bad,
+                       lambda: f"edge {bad}")
+    inflow, outflow = vertex_balance(g, f)
+    outside = sorted(cover.pair.outside_vertices())
+    ok = [outflow[v] >= inflow[v] for v in outside]
+    bad = first_false(ok)
+    checker.check_many("witness-nonnegative-excess", len(ok), bad,
+                       lambda: f"vertex {outside[bad]}")
     support = [e.eid for e in g.edges if f[e.eid] > 0]
     checker.check(_support_acyclic(g, support), "witness-support-acyclic")
     boundary = witness_boundary_mass(cover, witness.f)
@@ -276,22 +281,45 @@ def validate_witness_flow(cover: SubtourCoverInstance, levels: LevelStructure,
                           f"(over {inst._x_den})")
 
 
+def _crossing_counts(g: Digraph, w_sets: list[frozenset]) -> list[int]:
+    """Per edge, how many of the disjoint sets W_i it crosses (0, 1 or 2),
+    read from a component index per vertex."""
+    comp = [-1] * g.n
+    for i, w in enumerate(w_sets):
+        for v in w:
+            comp[v] = i
+    counts = []
+    for e in g.edges:
+        a, b = comp[e[1]], comp[e[2]]
+        counts.append(0 if a == b else (a >= 0) + (b >= 0))
+    return counts
+
+
 def witness_boundary_mass(cover: SubtourCoverInstance, f: list[int]) -> int:
     """sum over components W_i of f(delta(W_i)), for f given as numerators
     over any denominator and returned over the same one."""
-    g = cover.pair.instance.g
-    return sum(cut_value(g, f, w) for w in cover.w_sets)
+    counts = _crossing_counts(cover.pair.instance.g, cover.w_sets)
+    return sum(c * fe for c, fe in zip(counts, f))
 
 
 def _support_acyclic(g: Digraph, support: list[int]) -> bool:
-    """True iff the given edges contain no directed cycle, that is, every
-    strongly connected component of the subgraph they form is one vertex."""
+    """True iff the given edges contain no directed cycle: Kahn's algorithm,
+    taking out vertices that no remaining edge enters, removes them all."""
+    indeg: dict[int, int] = {}
     succ: dict[int, list[int]] = {}
     for eid in support:
         e = g.edges[eid]
         succ.setdefault(e.tail, []).append(e.head)
-        succ.setdefault(e.head, [])
-    return all(len(comp) == 1 for comp in scc_successors(succ, succ))
+        indeg[e.head] = indeg.get(e.head, 0) + 1
+    ready = [v for v in succ if v not in indeg]
+    left = len(support)
+    while ready:
+        for w in succ.get(ready.pop(), ()):
+            left -= 1
+            indeg[w] -= 1
+            if not indeg[w]:
+                ready.append(w)
+    return not left
 
 
 class AugmentedGraph:
@@ -379,9 +407,9 @@ def build_augmented_graph(cover: SubtourCoverInstance, witness: WitnessFlow,
     aug_g = Digraph(g.n + len(comps), edges, g.cost_den)
     edge_class = [classify_edge(r_aug[e.tail], r_aug[e.head])
                   for e in aug_g.edges]
-    for eid in range(aug_g.m):
-        checker.check(edge_class[eid] == levels.edge_class[base_eid[eid]],
-                      "copy-edge-class-preserved", lambda: f"edge {eid}")
+    ok = list(map(eq, edge_class, map(levels.edge_class.__getitem__, base_eid)))
+    bad = first_false(ok)
+    checker.check_many("copy-edge-class-preserved", len(ok), bad, lambda: f"edge {bad}")
     return AugmentedGraph(aug_g, g, comps, w_hat, aux_of, base_eid,
                           in_copy, out_copy, edge_class)
 
@@ -400,22 +428,17 @@ def lift_to_split(split: SplitGraph, x_vec: list, f_vec: list) -> list:
             z[lo] = f_vec[e.eid]
         if up is not None:
             z[up] = x_vec[e.eid] - f_vec[e.eid]
+    f_in, f_out = vertex_balance(base, f_vec)
     for v in range(base.n):
-        f_in = sum(f_vec[eid] for eid in base.in_edges[v])
-        f_out = sum(f_vec[eid] for eid in base.out_edges[v])
-        z[split.down_of[v]] = max(0, f_out - f_in)
+        z[split.down_of[v]] = max(0, f_out[v] - f_in[v])
         if v in split.up_of:
-            z[split.up_of[v]] = max(0, f_in - f_out)
+            z[split.up_of[v]] = max(0, f_in[v] - f_out[v])
     return z
 
 
 def is_split_circulation(split: SplitGraph, z: list[int]) -> bool:
-    for v in range(split.g.n):
-        if sum(z[eid] for eid in split.g.in_edges[v]) != sum(
-            z[eid] for eid in split.g.out_edges[v]
-        ):
-            return False
-    return True
+    inflow, outflow = vertex_balance(split.g, z)
+    return inflow == outflow
 
 
 class ReroutedCirculation:
@@ -614,10 +637,9 @@ def round_circulation(rerouted: ReroutedCirculation, aug: AugmentedGraph,
     split = rerouted.split
     sg = split.g
     z, den, cost = rerouted.z, rerouted.den, rerouted.cost
-    in_cap: dict[int, int] = {}
-    for v in range(aug.g.n):
-        node = split.upper(v)
-        in_cap[node] = _ceil2(sum(z[eid] for eid in sg.in_edges[node]), den)
+    z_in = vertex_balance(sg, z)[0]
+    upper = [split.upper(v) for v in range(aug.g.n)]
+    in_cap = {node: _ceil2(z_in[node], den) for node in upper}
     forced_nodes = {split.lower(a) if q == 0 else split.upper(a)
                     for a, q in zip(aug.aux_of, rerouted.q_level)}
     # node-split: split vertex v becomes in-node 2v and out-node 2v + 1,
@@ -640,21 +662,20 @@ def round_circulation(rerouted: ReroutedCirculation, aug: AugmentedGraph,
         raise InternalCheckError("rounding-infeasible",
                                  "2z is a feasible fractional point")
     z_star = flows[sg.n:]
-    for eid in range(sg.m):
-        checker.check(0 <= z_star[eid] <= edge_cap[eid], "rounding-edge-caps",
-                      lambda: f"edge {eid}")
+    ok = [0 <= val <= cap for val, cap in zip(z_star, edge_cap)]
+    bad = first_false(ok)
+    checker.check_many("rounding-edge-caps", len(ok), bad, lambda: f"edge {bad}")
     cost_star = sum(cost[eid] * z_star[eid] for eid in range(sg.m))
     checker.check(cost_star * den <= 2 * rerouted.cost_num, "rounding-cost-bound",
                   lambda: f"{Fraction(cost_star, rerouted.cost_den)}")
-    for v in range(aug.g.n):
-        node = split.upper(v)
-        got = sum(z_star[eid] for eid in sg.in_edges[node])
-        checker.check(got <= in_cap[node], "rounding-upper-indegree",
-                      lambda: f"vertex {v}: {got}")
+    got = vertex_balance(sg, z_star)[0]
+    ok = [got[node] <= in_cap[node] for node in upper]
+    bad = first_false(ok)
+    checker.check_many("rounding-upper-indegree", len(ok), bad,
+                       lambda: f"vertex {bad}: {got[upper[bad]]}")
     for i in range(aug.k):
         a = aug.aux_of[i]
-        in0 = sum(z_star[eid] for eid in sg.in_edges[split.lower(a)])
-        in1 = sum(z_star[eid] for eid in sg.in_edges[split.upper(a)])
+        in0, in1 = got[split.lower(a)], got[split.upper(a)]
         checker.check(in0 == 1 or in1 == 1, "rounding-aux-unit",
                       lambda: f"component {i}: {in0},{in1}")
     # project to the augmented graph
@@ -730,11 +751,11 @@ def _check_rounded_structure(f_bar: EdgeMultiset, f_star: list[int],
         checker.check(
             all(aug.edge_class[eid] != FORWARD for eid in comp_edges.mult),
             "backbone-free-no-forward", lambda: sorted(comp))
-        for v in comp:
-            if v >= aug.base.n or inst.singleton_mass((v,)) == 0:
-                continue
-            checker.check(indeg.get(v, 0) <= 2, "backbone-free-indegree",
-                          lambda: f"vertex {v}: in-degree {indeg.get(v, 0)}")
+        verts = [v for v in comp if v < aug.base.n and inst.singleton_mass((v,))]
+        ok = [indeg.get(v, 0) <= 2 for v in verts]
+        bad = first_false(ok)
+        checker.check_many("backbone-free-indegree", len(ok), bad,
+                           lambda: f"vertex {verts[bad]}: in-degree {indeg.get(verts[bad], 0)}")
 
 
 def map_back(rounded: RoundedCirculation, aug: AugmentedGraph,

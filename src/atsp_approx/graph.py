@@ -447,6 +447,18 @@ def undirected_components(g: Digraph, support: Iterable[int],
     return [frozenset(members) for members in groups]
 
 
+def vertex_balance(g: Digraph, flow: Sequence) -> tuple[list, list]:
+    """(inflow, outflow): per vertex, the total of flow[eid] over the edges
+    entering it and over the edges leaving it, summed in one pass over the
+    edges; ints when flow holds int numerators."""
+    inflow = [0] * g.n
+    outflow = [0] * g.n
+    for e, f in zip(g.edges, flow):
+        outflow[e[1]] += f
+        inflow[e[2]] += f
+    return inflow, outflow
+
+
 def is_eulerian_connected(g: Digraph, f: EdgeMultiset) -> tuple[bool, list[frozenset]]:
     """Check the balance condition and report undirected components.
 

@@ -17,7 +17,7 @@ from typing import Optional
 from .checks import Checker
 from .errors import BudgetError, InfeasibleInstanceError, InputError
 from .graph import Digraph, EdgeMultiset, euler_walk, integer_edges, is_eulerian_connected
-from .rational import MAX_DIGITS, format_rational, parse_rational
+from .rational import MAX_DIGITS, fits_digits, format_rational, parse_rational
 from .records import Record
 from .simplex import check_tableau_budget
 from .vertebrate import solve_atsp
@@ -401,9 +401,14 @@ class RunReport(Record):
 def run_pipeline(name: str, g: Digraph, epsilon: Fraction,
                  with_oracle: bool = False) -> RunReport:
     """Solve, verify, optionally compare against the Held-Karp oracle, and
-    assemble the report.  All sandwich inequalities are exact."""
+    assemble the report.  All sandwich inequalities are exact.  An epsilon
+    the report could not print exactly is refused before anything is
+    solved."""
     checker = Checker()
     epsilon = Fraction(epsilon)
+    if not fits_digits(epsilon):
+        raise InputError(f"refusing epsilon with more than {MAX_DIGITS} digits in its "
+                         "numerator or denominator")
     timings: dict[str, float] = {}
     start = time.perf_counter()
     cert = solve_atsp(g, epsilon, checker)

@@ -42,12 +42,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, eq
 from typing import Iterable, Optional, Sequence
 
-from .checks import Checker
+from .checks import Checker, first_false
 from .errors import ContractViolation
-from .graph import Digraph, EdgeMultiset, LaminarFamily, bfs_path
+from .graph import Digraph, EdgeMultiset, LaminarFamily, bfs_path, vertex_balance
 from .rational import lowest_terms
 
 _REPAIR_CAP_SLACK = 2
@@ -397,16 +397,16 @@ class StronglyLaminarInstance:
             checker.check(g.is_strongly_connected(frozenset(s)),
                           "family-set-strongly-connected",
                           lambda: sorted(s))
-        x_num, x_den, cost_num = self._x_num, self._x_den, self._cost_num
-        induced = crossing_num(g, members, self._weight_num)
-        for e in range(g.m):
-            checker.check(x_num[e] > 0, "x-positive", lambda: f"edge {e}")
-            checker.check(cost_num[e] == induced[e],
-                          "induced-cost-consistent", lambda: f"edge {e}")
-        for v in range(g.n):
-            inflow = sum(x_num[e] for e in g.in_edges[v])
-            outflow = sum(x_num[e] for e in g.out_edges[v])
-            checker.check(inflow == outflow, "x-circulation", lambda: f"vertex {v}")
+        x_num, x_den = self._x_num, self._x_den
+        positive = [v > 0 for v in x_num]
+        consistent = map(eq, self._cost_num, crossing_num(g, members, self._weight_num))
+        ok = [cond for pair in zip(positive, consistent) for cond in pair]
+        bad = first_false(ok)
+        checker.check_many(("x-positive", "induced-cost-consistent") * g.m, len(ok), bad,
+                           lambda: f"edge {bad // 2}")
+        ok = list(map(eq, *vertex_balance(g, x_num)))
+        bad = first_false(ok)
+        checker.check_many("x-circulation", g.n, bad, lambda: f"vertex {bad}")
         for s in members:
             cut = cut_value(g, x_num, s)
             checker.check(cut == 2 * x_den, "family-cut-tight",

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import simplex
-from .checks import Checker
+from .checks import Checker, first_false
 from .errors import ContractViolation, InfeasibleInstanceError, InternalCheckError
 from .flows import FlowNetwork, max_flow_min_cut
 from .graph import Digraph, LaminarFamily, check_laminar, scc_topological
@@ -351,10 +351,15 @@ def build_strongly_laminar_instance(
     family = LaminarFamily(dual2.y.items(), sub.n, dual2.den)
     g_induced = induced_graph(sub, family)
     a, den = dual2.a, dual2.den
-    for e, slack in zip(sub.edges, _dual_slack(sub, dual2)):
-        checker.check(slack == 0, "induced-cost-identity",
-                      lambda: f"edge {e.tail}->{e.head}: {g_induced.edges[e.eid].cost} != "
-                              f"{e.cost + Fraction(a[e.tail] - a[e.head], den)}")
+    ok = [slack == 0 for slack in _dual_slack(sub, dual2)]
+    bad = first_false(ok)
+
+    def detail() -> str:
+        e = sub.edges[bad]
+        return (f"edge {e.tail}->{e.head}: {g_induced.edges[e.eid].cost} != "
+                f"{e.cost + Fraction(a[e.tail] - a[e.head], den)}")
+
+    checker.check_many("induced-cost-identity", len(ok), bad, detail)
     inst = StronglyLaminarInstance(g_induced, family, x_sub, x_den)
     checker.check(inst.lp_value == primal.objective, "lp-value-invariant",
                   lambda: f"{inst.lp_value} != {primal.objective}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .checks import Checker
+from .checks import Checker, first_false
 from .errors import ContractViolation
 from .graph import EdgeMultiset, is_eulerian_connected
 from .instance import StronglyLaminarInstance
@@ -55,11 +55,12 @@ class VertebratePair(FrozenRecord):
         the prefix followed by the clause name."""
         g = self.instance.g
         outside = self.outside_vertices()
-        checker.balanced(g, h, prefix + "eulerian")
-        for eid in h.mult:
-            e = g.edge(eid)
-            checker.check(e.tail in outside and e.head in outside,
-                          prefix + "avoids-backbone", lambda: f"edge {eid}")
+        checker.balanced(g, h, prefix + "eulerian")  # every id of h is an edge of g
+        eids = list(h.mult)
+        ok = [g.edges[eid].tail in outside and g.edges[eid].head in outside for eid in eids]
+        bad = first_false(ok)
+        checker.check_many(prefix + "avoids-backbone", len(ok), bad,
+                           lambda: f"edge {eids[bad]}")
         for s in self.instance.family.nonsingletons():
             checker.check(h.crossing(g, s) == 0, prefix + "avoids-family-cuts",
                           lambda: sorted(s))

@@ -75,6 +75,12 @@ def parse_rational(value) -> Fraction:
     raise InputError(f"cannot parse rational from {type(value).__name__}")
 
 
+def fits_digits(q: Fraction) -> bool:
+    """Whether neither the numerator nor the denominator of q has more than
+    MAX_DIGITS digits, so that q can be reported and read back exactly."""
+    return abs(q.numerator) < _INT_LIMIT and q.denominator < _INT_LIMIT
+
+
 def format_rational(q: Fraction) -> str:
     """Render a Fraction as "p" or "p/q" for exact JSON round-tripping.
 
@@ -82,7 +88,7 @@ def format_rational(q: Fraction) -> str:
     `parse_rational` would not read back (and CPython would not convert),
     is refused as input too large to report exactly."""
     q = Fraction(q)
-    if abs(q.numerator) >= _INT_LIMIT or q.denominator >= _INT_LIMIT:
+    if not fits_digits(q):
         raise InputError(f"refusing to report a rational with more than {MAX_DIGITS} "
                          "digits; the instance's costs are too large")
     if q.denominator == 1:

@@ -22,10 +22,11 @@ numerators over one denominator.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-from .checks import Checker
+from .checks import Checker, first_false
 from .cover import (
     SUBTOUR_COVER_ALPHA,
     SUBTOUR_COVER_BETA,
@@ -48,13 +49,46 @@ _PHI_DPS = 300
 _RESTART_CAP = 10 ** 6
 
 # The guarantee of `vertebrate_solve`, derived from the (alpha, kappa, beta)
-# of the subtour cover: c(F) <= KAPPA * LP + eta_for(epsilon) * outside mass.
+# of the subtour cover: c(F) <= KAPPA * LP + eta * outside mass, with eta
+# from `epsilon_constants`.
 KAPPA = SUBTOUR_COVER_KAPPA
 
+_TWO_ALPHA = 2 * SUBTOUR_COVER_ALPHA
+# c(H) <= ell(backbone) + (2 + 1/(2 alpha)) ell(outside)
+_SOLUTION_FACTOR = 2 + 1 / _TWO_ALPHA
+# the backbone's budget kappa * LP + beta * (outside mass), over one denominator
+_BACKBONE_SHARE = over_lcm(SUBTOUR_COVER_KAPPA, SUBTOUR_COVER_BETA)
 
-def eta_for(epsilon: Fraction) -> Fraction:
-    """4 alpha + beta + 1 + epsilon: 14 + epsilon with the (3,2,1) cover."""
-    return 4 * SUBTOUR_COVER_ALPHA + SUBTOUR_COVER_BETA + 1 + Fraction(epsilon)
+
+class EpsilonConstants:
+    """What the budget function, the Svensson loop and the window bound
+    derive from epsilon alone:
+    eps' = epsilon / (3 + 4 alpha + 1/(2 alpha)); eta = 4 alpha + beta + 1
+    + epsilon, 14 + epsilon with the (3,2,1) cover; 1 + eps'; the
+    outside-vertex rate 2 alpha (1 + eps'); the regularity constant C with
+    ell(v) >= ell(outside) / (C n); and the window bound's factors 2 kappa
+    + 2 and kappa + eta as int numerators over one denominator."""
+
+    __slots__ = ("epsilon", "eps_prime", "eta", "one_eps", "scaled_eps",
+                 "regularity_const", "window_bound")
+
+    def __init__(self, epsilon: Fraction) -> None:
+        if epsilon.numerator <= 0:
+            raise ContractViolation("epsilon must be positive")
+        self.epsilon = epsilon
+        self.eps_prime = epsilon / (3 + 2 * _TWO_ALPHA + 1 / _TWO_ALPHA)
+        self.eta = 4 * SUBTOUR_COVER_ALPHA + SUBTOUR_COVER_BETA + 1 + epsilon
+        self.one_eps = 1 + self.eps_prime
+        self.scaled_eps = self.one_eps * _TWO_ALPHA
+        self.regularity_const = (self.scaled_eps + self.eps_prime) / self.eps_prime
+        self.window_bound = over_lcm(2 * KAPPA + 2, KAPPA + self.eta)
+
+
+@functools.lru_cache(maxsize=16)
+def epsilon_constants(epsilon: Fraction) -> EpsilonConstants:
+    """The constants of one epsilon, built on its first request; every
+    window of a solve then looks them up instead of re-deriving them."""
+    return EpsilonConstants(Fraction(epsilon))
 
 
 def knapsack_greedy(items: list[tuple[Fraction, Fraction]],
@@ -97,16 +131,14 @@ class EllFunction:
     num[v] / den, and a cost numerator of the graph times cost_scale is
     that cost over den."""
 
-    __slots__ = ("num", "den", "cost_scale", "epsilon", "eps_prime", "regularity_const", "n")
+    __slots__ = ("num", "den", "cost_scale", "consts", "n")
 
-    def __init__(self, num: list[int], den: int, cost_scale: int, epsilon: Fraction,
-                 eps_prime: Fraction, regularity_const: Fraction, n: int) -> None:
+    def __init__(self, num: list[int], den: int, cost_scale: int,
+                 consts: EpsilonConstants, n: int) -> None:
         self.num = num
         self.den = den
         self.cost_scale = cost_scale
-        self.epsilon = epsilon
-        self.eps_prime = eps_prime
-        self.regularity_const = regularity_const  # C with ell(v) >= ell(outside) / (C n)
+        self.consts = consts
         self.n = n
 
     def of(self, v: int) -> Fraction:
@@ -123,36 +155,33 @@ def build_ell(pair: VertebratePair, epsilon: Fraction,
               checker: Optional[Checker] = None) -> EllFunction:
     """The budget function for the (3,2,1) subtour-cover solver."""
     checker = checker or Checker()
-    alpha = SUBTOUR_COVER_ALPHA
-    kappa = SUBTOUR_COVER_KAPPA
-    beta = SUBTOUR_COVER_BETA
-    epsilon = Fraction(epsilon)
-    if epsilon.numerator <= 0:
-        raise ContractViolation("epsilon must be positive")
+    consts = epsilon_constants(epsilon)
+    eps_prime = consts.eps_prime
     inst = pair.instance
     g = inst.g
     n = g.n
-    two_alpha = 2 * alpha
-    eps_prime = epsilon / (3 + 2 * two_alpha + 1 / two_alpha)
     outside = pair.outside_vertices()
     mass = inst.singleton_mass(outside)
-    k, b, d = over_lcm(kappa, beta)  # for kappa * LP + beta * mass
+    k, b, d = _BACKBONE_SHARE
     backbone_total = Fraction(k * inst._lp_num + b * mass * inst._x_den,
                               d * inst._den * inst._x_den)
     # ell(v) is share on the backbone; outside it is per times the 2 y_v
     # numerator, plus eps'/n of the outside mass
-    scaled_eps = (1 + eps_prime) * two_alpha
     (share, per, floor), den = common_denominator(
-        [backbone_total / len(pair.backbone_vertices), scaled_eps / inst._den,
+        [backbone_total / len(pair.backbone_vertices), consts.scaled_eps / inst._den,
          eps_prime * mass / (n * inst._den)], g.cost_den)
     num = [share if v in pair.backbone_vertices
            else per * inst.singleton_mass((v,)) + floor for v in range(n)]
-    c_const = (scaled_eps + eps_prime) / eps_prime
-    ell = EllFunction(num, den, den // g.cost_den, epsilon, eps_prime, c_const, n)
-    outside_num = ell.num_of(outside)  # for ell(v) >= ell(outside) / (C n)
-    for v in sorted(outside):
-        checker.check(num[v] * c_const.numerator * n >= outside_num * c_const.denominator,
-                      "ell-regularity", lambda: f"vertex {v}: {ell.of(v)}")
+    ell = EllFunction(num, den, den // g.cost_den, consts, n)
+    c_const = consts.regularity_const
+    # ell(v) >= ell(outside) / (C n)
+    bound = ell.num_of(outside) * c_const.denominator
+    scale = c_const.numerator * n
+    verts = sorted(outside)
+    ok = [num[v] * scale >= bound for v in verts]
+    bad = first_false(ok)
+    checker.check_many("ell-regularity", len(ok), bad,
+                       lambda: f"vertex {verts[bad]}: {ell.of(verts[bad])}")
     checker.check(ell.num_of(pair.backbone_vertices) * backbone_total.denominator
                   == backbone_total.numerator * den, "ell-backbone-total")
     return ell
@@ -163,7 +192,7 @@ def p_exponent(ell: EllFunction) -> mpmath.mpf:
     import mpmath
 
     with mpmath.workdps(_PHI_DPS):
-        ep = mpmath.mpf(ell.eps_prime.numerator) / ell.eps_prime.denominator
+        ep = _mpf(ell.consts.eps_prime)
         return mpmath.log((2 + ep) / ep) / mpmath.log(1 + ep)
 
 
@@ -239,7 +268,7 @@ def improved_initialization(state: ComponentState, d_vertices: frozenset,
     pair = state.pair
     ell = state.ell
     g = pair.instance.g
-    eps_prime = ell.eps_prime
+    eps_prime = ell.consts.eps_prime
     if d_vertices & pair.backbone_vertices:
         raise ContractViolation("subtour touches the backbone")
     for s in pair.instance.family.nonsingletons():
@@ -362,9 +391,8 @@ def svensson_iterate(pair: VertebratePair, ell: EllFunction,
     pair.check_initialization(h_tilde, checker, "initialization-")
     check_light(pair, ell, h_tilde, checker, "initialization-light")
     state = ComponentState(pair, ell, h_tilde)
-    one_eps = 1 + ell.eps_prime
-    two_alpha = 2 * SUBTOUR_COVER_ALPHA
-    light = two_alpha * one_eps
+    one_eps = ell.consts.one_eps
+    light = ell.consts.scaled_eps
 
     def cost(edges: EdgeMultiset) -> int:
         return edges.cost_num(g) * ell.cost_scale
@@ -449,8 +477,8 @@ def svensson_iterate(pair: VertebratePair, ell: EllFunction,
             if len(anchored) == 1:
                 break
             # a cycle fits when its cost is at most ell(part) / (2 alpha)
-            limit = ell.num_of(state.parts[z_index]) * two_alpha.denominator
-            per_cost = ell.cost_scale * two_alpha.numerator
+            limit = ell.num_of(state.parts[z_index]) * _TWO_ALPHA.denominator
+            per_cost = ell.cost_scale * _TWO_ALPHA.numerator
             cycle = _find_cheap_cycle(pair, z_comp,
                                       lambda c: c * per_cost <= limit, allowed)
             if cycle is None:
@@ -490,12 +518,12 @@ def svensson_iterate(pair: VertebratePair, ell: EllFunction,
         h = h.union(added)
     outside_num = ell.num_of(pair.outside_vertices())
     checker.check(
-        x_cost * two_alpha.numerator <= outside_num * two_alpha.denominator,
+        x_cost * _TWO_ALPHA.numerator <= outside_num * _TWO_ALPHA.denominator,
         "x-ledger-bound", lambda: f"{x_cost}/{ell.den}")
     checker.check(f_cost <= ell.num_of(range(g.n)), "f-ledger-bound",
                   lambda: f"{f_cost}/{ell.den}")
     # c(H) <= ell(backbone) + (2 + 1/(2 alpha)) ell(outside)
-    factor = 2 + 1 / two_alpha
+    factor = _SOLUTION_FACTOR
     checker.check(cost(h) * factor.denominator <= outside_num * factor.numerator
                   + ell.num_of(pair.backbone_vertices) * factor.denominator,
                   "solution-cost-bound", lambda: f"{h.cost(g)}")
@@ -506,10 +534,10 @@ def vertebrate_solve(pair: VertebratePair, epsilon: Fraction,
                      cover_fn: Callable[..., EdgeMultiset] = subtour_cover,
                      checker: Optional[Checker] = None) -> EdgeMultiset:
     """Solve a vertebrate pair: returns F with E(B) + F a tour and
-    c(F) <= KAPPA * LP + eta_for(epsilon) * outside mass."""
+    c(F) <= KAPPA * LP + eta * outside mass, eta = 14 + epsilon."""
     checker = checker or Checker()
     pair.validate(checker)
-    ell = build_ell(pair, Fraction(epsilon), checker=checker)
+    ell = build_ell(pair, epsilon, checker=checker)
     g = pair.instance.g
     h_tilde = EdgeMultiset()
     for _ in range(_RESTART_CAP):
@@ -519,7 +547,7 @@ def vertebrate_solve(pair: VertebratePair, epsilon: Fraction,
             checker.balanced(g, h, "solution-eulerian", range(g.n))
             checker.check(_connected_with_backbone(pair, h),
                           "solution-connects")
-            checker.check(pair.cost_at_most(h, KAPPA, eta_for(ell.epsilon)),
+            checker.check(pair.cost_at_most(h, KAPPA, ell.consts.eta),
                           "vertebrate-bound", lambda: f"{h.cost(g)}")
             return h
         # restart with the better initialization; the potential must grow by
@@ -532,7 +560,7 @@ def vertebrate_solve(pair: VertebratePair, epsilon: Fraction,
             old_phi = result.state.phi_terms(one_plus_p)
             outside_ell = ell.of_set(pair.outside_vertices())
             threshold = _pow_term(
-                outside_ell / (ell.regularity_const * ell.n), one_plus_p
+                outside_ell / (ell.consts.regularity_const * ell.n), one_plus_p
             )
             checker.check(new_phi - old_phi > threshold,
                           "restart-potential-progress",

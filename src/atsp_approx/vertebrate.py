@@ -28,9 +28,8 @@ from .graph import (
 from .instance import StronglyLaminarInstance, induced_graph
 from .lp import build_strongly_laminar_instance
 from .pair import VertebratePair
-from .rational import over_lcm
 from .records import Record
-from .svensson import KAPPA, eta_for, vertebrate_solve
+from .svensson import KAPPA, epsilon_constants, vertebrate_solve
 
 ZERO = Fraction(0)
 
@@ -196,9 +195,9 @@ def reduce_and_solve(inst: StronglyLaminarInstance, w_set: frozenset,
         inst, w_set, checker
     )
     child = pair.instance
-    eta = eta_for(epsilon)
+    consts = epsilon_constants(epsilon)
     solution = vp_solver(pair)
-    checker.check(pair.cost_at_most(solution, KAPPA, eta), "solver-contract",
+    checker.check(pair.cost_at_most(solution, KAPPA, consts.eta), "solver-contract",
                   lambda: f"{solution.cost(child.g)}")
 
     outside_vertex = (cmap.child_of(min(inst.ground - w_set))
@@ -239,7 +238,7 @@ def reduce_and_solve(inst: StronglyLaminarInstance, w_set: frozenset,
                   "window-tour-spans",
                   lambda: sorted(w_set - (support_comp or frozenset())))
     # c(T) <= (2 kappa + 2) value(W) + (kappa + eta) (value(W) - D_W)
-    c1, c2, d = over_lcm(2 * KAPPA + 2, KAPPA + eta)
+    c1, c2, d = consts.window_bound
     checker.check(inst.cost_num(total) * d <= c1 * val_num + c2 * (val_num - d_num),
                   "window-cost-bound", lambda: f"{total.cost(inst.g)}")
     return total

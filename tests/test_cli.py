@@ -165,6 +165,40 @@ def test_bad_epsilon(tmp_path, capsys):
     assert code == 1
 
 
+EPSILON_TOO_LONG = ("error: refusing epsilon with more than 4300 digits in its numerator "
+                    "or denominator\n")
+
+
+def _solve_forbidden(*args):
+    raise AssertionError("an epsilon that cannot be reported was solved with")
+
+
+@pytest.mark.parametrize("epsilon", ["1e-4300", "1e4300"])
+def test_epsilon_too_long_to_report_is_refused_before_solving(epsilon, tmp_path, capsys,
+                                                              monkeypatch):
+    # 10^4300 has 4301 digits: as a numerator or a denominator it could not
+    # be printed in the report, so the CLI refuses it with one line and
+    # exit 1 before any LP is built
+    monkeypatch.setattr(harness, "solve_atsp", _solve_forbidden)
+    path = tmp_path / "inst.json"
+    path.write_text(instance_to_json("c3", c3()))
+    code, out, err = run_cli(capsys, ["solve", str(path), "--epsilon", epsilon])
+    assert (code, out, err) == (1, "", EPSILON_TOO_LONG)
+
+
+def test_run_pipeline_refuses_an_epsilon_too_long_to_report(monkeypatch):
+    from fractions import Fraction
+
+    g = c3()
+    limit = 10 ** 4300
+    assert harness.run_pipeline("c3", g, Fraction(1, limit - 1)).tour_cost == 3
+    monkeypatch.setattr(harness, "solve_atsp", _solve_forbidden)
+    for epsilon in (Fraction(1, limit), Fraction(limit), Fraction(limit + 1, 3)):
+        with pytest.raises(InputError) as info:
+            harness.run_pipeline("c3", g, epsilon)
+        assert "epsilon" in str(info.value)
+
+
 def test_tsplib_solve_end_to_end(tmp_path, capsys):
     path = tmp_path / "five.atsp"
     rows = [

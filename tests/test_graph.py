@@ -20,6 +20,7 @@ from atsp_approx.graph import (
     scc_successors,
     scc_topological,
     undirected_components,
+    vertex_balance,
 )
 from fixtures import c3, k2, multiset, two_tri
 
@@ -180,6 +181,50 @@ def test_support_acyclic_detects_cycles():
     n = 3000  # deeper than the interpreter's recursion limit
     path = Digraph(n, [(i, i + 1, 1) for i in range(n - 1)])
     assert _support_acyclic(path, list(range(n - 1)))
+
+
+def _random_multigraph(rng: random.Random, n: int) -> Digraph:
+    """Random arcs plus, now and then, a parallel or antiparallel copy of
+    one already drawn."""
+    arcs: list[tuple[int, int, int]] = []
+    for _ in range(rng.randint(0, 3 * n) if n > 1 else 0):
+        if arcs and rng.random() < 0.3:
+            t, h, _ = rng.choice(arcs)
+            arcs.append((t, h, 1) if rng.random() < 0.5 else (h, t, 1))
+        else:
+            t, h = rng.sample(range(n), 2)
+            arcs.append((t, h, 1))
+    return Digraph(n, arcs)
+
+
+def test_support_acyclic_agrees_with_the_scc_definition_on_random_multigraphs():
+    # Kahn's algorithm against "every strongly connected component of the
+    # support is one vertex", on supports that are empty, acyclic or not
+    rng = random.Random(13)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        g = _random_multigraph(rng, rng.randint(2, 8))
+        support = [eid for eid in range(g.m) if rng.random() < rng.choice((0, 0.3, 0.7, 1))]
+        succ: dict[int, list[int]] = {}
+        for eid in support:
+            succ.setdefault(g.edges[eid].tail, []).append(g.edges[eid].head)
+            succ.setdefault(g.edges[eid].head, [])
+        expected = all(len(comp) == 1 for comp in scc_successors(succ, succ))
+        assert _support_acyclic(g, support) == expected, (g.edges, support)
+        seen[expected] += 1
+    assert min(seen.values()) > 50
+
+
+def test_vertex_balance_matches_per_vertex_sums_on_random_multigraphs():
+    rng = random.Random(17)
+    for _ in range(200):
+        g = _random_multigraph(rng, rng.randint(1, 8))
+        flow = [rng.choice((0, 0, 1, 2, 7)) for _ in range(g.m)]
+        inflow, outflow = vertex_balance(g, flow)
+        assert inflow == [sum(flow[eid] for eid in g.in_edges[v]) for v in range(g.n)]
+        assert outflow == [sum(flow[eid] for eid in g.out_edges[v]) for v in range(g.n)]
+    fractions = [F(1, 3), F(2, 3)]
+    assert vertex_balance(k2(), fractions) == ([F(2, 3), F(1, 3)], [F(1, 3), F(2, 3)])
 
 
 def test_euler_walk_triangle():

@@ -153,7 +153,7 @@ def _reference_restart(pair, ell: EllFunction, h_tilde, cover_edges):
             return frozenset(state.parts[i]).union(*(c for c, _ in by_index[i]))
     for comp, _ in cover_edges.components(g):
         i = state.ind(comp)
-        if i and ell.of_set(comp) > (1 + ell.eps_prime) * ell.of_set(state.parts[i]):
+        if i and ell.of_set(comp) > (1 + ell.consts.eps_prime) * ell.of_set(state.parts[i]):
             return comp
     return None
 
@@ -167,7 +167,7 @@ def test_budget_overrun_by_one_unit_takes_the_fraction_branch(eps_prime, over,
     pair = _singleton_ring(10)
     g = pair.instance.g
     ell = build_ell(pair, eps_prime * F(91, 6))
-    assert ell.eps_prime == eps_prime
+    assert ell.consts.eps_prime == eps_prime
     h_tilde = _path_cycle(g, {5, 6}, 1)
     cover_edges = _path_cycle(g, {2, 3, 4, 5}, 2).union(_path_cycle(g, {6, 7, 8, 9}, 2))
     part = ComponentState(pair, ell, h_tilde).parts[1]

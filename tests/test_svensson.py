@@ -110,7 +110,7 @@ def test_ell_values_and_regularity():
     pair = ring_pair()
     checker = Checker()
     ell = build_ell(pair, F(1), checker=checker)
-    assert ell.eps_prime == F(6, 91)
+    assert ell.consts.eps_prime == F(6, 91)
     # outside vertices: (1+e')*2*alpha*2y + e'/n * mass with mass = 5
     assert ell.of(1) == F(97, 91) * 6 + F(6, 91) * F(5, 6)
     assert ell.of(0) == 2 * pair.instance.lp_value + 1 * 5
@@ -233,3 +233,33 @@ def test_vertebrate_solve_small_epsilon():
     pair = make_pair(two_tri())
     f = vertebrate_solve(pair, F(1, 10))
     assert_vertebrate_contract(pair, f, F(1, 10))
+
+
+def test_epsilon_constants_are_built_once_per_solve(monkeypatch):
+    # a nested-clusters pool instance whose solve opens several windows:
+    # every window reads the constants of epsilon, and the constants are
+    # built once, on the first request for that epsilon
+    from atsp_approx import svensson
+    from atsp_approx.harness import parse_instance, run_pipeline
+    from fixtures import perfbench_workloads
+
+    batch = perfbench_workloads().make_batch("nested-clusters", 1)
+    name, g = parse_instance(batch[0][2])
+    real = svensson.EpsilonConstants
+    builds = []
+
+    def counted(epsilon):
+        builds.append(epsilon)
+        return real(epsilon)
+
+    monkeypatch.setattr(svensson, "EpsilonConstants", counted)
+    svensson.epsilon_constants.cache_clear()
+    for epsilon, eta in ((F(1), F(15)), (F(1, 2), F(29, 2)), (F(1), F(15))):
+        before = len(builds)
+        report = run_pipeline(name, g, epsilon)
+        assert report.assertion_counts["window-cost-bound"] >= 3
+        assert len(builds) - before <= 1
+        consts = svensson.epsilon_constants(epsilon)
+        assert (consts.epsilon, consts.eta) == (epsilon, eta)
+    assert builds == [F(1), F(1, 2)]
+    assert svensson.epsilon_constants(F(1, 2)).eps_prime == F(3, 91)

@@ -34,7 +34,6 @@ from .graph import (
     undirected_components,
     vertex_balance,
 )
-from .instance import path_crossings
 from .pair import VertebratePair
 from .records import Record
 
@@ -779,6 +778,8 @@ def map_back(rounded: RoundedCirculation, aug: AugmentedGraph,
         i_tail = aug.aux_index(e.tail)
         if i_tail is not None:
             exit_[i_tail] = g.edge(base).tail
+    members = inst.family.members
+    nonsingletons = [j for j, s in enumerate(members) if len(s) > 1]
     for i in range(aug.k):
         s, t = entry[i], exit_[i]
         checker.check(s in aug.w_hat[i] and t in aug.w_hat[i],
@@ -786,10 +787,14 @@ def map_back(rounded: RoundedCirculation, aug: AugmentedGraph,
         path = bfs_path(g, s, t, allowed_vertices=aug.w_sets[i])
         checker.check(path is not None, "map-back-path-exists",
                       lambda: f"component {i}: {s}->{t}")
-        for s_fam in inst.family.nonsingletons():
-            enters, exits = path_crossings(g, path, s_fam)
-            checker.check(enters == 0 and exits == 0, "map-back-path-in-component",
-                          lambda: f"component {i} crosses {sorted(s_fam)}")
+        crossed = 0  # the family sets the path enters or exits
+        for eid in path:
+            crossed |= inst._enter_mask[eid] | inst._exit_mask[eid]
+        ok = [not crossed >> j & 1 for j in nonsingletons]
+        bad = first_false(ok)
+        checker.check_many("map-back-path-in-component", len(ok), bad,
+                           lambda: f"component {i} crosses "
+                                   f"{sorted(members[nonsingletons[bad]])}")
         path_cost = sum(inst._cost_num[eid] for eid in path)
         mass = inst.singleton_mass(aug.w_sets[i])
         checker.check(path_cost <= mass, "map-back-path-cost",

@@ -19,23 +19,24 @@ each and are kept only that way, in least terms; the costs are scaled once
 to the weights' denominator.  Every sum and comparison runs on those ints,
 and `validate` re-checks the very integers every later stage reads.
 
-The nice u-v path starts from the fewest-edge u-v path inside the hull,
-ties to the smallest edge ids, as `graph.bfs_path` finds it; a path that
-enters or exits some set twice is repaired set by set.  A path is built
-only when `nice_path` asks for it (or its pair needs a repair) and is
-memoized then, as is each window's value(W).
+Inside a hull (a family set, or the ground set), a *block* is a child set
+(the next set of its vertices' chains) or a vertex in no child set, and is
+numbered by its smallest vertex.  The nice u-v path follows the block path
+that a breadth-first search from u's block finds inside the hull, scanning
+each block's vertices in increasing order and their out-edges by id; each
+block it crosses is bridged by the nice path, one level down, between where
+the path enters and leaves it.  Every family set then meets the path in one
+stretch, so the path is nice by construction.  A path is built only when
+`nice_path` asks for it and is memoized then, as is each window's value(W).
 
 The nice-path costs of all n^2 ordered pairs form one table, built once
 per instance (`validate_paths` builds it; `value_and_dw` builds it on
-first use otherwise) by one breadth-first sweep per (source, hull) for all
-the targets whose hull it is.  A truncated search is a prefix of the full
-one, so each sweep path is the path `bfs_path` finds for its end; the
-sweep carries each path's cost (an integer numerator over one
-instance-wide denominator) and the sets it crosses twice, so a pair that
-needs no repair gets its cost and niceness from the sweep and no path is
-built.  A sweep is dropped once its row is written.  Every window's D_W is
-then a scan of table rows, and `validate_paths` re-walks only the stored
-paths.
+first use otherwise), innermost hull first, by one block search per
+(hull, block) that serves every source in the block: the entry for u, v
+is the entry from u to the tail of the path's first edge, plus the cost
+from there to where it enters v's block, plus the entry from there to v.
+No path is built for the table.  Every window's D_W is then a scan of
+table rows, and `validate_paths` re-walks only the stored paths.
 """
 
 from __future__ import annotations
@@ -47,23 +48,8 @@ from typing import Iterable, Optional, Sequence
 
 from .checks import Checker, first_false
 from .errors import ContractViolation
-from .graph import Digraph, EdgeMultiset, LaminarFamily, bfs_path, vertex_balance
+from .graph import Digraph, EdgeMultiset, LaminarFamily, vertex_balance
 from .rational import lowest_terms
-
-_REPAIR_CAP_SLACK = 2
-
-
-def path_crossings(g: Digraph, path: Iterable[int], s: frozenset) -> tuple[int, int]:
-    """(#entries, #exits) of the edge path across the vertex set."""
-    enters = exits = 0
-    for eid in path:
-        e = g.edge(eid)
-        tin, hin = e.tail in s, e.head in s
-        if hin and not tin:
-            enters += 1
-        elif tin and not hin:
-            exits += 1
-    return enters, exits
 
 
 def cut_value(g: Digraph, x: Sequence, s: frozenset):
@@ -206,33 +192,67 @@ class StronglyLaminarInstance:
             return ()
         path = self._paths.get((v, w))
         if path is None:
-            path = self._paths[(v, w)] = tuple(self._compute_nice_path(v, w))
+            path = self._paths[(v, w)] = self._compute_nice_path(v, w)
         return path
 
-    def _compute_nice_path(self, u: int, v: int) -> list[int]:
-        g = self.g
-        hull = self.hull(u, v)
-        path = bfs_path(g, u, v, allowed_vertices=hull)
-        if path is None:
+    def _compute_nice_path(self, u: int, v: int) -> tuple[int, ...]:
+        """The block path from u's block to v's inside their hull, each
+        block on it crossed by the nice path from where the path enters it
+        to where it leaves."""
+        edges = self.g.edges
+        k = _common_prefix(self._chains[u], self._chains[v])
+        hull = self.family.members[self._chains[u][k - 1]] if k else self.ground
+        block, verts = self._blocks(hull, k)
+        entered = self._search(block, verts, block[u])
+        b = block[v]
+        if b not in entered:
             raise ContractViolation(f"no {u}-{v} path inside {sorted(hull)}; "
                                     "instance not strongly laminar")
-        cap = len(self.family) + _REPAIR_CAP_SLACK
-        for _ in range(cap):
-            index = self._first_violated(path)
-            if index is None:
-                return path
-            violated = self.family.members[index]  # maximal among the violated
-            verts = _path_vertices(g, u, path)
-            inside = [i for i, w in enumerate(verts) if w in violated]
-            first, last = inside[0], inside[-1]
-            repair = bfs_path(g, verts[first], verts[last], allowed_vertices=violated)
-            if repair is None:
-                raise ContractViolation(
-                    f"family set {sorted(violated)} does not induce a strongly "
-                    "connected subgraph"
-                )
-            path = path[:first] + repair + path[last:]
-        raise ContractViolation("nice-path repair loop exceeded the family-size cap")
+        steps = []
+        while entered[b] is not None:
+            steps.append(entered[b])
+            b = block[edges[steps[-1]].tail]
+        path, at = [], u
+        for eid in reversed(steps):
+            path += self.nice_path(at, edges[eid].tail)
+            path.append(eid)
+            at = edges[eid].head
+        path += self.nice_path(at, v)
+        return tuple(path)
+
+    def _blocks(self, hull: frozenset, k: int) -> tuple[dict[int, int], dict[int, list[int]]]:
+        """The blocks of a hull whose vertices share the first k sets of
+        their chains: each child set (the (k+1)-th set of its vertices'
+        chains) and each vertex in none, numbered by its smallest vertex.
+        Returns each vertex's block and each block's vertices in
+        increasing order."""
+        chains = self._chains
+        block: dict[int, int] = {}
+        verts: dict[int, list[int]] = {}
+        first: dict[int, int] = {}  # child set index -> its smallest vertex
+        for v in sorted(hull):
+            chain = chains[v]
+            b = block[v] = first.setdefault(chain[k], v) if len(chain) > k else v
+            verts.setdefault(b, []).append(v)
+        return block, verts
+
+    def _search(self, block: dict[int, int], verts: dict[int, list[int]],
+                a: int) -> dict[int, Optional[int]]:
+        """Breadth-first search over the blocks from block a, scanning each
+        block's vertices in increasing order and their out-edges by id:
+        the edge that entered each block reached (None for a), in the order
+        the blocks were reached."""
+        edges, out_edges = self.g.edges, self.g.out_edges
+        entered: dict[int, Optional[int]] = {a: None}
+        order = [a]
+        for b in order:
+            for v in verts[b]:
+                for eid in out_edges[v]:
+                    c = block.get(edges[eid].head, a)  # a: outside the hull
+                    if c not in entered:
+                        entered[c] = eid
+                        order.append(c)
+        return entered
 
     def is_nice(self, u: int, v: int, path: Iterable[int]) -> bool:
         path = list(path)
@@ -282,56 +302,35 @@ class StronglyLaminarInstance:
         return table
 
     def _build_path_table(self) -> list[list[int]]:
-        """Each row u comes from breadth-first sweeps from u, one per depth
-        of u's chain at which some vertex has its hull with u (the vertices
-        of that set outside the next one), outermost first, so each
-        vertex's entry is last written by the sweep inside its hull.  A
-        sweep scans out-edges in id order as `graph.bfs_path` does, so each
-        sweep path is the path a search for its end alone finds; it carries
-        the path's cost and the sets the path enters, exits, and enters or
-        exits twice.  A vertex whose path crosses a set twice takes the
-        cost of its repaired `nice_path`."""
+        """The hulls innermost first, and in each one block search per
+        block, which serves every source u in the block.  Blocks are taken
+        in the order the search reached them: the nice path from u to v in
+        a block b is the one to the tail t of the edge t -> e that entered
+        b, that edge, then the one from e to v inside b, so table[u][v] is
+        table[u][t] + the edge's cost + table[e][v], the first term already
+        written (t lies in u's block, filled with an inner hull, or in a
+        block reached earlier) and the last filled with an inner hull."""
         n = self.g.n
-        members = self.family.members
-        edges, out_edges = self.g.edges, self.g.out_edges
-        enter, leave, cost = self._enter_mask, self._exit_mask, self._cost_num
-        table = []
-        for u in range(n):
-            sets = [self.ground] + [members[i] for i in self._chains[u]]
-            sizes = [len(s) for s in sets] + [1]
-            row = [0] * n
-            repair = []
-            for k, hull in enumerate(sets):
-                if sizes[k] == sizes[k + 1]:
-                    continue  # the next set is this one, or {u} is
-                inner = sets[k + 1] if k + 1 < len(sets) else ()
-                # vertex -> (path cost, sets entered, sets exited, sets crossed twice)
-                seen = {u: (0, 0, 0, 0)}
-                frontier = [u]
-                while frontier:
-                    nxt = []
-                    for v in frontier:
-                        c, entered, exited, bad = seen[v]
-                        for eid in out_edges[v]:
-                            w = edges[eid].head
-                            if w in seen or w not in hull:
-                                continue
-                            into, out = enter[eid], leave[eid]
-                            twice = bad | (entered & into) | (exited & out)
-                            row[w] = c_w = c + cost[eid]
-                            seen[w] = (c_w, entered | into, exited | out, twice)
-                            if twice and w not in inner:
-                                repair.append(w)
-                            nxt.append(w)
-                    frontier = nxt
-                if len(seen) < sizes[k]:
-                    v = min(hull - seen.keys())
-                    raise ContractViolation(f"no {u}-{v} path inside "
-                                            f"{sorted(self.hull(u, v))}; "
+        edges, cost, chains = self.g.edges, self._cost_num, self._chains
+        table = [[0] * n for _ in range(n)]
+        hulls = [(self.ground, 0)] + [(s, chains[min(s)].index(i) + 1)
+                                     for i, s in enumerate(self.family.members)]
+        for hull, k in reversed(hulls):  # members come outermost first
+            block, verts = self._blocks(hull, k)
+            for a in verts if len(verts) > 1 else ():
+                entered = self._search(block, verts, a)
+                if len(entered) < len(verts):
+                    v = min(b for b in verts if b not in entered)
+                    raise ContractViolation(f"no {a}-{v} path inside {sorted(hull)}; "
                                             "instance not strongly laminar")
-            for w in repair:
-                row[w] = sum(cost[eid] for eid in self.nice_path(u, w))
-            table.append(row)
+                steps = [(edges[eid].tail, cost[eid], table[edges[eid].head], verts[b])
+                         for b, eid in entered.items() if eid is not None]
+                for u in verts[a]:
+                    row = table[u]
+                    for t, c, into, inside in steps:
+                        base = row[t] + c
+                        for v in inside:
+                            row[v] = base + into[v]
         return table
 
     def value(self, w_set: frozenset) -> int:

@@ -340,17 +340,12 @@ def _connected_with_backbone(pair: VertebratePair, h: EdgeMultiset) -> bool:
 
 
 def _allowed_cycle_edges(pair: VertebratePair) -> set[int]:
-    g = pair.instance.g
+    inst = pair.instance
     outside = pair.outside_vertices()
-    nonsingletons = pair.instance.family.nonsingletons()
-    allowed = set()
-    for e in g.edges:
-        if e.tail not in outside or e.head not in outside:
-            continue
-        crossing = any((e.tail in s) != (e.head in s) for s in nonsingletons)
-        if not crossing:
-            allowed.add(e.eid)
-    return allowed
+    nonsingletons = sum(1 << j for j, s in enumerate(inst.family.members) if len(s) > 1)
+    return {e.eid for e in inst.g.edges
+            if e.tail in outside and e.head in outside
+            and not (inst._enter_mask[e.eid] | inst._exit_mask[e.eid]) & nonsingletons}
 
 
 def _find_cheap_cycle(pair: VertebratePair, z_vertices: frozenset,

@@ -109,7 +109,7 @@ def test_reduction_heavy_digest(name):
     assert _digest(report) == REDUCTION_DIGESTS[name]
 
 
-REFERENCE_DIGEST = "a9f472bba2ad1a8676de9f293f292117169655657502ddedf650b255f826f0cd"
+REFERENCE_DIGEST = "d7383e46dba2068f830457600fff465e3a724d05e43591edcca8106a72b52fd3"
 
 
 def reference_reports():

@@ -7,7 +7,7 @@ import pytest
 from atsp_approx.checks import Checker
 from atsp_approx.errors import ContractViolation, InternalCheckError
 from atsp_approx.graph import Digraph, LaminarFamily, integer_edges
-from atsp_approx.instance import StronglyLaminarInstance, induced_graph, path_crossings
+from atsp_approx.instance import StronglyLaminarInstance, induced_graph
 from atsp_approx.lp import build_strongly_laminar_instance
 from fixtures import c3, k2, rational_instance, two_tri
 from oracles import family_or_ground
@@ -62,12 +62,15 @@ def test_detour_instance_is_valid():
 
 
 def test_nice_path_repairs_double_entry():
+    from test_instance_reference import ref_crossings, ref_is_nice
+
     inst = detour_instance()
-    # naive BFS would take 0 -> 1 -> 3 -> 2 -> 5, entering {1,2,4} twice;
-    # the repair reroutes through the inner cycle
-    assert list(inst.nice_path(0, 5)) == [0, 5, 6, 3]
-    enters, exits = path_crossings(inst.g, inst.nice_path(0, 5), L3)
-    assert enters == 1 and exits == 1
+    # the fewest-edge path 0 -> 1 -> 3 -> 2 -> 5 enters {1,2,4} twice; the
+    # nice path crosses {1,2,4} as one block, by the inner cycle
+    path = inst.nice_path(0, 5)
+    assert list(path) == [0, 5, 6, 3]
+    assert ref_is_nice(inst, 0, 5, path)
+    assert ref_crossings(inst.g, path, L3) == (1, 1)
 
 
 def test_nice_path_stays_in_innermost_set():
@@ -80,14 +83,26 @@ def test_nice_path_stays_in_innermost_set():
 
 
 def test_nice_path_triangle_singletons():
+    from test_instance_reference import ref_crossings
+
     inst, _, _ = build_strongly_laminar_instance(c3())
     for u in range(3):
         for v in range(3):
             if u != v:
                 path = inst.nice_path(u, v)
                 for s in inst.family:
-                    enters, exits = path_crossings(inst.g, path, s)
+                    enters, exits = ref_crossings(inst.g, path, s)
                     assert enters <= 1 and exits <= 1
+
+
+def test_nice_path_needs_a_strongly_connected_hull():
+    # {0, 1} induces only the arc 0 -> 1, so no 1-0 path stays inside it
+    family = LaminarFamily([(frozenset({0, 1}), 1)], 3, 1)
+    inst = StronglyLaminarInstance(induced_graph(c3(), family), family, [1] * 3, 1)
+    with pytest.raises(ContractViolation, match=r"no 1-0 path inside \[0, 1\]"):
+        inst.nice_path(1, 0)
+    with pytest.raises(ContractViolation, match=r"no 1-0 path inside \[0, 1\]"):
+        inst.validate_paths(Checker())
 
 
 def test_cost_identity_on_detour_fixture():

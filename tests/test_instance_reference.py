@@ -1,13 +1,16 @@
 """Differential test of the instance layer against the member-scan reference.
 
 `StronglyLaminarInstance` finds hulls and crossing counts from per-vertex
-chains and builds nice paths on request.  The functions below are the
-eager implementation it replaced, which scans every family member for each
-query; both must agree on every nice path, hull, niceness verdict and
-(value(W), D_W, argmax) over the fixtures, the generated instances, the
-child instances of their first reductions, and random laminar families on
-random digraphs (whose nice paths often need more than one repair, so the
-order in which violated sets are repaired shows).
+chains, builds nice paths on request through the laminar tree, and fills
+the nice-path cost table from block searches.  The functions below scan
+every family member for each query.  Over the fixtures, the generated
+instances, the child instances of their first reductions, and random
+laminar families on random digraphs (where the fewest-edge path in a hull
+is often not nice), every hull and niceness verdict must agree with the
+reference, and every nice path must be nice and stay in its hull by the
+reference's count, cost exactly its table entry, satisfy the
+crossing-weight identity in every window holding both ends, and give the
+reference's (value(W), D_W, argmax).
 """
 
 from __future__ import annotations
@@ -58,28 +61,6 @@ def ref_hull(inst, u, v):
         if {u, v} <= s and len(s) < len(best):
             best = s
     return best
-
-
-def ref_nice_path(inst, u, v):
-    g = inst.g
-    path = bfs_path(g, u, v, allowed_vertices=ref_hull(inst, u, v))
-    assert path is not None
-    for _ in range(len(inst.family) + 2):
-        violated = None
-        for s in inst.family.members:
-            enters, exits = ref_crossings(g, path, s)
-            if enters > 1 or exits > 1:
-                violated = s
-                break
-        if violated is None:
-            return tuple(path)
-        verts = ref_path_vertices(g, u, path)
-        inside = [i for i, w in enumerate(verts) if w in violated]
-        first, last = inside[0], inside[-1]
-        repair = bfs_path(g, verts[first], verts[last], allowed_vertices=violated)
-        assert repair is not None
-        path = path[:first] + repair + path[last:]
-    raise AssertionError("repair loop exceeded the family-size cap")
 
 
 def ref_is_nice(inst, u, v, path):
@@ -178,19 +159,24 @@ def _assert_matches_member_scan(name, inst):
     # a copy with cold memo tables
     inst = StronglyLaminarInstance(inst.g, inst.family, inst._x_num, inst._x_den)
     n = inst.g.n
+    table = inst._path_table()
     paths = {}
     for u in range(n):
         for v in range(n):
             assert inst.hull(u, v) == ref_hull(inst, u, v), (name, u, v)
             if u == v:
                 continue
-            paths[(u, v)] = ref_nice_path(inst, u, v)
-            assert inst.nice_path(u, v) == paths[(u, v)], (name, u, v)
-            assert inst.is_nice(u, v, paths[(u, v)]), (name, u, v)
+            paths[(u, v)] = path = inst.nice_path(u, v)
+            assert ref_is_nice(inst, u, v, path), (name, u, v)
+            assert table[u][v] == sum(inst._cost_num[eid] for eid in path), (name, u, v)
             # a shortest path through the whole graph is often not nice
             raw = bfs_path(inst.g, u, v)
             assert inst.is_nice(u, v, raw) == ref_is_nice(inst, u, v, raw), (name, u, v)
     for w_set in family_or_ground(inst):
+        identity = Checker()
+        for u in sorted(w_set):
+            for v in sorted(w_set):
+                inst.nice_path_cost_identity(w_set, u, v, identity)
         got, want = Checker(), Checker()
         expected = ref_value_and_dw(inst, w_set, paths, want)
         val, d_w, u, v = inst.value_and_dw(w_set, got)

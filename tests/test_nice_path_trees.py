@@ -1,14 +1,14 @@
 """Invariants of the nice paths and the nice-path cost table of
 `StronglyLaminarInstance`.
 
-One breadth-first sweep per (source, hull) stands in for the per-pair
-searches: each pair's table entry must be the cost of the path
-`graph.bfs_path` finds inside the hull when that path is nice, and a path
-is built only for a pair that needs a repair or that `nice_path` asks for.
-The sweeps are not kept: once the table is built, the memory held is the
-table's.  The table read by `validate_paths` and `value_and_dw` must agree
-with the paths entry by entry, and its checks must count as a per-pair
-loop would.
+Both come from one breadth-first search over the blocks of a hull (its
+child sets, and its vertices in none): a nice path follows the block path
+and crosses each block by a nice path inside it, and the table takes one
+search per (hull, block) for every source in the block.  So every path
+must be nice and stay in its hull, each table entry must be its path's
+cost, and `validate_paths` and `value_and_dw` must build no path.  The
+searches are not kept: once the table is built, the memory held is the
+table's.  The checks on the table must count as a per-pair loop would.
 """
 
 from __future__ import annotations
@@ -28,37 +28,33 @@ from atsp_approx.lp import build_strongly_laminar_instance
 from test_determinism import nested_hub
 from test_instance import detour_instance
 from test_instance_reference import (_fixtures, _generated, _random_laminar, _with_children,
-                                     ref_nice_path)
+                                     ref_is_nice)
 
 
 def _assert_tree_invariants(name, inst):
-    """Validates a cold copy of inst, then checks every ordered pair against
-    a search of its own; returns the repaired pairs."""
+    """Validates a cold copy of inst, then checks the nice path of every
+    ordered pair; returns the pairs whose fewest-edge path inside the hull
+    is not nice."""
     # a copy with cold memo tables
     inst = StronglyLaminarInstance(inst.g, inst.family, inst._x_num, inst._x_den)
     n = inst.g.n
     checker = Checker()
     inst.validate_paths(checker)
     assert checker.counters["stored-path-nice"] == n * (n - 1), name
-    stored = set(inst._paths)
+    assert inst._paths == {}, name
     table = inst._path_table()
-    repaired = set()
+    not_nice = set()
     for u in range(n):
         for v in range(n):
             if u == v:
                 continue
-            search_path = bfs_path(inst.g, u, v, allowed_vertices=inst.hull(u, v))
             path = inst.nice_path(u, v)
-            if inst._first_violated(search_path) is None:
-                assert table[u][v] == sum(inst._cost_num[eid] for eid in search_path), \
-                    (name, u, v)
-                assert list(path) == search_path, (name, u, v)
-            else:
-                repaired.add((u, v))
-            assert inst.is_nice(u, v, path), (name, u, v)
+            assert inst.is_nice(u, v, path) and ref_is_nice(inst, u, v, path), (name, u, v)
             assert table[u][v] == sum(inst._cost_num[eid] for eid in path), (name, u, v)
-    assert stored == repaired, name
-    return repaired
+            search_path = bfs_path(inst.g, u, v, allowed_vertices=inst.hull(u, v))
+            if not inst.is_nice(u, v, search_path):
+                not_nice.add((u, v))
+    return not_nice
 
 
 @pytest.mark.parametrize("source", ("fixtures",) + GENERATOR_MODELS)
@@ -70,25 +66,21 @@ def test_tree_invariants(source):
 
 
 def test_tree_invariants_on_random_laminar_families():
-    repaired = {}
+    not_nice = {}
     for name, inst in _random_laminar(300):
         for pair in _assert_tree_invariants(name, inst):
-            repaired[(name, *pair)] = inst
-    assert len(repaired) == 65
-    # one of them: the search path 5 -> 7 enters a set twice
-    inst = repaired[("random-laminar-8", 5, 7)]
-    assert inst.nice_path(5, 7) == (4, 14, 17)
+            not_nice[(name, *pair)] = inst
+    # the families reach pairs whose fewest-edge path in the hull is not
+    # nice; one of them: the search path 5 -> 7 enters a set twice
+    assert len(not_nice) == 65
+    inst = not_nice[("random-laminar-8", 5, 7)]
+    assert inst.is_nice(5, 7, inst.nice_path(5, 7))
 
 
-def test_validate_paths_stores_only_repaired_pairs():
+def test_validate_paths_stores_no_path():
     inst = detour_instance()
     inst.validate_paths(Checker())
-    assert inst._paths == {
-        (0, 2): (0, 5, 6), (0, 5): (0, 5, 6, 3), (1, 0): (5, 6, 3, 4),
-        (1, 5): (5, 6, 3), (1, 6): (5, 6, 3, 4, 8), (1, 7): (5, 6, 3, 4, 8, 9),
-        (1, 8): (5, 6, 3, 4, 8, 9, 10), (5, 2): (4, 0, 5, 6),
-        (9, 2): (13, 4, 0, 5, 6),
-    }
+    assert inst._paths == {}
 
 
 def test_corrupted_stored_path_trips_validate_paths():
@@ -101,26 +93,27 @@ def test_corrupted_stored_path_trips_validate_paths():
 
 @pytest.mark.parametrize("model,n", [("cycle", 200), ("random-strong", 60)])
 def test_validate_paths_and_dw_build_no_path(model, n, monkeypatch):
-    # work counts, not times: no per-pair search and no path built
+    # work counts, not times: the table is filled without building a path
     built = build_strongly_laminar_instance(gen_instance(model, n, 0))[0]
     inst = StronglyLaminarInstance(built.g, built.family, built._x_num, built._x_den)
-    searches = []
+    computed = []
 
-    def counting(*args, **kwargs):
-        searches.append(args)
-        return bfs_path(*args, **kwargs)
+    def counting(self, u, v):
+        computed.append((u, v))
+        return compute(self, u, v)
 
-    monkeypatch.setattr(instance_module, "bfs_path", counting)
+    compute = StronglyLaminarInstance._compute_nice_path
+    monkeypatch.setattr(StronglyLaminarInstance, "_compute_nice_path", counting)
     inst.validate_paths(Checker())
     inst.value_and_dw(inst.ground, Checker())
-    assert searches == []
+    assert computed == []
     assert inst._paths == {}
 
 
 def test_validate_paths_retains_only_the_table():
-    # the sweeps that fill the cost table are dropped once their row is
-    # written: what validate_paths leaves behind on the 300-vertex cycle is
-    # about the n x n table (2.4 MB), not one search tree per source
+    # the block searches that fill the cost table are dropped once their
+    # rows are written: what validate_paths leaves behind on the 300-vertex
+    # cycle is about the n x n table (2.4 MB), not one search per source
     built = build_strongly_laminar_instance(gen_instance("cycle", 300, 0))[0]
     inst = StronglyLaminarInstance(built.g, built.family, built._x_num, built._x_den)
     gc.collect()
@@ -170,9 +163,6 @@ def _assert_table_matches_paths(name, inst):
         for v in range(n):
             want = sum(inst._cost_num[eid] for eid in inst.nice_path(u, v))
             assert table[u][v] == want, (name, u, v)
-            if u != v:
-                ref = sum(inst._cost_num[eid] for eid in ref_nice_path(inst, u, v))
-                assert table[u][v] == ref, (name, u, v)
 
 
 def test_path_table_matches_nice_paths():

@@ -52,13 +52,16 @@ class TourCertificate(Record):
 def construct_backbone(inst: StronglyLaminarInstance, w_set: frozenset,
                        checker: Optional[Checker] = None):
     """Backbone for the window: both fixed nice paths between the reach
-    argmax pair, glued into a closed walk.  Returns the backbone multiset,
+    argmax pair, glued into a closed walk, each path's cost re-checked
+    against its crossing-weight identity.  Returns the backbone multiset,
     its vertex set, the maximal family sets it misses, value(W) and D_W as
     numerators over the instance's denominator, and the argmax pair."""
     checker = checker or Checker()
     val_num, d_num, u_star, v_star = inst.value_and_dw(w_set, checker)
     forward = inst.nice_path(u_star, v_star)
     backward = inst.nice_path(v_star, u_star)
+    inst.nice_path_cost_identity(w_set, u_star, v_star, checker)
+    inst.nice_path_cost_identity(w_set, v_star, u_star, checker)
     backbone = EdgeMultiset()
     for eid in forward:
         backbone.add(eid)

@@ -27,18 +27,18 @@ from fixtures import perfbench_workloads
 from test_vertebrate import three_branch_star
 
 DIGESTS = {
-    ("cycle", 6): "a78ef3434c2222313b59c95028b505df398f979230573911186dc10de360a4c1",
-    ("cycle", 9): "e0567f2d10e6185b5c151ddedfe640b917632b20241308686d764ce309e0813a",
-    ("cycle", 12): "32d4f22539034753c968f4af58f94f388f2bc81967071d251e45f308a9d2afdd",
-    ("random-strong", 6): "99529abc709cbce7545f96f2b2aa62d20a1287534eb9ade11aec0590fe6df4f1",
-    ("random-strong", 9): "04770e5537843b6f76205646165a1a392f7fe043aceb372d83ef0224f384b6f4",
-    ("random-strong", 12): "24aba93aff5deccf4b0257885fd3dcc58d8924d42445d00004a182c0bb001a5f",
-    ("two-cluster", 6): "92b726a0a266ef62f3ad020cdb0aee29244bc1b4fb59227f6e3a76c899289fac",
-    ("two-cluster", 9): "4c0ac4185e4afd83fb5b8ed4e6273058877fcd7eabb3510d9fb7f891176239b9",
-    ("two-cluster", 12): "9a74011c6c628525bc9b78ecd47fd693e7f58b9716a2fefd4c655a3c42720f4c",
-    ("unit-digraph", 6): "7335670ca63893f7882c00f2e42d6634ae8399b6082f942de68202e4ec0aafe8",
-    ("unit-digraph", 9): "bf9f12b50a64ee2f65fb607de6d6b03d6762ff78c84edeae03113975626e9e13",
-    ("unit-digraph", 12): "ff977e1172d7a6e898f87455923bb8dddbdd062f7b5f4c3ca2e068c135ce54ac",
+    ("cycle", 6): "8b5a968d184c399faa5ba8008062a3d8cd7778fa1109fd83a1c76efe3cdbe533",
+    ("cycle", 9): "415ad17c0a608a67c98110ae573039c0bf2c19274c7d014e6b2f9c68b44baefd",
+    ("cycle", 12): "9809e858f443cee13848b10b305c9bc75c24791346aed87733e7a7fabb85ba0a",
+    ("random-strong", 6): "d2dbc9a6d38e20a4b772278670ae93a31145523fa3340afbbe4b812954596c3d",
+    ("random-strong", 9): "7466cdaf24022565180ba96ca438b01815a4da81af5908e34d6e3477480aa1e1",
+    ("random-strong", 12): "30b530c1dc3bb2a80a911aa5cab2d85af3c096d09597dc18c3936ad401f3ae7f",
+    ("two-cluster", 6): "5682089d93dad138b9a1b03195f440ed91d7c97ad3def762151e86b62376fa4a",
+    ("two-cluster", 9): "73320c5748fdef83a4d89ac7adf57a546b2fe13756dff85f8892fadfab48e159",
+    ("two-cluster", 12): "cc894cfefd079db1b47be38122950b0d5317b04a6765ca3059ab0b6f184ff89e",
+    ("unit-digraph", 6): "72a90209513faa159bed05b1f21453093847b8ee23f438592efa465e35739c6c",
+    ("unit-digraph", 9): "56f1b325cc53ef99002095948e69125420983166ebdf8590f851d13f1d748dc4",
+    ("unit-digraph", 12): "eb7b23f89ec4eb9dbbb1a151bb2dc506bdfa414daa25e57605a76969761fa30b",
 }
 
 
@@ -94,9 +94,9 @@ REDUCTION_CASES = {
 }
 
 REDUCTION_DIGESTS = {
-    "three-branch-star": "447a8e86f4d26be8029db857c2be10409ce6965267036e6cb83bae509fafc0c8",
-    "nested-hub-a": "695d64e142d8d7d543c05ab2a03644eb470b7eab4eb1cd984ad8e0e7ab6a1ec5",
-    "nested-hub-b": "a2310b25dcd51b12fe7ca0154a821207412516b5b65e03289c2c56125157a44e",
+    "three-branch-star": "a7a62c63ec3ae2c7b7584426f4cfd14271f2d852da646544f178622d74f676e6",
+    "nested-hub-a": "77848ce3553d216296dd58eb91c64b8991d1a2c1a91746ce7959c76ea34417e6",
+    "nested-hub-b": "f98e8d4823a1f5542a26aecffc0c1d8b76a803c665067c3778e7aa200ec95b19",
 }
 
 
@@ -109,7 +109,7 @@ def test_reduction_heavy_digest(name):
     assert _digest(report) == REDUCTION_DIGESTS[name]
 
 
-REFERENCE_DIGEST = "d7383e46dba2068f830457600fff465e3a724d05e43591edcca8106a72b52fd3"
+REFERENCE_DIGEST = "50edfd85014c099af8cfc85ccf97f47ecfcc212d44ee3a6fe28cd7cb8b9cec0d"
 
 
 def reference_reports():

@@ -23,6 +23,7 @@ numerators over one denominator.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
@@ -37,7 +38,7 @@ from .cover import (
 from .errors import ContractViolation, InternalCheckError
 from .graph import EdgeMultiset, dijkstra_path, undirected_components
 from .pair import VertebratePair
-from .rational import common_denominator, over_lcm
+from .rational import over_lcm
 
 if TYPE_CHECKING:
     import mpmath
@@ -163,13 +164,20 @@ def build_ell(pair: VertebratePair, epsilon: Fraction,
     outside = pair.outside_vertices()
     mass = inst.singleton_mass(outside)
     k, b, d = _BACKBONE_SHARE
-    backbone_total = Fraction(k * inst._lp_num + b * mass * inst._x_den,
-                              d * inst._den * inst._x_den)
+    # kappa LP + beta * mass, as total / total_den
+    total = k * inst._lp_num + b * mass * inst._x_den
+    total_den = d * inst._den * inst._x_den
     # ell(v) is share on the backbone; outside it is per times the 2 y_v
-    # numerator, plus eps'/n of the outside mass
-    (share, per, floor), den = common_denominator(
-        [backbone_total / len(pair.backbone_vertices), consts.scaled_eps / inst._den,
-         eps_prime * mass / (n * inst._den)], g.cost_den)
+    # numerator, plus eps'/n of the outside mass: the three as numerators
+    # over the lcm of their denominators and the costs', reduced once
+    rate = consts.scaled_eps
+    parts = ((total, total_den * len(pair.backbone_vertices)),
+             (rate.numerator, rate.denominator * inst._den),
+             (eps_prime.numerator * mass, eps_prime.denominator * n * inst._den))
+    den = math.lcm(g.cost_den, *(q for _, q in parts))
+    nums = [a * (den // q) for a, q in parts]
+    common = math.gcd(den // g.cost_den, *nums)
+    (share, per, floor), den = [a // common for a in nums], den // common
     num = [share if v in pair.backbone_vertices
            else per * inst.singleton_mass((v,)) + floor for v in range(n)]
     ell = EllFunction(num, den, den // g.cost_den, consts, n)
@@ -182,8 +190,8 @@ def build_ell(pair: VertebratePair, epsilon: Fraction,
     bad = first_false(ok)
     checker.check_many("ell-regularity", len(ok), bad,
                        lambda: f"vertex {verts[bad]}: {ell.of(verts[bad])}")
-    checker.check(ell.num_of(pair.backbone_vertices) * backbone_total.denominator
-                  == backbone_total.numerator * den, "ell-backbone-total")
+    checker.check(ell.num_of(pair.backbone_vertices) * total_den == total * den,
+                  "ell-backbone-total")
     return ell
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -116,6 +117,52 @@ def test_ell_values_and_regularity():
     assert ell.of(0) == 2 * pair.instance.lp_value + 1 * 5
     assert checker.counters["ell-regularity"] == 5
     assert checker.counters["ell-backbone-total"] == 1
+
+
+def _ref_ell(pair, epsilon):
+    """The budget per vertex and the lcm of the costs' denominator and of
+    its three terms', from Fractions."""
+    from atsp_approx.cover import SUBTOUR_COVER_BETA, SUBTOUR_COVER_KAPPA
+    from atsp_approx.svensson import epsilon_constants
+
+    consts = epsilon_constants(epsilon)
+    inst = pair.instance
+    n = inst.g.n
+    mass = F(inst.singleton_mass(pair.outside_vertices()), inst._den)
+    share = ((SUBTOUR_COVER_KAPPA * inst.lp_value + SUBTOUR_COVER_BETA * mass)
+             / len(pair.backbone_vertices))
+    per, floor = consts.scaled_eps / inst._den, consts.eps_prime * mass / n
+    values = [share if v in pair.backbone_vertices
+              else per * inst.singleton_mass((v,)) + floor for v in range(n)]
+    den = math.lcm(inst.g.cost_den, share.denominator, per.denominator, floor.denominator)
+    return values, den
+
+
+def test_ell_matches_its_fraction_definition(monkeypatch):
+    # every budget function of the nested-clusters batch's solves, at three
+    # epsilons, against the Fraction arithmetic it is built without
+    from atsp_approx import svensson
+    from atsp_approx.harness import parse_instance, run_pipeline
+    from fixtures import perfbench_workloads
+
+    real = svensson.build_ell
+    built = []
+
+    def compared(pair, epsilon, checker=None):
+        ell = real(pair, epsilon, checker)
+        values, den = _ref_ell(pair, epsilon)
+        assert [ell.of(v) for v in range(ell.n)] == values
+        assert ell.den == den and ell.cost_scale * pair.instance.g.cost_den == den
+        built.append(ell)
+        return ell
+
+    monkeypatch.setattr(svensson, "build_ell", compared)
+    for _, _, text in perfbench_workloads().make_batch("nested-clusters", 1)[:4]:
+        for epsilon in (F(1), F(1, 3), F(7, 2)):
+            run_pipeline(*parse_instance(text), epsilon)
+    for pair in (ring_pair(), remote_cluster_pair(), spanning_pair(two_tri())):
+        compared(pair, F(2, 5))
+    assert len(built) >= 30
 
 
 def test_component_state_ordering():

@@ -24,18 +24,19 @@ Inside a hull (a family set, or the ground set), a *block* is a child set
 numbered by its smallest vertex.  The nice u-v path follows the block path
 that a breadth-first search from u's block finds inside the hull, scanning
 each block's vertices in increasing order and their out-edges by id; each
-block it crosses is bridged by the nice path, one level down, between where
-the path enters and leaves it.  Every family set then meets the path in one
+block it crosses is bridged by the nice path inside it between where the
+path enters and leaves it.  Every family set then meets the path in one
 stretch, so the path is nice by construction.  A path is built only when
 `nice_path` asks for it and is memoized then, as is each window's value(W).
 
 The nice-path costs of all n^2 ordered pairs form one table, built once
 per instance (`validate_paths` builds it; `value_and_dw` builds it on
 first use otherwise), innermost hull first, by one block search per
-(hull, block) that serves every source in the block: the entry for u, v
-is the entry from u to the tail of the path's first edge, plus the cost
-from there to where it enters v's block, plus the entry from there to v.
-No path is built for the table.  Every window's D_W is then a scan of
+(hull, block) that serves every source in the block: with the blocks
+taken in the order the search reached them, the entry for u, v is the
+entry from u to the tail t of the edge t -> e that entered v's block
+(already written), plus that edge's cost, plus the entry from e to v
+(written with an inner hull).  No path is built for the table.  Every window's D_W is then a scan of
 table rows, and `validate_paths` re-walks only the stored paths.
 """
 
@@ -424,9 +425,8 @@ class StronglyLaminarInstance:
         """Crossing-count check for the nice path of every ordered pair (at
         most once each way), counted once per pair in row-major order;
         builds the nice-path cost table.  A pair whose path is not stored
-        takes its sweep path, which stays in the hull by construction and
-        which the table build found nice (it crosses no set twice); a
-        stored or repaired path is re-walked."""
+        takes the path its table entry was built from, which stays in the
+        hull and is nice by construction; a stored path is re-walked."""
         checker = checker or Checker()
         n = self.g.n
         self._path_table()

@@ -36,8 +36,9 @@ first use otherwise), innermost hull first, by one block search per
 taken in the order the search reached them, the entry for u, v is the
 entry from u to the tail t of the edge t -> e that entered v's block
 (already written), plus that edge's cost, plus the entry from e to v
-(written with an inner hull).  No path is built for the table.  Every window's D_W is then a scan of
-table rows, and `validate_paths` re-walks only the stored paths.
+(written with an inner hull).  No path is built for the table.  Every
+window's D_W is then a scan of table rows, and `validate_paths` re-walks
+only the stored paths.
 """
 
 from __future__ import annotations
@@ -90,6 +91,21 @@ def _common_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> int:
 
 def _mask(indices: Iterable[int]) -> int:
     return sum(1 << i for i in indices)
+
+
+def _search(arcs: dict[int, list[tuple[int, int]]], a: int) -> dict[int, Optional[int]]:
+    """Breadth-first search over the blocks of a hull from block a, given
+    each block's arcs (see `StronglyLaminarInstance._blocks`): the edge
+    that entered each block reached (None for a), in the order the blocks
+    were reached."""
+    entered: dict[int, Optional[int]] = {a: None}
+    order = [a]
+    for b in order:
+        for eid, c in arcs[b]:
+            if c not in entered:
+                entered[c] = eid
+                order.append(c)
+    return entered
 
 
 def _path_vertices(g: Digraph, start: int, path: list[int]) -> list[int]:
@@ -203,8 +219,8 @@ class StronglyLaminarInstance:
         edges = self.g.edges
         k = _common_prefix(self._chains[u], self._chains[v])
         hull = self.family.members[self._chains[u][k - 1]] if k else self.ground
-        block, verts = self._blocks(hull, k)
-        entered = self._search(block, verts, block[u])
+        block, _, arcs = self._blocks(hull, k)
+        entered = _search(arcs, block[u])
         b = block[v]
         if b not in entered:
             raise ContractViolation(f"no {u}-{v} path inside {sorted(hull)}; "
@@ -221,13 +237,16 @@ class StronglyLaminarInstance:
         path += self.nice_path(at, v)
         return tuple(path)
 
-    def _blocks(self, hull: frozenset, k: int) -> tuple[dict[int, int], dict[int, list[int]]]:
+    def _blocks(self, hull: frozenset, k: int) -> tuple[
+            dict[int, int], dict[int, list[int]], dict[int, list[tuple[int, int]]]]:
         """The blocks of a hull whose vertices share the first k sets of
         their chains: each child set (the (k+1)-th set of its vertices'
         chains) and each vertex in none, numbered by its smallest vertex.
-        Returns each vertex's block and each block's vertices in
-        increasing order."""
-        chains = self._chains
+        Returns each vertex's block, each block's vertices in increasing
+        order, and each block's arcs: the edges out of its vertices, in
+        that order and by id, into other blocks, each with the block it
+        enters."""
+        chains, edges, out_edges = self._chains, self.g.edges, self.g.out_edges
         block: dict[int, int] = {}
         verts: dict[int, list[int]] = {}
         first: dict[int, int] = {}  # child set index -> its smallest vertex
@@ -235,25 +254,10 @@ class StronglyLaminarInstance:
             chain = chains[v]
             b = block[v] = first.setdefault(chain[k], v) if len(chain) > k else v
             verts.setdefault(b, []).append(v)
-        return block, verts
-
-    def _search(self, block: dict[int, int], verts: dict[int, list[int]],
-                a: int) -> dict[int, Optional[int]]:
-        """Breadth-first search over the blocks from block a, scanning each
-        block's vertices in increasing order and their out-edges by id:
-        the edge that entered each block reached (None for a), in the order
-        the blocks were reached."""
-        edges, out_edges = self.g.edges, self.g.out_edges
-        entered: dict[int, Optional[int]] = {a: None}
-        order = [a]
-        for b in order:
-            for v in verts[b]:
-                for eid in out_edges[v]:
-                    c = block.get(edges[eid].head, a)  # a: outside the hull
-                    if c not in entered:
-                        entered[c] = eid
-                        order.append(c)
-        return entered
+        arcs = {b: [(eid, block[edges[eid].head]) for v in inside for eid in out_edges[v]
+                    if block.get(edges[eid].head, b) != b]  # b: outside the hull
+                for b, inside in verts.items()}
+        return block, verts, arcs
 
     def is_nice(self, u: int, v: int, path: Iterable[int]) -> bool:
         path = list(path)
@@ -317,9 +321,9 @@ class StronglyLaminarInstance:
         hulls = [(self.ground, 0)] + [(s, chains[min(s)].index(i) + 1)
                                      for i, s in enumerate(self.family.members)]
         for hull, k in reversed(hulls):  # members come outermost first
-            block, verts = self._blocks(hull, k)
-            for a in verts if len(verts) > 1 else ():
-                entered = self._search(block, verts, a)
+            _, verts, arcs = self._blocks(hull, k)
+            for a in verts:
+                entered = _search(arcs, a)
                 if len(entered) < len(verts):
                     v = min(b for b in verts if b not in entered)
                     raise ContractViolation(f"no {a}-{v} path inside {sorted(hull)}; "

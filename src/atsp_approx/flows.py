@@ -3,16 +3,18 @@
 Both solvers run on one network type, :class:`FlowNetwork`, whose flat
 arrays pair each arc with its reverse.  Max-flow (integer Edmonds-Karp on a
 copy of the capacities) powers the cut separation oracle of the LP module,
-which scales x by the lcm of its denominators, builds one network per
-separation round and stops each flow once it reaches the scaled unit.  The
-min-cost circulation solver, which finds the witness flows of the subtour
-cover and rounds its lifted circulation, keeps integer lower/upper arc
-bounds and integer costs beside its network (callers with rational costs
-scale them by the lcm of their denominators, which keeps every comparison
-and every heap tie), and runs the standard lower-bound transformation
-followed by successive shortest paths with potentials on the network's
-residuals, each Dijkstra search stopping once the sink is settled; with
-integral bounds the result is integral and cost-minimal.
+which scales x by the lcm of its denominators, shrinks the vertex classes
+that x already joins, builds one network on the classes left per
+separation round (none when one class is left) and stops each flow once it
+reaches the scaled unit.  The min-cost circulation solver, which finds the
+witness flows of the subtour cover and rounds its lifted circulation, keeps
+integer lower/upper arc bounds and integer costs beside its network
+(callers with rational costs scale them by the lcm of their denominators,
+which keeps every comparison and every heap tie), and runs the standard
+lower-bound transformation followed by successive shortest paths with
+potentials on the network's residuals, each Dijkstra search stopping once
+the sink is settled; with integral bounds the result is integral and
+cost-minimal.
 """
 
 from __future__ import annotations

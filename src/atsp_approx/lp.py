@@ -108,7 +108,10 @@ def separate_subtour(g: Digraph, x_num: Sequence[int], unit: int) -> Optional[fr
     x must be a circulation: nonnegative and balanced at every vertex
     (ContractViolation otherwise).  Then x(delta(U)) = 2 x(delta+(U)), so it
     suffices to compare global minimum directed cuts against 1.  Root
-    vertex 0; one max-flow call per other terminal when all cuts hold.
+    vertex 0.  The vertex pairs x already joins are shrunk first, so
+    max-flow runs only between the classes left, and not at all when one
+    class is left, as for an integral x that meets every cut (see
+    `_separate_all`).
     """
     violated = _separate_all(g, x_num, unit, first_only=True)
     return violated[0] if violated else None
@@ -119,38 +122,92 @@ def _separate_all(g: Digraph, x_num: Sequence[int], unit: int,
     """Sides of the minimum cuts with x(delta+) < 1, from vertex 0 to each
     other terminal t and back, for x = x_num / unit with unit > 0.
 
-    One integer flow network of the positive edges serves every max-flow
-    call, which stops once its flow reaches unit.  x must be a
-    circulation, so x(delta+(U)) = x(delta-(U)) for every U and both
-    directions between 0 and t have the same min-cut value: when the
-    (0, t) value is at least 1 the (t, 0) call is skipped.  Below 1 both
-    calls are made, because their sides can differ.
+    x must be a circulation, so x(delta+(U)) = x(delta-(U)) for every U.
+    Classes of vertices are shrunk first: when the arcs from class A to
+    class B carry x >= 1 in total, every U that separates a vertex of A
+    from one of B has x(delta+(U)) >= 1, so no cut below 1 splits A + B and
+    the two merge (safe shrinking, Padberg-Rinaldi 1990), repeated until
+    nothing more merges.  Every cut below 1 is then a union of classes, so
+    the minimal minimum cuts between 0 and t, and between t and 0, are those
+    of the network on the classes, where x per class pair is summed into one
+    integer arc: a class's terminals share its sides, and taking the
+    classes by smallest vertex lists the sides as the loop over every t
+    would.  One class left means every cut holds, with no max-flow call.
+    Each max-flow call stops once its flow reaches unit; both directions
+    between 0 and a class have the same min-cut value, so when the (0, t)
+    value is at least 1 the (t, 0) call is skipped.  Below 1 both calls
+    are made, because their sides can differ.
     """
-    network = FlowNetwork(g.n)
-    excess = [0] * g.n
+    n = g.n
+    # union-find with path halving; the smaller root wins, so each class's
+    # root is its smallest vertex
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    def union(a: int, b: int) -> None:
+        a, b = find(a), find(b)
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+
+    arcs: list[tuple[int, int, int]] = []
+    excess = [0] * n
     for e in g.edges:
         scaled = x_num[e.eid]
         if scaled < 0:
             raise ContractViolation(f"separation needs x >= 0; edge {e.eid} has "
                                     f"{Fraction(scaled, unit)}")
         if scaled:
-            network.add_arc(e.tail, e.head, scaled)
+            arcs.append((e.tail, e.head, scaled))
             excess[e.head] += scaled
             excess[e.tail] -= scaled
-    unbalanced = [v for v in range(g.n) if excess[v]]
+            if scaled >= unit:
+                union(e.tail, e.head)
+    unbalanced = [v for v in range(n) if excess[v]]
     if unbalanced:
         raise ContractViolation(f"separation needs a circulation; vertices {unbalanced} "
                                 "are unbalanced")
+    while True:
+        # x from class to class, keyed by the roots
+        between: dict[tuple[int, int], int] = {}
+        for tail, head, scaled in arcs:
+            a, b = find(tail), find(head)
+            if a != b:
+                between[a, b] = between.get((a, b), 0) + scaled
+        heavy = [pair for pair, total in between.items() if total >= unit]
+        if not heavy:
+            break
+        for a, b in heavy:
+            union(a, b)
+    index: dict[int, int] = {}  # root -> class, numbered by smallest vertex
+    members: list[list[int]] = []
+    for v in range(n):
+        r = find(v)
+        if r == v:
+            index[v] = len(members)
+            members.append([v])
+        else:
+            members[index[r]].append(v)
+    if len(members) == 1:
+        return []
+    network = FlowNetwork(len(members))
+    for (a, b), total in between.items():
+        network.add_arc(index[a], index[b], total)
     found: list[frozenset] = []
     seen: set[frozenset] = set()
-    for t in range(1, g.n):
+    for t in range(1, len(members)):
         for s, d in ((0, t), (t, 0)):
             value, side = max_flow_min_cut(network, s, d, limit=unit)
             if value >= unit:
                 break
             if side not in seen:
                 seen.add(side)
-                found.append(side)
+                found.append(frozenset(v for c in side for v in members[c]))
                 if first_only:
                     return found
     return found

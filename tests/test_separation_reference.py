@@ -2,14 +2,17 @@
 the dict-based Edmonds-Karp it replaced.
 
 `_separate_all` takes x as integer numerators over one unit, here the lcm
-of its denominators, and runs every max-flow on one integer network of
-flat arrays.  The reference keeps the
-earlier routine: per call, it scales the `Fraction` capacities again,
-builds a dict-of-dicts residual graph with parallel arcs merged, and
-returns a `Fraction` value that is compared with 1.  Both return the
-source side reached in the final residual graph, which is the same for
-every maximum flow, so on every x they must make the same max-flow calls in
-the same order and return the same cut list, in both `first_only` modes."""
+of its denominators, shrinks the vertex pairs that x already joins with
+weight at least 1, and runs every max-flow on one integer network of the
+classes left.  The reference keeps the earlier routine: per terminal, it
+scales the `Fraction` capacities again, builds a dict-of-dicts residual
+graph of every vertex with parallel arcs merged, and returns a `Fraction`
+value that is compared with 1.  Both return the source side reached in the
+final residual graph, which is the same for every maximum flow, so on every
+x they must return the same cut list, in both `first_only` modes.  The
+shrunk routine never makes more max-flow calls than the reference, and
+none when x shrinks to one class, which `reference_classes` finds again by
+merging classes pairwise in `Fraction`s."""
 
 from __future__ import annotations
 
@@ -120,7 +123,27 @@ def reference_separate_all(g, x, first_only=False, calls=None):
     return found
 
 
-def assert_same_cuts(g, x, monkeypatch):
+def reference_classes(g, x) -> set[int]:
+    """The vertex classes left when two classes are merged, one pair at a
+    time, while the edges from one to the other carry x >= 1 in total; each
+    class is named by a label, one per vertex."""
+    label = list(range(g.n))
+    while True:
+        between: dict[tuple[int, int], Fraction] = {}
+        for e in g.edges:
+            pair = (label[e.tail], label[e.head])
+            if pair[0] != pair[1]:
+                between[pair] = between.get(pair, F(0)) + x[e.eid]
+        heavy = [pair for pair, total in between.items() if total >= 1]
+        if not heavy:
+            return set(label)
+        keep, drop = heavy[0]
+        label = [keep if c == drop else c for c in label]
+
+
+def flow_calls(monkeypatch, g, x_num, unit, first_only=False):
+    """`lp._separate_all`'s cuts and the (source, sink) of each max-flow
+    call it makes."""
     calls = []
     real = lp.max_flow_min_cut
 
@@ -130,12 +153,19 @@ def assert_same_cuts(g, x, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(lp, "max_flow_min_cut", recording)
-        for first_only in (False, True):
-            calls.clear()
-            expected_calls: list = []
-            expected = reference_separate_all(g, x, first_only, expected_calls)
-            assert lp._separate_all(g, *common_denominator(x), first_only) == expected
-            assert calls == expected_calls
+        return lp._separate_all(g, x_num, unit, first_only), calls
+
+
+def assert_same_cuts(g, x, monkeypatch):
+    one_class = len(reference_classes(g, x)) == 1
+    for first_only in (False, True):
+        expected_calls: list = []
+        expected = reference_separate_all(g, x, first_only, expected_calls)
+        found, calls = flow_calls(monkeypatch, g, *common_denominator(x), first_only)
+        assert found == expected
+        assert len(calls) <= len(expected_calls)
+        if one_class:
+            assert calls == [] and found == []
 
 
 def random_circulation(rng: random.Random) -> tuple[Digraph, list[Fraction]]:
@@ -163,8 +193,75 @@ def test_random_circulations_against_reference(monkeypatch):
     for _ in range(300):
         g, x = random_circulation(rng)
         assert_same_cuts(g, x, monkeypatch)
-        outcomes.add(bool(lp._separate_all(g, *common_denominator(x))))
-    assert outcomes == {True, False}
+        outcomes.add((bool(lp._separate_all(g, *common_denominator(x))),
+                      len(reference_classes(g, x)) == 1))
+    assert outcomes == {(True, False), (False, True)}
+
+
+def test_feasible_x_that_shrinks_nothing(monkeypatch):
+    # every arc of the complete digraph on 3 vertices at 1/2: each cut is
+    # exactly 1 and no class pair reaches 1, so max-flow proves it
+    g = Digraph(3, [(a, b, 1) for a in range(3) for b in range(3) if a != b])
+    x = [F(1, 2)] * g.m
+    assert len(reference_classes(g, x)) == 3
+    assert_same_cuts(g, x, monkeypatch)
+    assert flow_calls(monkeypatch, g, [1] * g.m, 2) == ([], [(0, 1), (0, 2)])
+
+
+def two_gadgets(link: Fraction) -> tuple[Digraph, list[Fraction]]:
+    """Vertices {0, 1, 2} and {3, 4, 5}, each carrying the cycles a->b->c->a,
+    a->c->b->a and a->b->a at 1/2 (the a->b edge at 1, as one edge), joined
+    by 0->3 and 3->0 at `link`.  Only a->b reaches 1 alone; c joins {a, b}
+    once they are one class, through two edges of 1/2."""
+    edges: list[tuple[int, int, Fraction]] = []
+    for a, b, c in ((0, 1, 2), (3, 4, 5)):
+        edges += [(a, b, F(1)), (b, c, F(1, 2)), (c, a, F(1, 2)), (a, c, F(1, 2)),
+                  (c, b, F(1, 2)), (b, a, F(1))]
+    edges += [(0, 3, link), (3, 0, link)]
+    return Digraph(6, [(a, b, 1) for a, b, _ in edges]), [w for _, _, w in edges]
+
+
+def test_merges_that_need_an_earlier_merge(monkeypatch):
+    g, x = two_gadgets(F(1))
+    assert len(reference_classes(g, x)) == 1
+    assert_same_cuts(g, x, monkeypatch)
+    g, x = two_gadgets(F(1, 4))
+    assert len(reference_classes(g, x)) == 2
+    assert_same_cuts(g, x, monkeypatch)
+    found, calls = flow_calls(monkeypatch, g, *common_denominator(x))
+    assert found == [frozenset({0, 1, 2}), frozenset({3, 4, 5})]
+    assert calls == [(0, 1), (1, 0)]
+
+
+def test_parallel_arcs_merge_only_together(monkeypatch):
+    # 0 <-> 1 and 2 <-> 3 as parallel edge pairs at 1/2 each way, and
+    # 1 <-> 2 at 1/3: no single edge reaches 1, so only the pairs merge
+    halves = [(0, 1), (0, 1), (1, 0), (1, 0), (2, 3), (3, 2), (2, 3), (3, 2)]
+    g = Digraph(4, [(a, b, 1) for a, b in halves + [(1, 2), (2, 1)]])
+    x = [F(1, 2)] * len(halves) + [F(1, 3)] * 2
+    assert len(reference_classes(g, x)) == 2
+    assert_same_cuts(g, x, monkeypatch)
+    found, calls = flow_calls(monkeypatch, g, *common_denominator(x))
+    assert found == [frozenset({0, 1}), frozenset({2, 3})]
+    assert calls == [(0, 1), (1, 0)]
+    x[-2:] = [F(1), F(1)]  # 1 <-> 2 at 1 joins everything
+    assert_same_cuts(g, x, monkeypatch)
+    assert flow_calls(monkeypatch, g, *common_denominator(x)) == ([], [])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_integral_cycle_cover(k, monkeypatch):
+    # k subtours of 3 vertices, vertex v in subtour v % k: the shrunk
+    # network has one class per subtour and no arc, so each other subtour
+    # costs one call each way and is found as its own cut, after vertex 0's
+    subtours = [[c + k * i for i in range(3)] for c in range(k)]
+    g = Digraph(3 * k, [(a, b, 1) for cyc in subtours
+                        for a, b in zip(cyc, cyc[1:] + cyc[:1])])
+    x = [F(1)] * g.m
+    assert_same_cuts(g, x, monkeypatch)
+    found, calls = flow_calls(monkeypatch, g, [1] * g.m, 1)
+    assert found == ([frozenset(cyc) for cyc in subtours] if k > 1 else [])
+    assert calls == [pair for c in range(1, k) for pair in ((0, c), (c, 0))]
 
 
 def test_non_circulations_raise_the_reference_messages():

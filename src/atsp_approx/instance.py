@@ -93,6 +93,11 @@ def _mask(indices: Iterable[int]) -> int:
     return sum(1 << i for i in indices)
 
 
+# each vertex's block, each block's vertices and each block's arcs (see
+# `StronglyLaminarInstance._blocks`)
+_Blocks = tuple[dict[int, int], dict[int, list[int]], dict[int, list[tuple[int, int]]]]
+
+
 def _search(arcs: dict[int, list[tuple[int, int]]], a: int) -> dict[int, Optional[int]]:
     """Breadth-first search over the blocks of a hull from block a, given
     each block's arcs (see `StronglyLaminarInstance._blocks`): the edge
@@ -167,6 +172,7 @@ class StronglyLaminarInstance:
             self._exit_mask.append(_mask(ct[k:]))
             self._enter_mask.append(_mask(ch[k:]))
         self._windows: dict[frozenset, tuple[int, frozenset]] = {}
+        self._hull_blocks: dict[frozenset, _Blocks] = {}  # see `_blocks`
         # row u, column v: the cost numerator of the nice u-v path
         self._table: Optional[list[list[int]]] = None
 
@@ -237,15 +243,17 @@ class StronglyLaminarInstance:
         path += self.nice_path(at, v)
         return tuple(path)
 
-    def _blocks(self, hull: frozenset, k: int) -> tuple[
-            dict[int, int], dict[int, list[int]], dict[int, list[tuple[int, int]]]]:
+    def _blocks(self, hull: frozenset, k: int) -> _Blocks:
         """The blocks of a hull whose vertices share the first k sets of
         their chains: each child set (the (k+1)-th set of its vertices'
         chains) and each vertex in none, numbered by its smallest vertex.
         Returns each vertex's block, each block's vertices in increasing
         order, and each block's arcs: the edges out of its vertices, in
         that order and by id, into other blocks, each with the block it
-        enters."""
+        enters.  Built once per hull and stored."""
+        hit = self._hull_blocks.get(hull)
+        if hit is not None:
+            return hit
         chains, edges, out_edges = self._chains, self.g.edges, self.g.out_edges
         block: dict[int, int] = {}
         verts: dict[int, list[int]] = {}
@@ -257,7 +265,8 @@ class StronglyLaminarInstance:
         arcs = {b: [(eid, block[edges[eid].head]) for v in inside for eid in out_edges[v]
                     if block.get(edges[eid].head, b) != b]  # b: outside the hull
                 for b, inside in verts.items()}
-        return block, verts, arcs
+        hit = self._hull_blocks[hull] = (block, verts, arcs)
+        return hit
 
     def is_nice(self, u: int, v: int, path: Iterable[int]) -> bool:
         path = list(path)

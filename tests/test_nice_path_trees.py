@@ -8,7 +8,9 @@ search per (hull, block) for every source in the block.  So every path
 must be nice and stay in its hull, each table entry must be its path's
 cost, and `validate_paths` and `value_and_dw` must build no path.  The
 searches are not kept: once the table is built, the memory held is the
-table's.  The checks on the table must count as a per-pair loop would.
+table's, beside each hull's blocks, which are built once and serve the
+table and the paths alike.  The checks on the table must count as a
+per-pair loop would.
 """
 
 from __future__ import annotations
@@ -126,6 +128,32 @@ def test_validate_paths_retains_only_the_table():
     finally:
         tracemalloc.stop()
     assert retained < 4_000_000
+
+
+@pytest.mark.parametrize("paths_first", [False, True])
+def test_blocks_are_built_once_per_hull(paths_first, monkeypatch):
+    # the table and every nice path, in either order, share one blocks
+    # record per hull: the family's sets and the ground set
+    built = build_strongly_laminar_instance(nested_hub((3, 2, 4), (2, 3, 2)))[0]
+    inst = StronglyLaminarInstance(built.g, built.family, built._x_num, built._x_den)
+    returned = []
+
+    def recording(self, hull, k):
+        record = blocks(self, hull, k)
+        returned.append((hull, id(record)))
+        return record
+
+    blocks = StronglyLaminarInstance._blocks
+    monkeypatch.setattr(StronglyLaminarInstance, "_blocks", recording)
+    n = inst.g.n
+    steps = [lambda: inst.validate_paths(Checker()),
+             lambda: [inst.nice_path(u, v) for u in range(n) for v in range(n)]]
+    for step in steps[::-1] if paths_first else steps:
+        step()
+    hulls = {hull for hull, _ in returned}
+    assert hulls == set(inst.family.members) | {inst.ground}
+    assert len(set(returned)) == len(hulls) < len(returned)
+    assert set(inst._hull_blocks) == hulls
 
 
 @pytest.mark.parametrize("graph", [

@@ -13,7 +13,7 @@ from collections import Counter
 from typing import Any, Iterable, Optional, Sequence
 
 from .errors import InternalCheckError
-from .graph import Digraph, EdgeMultiset
+from .graph import EdgeMultiset
 
 
 def first_false(conds: Sequence[bool]) -> Optional[int]:
@@ -37,12 +37,10 @@ class Checker:
 
     def __init__(self):
         self.counters: Counter[str] = Counter()
-        self.failures: list[str] = []
 
     def check(self, cond: bool, label: str, detail: Any = None) -> None:
         self.counters[label] += 1
         if not cond:
-            self.failures.append(label)
             if callable(detail):
                 detail = detail()
             raise InternalCheckError(label, detail)
@@ -67,11 +65,11 @@ class Checker:
         if first_failure is not None:
             self.check(False, label, detail)
 
-    def balanced(self, g: Digraph, f: EdgeMultiset, label: str,
+    def balanced(self, f: EdgeMultiset, label: str,
                  vertices: Optional[Iterable[int]] = None) -> None:
         """One check per vertex that f enters as often as it leaves: the
         vertices f touches, or else the given ones."""
-        indeg, outdeg = f.degrees(g)
+        indeg, outdeg = f.degrees()
         verts = list(set(indeg) | set(outdeg) if vertices is None else vertices)
         ok = [indeg.get(v, 0) == outdeg.get(v, 0) for v in verts]
         bad = first_false(ok)

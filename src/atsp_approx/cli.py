@@ -2,14 +2,15 @@
 
 Reads instances from a file argument or stdin (JSON edge list or TSPLIB
 ATSP FULL_MATRIX), writes machine-readable JSON to stdout and diagnostics
-to stderr.  Exit codes: 0 ok, 1 invalid input, 2 internal assertion
-failure.
+to stderr.  Exit codes: 0 ok, 1 invalid input or stdout closed by its
+reader, 2 internal assertion failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -59,7 +60,7 @@ def _resolve_tour(g: Digraph, walk: list) -> EdgeMultiset:
         key = (e.tail, e.head)
         if key not in by_pair or e.cost_num < g.cost_num[by_pair[key]]:
             by_pair[key] = e.eid
-    tour = EdgeMultiset()
+    tour = EdgeMultiset(g)
     for item in walk:
         if not isinstance(item, list) or len(item) != 2 or \
                 not all(_is_int(v) for v in item):
@@ -90,10 +91,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not isinstance(walk, list):
         raise InputError('tour file needs a list "tour_walk" (or "tour")')
     tour = _resolve_tour(g, walk)
-    ok, diagnostics = verify_tour(g, tour)
+    ok, diagnostics = verify_tour(tour)
     print(json.dumps({
         "valid": ok,
-        "cost": format_rational(tour.cost(g)),
+        "cost": format_rational(tour.cost()),
         "diagnostics": diagnostics,
     }, indent=2))
     return EXIT_OK if ok else EXIT_INPUT
@@ -152,7 +153,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed stdout shows up here
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: let that write go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed before the output was written", file=sys.stderr)
+        return EXIT_INPUT
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

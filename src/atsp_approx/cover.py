@@ -678,7 +678,7 @@ def round_circulation(rerouted: ReroutedCirculation, aug: AugmentedGraph,
         checker.check(in0 == 1 or in1 == 1, "rounding-aux-unit",
                       lambda: f"component {i}: {in0},{in1}")
     # project to the augmented graph
-    f_bar = EdgeMultiset()
+    f_bar = EdgeMultiset(aug.g)
     f_star_lower = [0] * aug.g.m
     for eid in range(aug.g.m):
         lo = split.lower_of.get(eid)
@@ -733,7 +733,7 @@ def _check_rounded_structure(f_bar: EdgeMultiset, f_star: list[int],
     g = aug.g
     inst = cover.pair.instance
     backbone = cover.pair.backbone_vertices
-    indeg, outdeg = f_bar.degrees(g)
+    indeg, outdeg = f_bar.degrees()
     for i in range(aug.k):
         a = aug.aux_of[i]
         checker.check(indeg.get(a, 0) == 1, "aux-one-incoming",
@@ -742,7 +742,7 @@ def _check_rounded_structure(f_bar: EdgeMultiset, f_star: list[int],
                       lambda: f"component {i}")
     support = [eid for eid, k in enumerate(f_star) if k > 0]
     checker.check(_support_acyclic(g, support), "rounded-witness-acyclic")
-    for comp, comp_edges in f_bar.components(g):
+    for comp, comp_edges in f_bar.components():
         if comp & backbone:
             continue
         checker.check(all(f_star[eid] == 0 for eid in comp_edges.mult),
@@ -765,7 +765,7 @@ def map_back(rounded: RoundedCirculation, aug: AugmentedGraph,
     checker = checker or Checker()
     inst = cover.pair.instance
     g = inst.g
-    f = EdgeMultiset()
+    f = EdgeMultiset(g)
     entry: dict[int, int] = {}
     exit_: dict[int, int] = {}
     for eid, mult in rounded.f_bar.items():
@@ -801,7 +801,7 @@ def map_back(rounded: RoundedCirculation, aug: AugmentedGraph,
                       lambda: f"component {i}: {path_cost} > {mass} (over {inst._den})")
         for eid in path:
             f.add(eid)
-    checker.balanced(g, f, "mapped-back-eulerian", range(g.n))
+    checker.balanced(f, "mapped-back-eulerian", range(g.n))
     return f
 
 
@@ -819,14 +819,14 @@ def subtour_cover(cover: SubtourCoverInstance,
     rounded = round_circulation(rerouted, aug, cover, checker)
     f = map_back(rounded, aug, cover, checker)
     # solution properties
-    checker.balanced(g, f, "cover-eulerian", range(g.n))
+    checker.balanced(f, "cover-eulerian", range(g.n))
     for i, w in enumerate(cover.w_sets):
-        checker.check(f.crossing(g, w) > 0, "cover-crosses-component",
+        checker.check(f.crossing(w) > 0, "cover-crosses-component",
                       lambda: f"W_{i + 1}={sorted(w)}")
     backbone = cover.pair.backbone_vertices
-    for comp, comp_edges in f.components(g):
+    for comp, comp_edges in f.components():
         crosses_family = any(
-            comp_edges.crossing(g, s) > 0 for s in inst.family.nonsingletons()
+            comp_edges.crossing(s) > 0 for s in inst.family.nonsingletons()
         )
         if crosses_family:
             checker.check(bool(comp & backbone), "cover-crossing-touches-backbone",
@@ -836,7 +836,7 @@ def subtour_cover(cover: SubtourCoverInstance,
             alpha = SUBTOUR_COVER_ALPHA
             checker.check(inst.cost_num(comp_edges) * alpha.denominator
                           <= alpha.numerator * mass, "cover-component-bound",
-                          lambda: f"{sorted(comp)}: {comp_edges.cost(g)}")
+                          lambda: f"{sorted(comp)}: {comp_edges.cost()}")
     checker.check(cover.pair.cost_at_most(f, SUBTOUR_COVER_KAPPA, SUBTOUR_COVER_BETA),
-                  "cover-global-bound", lambda: f"{f.cost(g)}")
+                  "cover-global-bound", lambda: f"{f.cost()}")
     return f

@@ -7,10 +7,10 @@ sum and comparison runs on those ints, and ``Edge.cost`` is the exact
 ``Fraction`` for readers that want one.  Input boundaries with rational costs
 scale them once with :func:`integer_edges`; a graph derived from another
 passes the parent's numerators and denominator on unchanged.  Graphs,
-families, and contraction maps are immutable after construction; edge
-multisets are value-like builders whose combining operations (union,
-restrict_to) return fresh objects, and every algorithm here is a pure
-function, so shared instances are safe across threads.
+families, and contraction maps are immutable after construction; an edge
+multiset is a value-like builder bound to one graph, whose combining
+operations (union, restrict_to) return fresh objects, and every algorithm
+here is a pure function, so shared instances are safe across threads.
 """
 
 from __future__ import annotations
@@ -143,31 +143,40 @@ class Digraph:
 
 
 class EdgeMultiset:
-    """A multiset of edge ids of a host graph (multiplicities >= 0)."""
+    """A multiset of edge ids of one graph g (multiplicities >= 0).
 
-    __slots__ = ("mult",)
+    Each id is checked against g once, when it is added; multisets of two
+    graphs neither combine nor compare equal.
+    """
 
-    def __init__(self, mult: Optional[dict[int, int]] = None):
+    __slots__ = ("g", "mult")
+
+    def __init__(self, g: Digraph, mult: Optional[dict[int, int]] = None):
+        self.g = g
         self.mult: dict[int, int] = {}
         if mult:
             for eid, k in mult.items():
                 self.add(eid, k)
 
     def add(self, eid: int, k: int = 1) -> None:
+        if not 0 <= eid < len(self.g.edges):
+            raise InputError(f"unknown edge id {eid}")
         if k < 0:
             raise ContractViolation("multiplicity must be nonnegative")
         if k:
             self.mult[eid] = self.mult.get(eid, 0) + k
 
     def copy(self) -> "EdgeMultiset":
-        out = EdgeMultiset()
+        out = EdgeMultiset(self.g)
         out.mult = dict(self.mult)
         return out
 
     def union(self, other: "EdgeMultiset") -> "EdgeMultiset":
+        if other.g is not self.g:
+            raise ContractViolation("union of edge multisets of two graphs")
         out = self.copy()
         for eid, k in other.mult.items():
-            out.add(eid, k)
+            out.mult[eid] = out.mult.get(eid, 0) + k
         return out
 
     def items(self) -> Iterator[tuple[int, int]]:
@@ -183,74 +192,64 @@ class EdgeMultiset:
         return bool(self.mult)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, EdgeMultiset) and self.mult == other.mult
+        return isinstance(other, EdgeMultiset) and self.g is other.g and self.mult == other.mult
 
-    def __contains__(self, eid: int) -> bool:
-        return eid in self.mult
-
-    def _edges(self, g: Digraph) -> tuple[Edge, ...]:
-        """g's edges, once every id of the multiset is known to be one."""
-        for eid in self.mult:
-            if not 0 <= eid < len(g.edges):
-                raise InputError(f"unknown edge id {eid}")
-        return g.edges
-
-    def cost_num(self, g: Digraph) -> int:
-        """The cost in g as a numerator over ``g.cost_den``."""
-        self._edges(g)
-        nums = g.cost_num
+    def cost_num(self) -> int:
+        """The cost as a numerator over ``g.cost_den``."""
+        nums = self.g.cost_num
         return sum(nums[eid] * k for eid, k in self.mult.items())
 
-    def cost(self, g: Digraph) -> Fraction:
-        return Fraction(self.cost_num(g), g.cost_den)
+    def cost(self) -> Fraction:
+        return Fraction(self.cost_num(), self.g.cost_den)
 
-    def vertices(self, g: Digraph) -> frozenset:
+    def vertices(self) -> frozenset:
         verts = set()
-        edges = self._edges(g)
+        edges = self.g.edges
         for eid in self.mult:
             e = edges[eid]
             verts.add(e.tail)
             verts.add(e.head)
         return frozenset(verts)
 
-    def degrees(self, g: Digraph) -> tuple[dict[int, int], dict[int, int]]:
+    def degrees(self) -> tuple[dict[int, int], dict[int, int]]:
         """(in-degree, out-degree) per vertex under multiplicity."""
         indeg: dict[int, int] = {}
         outdeg: dict[int, int] = {}
-        edges = self._edges(g)
+        edges = self.g.edges
         for eid, k in self.mult.items():
             e = edges[eid]
             outdeg[e.tail] = outdeg.get(e.tail, 0) + k
             indeg[e.head] = indeg.get(e.head, 0) + k
         return indeg, outdeg
 
-    def restrict_to(self, g: Digraph, vertex_set: frozenset | set) -> "EdgeMultiset":
+    def restrict_to(self, vertex_set: frozenset | set) -> "EdgeMultiset":
         """Sub-multiset of edges with both endpoints in the given set."""
-        out = EdgeMultiset()
-        edges = self._edges(g)
+        out = EdgeMultiset(self.g)
+        edges = self.g.edges
         for eid, k in self.mult.items():
             e = edges[eid]
             if e.tail in vertex_set and e.head in vertex_set:
-                out.add(eid, k)
+                out.mult[eid] = k
         return out
 
-    def crossing(self, g: Digraph, vertex_set: frozenset | set) -> int:
+    def crossing(self, vertex_set: frozenset | set) -> int:
         """Total multiplicity of edges with exactly one endpoint in the set."""
         count = 0
-        edges = self._edges(g)
+        edges = self.g.edges
         for eid, k in self.mult.items():
             e = edges[eid]
             if (e.tail in vertex_set) != (e.head in vertex_set):
                 count += k
         return count
 
-    def components(self, g: Digraph) -> list[tuple[frozenset, "EdgeMultiset"]]:
+    def components(self) -> list[tuple[frozenset, "EdgeMultiset"]]:
         """(vertex set, edges) per undirected component of the support that
         has an edge, ordered by smallest vertex."""
+        g = self.g
         # a singleton component has no edge: there are no self-loops
         comps = [comp for comp in undirected_components(g, self.mult) if len(comp) > 1]
         index = [0] * g.n
-        parts = [EdgeMultiset() for _ in comps]
+        parts = [EdgeMultiset(g) for _ in comps]
         for i, comp in enumerate(comps):
             for v in comp:
                 index[v] = i
@@ -402,7 +401,8 @@ def contract(g: Digraph, classes: Sequence[frozenset]) -> tuple[Digraph, Contrac
 def undirected_components(g: Digraph, support: Iterable[int],
                           within: Optional[Iterable[int]] = None) -> list[frozenset]:
     """Components of the undirected support of the given edges, plus isolated
-    vertices as singletons.  Sorted by smallest member.
+    vertices as singletons.  Sorted by smallest member.  The ids must be
+    edges of g, as those of an `EdgeMultiset` of g are.
 
     With ``within``, only those vertices are grouped, and edges with an
     endpoint outside them are ignored.  Union-find over a parent list with
@@ -418,8 +418,6 @@ def undirected_components(g: Digraph, support: Iterable[int],
         for v in within:
             inside[v] = True
     for eid in support:
-        if not 0 <= eid < len(edges):
-            raise InputError(f"unknown edge id {eid}")
         _, a, b, _, _ = edges[eid]
         if inside is not None and not (inside[a] and inside[b]):
             continue
@@ -459,37 +457,38 @@ def vertex_balance(g: Digraph, flow: Sequence) -> tuple[list, list]:
     return inflow, outflow
 
 
-def is_eulerian_connected(g: Digraph, f: EdgeMultiset) -> tuple[bool, list[frozenset]]:
+def is_eulerian_connected(f: EdgeMultiset) -> tuple[bool, list[frozenset]]:
     """Check the balance condition and report undirected components.
 
     Eulerian means in-multiplicity equals out-multiplicity at every vertex.
     The component list covers all of V (isolated vertices as singletons).
     """
-    indeg, outdeg = f.degrees(g)
+    indeg, outdeg = f.degrees()
     # both maps hold exactly the vertices with positive degree
-    return indeg == outdeg, undirected_components(g, f.mult)
+    return indeg == outdeg, undirected_components(f.g, f.mult)
 
 
-def euler_walk(g: Digraph, f: EdgeMultiset, start: int) -> list[int]:
+def euler_walk(f: EdgeMultiset, start: int) -> list[int]:
     """Closed walk (edge-id sequence) using each edge exactly its multiplicity.
 
     Hierholzer's algorithm.  Requires f Eulerian with connected support and
     positive degree at the start vertex.
     """
-    eulerian, comps = is_eulerian_connected(g, f)  # refuses ids that are not edges
+    eulerian, comps = is_eulerian_connected(f)
     if not eulerian:
         raise ContractViolation("edge multiset is not Eulerian")
-    support_verts = f.vertices(g)
+    support_verts = f.vertices()
     if start not in support_verts:
         raise ContractViolation(f"start vertex {start} has no edges in the multiset")
     comp_of_start = next(c for c in comps if start in c)
     if not support_verts <= comp_of_start:
         raise ContractViolation("support of the multiset is not connected")
+    edges = f.g.edges
     remaining: dict[int, int] = dict(f.mult)
     # per-vertex list of out-edges with positive multiplicity, ascending eid
     out_pool: dict[int, list[int]] = {}
     for eid in sorted(remaining, reverse=True):
-        out_pool.setdefault(g.edges[eid].tail, []).append(eid)
+        out_pool.setdefault(edges[eid].tail, []).append(eid)
     vertex_stack: list[int] = [start]
     edge_stack: list[int] = []
     walk: list[int] = []
@@ -503,7 +502,7 @@ def euler_walk(g: Digraph, f: EdgeMultiset, start: int) -> list[int]:
             remaining[eid] -= 1
             if remaining[eid] == 0:
                 pool.pop()
-            vertex_stack.append(g.edges[eid].head)
+            vertex_stack.append(edges[eid].head)
             edge_stack.append(eid)
         else:
             vertex_stack.pop()

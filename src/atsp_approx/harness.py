@@ -126,6 +126,8 @@ def _parse_tsplib(text: str) -> tuple[str, Digraph]:
                     dimension = int(value)
                 except ValueError:
                     raise InputError(f"bad DIMENSION {value!r}") from None
+                if dimension < 1:
+                    raise InputError(f"bad DIMENSION {dimension}")
             elif key == "EDGE_WEIGHT_TYPE":
                 weight_type = value.upper()
             elif key == "EDGE_WEIGHT_FORMAT":
@@ -140,7 +142,7 @@ def _parse_tsplib(text: str) -> tuple[str, Digraph]:
         raise InputError(f"EDGE_WEIGHT_TYPE must be EXPLICIT, got {weight_type!r}")
     if weight_format != "FULL_MATRIX":
         raise InputError("EDGE_WEIGHT_FORMAT must be FULL_MATRIX")
-    if dimension is None or dimension < 1:
+    if dimension is None:
         raise InputError("missing DIMENSION")
     if len(numbers) != dimension * dimension:
         raise InputError(
@@ -336,10 +338,11 @@ def _cheapest_reduced_tour(first: list[int], into: list[tuple[int, int, list[int
     return best if best <= limit else None
 
 
-def verify_tour(g: Digraph, tour: EdgeMultiset) -> tuple[bool, dict]:
+def verify_tour(tour: EdgeMultiset) -> tuple[bool, dict]:
     """Check connected + Eulerian + spanning; diagnostics carry the verdicts
     and, when valid, the Euler walk as the human-readable tour."""
-    eulerian, comps = is_eulerian_connected(g, tour)
+    g = tour.g
+    eulerian, comps = is_eulerian_connected(tour)
     spanning = comps == [frozenset(range(g.n))]
     diagnostics: dict = {
         "eulerian": eulerian,
@@ -347,12 +350,10 @@ def verify_tour(g: Digraph, tour: EdgeMultiset) -> tuple[bool, dict]:
         "components": [sorted(c) for c in comps],
     }
     ok = eulerian and spanning
-    if ok and tour:
-        walk = euler_walk(g, tour, 0)
+    if ok:
+        walk = euler_walk(tour, 0) if tour else []
         diagnostics["walk"] = [[g.edge(eid).tail, g.edge(eid).head]
                                for eid in walk]
-    elif ok:
-        diagnostics["walk"] = []
     return ok, diagnostics
 
 
@@ -414,7 +415,7 @@ def run_pipeline(name: str, g: Digraph, epsilon: Fraction,
     cert = solve_atsp(g, epsilon, checker)
     timings["solve_s"] = time.perf_counter() - start
     start = time.perf_counter()
-    ok, diagnostics = verify_tour(g, cert.tour)
+    ok, diagnostics = verify_tour(cert.tour)
     timings["verify_s"] = time.perf_counter() - start
     checker.check(ok, "pipeline-tour-verified", lambda: diagnostics)
     held = None

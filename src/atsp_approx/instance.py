@@ -188,8 +188,8 @@ class StronglyLaminarInstance:
         return 2 * sum(self._singleton_num[v] for v in verts)
 
     def cost_num(self, edges: EdgeMultiset) -> int:
-        """The cost of an edge multiset as a numerator over `_den`."""
-        return edges.cost_num(self.g) * (self._den // self.g.cost_den)
+        """The cost of an edge multiset of g as a numerator over `_den`."""
+        return edges.cost_num() * (self._den // self.g.cost_den)
 
     # -- nice paths ---------------------------------------------------------------
 

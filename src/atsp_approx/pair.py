@@ -30,11 +30,10 @@ class VertebratePair(FrozenRecord):
     def validate(self, checker: Optional[Checker] = None) -> None:
         checker = checker or Checker()
         inst = self.instance
-        g = inst.g
         if self.backbone:
-            eulerian, comps = is_eulerian_connected(g, self.backbone)
+            eulerian, comps = is_eulerian_connected(self.backbone)
             checker.check(eulerian, "backbone-eulerian")
-            touched = self.backbone.vertices(g)
+            touched = self.backbone.vertices()
             comp = next(c for c in comps if touched & c)
             checker.check(touched <= comp, "backbone-connected")
             checker.check(self.backbone_vertices == touched, "backbone-vertex-set")
@@ -55,14 +54,14 @@ class VertebratePair(FrozenRecord):
         the prefix followed by the clause name."""
         g = self.instance.g
         outside = self.outside_vertices()
-        checker.balanced(g, h, prefix + "eulerian")  # every id of h is an edge of g
+        checker.balanced(h, prefix + "eulerian")
         eids = list(h.mult)
         ok = [g.edges[eid].tail in outside and g.edges[eid].head in outside for eid in eids]
         bad = first_false(ok)
         checker.check_many(prefix + "avoids-backbone", len(ok), bad,
                            lambda: f"edge {eids[bad]}")
         for s in self.instance.family.nonsingletons():
-            checker.check(h.crossing(g, s) == 0, prefix + "avoids-family-cuts",
+            checker.check(h.crossing(s) == 0, prefix + "avoids-family-cuts",
                           lambda: sorted(s))
 
     def outside_vertices(self) -> frozenset:

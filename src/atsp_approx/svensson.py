@@ -245,7 +245,7 @@ class ComponentState:
         return min(self.part_of[v] for v in verts)
 
     def part_edges(self, idx: int) -> EdgeMultiset:
-        return self.h_tilde.restrict_to(self.pair.instance.g, self.parts[idx])
+        return self.h_tilde.restrict_to(self.parts[idx])
 
     def phi_terms(self, one_plus_p: mpmath.mpf) -> mpmath.mpf:
         import mpmath
@@ -260,10 +260,9 @@ def check_light(pair: VertebratePair, ell: EllFunction, edges: EdgeMultiset,
                 checker: Checker, label: str) -> None:
     """Every component of (V, edges) costs at most the budget of its vertex
     set."""
-    g = pair.instance.g
-    for comp, comp_edges in edges.components(g):
-        checker.check(comp_edges.cost_num(g) * ell.cost_scale <= ell.num_of(comp), label,
-                      lambda: f"{sorted(comp)}: {comp_edges.cost(g)}")
+    for comp, comp_edges in edges.components():
+        checker.check(comp_edges.cost_num() * ell.cost_scale <= ell.num_of(comp), label,
+                      lambda: f"{sorted(comp)}: {comp_edges.cost()}")
 
 
 def improved_initialization(state: ComponentState, d_vertices: frozenset,
@@ -280,9 +279,9 @@ def improved_initialization(state: ComponentState, d_vertices: frozenset,
     if d_vertices & pair.backbone_vertices:
         raise ContractViolation("subtour touches the backbone")
     for s in pair.instance.family.nonsingletons():
-        if d_edges.crossing(g, s) != 0:
+        if d_edges.crossing(s) != 0:
             raise ContractViolation("subtour crosses a non-singleton family set")
-    cost_d = d_edges.cost(g)
+    cost_d = d_edges.cost()
     ell_d = ell.of_set(d_vertices)
     if not (cost_d <= Fraction(2, 1) / (2 + eps_prime) * ell_d):
         raise ContractViolation("subtour too expensive for its budget")
@@ -301,7 +300,7 @@ def improved_initialization(state: ComponentState, d_vertices: frozenset,
     limit = eps_prime / (2 + eps_prime) * ell_d
     chosen = knapsack_greedy(items, limit)
     selected = [touched[idx] for idx in chosen]
-    merged = EdgeMultiset()
+    merged = EdgeMultiset(g)
     for j in range(1, len(state.parts)):
         if j not in touched:
             merged = merged.union(state.part_edges(j))
@@ -398,7 +397,7 @@ def svensson_iterate(pair: VertebratePair, ell: EllFunction,
     light = ell.consts.scaled_eps
 
     def cost(edges: EdgeMultiset) -> int:
-        return edges.cost_num(g) * ell.cost_scale
+        return edges.cost_num() * ell.cost_scale
 
     h = h_tilde.copy()
     # the cost analysis's bookkeeping: each cheap cycle marks a distinct
@@ -419,12 +418,12 @@ def svensson_iterate(pair: VertebratePair, ell: EllFunction,
         f_full = cover_fn(cover, checker)
         # drop cover components inside existing components of B+H
         bh_comps = undirected_components(g, pair.backbone.union(h).mult.keys())
-        f = EdgeMultiset()
-        for comp, comp_edges in f_full.components(g):
+        f = EdgeMultiset(g)
+        for comp, comp_edges in f_full.components():
             if not any(comp <= bh for bh in bh_comps):
                 f = f.union(comp_edges)
         # group the survivors by first touched part
-        f_comps = f.components(g)
+        f_comps = f.components()
         by_index: dict[int, list[tuple[frozenset, EdgeMultiset]]] = {}
         for comp, comp_edges in f_comps:
             by_index.setdefault(state.ind(comp), []).append((comp, comp_edges))
@@ -462,7 +461,7 @@ def svensson_iterate(pair: VertebratePair, ell: EllFunction,
                                                  comp_edges, checker)
                 return SvenssonResult("better", better, state)
         # (3) pad with cheap cycles, then absorb the last component
-        x_edges = EdgeMultiset()
+        x_edges = EdgeMultiset(g)
         x_cycles: list[tuple[list[int], int]] = []
         inner_cap = outer_cap
         inner = 0
@@ -495,7 +494,7 @@ def svensson_iterate(pair: VertebratePair, ell: EllFunction,
             for eid in cycle:
                 x_edges.add(eid)
             x_cycles.append((cycle, z_index))
-        added = EdgeMultiset()
+        added = EdgeMultiset(g)
         added_by_index: dict[int, int] = {}
         for comp, comp_edges in f_comps:
             if comp <= z_comp:
@@ -529,7 +528,7 @@ def svensson_iterate(pair: VertebratePair, ell: EllFunction,
     factor = _SOLUTION_FACTOR
     checker.check(cost(h) * factor.denominator <= outside_num * factor.numerator
                   + ell.num_of(pair.backbone_vertices) * factor.denominator,
-                  "solution-cost-bound", lambda: f"{h.cost(g)}")
+                  "solution-cost-bound", lambda: f"{h.cost()}")
     return SvenssonResult("solution", h, state)
 
 
@@ -542,16 +541,16 @@ def vertebrate_solve(pair: VertebratePair, epsilon: Fraction,
     pair.validate(checker)
     ell = build_ell(pair, epsilon, checker=checker)
     g = pair.instance.g
-    h_tilde = EdgeMultiset()
+    h_tilde = EdgeMultiset(g)
     for _ in range(_RESTART_CAP):
         result = svensson_iterate(pair, ell, h_tilde, cover_fn, checker)
         if result.kind == "solution":
             h = result.edges
-            checker.balanced(g, h, "solution-eulerian", range(g.n))
+            checker.balanced(h, "solution-eulerian", range(g.n))
             checker.check(_connected_with_backbone(pair, h),
                           "solution-connects")
             checker.check(pair.cost_at_most(h, KAPPA, ell.consts.eta),
-                          "vertebrate-bound", lambda: f"{h.cost(g)}")
+                          "vertebrate-bound", lambda: f"{h.cost()}")
             return h
         # restart with the better initialization; the potential must grow by
         # more than the regularity floor to the 1+p

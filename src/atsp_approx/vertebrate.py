@@ -62,18 +62,16 @@ def construct_backbone(inst: StronglyLaminarInstance, w_set: frozenset,
     backward = inst.nice_path(v_star, u_star)
     inst.nice_path_cost_identity(w_set, u_star, v_star, checker)
     inst.nice_path_cost_identity(w_set, v_star, u_star, checker)
-    backbone = EdgeMultiset()
-    for eid in forward:
-        backbone.add(eid)
-    for eid in backward:
+    backbone = EdgeMultiset(inst.g)
+    for eid in forward + backward:
         backbone.add(eid)
     if backbone:
-        touched = backbone.vertices(inst.g)
+        touched = backbone.vertices()
     else:
         touched = frozenset({u_star})
     den = inst._den
     checker.check(inst.cost_num(backbone) <= 2 * d_num, "backbone-cost",
-                  lambda: f"{backbone.cost(inst.g)} > 2*{Fraction(d_num, den)}")
+                  lambda: f"{backbone.cost()} > 2*{Fraction(d_num, den)}")
     members = inst.family.members
     candidates = [i for i, s in enumerate(members) if s < w_set and not (s & touched)]
     maximal = [i for i in candidates
@@ -165,7 +163,7 @@ def contracted_pair(inst: StronglyLaminarInstance, w_set: frozenset,
     child, cmap = _build_child_instance(inst, w_set, touched, missed, d_num,
                                         reach_of, checker)
     child_edge_of = cmap.child_edge_of()
-    child_backbone = EdgeMultiset()
+    child_backbone = EdgeMultiset(child.g)
     for eid, mult in backbone.items():
         if eid not in child_edge_of:
             raise InternalCheckError("backbone-survives-contraction", eid)
@@ -193,7 +191,7 @@ def reduce_and_solve(inst: StronglyLaminarInstance, w_set: frozenset,
     checker.check(_calls[0] <= 2 * inst.g.n + 1, "recursion-budget",
                   lambda: _calls[0])
     if len(w_set) == 1:
-        return EdgeMultiset()
+        return EdgeMultiset(inst.g)
     pair, backbone, touched, missed, cmap, val_num, d_num = contracted_pair(
         inst, w_set, checker
     )
@@ -201,21 +199,21 @@ def reduce_and_solve(inst: StronglyLaminarInstance, w_set: frozenset,
     consts = epsilon_constants(epsilon)
     solution = vp_solver(pair)
     checker.check(pair.cost_at_most(solution, KAPPA, consts.eta), "solver-contract",
-                  lambda: f"{solution.cost(child.g)}")
+                  lambda: f"{solution.cost()}")
 
     outside_vertex = (cmap.child_of(min(inst.ground - w_set))
                       if w_set != inst.ground else None)
     missed_of_vertex = {cmap.child_of(min(s)): s for s in missed}
-    lifted = EdgeMultiset()
-    for comp, comp_edges in solution.components(child.g):
-        walk = euler_walk(child.g, comp_edges, min(comp))
+    lifted = EdgeMultiset(inst.g)
+    for comp, comp_edges in solution.components():
+        walk = euler_walk(comp_edges, min(comp))
         _lift_component_walk(inst, child, cmap, walk, outside_vertex,
                              missed_of_vertex, lifted)
-    checker.check(lifted.cost_num(inst.g) * child.g.cost_den
-                  <= solution.cost_num(child.g) * inst.g.cost_den,
+    checker.check(lifted.cost_num() * child.g.cost_den
+                  <= solution.cost_num() * inst.g.cost_den,
                   "lifting-cost-monotone",
-                  lambda: f"{lifted.cost(inst.g)} > {solution.cost(child.g)}")
-    checker.balanced(inst.g, lifted, "lifted-eulerian")
+                  lambda: f"{lifted.cost()} > {solution.cost()}")
+    checker.balanced(lifted, "lifted-eulerian")
     # the lifted solution plus the backbone visits everything except the
     # interiors of the missed sets, and crosses into every missed set
     union = lifted.union(backbone)
@@ -223,18 +221,18 @@ def reduce_and_solve(inst: StronglyLaminarInstance, w_set: frozenset,
     for s in missed:
         interior |= s
     must_cover = w_set - interior
-    covered = union.vertices(inst.g) | touched
+    covered = union.vertices() | touched
     checker.check(must_cover <= covered, "lift-covers-window",
                   lambda: sorted(must_cover - covered))
     for s in missed:
-        checker.check(union.crossing(inst.g, s) > 0, "lift-crosses-missed",
+        checker.check(union.crossing(s) > 0, "lift-crosses-missed",
                       lambda: sorted(s))
     total = lifted.copy()
     for s in missed:
         sub_tour = reduce_and_solve(inst, s, vp_solver, epsilon, checker, _calls)
         total = total.union(sub_tour)
     total = total.union(backbone)
-    eulerian, comps = is_eulerian_connected(inst.g, total)
+    eulerian, comps = is_eulerian_connected(total)
     checker.check(eulerian, "window-tour-eulerian")
     support_comp = next((c for c in comps if c & w_set), None)
     checker.check(support_comp is not None and w_set <= support_comp,
@@ -243,7 +241,7 @@ def reduce_and_solve(inst: StronglyLaminarInstance, w_set: frozenset,
     # c(T) <= (2 kappa + 2) value(W) + (kappa + eta) (value(W) - D_W)
     c1, c2, d = consts.window_bound
     checker.check(inst.cost_num(total) * d <= c1 * val_num + c2 * (val_num - d_num),
-                  "window-cost-bound", lambda: f"{total.cost(inst.g)}")
+                  "window-cost-bound", lambda: f"{total.cost()}")
     return total
 
 
@@ -257,28 +255,28 @@ def solve_atsp(g: Digraph, epsilon: Fraction,
         raise ContractViolation("epsilon must be positive")
     inst, lp_value, origin = build_strongly_laminar_instance(g, checker)
     if g.n == 1:
-        return TourCertificate(EdgeMultiset(), [], ZERO, ZERO, Fraction(1),
+        return TourCertificate(EdgeMultiset(g), [], ZERO, ZERO, Fraction(1),
                                epsilon)
 
     def solver(pair: VertebratePair) -> EdgeMultiset:
         return vertebrate_solve(pair, epsilon, checker=checker)
 
     tour_inst = reduce_and_solve(inst, inst.ground, solver, epsilon, checker)
-    tour = EdgeMultiset()
+    tour = EdgeMultiset(g)
     for eid, mult in tour_inst.items():
         tour.add(origin[eid], mult)
-    cost = tour.cost(g)
-    checker.check(tour.cost_num(g) * inst.g.cost_den
-                  == tour_inst.cost_num(inst.g) * g.cost_den, "tour-cost-invariant",
-                  lambda: f"{cost} != {tour_inst.cost(inst.g)}")
+    cost = tour.cost()
+    checker.check(tour.cost_num() * inst.g.cost_den
+                  == tour_inst.cost_num() * g.cost_den, "tour-cost-invariant",
+                  lambda: f"{cost} != {tour_inst.cost()}")
     ratio_cap = Fraction(22) + epsilon
     checker.check(cost <= ratio_cap * lp_value, "approximation-guarantee",
                   lambda: {"cost": cost, "cap": ratio_cap, "lp_value": lp_value,
                            "epsilon": epsilon, "tour": sorted(tour.items())})
-    eulerian, comps = is_eulerian_connected(g, tour)
+    eulerian, comps = is_eulerian_connected(tour)
     checker.check(eulerian, "tour-eulerian")
     checker.check(comps == [frozenset(range(g.n))], "tour-spans")
-    walk = euler_walk(g, tour, 0)
+    walk = euler_walk(tour, 0)
     if not lp_value.numerator:
         checker.check(cost == 0, "zero-lp-zero-cost")
         ratio = Fraction(1)

@@ -7,7 +7,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from atsp_approx.graph import Digraph, EdgeMultiset, LaminarFamily
+from atsp_approx.graph import Digraph, LaminarFamily
 from atsp_approx.instance import StronglyLaminarInstance
 from atsp_approx.rational import common_denominator
 
@@ -30,13 +30,6 @@ def two_tri() -> Digraph:
         (3, 4, 1), (4, 5, 1), (5, 3, 1),
         (0, 3, 5), (3, 0, 5),
     ])
-
-
-def multiset(pairs) -> EdgeMultiset:
-    ms = EdgeMultiset()
-    for eid, k in pairs:
-        ms.add(eid, k)
-    return ms
 
 
 def rational_instance(g: Digraph, weighted_sets, x) -> StronglyLaminarInstance:

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +82,8 @@ def test_solve_rejects_bad_input(tmp_path, capsys):
                  '{"n": 2, "edges": [[true, 0, "1"], [0, 1, "1"]]}',
                  "TYPE: ATSP\nDIMENSION: abc\nEDGE_WEIGHT_FORMAT: FULL_MATRIX\n"
                  "EDGE_WEIGHT_SECTION\n0\nEOF\n",
+                 "TYPE: ATSP\nDIMENSION: 0\nEDGE_WEIGHT_FORMAT: FULL_MATRIX\n"
+                 "EDGE_WEIGHT_SECTION\nEOF\n",
                  '{"n": 2, "edges": [[0, 1, "1e4301"], [1, 0, "1"]]}',
                  '{"n": 2, "edges": [[0, 1, "1e-4301"], [1, 0, "1"]]}',
                  '{"n": 2, "edges": [[0, 1, "%s"], [1, 0, "1"]]}' % ("9" * 4301),
@@ -87,6 +93,29 @@ def test_solve_rejects_bad_input(tmp_path, capsys):
         code, out, err = run_cli(capsys, ["solve", str(path)])
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_exits_1_with_one_line(unbuffered, tmp_path):
+    # the reader closes its end before the child writes: with a buffered
+    # stdout the report fails when it is flushed, unbuffered inside print
+    path = tmp_path / "c3.json"
+    path.write_text(instance_to_json("c3", c3()))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "atsp_approx.cli", "solve", str(path)],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=300)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: stdout closed before the output was written\n"
 
 
 def test_solve_missing_file(capsys):

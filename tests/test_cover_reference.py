@@ -263,7 +263,7 @@ def ref_round_circulation(rerouted: FractionRerouted, aug: AugmentedGraph,
         in0 = sum(z_star[eid] for eid in sg.in_edges[split.lower(a)])
         in1 = sum(z_star[eid] for eid in sg.in_edges[split.upper(a)])
         checker.check(in0 == 1 or in1 == 1, "rounding-aux-unit")
-    f_bar = EdgeMultiset()
+    f_bar = EdgeMultiset(aug.g)
     f_star_lower: list[int] = []
     for eid in range(aug.g.m):
         lo = split.lower_of.get(eid)

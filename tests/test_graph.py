@@ -22,7 +22,7 @@ from atsp_approx.graph import (
     undirected_components,
     vertex_balance,
 )
-from fixtures import c3, k2, multiset, two_tri
+from fixtures import c3, k2, two_tri
 
 F = Fraction
 
@@ -59,31 +59,45 @@ def test_edge_cost_is_the_numerator_over_the_denominator():
 
 def test_edge_ids_outside_the_graph_are_refused():
     g = c3()
+    f = EdgeMultiset(g)
     for eid in (-1, -g.m, g.m):
         with pytest.raises(InputError, match=f"unknown edge id {eid}"):
             g.edge(eid)
         with pytest.raises(InputError, match=f"unknown edge id {eid}"):
-            EdgeMultiset({eid: 1}).cost(g)
-    assert EdgeMultiset({g.m - 1: 2}).cost(g) == 2 * g.edges[-1].cost
+            EdgeMultiset(g, {eid: 1})
+        with pytest.raises(InputError, match=f"unknown edge id {eid}"):
+            f.add(eid)  # refused when added, not when first read
+    assert not f
+    assert EdgeMultiset(g, {g.m - 1: 2}).cost() == 2 * g.edges[-1].cost
+
+
+def test_edge_multisets_of_two_graphs_neither_combine_nor_compare_equal():
+    g, twin = c3(), c3()
+    f = EdgeMultiset(g, {0: 1, 1: 2})
+    assert f == EdgeMultiset(g, {1: 2, 0: 1})
+    assert f != EdgeMultiset(twin, {0: 1, 1: 2})  # the same multiplicities
+    with pytest.raises(ContractViolation, match="two graphs"):
+        f.union(EdgeMultiset(twin, {2: 1}))
+    assert f.union(EdgeMultiset(g, {2: 1})) == EdgeMultiset(g, {0: 1, 1: 2, 2: 1})
 
 
 def test_eulerian_connected_on_triangle():
     g = c3()
-    ok, comps = is_eulerian_connected(g, multiset([(0, 1), (1, 1), (2, 1)]))
+    ok, comps = is_eulerian_connected(EdgeMultiset(g, {0: 1, 1: 1, 2: 1}))
     assert ok
     assert comps == [frozenset({0, 1, 2})]
 
 
 def test_eulerian_fails_on_single_arc():
     g = c3()
-    ok, comps = is_eulerian_connected(g, multiset([(0, 1)]))
+    ok, comps = is_eulerian_connected(EdgeMultiset(g, {0: 1}))
     assert not ok
     assert comps == [frozenset({0, 1}), frozenset({2})]
 
 
 def test_eulerian_two_components():
     g = two_tri()
-    ok, comps = is_eulerian_connected(g, multiset([(i, 1) for i in range(6)]))
+    ok, comps = is_eulerian_connected(EdgeMultiset(g, dict.fromkeys(range(6), 1)))
     assert ok
     assert comps == [frozenset({0, 1, 2}), frozenset({3, 4, 5})]
 
@@ -100,12 +114,12 @@ def test_undirected_components_within():
 
 def test_edge_multiset_components_ordered_by_smallest_vertex():
     g = two_tri()
-    f = multiset([(4, 1), (3, 1), (1, 2)])  # (4,5), (3,4), and (1,2) twice
-    comps = f.components(g)
+    f = EdgeMultiset(g, {4: 1, 3: 1, 1: 2})  # (4,5), (3,4), and (1,2) twice
+    comps = f.components()
     assert [comp for comp, _ in comps] == [frozenset({1, 2}), frozenset({3, 4, 5})]
-    assert [edges for _, edges in comps] == [multiset([(1, 2)]),
-                                             multiset([(3, 1), (4, 1)])]
-    assert EdgeMultiset().components(g) == []
+    assert [edges for _, edges in comps] == [EdgeMultiset(g, {1: 2}),
+                                             EdgeMultiset(g, {3: 1, 4: 1})]
+    assert EdgeMultiset(g).components() == []
 
 
 def _bfs_components(n, pairs, within):
@@ -147,30 +161,29 @@ def test_components_match_breadth_first_search_on_random_multigraphs():
             want = _bfs_components(n, pairs, range(n) if verts is None else verts)
             assert got == want, trial
             assert [min(c) for c in got] == sorted(min(c) for c in got)
-        f = EdgeMultiset({eid: rng.randint(1, 3) for eid in support})
-        parts = f.components(g)
+        f = EdgeMultiset(g, {eid: rng.randint(1, 3) for eid in support})
+        parts = f.components()
         assert [comp for comp, _ in parts] == [c for c in _bfs_components(n, pairs, range(n))
                                                if len(c) > 1]
         assert sum(len(part) for _, part in parts) == len(f)
         for comp, part in parts:
-            assert part == f.restrict_to(g, comp)
+            assert part == f.restrict_to(comp)
     empty = Digraph(4, [(0, 1, 1), (1, 0, 1)])
     assert undirected_components(empty, []) == [frozenset({v}) for v in range(4)]
     assert undirected_components(empty, [], within=set()) == []
-    assert EdgeMultiset().components(empty) == []
+    assert EdgeMultiset(empty).components() == []
 
 
 def test_checker_balanced_counts_per_vertex():
     g = c3()
     checker = Checker()
-    checker.balanced(g, multiset([(0, 1), (1, 1), (2, 1)]), "touched")
-    checker.balanced(g, EdgeMultiset(), "untouched")
-    checker.balanced(g, EdgeMultiset(), "listed", range(g.n))
+    checker.balanced(EdgeMultiset(g, {0: 1, 1: 1, 2: 1}), "touched")
+    checker.balanced(EdgeMultiset(g), "untouched")
+    checker.balanced(EdgeMultiset(g), "listed", range(g.n))
     assert checker.counters == {"touched": 3, "listed": 3}
     with pytest.raises(InternalCheckError) as info:
-        checker.balanced(g, multiset([(0, 1)]), "one-arc")
+        checker.balanced(EdgeMultiset(g, {0: 1}), "one-arc")
     assert info.value.label == "one-arc"
-    assert checker.failures == ["one-arc"]
 
 
 def test_support_acyclic_detects_cycles():
@@ -229,13 +242,13 @@ def test_vertex_balance_matches_per_vertex_sums_on_random_multigraphs():
 
 def test_euler_walk_triangle():
     g = c3()
-    walk = euler_walk(g, multiset([(0, 1), (1, 1), (2, 1)]), 0)
+    walk = euler_walk(EdgeMultiset(g, {0: 1, 1: 1, 2: 1}), 0)
     assert walk == [0, 1, 2]
 
 
 def test_euler_walk_doubled_two_cycle():
     g = k2()
-    walk = euler_walk(g, multiset([(0, 2), (1, 2)]), 0)
+    walk = euler_walk(EdgeMultiset(g, {0: 2, 1: 2}), 0)
     assert len(walk) == 4
     # replay: consumes each arc exactly twice and alternates endpoints
     v = 0
@@ -250,10 +263,10 @@ def test_euler_walk_doubled_two_cycle():
 
 def test_euler_walk_two_tri_with_joiners():
     g = two_tri()
-    f = multiset([(i, 1) for i in range(8)])
-    walk = euler_walk(g, f, 0)
+    f = EdgeMultiset(g, dict.fromkeys(range(8), 1))
+    walk = euler_walk(f, 0)
     assert len(walk) == 8
-    replay = EdgeMultiset()
+    replay = EdgeMultiset(g)
     v = 0
     for eid in walk:
         e = g.edge(eid)
@@ -266,7 +279,7 @@ def test_euler_walk_two_tri_with_joiners():
 def test_euler_walk_rejects_disconnected():
     g = two_tri()
     with pytest.raises(ContractViolation):
-        euler_walk(g, multiset([(i, 1) for i in range(6)]), 0)
+        euler_walk(EdgeMultiset(g, dict.fromkeys(range(6), 1)), 0)
 
 
 def test_euler_walk_replay_random_multisets():
@@ -283,7 +296,7 @@ def test_euler_walk_replay_random_multisets():
                 edges.append((u, v, 1))
         g = Digraph(n, edges)
         # random Eulerian multiset: sum of directed cycles found by walking
-        f = EdgeMultiset()
+        f = EdgeMultiset(g)
         for _ in range(rng.randint(1, 4)):
             start = rng.randrange(n)
             v, trail = start, []
@@ -297,13 +310,13 @@ def test_euler_walk_replay_random_multisets():
                 continue
             for eid in trail:
                 f.add(eid)
-        ok, comps = is_eulerian_connected(g, f)
+        ok, comps = is_eulerian_connected(f)
         assert ok
-        if not f or len([c for c in comps if len(c) > 1 or f.restrict_to(g, c)]) > 1:
+        if not f or len([c for c in comps if len(c) > 1 or f.restrict_to(c)]) > 1:
             continue
-        start = min(f.vertices(g))
-        walk = euler_walk(g, f, start)
-        replay = EdgeMultiset()
+        start = min(f.vertices())
+        walk = euler_walk(f, start)
+        replay = EdgeMultiset(g)
         v = start
         for eid in walk:
             e = g.edge(eid)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from atsp_approx.errors import BudgetError, InfeasibleInstanceError, InputError
-from atsp_approx.graph import Digraph, integer_edges
+from atsp_approx.graph import Digraph, EdgeMultiset, integer_edges
 from atsp_approx.harness import (
     gen_instance,
     held_karp_opt,
@@ -17,7 +17,7 @@ from atsp_approx.harness import (
     verify_tour,
 )
 from atsp_approx.rational import MAX_DIGITS, parse_rational
-from fixtures import c3, k2, two_tri, multiset
+from fixtures import c3, k2, two_tri
 from test_held_karp_reference import brute_force_opt
 
 F = Fraction
@@ -93,6 +93,9 @@ def test_parse_tsplib_requires_atsp():
         parse_instance(text)
     with pytest.raises(InputError, match="DIMENSION"):
         parse_instance(text.replace("TSP", "ATSP").replace("2", "abc", 1))
+    for dimension in ("0", "-3"):
+        with pytest.raises(InputError, match=f"^bad DIMENSION {dimension}$"):
+            parse_instance(text.replace("TSP", "ATSP").replace("2", dimension, 1))
 
 
 def _tsplib_text(rows: list[list[str]], one_line: bool = False) -> str:
@@ -211,12 +214,11 @@ def test_held_karp_matches_brute_force_walks():
 
 def test_verify_tour_cases():
     g = c3()
-    ok, diag = verify_tour(g, multiset([(0, 1), (1, 1), (2, 1)]))
+    ok, diag = verify_tour(EdgeMultiset(g, {0: 1, 1: 1, 2: 1}))
     assert ok and diag["walk"] == [[0, 1], [1, 2], [2, 0]]
-    ok, diag = verify_tour(g, multiset([(0, 1), (1, 1)]))
+    ok, diag = verify_tour(EdgeMultiset(g, {0: 1, 1: 1}))
     assert not ok and not diag["eulerian"]
-    g2 = two_tri()
-    ok, diag = verify_tour(g2, multiset([(i, 1) for i in range(6)]))
+    ok, diag = verify_tour(EdgeMultiset(two_tri(), dict.fromkeys(range(6), 1)))
     assert not ok and diag["eulerian"] and not diag["connected_spanning"]
 
 

@@ -92,6 +92,10 @@ def test_corrupted_stored_integers_trip_validate():
 class _RecordingChecker(Checker):
     """Records failed labels instead of raising."""
 
+    def __init__(self):
+        super().__init__()
+        self.failures: list[str] = []
+
     def check(self, cond, label, detail=None):
         self.counters[label] += 1
         if not cond:
@@ -127,11 +131,11 @@ def _singleton_ring(n: int) -> VertebratePair:
     g = Digraph(n, *integer_edges(edges))
     inst = rational_instance(g, [(frozenset({v}), half) for v in range(1, n)], [half] * g.m)
     inst.validate(Checker())
-    return VertebratePair(inst, EdgeMultiset(), frozenset({0}))
+    return VertebratePair(inst, EdgeMultiset(inst.g), frozenset({0}))
 
 
 def _path_cycle(g: Digraph, verts: set, mult: int) -> EdgeMultiset:
-    out = EdgeMultiset()
+    out = EdgeMultiset(g)
     for e in g.edges:
         if e.tail in verts and e.head in verts:
             out.add(e.eid, mult)
@@ -145,13 +149,13 @@ def _reference_restart(pair, ell: EllFunction, h_tilde, cover_edges):
     g = pair.instance.g
     state = ComponentState(pair, ell, h_tilde)
     by_index: dict[int, list] = {}
-    for comp, comp_edges in cover_edges.components(g):
+    for comp, comp_edges in cover_edges.components():
         by_index.setdefault(state.ind(comp), []).append((comp, comp_edges))
     for i in sorted(by_index):
-        cost = sum((ce.cost(g) for _, ce in by_index[i]), F(0))
+        cost = sum((ce.cost() for _, ce in by_index[i]), F(0))
         if i and cost > ell.of_set(state.parts[i]):
             return frozenset(state.parts[i]).union(*(c for c, _ in by_index[i]))
-    for comp, _ in cover_edges.components(g):
+    for comp, _ in cover_edges.components():
         i = state.ind(comp)
         if i and ell.of_set(comp) > (1 + ell.consts.eps_prime) * ell.of_set(state.parts[i]):
             return comp
@@ -172,7 +176,7 @@ def test_budget_overrun_by_one_unit_takes_the_fraction_branch(eps_prime, over,
     cover_edges = _path_cycle(g, {2, 3, 4, 5}, 2).union(_path_cycle(g, {6, 7, 8, 9}, 2))
     part = ComponentState(pair, ell, h_tilde).parts[1]
     assert part == frozenset({5, 6})
-    assert cover_edges.cost(g) == ell.of_set(part) + over
+    assert cover_edges.cost() == ell.of_set(part) + over
     merged = []
     original = svensson_module.improved_initialization
 

@@ -36,13 +36,13 @@ def masked(obj) -> str:
 
 
 def pair_of(inst) -> VertebratePair:
-    return VertebratePair(inst, EdgeMultiset(), frozenset({0}))
+    return VertebratePair(inst, EdgeMultiset(inst.g), frozenset({0}))
 
 
 def test_records_construct_by_position_and_by_keyword():
     g = two_tri()
     inst, _, _ = build_strongly_laminar_instance(g)
-    tour = EdgeMultiset({0: 1})
+    tour = EdgeMultiset(inst.g, {0: 1})
     cases = [
         (RunReport, ("instance", "n", "epsilon", "lp_value", "tour_cost", "ratio",
                      "tour_walk", "assertion_counts", "held_karp", "timings"),
@@ -53,7 +53,7 @@ def test_records_construct_by_position_and_by_keyword():
         (ContractionMap, ("vertex_map", "edge_origin"), ((0, 0, 1), (2,))),
         (VertebratePair, ("instance", "backbone", "backbone_vertices"),
          (inst, tour, frozenset({0, 1}))),
-        (SubtourCoverInstance, ("pair", "h"), (pair_of(inst), EdgeMultiset())),
+        (SubtourCoverInstance, ("pair", "h"), (pair_of(inst), EdgeMultiset(inst.g))),
     ]
     for cls, names, args in cases:
         by_position = cls(*args)
@@ -80,21 +80,21 @@ def test_records_compare_by_value():
     assert report == same and not report != same
     same.timings["solve_s"] = 0.5
     assert report != same
-    cert = TourCertificate(EdgeMultiset({0: 1}), [0], F(16), F(16), F(1), F(1))
-    assert cert == TourCertificate(EdgeMultiset({0: 1}), [0], F(16), F(16), F(1), F(1))
-    assert cert != TourCertificate(EdgeMultiset({0: 2}), [0], F(16), F(16), F(1), F(1))
+    cert = TourCertificate(EdgeMultiset(g, {0: 1}), [0], F(16), F(16), F(1), F(1))
+    assert cert == TourCertificate(EdgeMultiset(g, {0: 1}), [0], F(16), F(16), F(1), F(1))
+    assert cert != TourCertificate(EdgeMultiset(g, {0: 2}), [0], F(16), F(16), F(1), F(1))
     cmap = ContractionMap((0, 0, 1), (2,))
     assert cmap == ContractionMap((0, 0, 1), (2,))
     assert cmap != ContractionMap((0, 1, 1), (2,))
     pair = pair_of(inst)
     assert pair == pair_of(inst)
-    assert pair != VertebratePair(inst, EdgeMultiset(), frozenset({1}))
+    assert pair != VertebratePair(inst, EdgeMultiset(inst.g), frozenset({1}))
     # the instance compares by identity
     other, _, _ = build_strongly_laminar_instance(g)
     assert pair != pair_of(other)
-    cover = SubtourCoverInstance(pair, EdgeMultiset())
-    assert cover == SubtourCoverInstance(pair_of(inst), EdgeMultiset())
-    assert cover != SubtourCoverInstance(pair_of(inst), EdgeMultiset({0: 1}))
+    cover = SubtourCoverInstance(pair, EdgeMultiset(pair.instance.g))
+    assert cover == SubtourCoverInstance(pair_of(inst), EdgeMultiset(inst.g))
+    assert cover != SubtourCoverInstance(pair_of(inst), EdgeMultiset(inst.g, {0: 1}))
     # no record equals a record of another class or a tuple of its fields
     assert cmap != ((0, 0, 1), (2,))
     assert report != cert
@@ -150,7 +150,7 @@ def test_reprs_on_a_small_solve_are_the_dataclass_reprs():
         "object at 0x>, backbone=<atsp_approx.graph.EdgeMultiset object at 0x>, "
         "backbone_vertices=frozenset({0}))")
     assert masked(pair_of(inst)) == pair_repr
-    assert masked(SubtourCoverInstance(pair_of(inst), EdgeMultiset())) == (
+    assert masked(SubtourCoverInstance(pair_of(inst), EdgeMultiset(inst.g))) == (
         f"SubtourCoverInstance(pair={pair_repr}, "
         "h=<atsp_approx.graph.EdgeMultiset object at 0x>, "
         "w_sets=[frozenset({1}), frozenset({2}), frozenset({3}), frozenset({4}), "

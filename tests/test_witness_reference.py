@@ -117,9 +117,9 @@ def thirds_cover() -> SubtourCoverInstance:
             (2, 3, 2), (2, 4, 5), (2, 5, 9), (3, 2, 2), (3, 5, 7), (4, 1, 5),
             (4, 3, 4), (4, 5, 5), (5, 3, 2), (5, 0, 8)]
     inst, _, _ = build_strongly_laminar_instance(Digraph(6, arcs))
-    pair = VertebratePair(inst, EdgeMultiset(), frozenset({2}))
+    pair = VertebratePair(inst, EdgeMultiset(inst.g), frozenset({2}))
     pair.validate()
-    cover = SubtourCoverInstance(pair, EdgeMultiset())
+    cover = SubtourCoverInstance(pair, EdgeMultiset(pair.instance.g))
     cover.validate()
     return cover
 
@@ -150,8 +150,8 @@ def random_covers(trials: int = 300) -> tuple[SubtourCoverInstance, ...]:
         for s in inst.family.nonsingletons():
             common &= s
         if common and inst.family.nonsingletons():
-            pair = VertebratePair(inst, EdgeMultiset(), frozenset({min(common)}))
-            covers.append(SubtourCoverInstance(pair, EdgeMultiset()))
+            pair = VertebratePair(inst, EdgeMultiset(inst.g), frozenset({min(common)}))
+            covers.append(SubtourCoverInstance(pair, EdgeMultiset(pair.instance.g)))
             outside = pair.outside_vertices()
             inside = {e.eid for e in inst.g.edges
                       if e.tail in outside and e.head in outside
@@ -159,7 +159,8 @@ def random_covers(trials: int = 300) -> tuple[SubtourCoverInstance, ...]:
                                   for s in inst.family.nonsingletons())}
             cycle = _find_any_cycle(inst.g, inside)
             if cycle is not None:
-                covers.append(SubtourCoverInstance(pair, EdgeMultiset(dict.fromkeys(cycle, 1))))
+                h = EdgeMultiset(inst.g, dict.fromkeys(cycle, 1))
+                covers.append(SubtourCoverInstance(pair, h))
     return tuple(covers)
 
 

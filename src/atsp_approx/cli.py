@@ -83,7 +83,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _, g = parse_instance(_read_source(args.instance))
     try:
         doc = json.loads(_read_source(args.tour))
-    except ValueError as exc:  # JSONDecodeError, or an over-long integer on 3.11+
+    # JSONDecodeError, an over-long integer on 3.11+, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"bad tour JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError("tour file must hold a JSON object")

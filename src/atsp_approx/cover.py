@@ -62,8 +62,8 @@ class SubtourCoverInstance(Record):
         self.w_sets: list[frozenset] = undirected_components(
             pair.instance.g, h.mult, within=pair.outside_vertices())
 
-    def validate(self, checker: Optional[Checker] = None) -> None:
-        self.pair.check_initialization(self.h, checker or Checker(), "h-")
+    def validate(self, checker: Checker) -> None:
+        self.pair.check_initialization(self.h, checker, "h-")
 
 
 def classify_edge(r_tail: int, r_head: int) -> str:
@@ -205,12 +205,11 @@ def _witness_circulation(g: Digraph, need: list[int], outside: frozenset,
 
 
 def compute_witness_flow(cover: SubtourCoverInstance, levels: LevelStructure,
-                         checker: Optional[Checker] = None) -> WitnessFlow:
+                         checker: Checker) -> WitnessFlow:
     """Two min-cost circulations on x scaled to integers: first minimize the
     flow crossing the component boundaries, then minimize total flow below
     the first optimum.  The result is re-checked against every defining
     property, including acyclicity of the support."""
-    checker = checker or Checker()
     inst = cover.pair.instance
     g = inst.g
     x_num = inst._x_num
@@ -255,8 +254,7 @@ def compute_witness_flow(cover: SubtourCoverInstance, levels: LevelStructure,
 
 def validate_witness_flow(cover: SubtourCoverInstance, levels: LevelStructure,
                           witness: WitnessFlow,
-                          checker: Optional[Checker] = None) -> None:
-    checker = checker or Checker()
+                          checker: Checker) -> None:
     inst = cover.pair.instance
     g = inst.g
     f, x = witness.f, inst._x_num
@@ -355,8 +353,7 @@ class AugmentedGraph:
 
 def build_augmented_graph(cover: SubtourCoverInstance, witness: WitnessFlow,
                           levels: LevelStructure,
-                          checker: Optional[Checker] = None) -> AugmentedGraph:
-    checker = checker or Checker()
+                          checker: Checker) -> AugmentedGraph:
     inst = cover.pair.instance
     g = inst.g
     f, x = witness.f, inst._x_num
@@ -521,7 +518,7 @@ def _decompose_unit_through(g: Digraph, z: list[int], inside: frozenset,
 
 def lift_and_reroute(cover: SubtourCoverInstance, witness: WitnessFlow,
                      aug: AugmentedGraph,
-                     checker: Optional[Checker] = None) -> ReroutedCirculation:
+                     checker: Checker) -> ReroutedCirculation:
     """Build the split circulation of the augmented graph and reroute half a
     unit of the flow through each first residual SCC onto its auxiliary
     vertex, entering at the majority level.
@@ -530,7 +527,6 @@ def lift_and_reroute(cover: SubtourCoverInstance, witness: WitnessFlow,
     denominators of x and f, so that half a unit is the integer D // 2; the
     split-edge costs are the split graph's numerators over its cost
     denominator C.  Every check compares integers."""
-    checker = checker or Checker()
     inst = cover.pair.instance
     backbone = cover.pair.backbone_vertices
     split = build_split_graph(aug.g, aug.edge_class, backbone)
@@ -626,13 +622,12 @@ def _ceil2(num: int, den: int) -> int:
 
 def round_circulation(rerouted: ReroutedCirculation, aug: AugmentedGraph,
                       cover: SubtourCoverInstance,
-                      checker: Optional[Checker] = None) -> RoundedCirculation:
+                      checker: Checker) -> RoundedCirculation:
     """Round twice the rerouted circulation to an integral one by exact
     min-cost flow with per-edge caps, an in-degree cap on every upper-level
     vertex, and a forced unit through each auxiliary vertex's chosen level.
     All four rounding properties plus the structural consequences used by
     the cost analysis are asserted."""
-    checker = checker or Checker()
     split = rerouted.split
     sg = split.g
     z, den, cost = rerouted.z, rerouted.den, rerouted.cost
@@ -759,10 +754,9 @@ def _check_rounded_structure(f_bar: EdgeMultiset, f_star: list[int],
 
 def map_back(rounded: RoundedCirculation, aug: AugmentedGraph,
              cover: SubtourCoverInstance,
-             checker: Optional[Checker] = None) -> EdgeMultiset:
+             checker: Checker) -> EdgeMultiset:
     """Replace auxiliary-vertex edges by their base edges and repair the
     Eulerian degrees with a path inside each component."""
-    checker = checker or Checker()
     inst = cover.pair.instance
     g = inst.g
     f = EdgeMultiset(g)
@@ -805,10 +799,8 @@ def map_back(rounded: RoundedCirculation, aug: AugmentedGraph,
     return f
 
 
-def subtour_cover(cover: SubtourCoverInstance,
-                  checker: Optional[Checker] = None) -> EdgeMultiset:
+def subtour_cover(cover: SubtourCoverInstance, checker: Checker) -> EdgeMultiset:
     """Full (3,2,1) subtour-cover pipeline with every contract asserted."""
-    checker = checker or Checker()
     cover.validate(checker)
     inst = cover.pair.instance
     g = inst.g

@@ -474,15 +474,12 @@ def euler_walk(f: EdgeMultiset, start: int) -> list[int]:
     Hierholzer's algorithm.  Requires f Eulerian with connected support and
     positive degree at the start vertex.
     """
-    eulerian, comps = is_eulerian_connected(f)
-    if not eulerian:
+    indeg, outdeg = f.degrees()
+    # both maps hold exactly the vertices with positive degree
+    if indeg != outdeg:
         raise ContractViolation("edge multiset is not Eulerian")
-    support_verts = f.vertices()
-    if start not in support_verts:
+    if start not in outdeg:
         raise ContractViolation(f"start vertex {start} has no edges in the multiset")
-    comp_of_start = next(c for c in comps if start in c)
-    if not support_verts <= comp_of_start:
-        raise ContractViolation("support of the multiset is not connected")
     edges = f.g.edges
     remaining: dict[int, int] = dict(f.mult)
     # per-vertex list of out-edges with positive multiplicity, ascending eid
@@ -509,6 +506,7 @@ def euler_walk(f: EdgeMultiset, start: int) -> list[int]:
             if edge_stack:
                 walk.append(edge_stack.pop())
     walk.reverse()
+    # a balanced walk from start uses every edge of start's component
     if len(walk) != f.total():
         raise ContractViolation("support of the multiset is not connected")
     return walk

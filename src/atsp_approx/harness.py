@@ -61,7 +61,8 @@ def _is_int(value) -> bool:
 def _parse_json(text: str) -> tuple[str, Digraph]:
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an over-long integer on 3.11+
+    # JSONDecodeError, an over-long integer on 3.11+, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"bad JSON: {exc}") from None
     if not isinstance(doc, dict) or "n" not in doc or \
             not isinstance(doc.get("edges"), list):

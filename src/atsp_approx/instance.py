@@ -219,29 +219,51 @@ class StronglyLaminarInstance:
         return path
 
     def _compute_nice_path(self, u: int, v: int) -> tuple[int, ...]:
-        """The block path from u's block to v's inside their hull, each
-        block on it crossed by the nice path from where the path enters it
-        to where it leaves."""
+        """The block path of `_legs`, each block on it crossed by the nice
+        path from where the path enters it to where it leaves.  Those inner
+        paths are expanded depth first with an explicit stack, not by
+        recursion, so a family nested deeper than the interpreter's
+        recursion limit is solved too; each is stored in `_paths` once it
+        is complete."""
+        stack = [((u, v), self._legs(u, v), [])]
+        while True:
+            pair, legs, path = stack[-1]
+            while legs:
+                a, b, eid = legs[-1]
+                inner = () if a == b else self._paths.get((a, b))
+                if inner is None:
+                    stack.append(((a, b), self._legs(a, b), []))
+                    break
+                legs.pop()
+                path += inner
+                if eid is not None:
+                    path.append(eid)
+            else:
+                stack.pop()
+                if not stack:
+                    return tuple(path)
+                self._paths[pair] = tuple(path)
+
+    def _legs(self, u: int, v: int) -> list[tuple[int, int, Optional[int]]]:
+        """The block path from u's block to v's inside their hull, as legs
+        (a, b, e), last leg first: the nice a-b path inside one block, then
+        edge e into the next block (None after the last leg)."""
         edges = self.g.edges
         k = _common_prefix(self._chains[u], self._chains[v])
         hull = self.family.members[self._chains[u][k - 1]] if k else self.ground
         block, _, arcs = self._blocks(hull, k)
         entered = _search(arcs, block[u])
-        b = block[v]
-        if b not in entered:
+        if block[v] not in entered:
             raise ContractViolation(f"no {u}-{v} path inside {sorted(hull)}; "
                                     "instance not strongly laminar")
-        steps = []
-        while entered[b] is not None:
-            steps.append(entered[b])
-            b = block[edges[steps[-1]].tail]
-        path, at = [], u
-        for eid in reversed(steps):
-            path += self.nice_path(at, edges[eid].tail)
-            path.append(eid)
-            at = edges[eid].head
-        path += self.nice_path(at, v)
-        return tuple(path)
+        legs, at, after = [], v, None
+        eid = entered[block[v]]
+        while eid is not None:
+            legs.append((edges[eid].head, at, after))
+            at, after = edges[eid].tail, eid
+            eid = entered[block[at]]
+        legs.append((u, at, after))
+        return legs
 
     def _blocks(self, hull: frozenset, k: int) -> _Blocks:
         """The blocks of a hull whose vertices share the first k sets of
@@ -274,12 +296,11 @@ class StronglyLaminarInstance:
         return verts <= self.hull(u, v) and self._first_violated(path) is None
 
     def nice_path_cost_identity(self, w_set: frozenset, u: int, v: int,
-                                checker: Optional[Checker] = None) -> Fraction:
+                                checker: Checker) -> Fraction:
         """Cost of the stored nice u-v path, with its crossing-weight identity
         re-checked exactly: the cost equals twice the weight of the proper
         subsets of W the path touches, minus the weights of the sets holding
         each endpoint."""
-        checker = checker or Checker()
         path = self.nice_path(u, v)
         verts = set(_path_vertices(self.g, u, list(path)))
         _, inner = self._window(w_set)
@@ -359,8 +380,7 @@ class StronglyLaminarInstance:
                 + self._path_table()[u][v])
 
     def value_and_dw(self, w_set: frozenset,
-                     checker: Optional[Checker] = None
-                     ) -> tuple[int, int, int, int]:
+                     checker: Checker) -> tuple[int, int, int, int]:
         """(value(W), D_W, argmax pair), the first two as numerators over
         `_den`; ties broken lexicographically.
 
@@ -369,7 +389,6 @@ class StronglyLaminarInstance:
         whole and its maximum compared, and on a failure the count stops at
         the first pair over value(W).
         """
-        checker = checker or Checker()
         den = self._den
         val_num, inner = self._window(w_set)
         table = self._path_table()
@@ -395,14 +414,13 @@ class StronglyLaminarInstance:
 
     # -- validation ---------------------------------------------------------------
 
-    def validate(self, checker: Optional[Checker] = None) -> None:
+    def validate(self, checker: Checker) -> None:
         """Re-check every clause of the instance definition.
 
         The LP-feasibility clause (every cut at least 2) is exponential to
         check directly and is certified by the separation oracle instead,
         on every instance of at least two vertices.
         """
-        checker = checker or Checker()
         g = self.g
         members = self.family.members
         checker.check(g.is_strongly_connected(), "instance-strongly-connected")
@@ -434,13 +452,12 @@ class StronglyLaminarInstance:
             checker.check(violated is None, "x-feasible-all-cuts",
                           lambda: sorted(violated))
 
-    def validate_paths(self, checker: Optional[Checker] = None) -> None:
+    def validate_paths(self, checker: Checker) -> None:
         """Crossing-count check for the nice path of every ordered pair (at
         most once each way), counted once per pair in row-major order;
         builds the nice-path cost table.  A pair whose path is not stored
         takes the path its table entry was built from, which stays in the
         hull and is nice by construction; a stored path is re-walked."""
-        checker = checker or Checker()
         n = self.g.n
         self._path_table()
         for u, v in sorted(self._paths):

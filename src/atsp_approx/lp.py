@@ -213,7 +213,7 @@ def _separate_all(g: Digraph, x_num: Sequence[int], unit: int,
     return found
 
 
-def solve_atsp_lp(g: Digraph, checker: Optional[Checker] = None) -> tuple[PrimalLp, DualLp]:
+def solve_atsp_lp(g: Digraph, checker: Checker) -> tuple[PrimalLp, DualLp]:
     """Solve the subtour-elimination LP and its dual exactly.
 
     The returned dual has y supported on cuts generated during solving; its
@@ -223,7 +223,6 @@ def solve_atsp_lp(g: Digraph, checker: Optional[Checker] = None) -> tuple[Primal
     the previous result back to `simplex.solve_lp`, which appends the new
     cuts to its optimal tableau.
     """
-    checker = checker or Checker()
     if g.n < 2:
         raise ContractViolation("LP needs at least two vertices")
     if not g.is_strongly_connected():
@@ -280,7 +279,7 @@ def _crossing_sets(a: frozenset, b: frozenset) -> bool:
     return bool(a & b) and not (a <= b) and not (b <= a)
 
 
-def uncross_dual(g: Digraph, dual: DualLp, checker: Optional[Checker] = None) -> DualLp:
+def uncross_dual(g: Digraph, dual: DualLp, checker: Checker) -> DualLp:
     """Rewrite the dual so the y support is laminar; objective unchanged.
 
     Every support set is first canonicalized to exclude vertex 0 (a cut and
@@ -288,7 +287,6 @@ def uncross_dual(g: Digraph, dual: DualLp, checker: Optional[Checker] = None) ->
     repeatedly replaced by A&B, A|B, moving min(y_A, y_B) of weight.  Each
     step zeroes a set; a loud iteration cap guards termination.
     """
-    checker = checker or Checker()
     ground = frozenset(range(g.n))
     y: dict[frozenset, int] = {}
     for u_set, weight in dual.y.items():
@@ -333,8 +331,7 @@ def uncross_dual(g: Digraph, dual: DualLp, checker: Optional[Checker] = None) ->
     return out
 
 
-def make_strongly_laminar(g: Digraph, dual: DualLp,
-                          checker: Optional[Checker] = None) -> DualLp:
+def make_strongly_laminar(g: Digraph, dual: DualLp, checker: Checker) -> DualLp:
     """Repair the dual so every support set induces a strongly connected
     subgraph of g (g must already be restricted to the support of the LP
     optimum x).
@@ -345,7 +342,6 @@ def make_strongly_laminar(g: Digraph, dual: DualLp,
     a strongly connected subgraph, so a step adds no failing set: the
     failing sets are found once, before the first step.
     """
-    checker = checker or Checker()
     dual = dual.copy()
     bad = sorted((u for u in dual.y if not g.is_strongly_connected(u)),
                  key=lambda s: (len(s), sorted(s)))
@@ -375,7 +371,7 @@ def make_strongly_laminar(g: Digraph, dual: DualLp,
 
 
 def build_strongly_laminar_instance(
-    g: Digraph, checker: Optional[Checker] = None
+    g: Digraph, checker: Checker
 ) -> tuple[StronglyLaminarInstance, Fraction, tuple[int, ...]]:
     """Full reduction: LP, restrict to the support, uncross, repair.
 
@@ -384,7 +380,6 @@ def build_strongly_laminar_instance(
     Eulerian, its cost under the induced costs equals its cost under the
     original costs, so the LP value transfers unchanged.
     """
-    checker = checker or Checker()
     if g.n == 1:
         inst = StronglyLaminarInstance(Digraph(1, []), LaminarFamily([], 1, 1), [], 1)
         return inst, ZERO, ()

@@ -8,7 +8,6 @@ designated vertex, which is why the vertex set is stored explicitly.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from .checks import Checker, first_false
 from .errors import ContractViolation
@@ -27,8 +26,7 @@ class VertebratePair(FrozenRecord):
         object.__setattr__(self, "backbone", backbone)
         object.__setattr__(self, "backbone_vertices", backbone_vertices)
 
-    def validate(self, checker: Optional[Checker] = None) -> None:
-        checker = checker or Checker()
+    def validate(self, checker: Checker) -> None:
         inst = self.instance
         if self.backbone:
             eulerian, comps = is_eulerian_connected(self.backbone)

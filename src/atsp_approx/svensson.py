@@ -152,10 +152,8 @@ class EllFunction:
         return Fraction(self.num_of(verts), self.den)
 
 
-def build_ell(pair: VertebratePair, epsilon: Fraction,
-              checker: Optional[Checker] = None) -> EllFunction:
+def build_ell(pair: VertebratePair, epsilon: Fraction, checker: Checker) -> EllFunction:
     """The budget function for the (3,2,1) subtour-cover solver."""
-    checker = checker or Checker()
     consts = epsilon_constants(epsilon)
     eps_prime = consts.eps_prime
     inst = pair.instance
@@ -267,11 +265,10 @@ def check_light(pair: VertebratePair, ell: EllFunction, edges: EdgeMultiset,
 
 def improved_initialization(state: ComponentState, d_vertices: frozenset,
                             d_edges: EdgeMultiset,
-                            checker: Optional[Checker] = None) -> EdgeMultiset:
+                            checker: Checker) -> EdgeMultiset:
     """Merge a too-valuable subtour D with a knapsack-chosen batch of the
     components it touches; the result is light and strictly raises the
     potential."""
-    checker = checker or Checker()
     pair = state.pair
     ell = state.ell
     g = pair.instance.g
@@ -384,10 +381,9 @@ def _find_cheap_cycle(pair: VertebratePair, z_vertices: frozenset,
 def svensson_iterate(pair: VertebratePair, ell: EllFunction,
                      h_tilde: EdgeMultiset,
                      cover_fn: Callable[..., EdgeMultiset] = subtour_cover,
-                     checker: Optional[Checker] = None) -> SvenssonResult:
+                     *, checker: Checker) -> SvenssonResult:
     """One run of the driver from a light initialization: either extends it
     to a connecting solution H or returns a better initialization."""
-    checker = checker or Checker()
     inst = pair.instance
     g = inst.g
     pair.check_initialization(h_tilde, checker, "initialization-")
@@ -534,16 +530,15 @@ def svensson_iterate(pair: VertebratePair, ell: EllFunction,
 
 def vertebrate_solve(pair: VertebratePair, epsilon: Fraction,
                      cover_fn: Callable[..., EdgeMultiset] = subtour_cover,
-                     checker: Optional[Checker] = None) -> EdgeMultiset:
+                     *, checker: Checker) -> EdgeMultiset:
     """Solve a vertebrate pair: returns F with E(B) + F a tour and
     c(F) <= KAPPA * LP + eta * outside mass, eta = 14 + epsilon."""
-    checker = checker or Checker()
     pair.validate(checker)
     ell = build_ell(pair, epsilon, checker=checker)
     g = pair.instance.g
     h_tilde = EdgeMultiset(g)
     for _ in range(_RESTART_CAP):
-        result = svensson_iterate(pair, ell, h_tilde, cover_fn, checker)
+        result = svensson_iterate(pair, ell, h_tilde, cover_fn, checker=checker)
         if result.kind == "solution":
             h = result.edges
             checker.balanced(h, "solution-eulerian", range(g.n))

@@ -50,13 +50,12 @@ class TourCertificate(Record):
 
 
 def construct_backbone(inst: StronglyLaminarInstance, w_set: frozenset,
-                       checker: Optional[Checker] = None):
+                       checker: Checker):
     """Backbone for the window: both fixed nice paths between the reach
     argmax pair, glued into a closed walk, each path's cost re-checked
     against its crossing-weight identity.  Returns the backbone multiset,
     its vertex set, the maximal family sets it misses, value(W) and D_W as
     numerators over the instance's denominator, and the argmax pair."""
-    checker = checker or Checker()
     val_num, d_num, u_star, v_star = inst.value_and_dw(w_set, checker)
     forward = inst.nice_path(u_star, v_star)
     backward = inst.nice_path(v_star, u_star)
@@ -147,15 +146,13 @@ def _lift_component_walk(inst: StronglyLaminarInstance, child, cmap,
                 lifted.add(path_eid)
 
 
-def contracted_pair(inst: StronglyLaminarInstance, w_set: frozenset,
-                    checker: Optional[Checker] = None):
+def contracted_pair(inst: StronglyLaminarInstance, w_set: frozenset, checker: Checker):
     """Steps 1-2 of the reduction: backbone, contraction, child instance.
 
     Returns (pair, backbone, backbone vertices, missed sets, contraction
     map, value(W), D_W), the last two as numerators over the instance's
     denominator.
     """
-    checker = checker or Checker()
     backbone, touched, missed, val_num, d_num, _ = construct_backbone(
         inst, w_set, checker
     )
@@ -177,14 +174,13 @@ def contracted_pair(inst: StronglyLaminarInstance, w_set: frozenset,
 def reduce_and_solve(inst: StronglyLaminarInstance, w_set: frozenset,
                      vp_solver: Callable[[VertebratePair], EdgeMultiset],
                      epsilon: Fraction,
-                     checker: Optional[Checker] = None,
+                     checker: Checker,
                      _calls: Optional[list[int]] = None) -> EdgeMultiset:
     """Tour of the window's induced subgraph via the vertebrate-pair solver.
 
     The recursion budget is the family size: being laminar, at most 2n + 1
     windows are ever opened.
     """
-    checker = checker or Checker()
     if _calls is None:
         _calls = [0]
     _calls[0] += 1
@@ -245,11 +241,9 @@ def reduce_and_solve(inst: StronglyLaminarInstance, w_set: frozenset,
     return total
 
 
-def solve_atsp(g: Digraph, epsilon: Fraction,
-               checker: Optional[Checker] = None) -> TourCertificate:
+def solve_atsp(g: Digraph, epsilon: Fraction, checker: Checker) -> TourCertificate:
     """End-to-end: strongly laminar reduction, recursive vertebrate-pair
     solving, verified tour with cost at most (22 + epsilon) times the LP."""
-    checker = checker or Checker()
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ContractViolation("epsilon must be positive")

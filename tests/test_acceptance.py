@@ -111,7 +111,7 @@ def test_acceptance_3_lp_exactness(reports):
     for model, n, seed, g, report, _ in reports:
         if not (2 <= n <= 12):
             continue
-        primal, _ = solve_atsp_lp(g)
+        primal, _ = solve_atsp_lp(g, Checker())
         assert primal.objective == report.lp_value, f"{model}-{n}-{seed}"
         # certificate: the cutting-plane optimum satisfies all 2^n - 2 cuts,
         # and the working LP relaxes the full one, so values coincide
@@ -185,18 +185,18 @@ def cover_instances():
     pairs = []
     for model, n, seed in specs:
         g = gen_instance(model, n, seed)
-        inst, _, _ = build_strongly_laminar_instance(g)
+        inst, _, _ = build_strongly_laminar_instance(g, Checker())
         common = set(range(inst.g.n))
         for s in inst.family.nonsingletons():
             common &= s
         if not common:
             continue
         pair = VertebratePair(inst, EdgeMultiset(inst.g), frozenset({min(common)}))
-        pair.validate()
+        pair.validate(Checker())
         pairs.append(pair)
     for pair in pairs:
         cover = SubtourCoverInstance(pair, EdgeMultiset(pair.instance.g))
-        cover.validate()
+        cover.validate(Checker())
         out.append(cover)
     for pair in pairs:
         if len(out) >= 47:
@@ -217,16 +217,16 @@ def cover_instances():
         for eid in cycle:
             h.add(eid)
         candidate = SubtourCoverInstance(pair, h)
-        candidate.validate()
+        candidate.validate(Checker())
         out.append(candidate)
     # pairs straight from the recursive reduction (backbones tend to span)
     for model, n, seed in (("random-strong", 9, 0), ("two-cluster", 8, 0),
                            ("unit-digraph", 10, 1)):
         g = gen_instance(model, n, seed)
-        inst, _, _ = build_strongly_laminar_instance(g)
-        pair = contracted_pair(inst, inst.ground)[0]
+        inst, _, _ = build_strongly_laminar_instance(g, Checker())
+        pair = contracted_pair(inst, inst.ground, Checker())[0]
         cover = SubtourCoverInstance(pair, EdgeMultiset(pair.instance.g))
-        cover.validate()
+        cover.validate(Checker())
         out.append(cover)
     assert len(out) >= 50
     return out[:50]
@@ -280,7 +280,7 @@ def test_acceptance_5_subtour_cover_contract(cover_instances):
 def _routes_neutral_flow(cover: SubtourCoverInstance) -> bool:
     """x has a fractional entry and the witness flow uses a neutral edge."""
     levels = build_level_structure(cover.pair)
-    witness = compute_witness_flow(cover, levels)
+    witness = compute_witness_flow(cover, levels, Checker())
     return any(q.denominator > 1 for q in cover.pair.instance.x) and any(
         levels.edge_class[eid] == NEUTRAL and val
         for eid, val in enumerate(witness.f))
@@ -396,7 +396,7 @@ def engineered_restart() -> None:
     ring = ring_cycle_avoiding_backbone(pair)
     calls = [0]
 
-    def two_phase_cover(cover, checker=None):
+    def two_phase_cover(cover, checker):
         calls[0] += 1
         if calls[0] == 1:
             return ring.copy()
@@ -434,7 +434,7 @@ def test_acceptance_9_micro_identities():
         n = rng.randint(3, 9)
         model = rng.choice(MODELS)
         g = gen_instance(model, n, rng.randint(0, 999))
-        inst, _, _ = build_strongly_laminar_instance(g)
+        inst, _, _ = build_strongly_laminar_instance(g, Checker())
         instances += 1
         for w in family_or_ground(inst):
             verts = sorted(w)

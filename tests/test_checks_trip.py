@@ -69,7 +69,7 @@ def test_overpriced_solver_breach_is_caught():
     inst = three_branch_star()
 
     def bloated(p):
-        honest = vertebrate_solve(p, F(1))
+        honest = vertebrate_solve(p, F(1), checker=Checker())
         bloat = honest.copy()
         scale = 1
         bound = 2 * p.instance.lp_value + 15 * outside_singleton_mass(p)
@@ -142,11 +142,11 @@ def _cover_parts():
     from atsp_approx.vertebrate import contracted_pair
     from test_determinism import nested_hub
 
-    inst, _, _ = build_strongly_laminar_instance(nested_hub((3, 2), (2, 3, 2)))
-    pair = contracted_pair(inst, inst.ground)[0]
+    inst, _, _ = build_strongly_laminar_instance(nested_hub((3, 2), (2, 3, 2)), Checker())
+    pair = contracted_pair(inst, inst.ground, Checker())[0]
     cover = SubtourCoverInstance(pair, EdgeMultiset(pair.instance.g))
     levels = build_level_structure(pair)
-    return cover, levels, compute_witness_flow(cover, levels)
+    return cover, levels, compute_witness_flow(cover, levels, Checker())
 
 
 def _star_pair():
@@ -154,7 +154,7 @@ def _star_pair():
     from test_vertebrate import three_branch_star
 
     inst = three_branch_star()
-    return contracted_pair(inst, inst.ground)[0]
+    return contracted_pair(inst, inst.ground, Checker())[0]
 
 
 def _validate_bad_x(monkeypatch, checker, change):
@@ -225,7 +225,7 @@ def _initialization(h_of):
         from atsp_approx.svensson import build_ell, svensson_iterate
 
         pair = _cover_parts()[0].pair
-        svensson_iterate(pair, build_ell(pair, F(1)), h_of(pair), checker=checker)
+        svensson_iterate(pair, build_ell(pair, F(1), Checker()), h_of(pair), checker=checker)
     return run
 
 
@@ -234,8 +234,8 @@ def _solution_eulerian(monkeypatch, checker):
 
     real = svensson.svensson_iterate
 
-    def extra_edge(pair, ell, h_tilde, cover_fn, checker):
-        result = real(pair, ell, h_tilde, cover_fn, checker)
+    def extra_edge(pair, ell, h_tilde, cover_fn, *, checker):
+        result = real(pair, ell, h_tilde, cover_fn, checker=checker)
         result.edges.add(0)
         return result
 
@@ -269,7 +269,7 @@ def _mapped_back_eulerian(monkeypatch, checker):
     from atsp_approx.cover import map_back, round_circulation
 
     cover, aug, rerouted = _rerouted()
-    rounded = round_circulation(rerouted, aug, cover)
+    rounded = round_circulation(rerouted, aug, cover, Checker())
     rounded.f_bar.add(0)
     map_back(rounded, aug, cover, checker)
 
@@ -371,8 +371,8 @@ def _rerouted():
     from atsp_approx.cover import build_augmented_graph, lift_and_reroute
 
     cover, levels, witness = _cover_parts()
-    aug = build_augmented_graph(cover, witness, levels)
-    return cover, aug, lift_and_reroute(cover, witness, aug)
+    aug = build_augmented_graph(cover, witness, levels, Checker())
+    return cover, aug, lift_and_reroute(cover, witness, aug, Checker())
 
 
 def _rounding_edge_caps(monkeypatch, checker):
@@ -418,9 +418,10 @@ def _backbone_free_indegree(monkeypatch, checker):
     pair = remote_cluster_pair()
     cover = SubtourCoverInstance(pair, EdgeMultiset(pair.instance.g))
     levels = build_level_structure(cover.pair)
-    witness = compute_witness_flow(cover, levels)
-    aug = build_augmented_graph(cover, witness, levels)
-    rounded = round_circulation(lift_and_reroute(cover, witness, aug), aug, cover)
+    setup = Checker()  # the checks of the stages before the fault are not counted
+    witness = compute_witness_flow(cover, levels, setup)
+    aug = build_augmented_graph(cover, witness, levels, setup)
+    rounded = round_circulation(lift_and_reroute(cover, witness, aug, setup), aug, cover, setup)
     assert (aug.g.edges[4].tail, aug.g.edges[4].head) == (4, 5)
     rounded.f_bar.add(4, 3)
     _check_rounded_structure(rounded.f_bar, rounded.f_star_lower, aug, cover, checker)

@@ -88,7 +88,8 @@ def test_solve_rejects_bad_input(tmp_path, capsys):
                  '{"n": 2, "edges": [[0, 1, "1e-4301"], [1, 0, "1"]]}',
                  '{"n": 2, "edges": [[0, 1, "%s"], [1, 0, "1"]]}' % ("9" * 4301),
                  '{"n": 2, "edges": [[0, 1, %s], [1, 0, "1"]]}' % ("9" * 4301),
-                 '{"n": 1000000000000, "edges": [[0, 1, "1"], [1, 0, "1"]]}'):
+                 '{"n": 1000000000000, "edges": [[0, 1, "1"], [1, 0, "1"]]}',
+                 '{"n": 2, "edges": %s}' % ("[" * 100000 + "]" * 100000)):
         path.write_text(text)
         code, out, err = run_cli(capsys, ["solve", str(path)])
         assert (code, out) == (1, "")
@@ -155,7 +156,8 @@ def test_verify_rejects_malformed_tour_file(tmp_path, capsys):
                  json.dumps([[0, 1], [1, 2], [2, 0]]),
                  '{"tour_walk": %s}' % ("9" * 4301),
                  json.dumps({"tour_walk": [[[0], 1], [1, 2], [2, 0]]}),
-                 json.dumps({"tour_walk": [[0, True], [1, 2], [2, 0]]})):
+                 json.dumps({"tour_walk": [[0, True], [1, 2], [2, 0]]}),
+                 '{"tour_walk": %s}' % ("[" * 100000 + "]" * 100000)):
         tour_path.write_text(text)
         code, out, err = run_cli(capsys, ["verify", str(inst_path), str(tour_path)])
         assert (code, out) == (1, "")

@@ -30,7 +30,7 @@ F = Fraction
 def make_pair(g, backbone_vertex=None) -> VertebratePair:
     """Vertebrate pair with an edgeless backbone on one vertex that lies in
     every non-singleton family set (fixtures are chosen so one exists)."""
-    inst, _, _ = build_strongly_laminar_instance(g)
+    inst, _, _ = build_strongly_laminar_instance(g, Checker())
     nonsingle = inst.family.nonsingletons()
     if backbone_vertex is None:
         candidates = set(range(inst.g.n))
@@ -38,13 +38,13 @@ def make_pair(g, backbone_vertex=None) -> VertebratePair:
             candidates &= s
         backbone_vertex = min(candidates) if candidates else 0
     pair = VertebratePair(inst, EdgeMultiset(inst.g), frozenset({backbone_vertex}))
-    pair.validate()
+    pair.validate(Checker())
     return pair
 
 
 def spanning_pair(g) -> VertebratePair:
     """Pair whose backbone is a full tour (covers every vertex)."""
-    inst, _, _ = build_strongly_laminar_instance(g)
+    inst, _, _ = build_strongly_laminar_instance(g, Checker())
     ms = EdgeMultiset(inst.g)
     # the instance keeps every support edge; x == 1 on a tour fixture means
     # the whole edge set is a tour
@@ -54,7 +54,7 @@ def spanning_pair(g) -> VertebratePair:
     eulerian, comps = is_eulerian_connected(ms)
     assert eulerian and len(comps) == 1
     pair = VertebratePair(inst, ms, ms.vertices())
-    pair.validate()
+    pair.validate(Checker())
     return pair
 
 
@@ -158,7 +158,7 @@ def test_witness_flow_zero_when_backbone_spans():
     pair = spanning_pair(c3())
     cover = SubtourCoverInstance(pair, EdgeMultiset(pair.instance.g))
     levels = build_level_structure(pair)
-    witness = compute_witness_flow(cover, levels)
+    witness = compute_witness_flow(cover, levels, Checker())
     assert all(v == 0 for v in witness.f)
     assert witness.boundary_optimum == 0
 
@@ -180,7 +180,7 @@ def test_lift_project_roundtrip():
     pair = make_pair(two_tri())
     cover = SubtourCoverInstance(pair, EdgeMultiset(pair.instance.g))
     levels = build_level_structure(pair)
-    witness = compute_witness_flow(cover, levels)
+    witness = compute_witness_flow(cover, levels, Checker())
     split = build_split_graph(pair.instance.g, levels.edge_class,
                               pair.backbone_vertices)
     z = lift_to_split(split, pair.instance._x_num, witness.f)
@@ -193,8 +193,8 @@ def test_augmented_graph_trivial_when_spanning():
     pair = spanning_pair(c3())
     cover = SubtourCoverInstance(pair, EdgeMultiset(pair.instance.g))
     levels = build_level_structure(pair)
-    witness = compute_witness_flow(cover, levels)
-    aug = build_augmented_graph(cover, witness, levels)
+    witness = compute_witness_flow(cover, levels, Checker())
+    aug = build_augmented_graph(cover, witness, levels, Checker())
     assert aug.k == 0
     assert aug.g.n == pair.instance.g.n
     assert aug.g.m == pair.instance.g.m
@@ -289,7 +289,7 @@ def remote_cluster_pair() -> VertebratePair:
     inst = rational_instance(g, [(frozenset({v}), half) for v in (1, 2, 4, 5)], [1] * 8)
     inst.validate(Checker())
     pair = VertebratePair(inst, EdgeMultiset(inst.g), frozenset({0}))
-    pair.validate()
+    pair.validate(Checker())
     return pair
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import pytest
 
@@ -288,8 +287,7 @@ def compared(monkeypatch):
     lift, rounding = cover_mod.lift_and_reroute, cover_mod.round_circulation
     pending: dict[int, FractionRerouted] = {}
 
-    def lift_both(cover, witness, aug, checker: Optional[Checker] = None):
-        checker = checker or Checker()
+    def lift_both(cover, witness, aug, checker: Checker):
         before = Counter(checker.counters)
         rerouted = lift(cover, witness, aug, checker)
         ref_checker = Checker()
@@ -304,8 +302,7 @@ def compared(monkeypatch):
         pending[id(rerouted)] = ref
         return rerouted
 
-    def round_both(rerouted, aug, cover, checker: Optional[Checker] = None):
-        checker = checker or Checker()
+    def round_both(rerouted, aug, cover, checker: Checker):
         before = Counter(checker.counters)
         rounded = rounding(rerouted, aug, cover, checker)
         ref_checker = Checker()

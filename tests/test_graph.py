@@ -278,7 +278,7 @@ def test_euler_walk_two_tri_with_joiners():
 
 def test_euler_walk_rejects_disconnected():
     g = two_tri()
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ContractViolation, match="support of the multiset is not connected"):
         euler_walk(EdgeMultiset(g, dict.fromkeys(range(6), 1)), 0)
 
 

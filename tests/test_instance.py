@@ -85,7 +85,7 @@ def test_nice_path_stays_in_innermost_set():
 def test_nice_path_triangle_singletons():
     from test_instance_reference import ref_crossings
 
-    inst, _, _ = build_strongly_laminar_instance(c3())
+    inst, _, _ = build_strongly_laminar_instance(c3(), Checker())
     for u in range(3):
         for v in range(3):
             if u != v:
@@ -124,7 +124,7 @@ def test_cost_identity_every_pair_every_window():
         for u in sorted(w):
             for v in sorted(w):
                 inst.nice_path_cost_identity(w, u, v, checker)
-    inst2, _, _ = build_strongly_laminar_instance(two_tri())
+    inst2, _, _ = build_strongly_laminar_instance(two_tri(), Checker())
     for w in family_or_ground(inst2):
         for u in sorted(w):
             for v in sorted(w):
@@ -133,13 +133,13 @@ def test_cost_identity_every_pair_every_window():
 
 def test_value_and_dw_singleton():
     inst = detour_instance()
-    val, dw, u, v = inst.value_and_dw(frozenset({7}))
+    val, dw, u, v = inst.value_and_dw(frozenset({7}), Checker())
     assert (F(val, inst._den), F(dw, inst._den), u, v) == (0, 0, 7, 7)
 
 
 def test_value_and_dw_ground():
     inst = detour_instance()
-    val, dw, u, v = inst.value_and_dw(inst.ground)
+    val, dw, u, v = inst.value_and_dw(inst.ground, Checker())
     assert F(val, inst._den) == 5
     assert F(dw, inst._den) == 4
     assert (u, v) == (1, 6)
@@ -147,7 +147,7 @@ def test_value_and_dw_ground():
 
 def test_value_and_dw_inner_set():
     inst = detour_instance()
-    val, dw, u, v = inst.value_and_dw(L3)
+    val, dw, u, v = inst.value_and_dw(L3, Checker())
     assert F(val, inst._den) == 1
     assert F(dw, inst._den) == 1
     assert (u, v) == (1, 2)
@@ -160,7 +160,7 @@ def test_value_and_dw_c3_uniform():
     inst = rational_instance(c3(), [(frozenset({v}), F(1, 2)) for v in range(3)], [1] * 3)
     assert F(inst.reach(inst.ground, 0, 1), inst._den) == 2
     assert F(inst.reach(inst.ground, 0, 2), inst._den) == 3
-    val, dw, u, v = inst.value_and_dw(inst.ground)
+    val, dw, u, v = inst.value_and_dw(inst.ground, Checker())
     assert F(val, inst._den) == 3
     assert F(dw, inst._den) == 3
     assert (u, v) == (0, 2)

@@ -106,14 +106,14 @@ def _fixtures():
     yield "detour", detour_instance()
     yield "three-branch-star", three_branch_star()
     for name, g in (("c3", c3()), ("two-tri", two_tri())):
-        yield name, build_strongly_laminar_instance(g)[0]
+        yield name, build_strongly_laminar_instance(g, Checker())[0]
 
 
 def _generated(model, seeds=range(3)):
     for n in range(2, 13):
         for seed in seeds:
             yield f"{model}-{n}-{seed}", build_strongly_laminar_instance(
-                gen_instance(model, n, seed))[0]
+                gen_instance(model, n, seed), Checker())[0]
 
 
 def _random_laminar(count, seed=3):

@@ -170,7 +170,7 @@ def test_budget_overrun_by_one_unit_takes_the_fraction_branch(eps_prime, over,
     # ell(v) = 6 + 6.9 eps', the cover costs 24 = 2 ell(v) + over.
     pair = _singleton_ring(10)
     g = pair.instance.g
-    ell = build_ell(pair, eps_prime * F(91, 6))
+    ell = build_ell(pair, eps_prime * F(91, 6), Checker())
     assert ell.consts.eps_prime == eps_prime
     h_tilde = _path_cycle(g, {5, 6}, 1)
     cover_edges = _path_cycle(g, {2, 3, 4, 5}, 2).union(_path_cycle(g, {6, 7, 8, 9}, 2))
@@ -180,13 +180,13 @@ def test_budget_overrun_by_one_unit_takes_the_fraction_branch(eps_prime, over,
     merged = []
     original = svensson_module.improved_initialization
 
-    def recording(state, d_vertices, d_edges, checker=None):
+    def recording(state, d_vertices, d_edges, checker):
         merged.append(d_vertices)
         return original(state, d_vertices, d_edges, checker)
 
     monkeypatch.setattr(svensson_module, "improved_initialization", recording)
-    result = svensson_iterate(pair, ell, h_tilde, lambda cover, checker=None:
-                              cover_edges.copy(), Checker())
+    result = svensson_iterate(pair, ell, h_tilde, lambda cover, checker:
+                              cover_edges.copy(), checker=Checker())
     expected = _reference_restart(pair, ell, h_tilde, cover_edges)
     assert result.kind == "better"
     assert merged == [expected]
@@ -238,7 +238,7 @@ def test_no_fraction_arithmetic_in_integer_checks(monkeypatch):
     ring = ring_cycle_avoiding_backbone(pair)
     calls = [0]
 
-    def two_phase_cover(cover, checker=None):
+    def two_phase_cover(cover, checker):
         calls[0] += 1
         return ring.copy() if calls[0] == 1 else subtour_cover(cover, checker)
 

@@ -73,21 +73,21 @@ def cut_value(g: Digraph, x, u) -> Fraction:
 
 
 def test_lp_on_triangle():
-    primal, dual = solve_atsp_lp(c3())
+    primal, dual = solve_atsp_lp(c3(), Checker())
     assert primal.objective == 3
     assert primal.x == [F(1), F(1), F(1)]
     assert fractions_of(dual)[2] == 3
 
 
 def test_lp_on_k2():
-    primal, dual = solve_atsp_lp(k2())
+    primal, dual = solve_atsp_lp(k2(), Checker())
     assert primal.objective == 2
     assert primal.x == [F(1), F(1)]
 
 
 def test_lp_on_two_tri():
     g = two_tri()
-    primal, dual = solve_atsp_lp(g)
+    primal, dual = solve_atsp_lp(g, Checker())
     assert primal.objective == 16
     assert primal.objective == full_enumeration_lp_value(g)
     # every cut of the optimum is >= 2 (exhaustive for n=6)
@@ -99,7 +99,7 @@ def test_lp_on_two_tri():
 def test_lp_rejects_weakly_connected():
     g = Digraph(3, [(0, 1, 1), (1, 2, 1)])
     with pytest.raises(InfeasibleInstanceError):
-        solve_atsp_lp(g)
+        solve_atsp_lp(g, Checker())
 
 
 def test_lp_over_budget_is_refused_before_any_row_is_built(monkeypatch):
@@ -110,7 +110,7 @@ def test_lp_over_budget_is_refused_before_any_row_is_built(monkeypatch):
     n = 10
     g = Digraph(n, [(i, (i + 1) % n, 1) for i in range(n)])
     monkeypatch.setattr(simplex, "MAX_TABLEAU_CELLS", 6 * n * n)
-    assert solve_atsp_lp(g)[0].objective == n
+    assert solve_atsp_lp(g, Checker())[0].objective == n
 
     def not_called(*args):
         raise AssertionError("an LP over the budget reached row building")
@@ -121,7 +121,7 @@ def test_lp_over_budget_is_refused_before_any_row_is_built(monkeypatch):
     monkeypatch.setattr(simplex, "solve_lp", not_called)
     with pytest.raises(BudgetError, match=f"^LP tableau of {2 * n} rows x {3 * n} "
                        f"columns exceeds the budget of {6 * n * n - 1} cells$"):
-        solve_atsp_lp(g)
+        solve_atsp_lp(g, Checker())
 
 
 def test_separate_subtour_disconnected_support():
@@ -189,7 +189,7 @@ def test_separation_makes_no_flow_call_on_two_tri_optimum(monkeypatch):
 
     monkeypatch.setattr(lp, "max_flow_min_cut", counting)
     g = two_tri()
-    primal, _ = solve_atsp_lp(g)  # x is LP-feasible: every cut holds
+    primal, _ = solve_atsp_lp(g, Checker())  # x is LP-feasible: every cut holds
     calls.clear()
     assert separate_subtour(g, primal.x_num, primal.x_den) is None
     # the optimal x is integral, so its arcs of x = 1 join every vertex into
@@ -211,7 +211,7 @@ def test_uncross_crossing_pair():
     g = Digraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
     dual = int_dual(g, [F(0)] * 4, {frozenset({0, 1}): F(1, 4), frozenset({1, 2}): F(1, 4)})
     assert fractions_of(dual)[2] == 1
-    out = uncross_dual(g, dual)
+    out = uncross_dual(g, dual, Checker())
     # {0,1} is canonicalized to its complement {2,3} first, which nests with
     # nothing, so it crosses {1,2}: intersection {2}, union {1,2,3}
     assert out.objective == dual.objective and out.den == dual.den
@@ -222,7 +222,7 @@ def test_uncross_crossing_pair():
 def test_uncross_laminar_unchanged():
     g = c3()
     dual = int_dual(g, [F(0)] * 3, {frozenset({1}): F(1, 2), frozenset({1, 2}): F(1, 2)})
-    out = uncross_dual(g, dual)
+    out = uncross_dual(g, dual, Checker())
     assert fractions_of(out)[1] == {frozenset({1}): F(1, 2), frozenset({1, 2}): F(1, 2)}
 
 
@@ -233,7 +233,7 @@ def test_uncross_complement_canonicalization():
     comp = frozenset({0, 3})
     dual = int_dual(g, [F(0)] * 4, {a: F(1, 3), comp: F(1, 5)})
     assert fractions_of(dual)[2] == 2 * (F(1, 3) + F(1, 5))
-    out = uncross_dual(g, dual)
+    out = uncross_dual(g, dual, Checker())
     assert fractions_of(out)[1] == {a: F(1, 3) + F(1, 5)}
     assert out.objective == dual.objective
 
@@ -247,7 +247,7 @@ def test_make_strongly_laminar_moves_weight():
     dual = int_dual(g, [F(0)] * 4, {u: F(1)})
     # feasibility of the starting dual on this graph
     assert dual_feasible(g, dual)
-    out = make_strongly_laminar(g, dual)
+    out = make_strongly_laminar(g, dual, Checker())
     a, y, objective = fractions_of(out)
     assert u not in y
     assert y == {frozenset({0}): F(1)}
@@ -269,7 +269,7 @@ def test_make_strongly_laminar_tests_each_set_once(monkeypatch):
         return original(self, restrict)
 
     monkeypatch.setattr(Digraph, "is_strongly_connected", counting)
-    out = make_strongly_laminar(g, dual)
+    out = make_strongly_laminar(g, dual, Checker())
     a, y, _ = fractions_of(out)
     assert y == {frozenset({0}): F(3, 2)}
     assert a == [F(0), F(-3, 2), F(-1), F(0)]
@@ -279,7 +279,7 @@ def test_make_strongly_laminar_tests_each_set_once(monkeypatch):
 def test_make_strongly_laminar_noop_on_sccs():
     g = c3()
     dual = int_dual(g, [F(0)] * 3, {frozenset({0}): F(1, 2)})
-    out = make_strongly_laminar(g, dual)
+    out = make_strongly_laminar(g, dual, Checker())
     assert fractions_of(out) == ([F(0)] * 3, {frozenset({0}): F(1, 2)}, F(1))
 
 
@@ -295,7 +295,7 @@ def test_build_instance_triangle():
 
 
 def test_build_instance_k2():
-    inst, lp_value, _ = build_strongly_laminar_instance(k2())
+    inst, lp_value, _ = build_strongly_laminar_instance(k2(), Checker())
     assert lp_value == 2
     assert [e.cost for e in inst.g.edges] == [F(1), F(1)]
 
@@ -350,7 +350,7 @@ def test_reduction_builds_and_scales_no_fraction_x(monkeypatch):
 
 
 def test_build_instance_n1():
-    inst, lp_value, origin = build_strongly_laminar_instance(Digraph(1, []))
+    inst, lp_value, origin = build_strongly_laminar_instance(Digraph(1, []), Checker())
     assert lp_value == 0 and origin == () and inst.g.n == 1
 
 
@@ -381,7 +381,7 @@ def test_uncross_random_feasible_duals():
         dual = int_dual(g, [F(0)] * n, y)
         assert fractions_of(dual)[2] == sum((2 * w for w in y.values()), F(0))
         assert dual_feasible(g, dual)
-        out = uncross_dual(g, dual)
+        out = uncross_dual(g, dual, Checker())
         assert check_laminar(list(out.y.keys())), trial
         assert fractions_of(out)[2] == fractions_of(dual)[2], trial
         assert dual_feasible(g, out), trial
@@ -447,7 +447,7 @@ def test_cutting_plane_matches_full_enumeration_small_random():
             if u != v:
                 edges.append((u, v, F(rng.randint(0, 8), rng.choice([1, 2])))),
         g = Digraph(n, *integer_edges(edges))
-        primal, dual = solve_atsp_lp(g)
+        primal, dual = solve_atsp_lp(g, Checker())
         assert primal.objective == full_enumeration_lp_value(g)
         assert fractions_of(dual)[2] == primal.objective
 
@@ -507,7 +507,7 @@ def test_cycle_lp_takes_one_round_and_n_pivots(n, monkeypatch):
     # brings each arc into the basis once, and x violates no cut
     events = _count_simplex_work(monkeypatch)
     g = Digraph(n, [(i, (i + 1) % n, 1) for i in range(n)])
-    primal, dual = solve_atsp_lp(g)
+    primal, dual = solve_atsp_lp(g, Checker())
     assert primal.objective == fractions_of(dual)[2] == n
     assert "".join(events) == "cd" + "p" * n
 
@@ -535,7 +535,7 @@ def test_subtour_lp_value_matches_highs(model, n, monkeypatch):
         return solve_lp(objective, rows, rhs, warm=warm)
 
     monkeypatch.setattr(simplex, "solve_lp", recorded)
-    primal, _ = solve_atsp_lp(g)
+    primal, _ = solve_atsp_lp(g, Checker())
     assert separate_subtour(g, primal.x_num, primal.x_den) is None
     rows, rhs = rounds[-1]
     circulation, cuts = rows[:g.n], rows[g.n:]

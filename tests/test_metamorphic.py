@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from atsp_approx.checks import Checker
 from atsp_approx.graph import Digraph, integer_edges
 from atsp_approx.harness import GENERATOR_MODELS, gen_instance, run_pipeline
 from atsp_approx.lp import solve_atsp_lp
@@ -41,4 +42,6 @@ def test_relabelling_vertices_keeps_lp_value(model, n, seed):
     random.Random(seed).shuffle(perm)
     relabelled = Digraph(n, [(perm[e.tail], perm[e.head], e.cost_num) for e in g.edges],
                          g.cost_den)
-    assert solve_atsp_lp(relabelled)[0].objective == solve_atsp_lp(g)[0].objective
+    checker = Checker()
+    lp_value = solve_atsp_lp(g, checker)[0].objective
+    assert solve_atsp_lp(relabelled, checker)[0].objective == lp_value

@@ -16,6 +16,7 @@ per-pair loop would.
 from __future__ import annotations
 
 import gc
+import sys
 import tracemalloc
 
 import pytest
@@ -23,7 +24,7 @@ import pytest
 from atsp_approx import instance as instance_module
 from atsp_approx.checks import Checker
 from atsp_approx.errors import InternalCheckError
-from atsp_approx.graph import bfs_path
+from atsp_approx.graph import Digraph, LaminarFamily, bfs_path
 from atsp_approx.harness import GENERATOR_MODELS, gen_instance
 from atsp_approx.instance import StronglyLaminarInstance
 from atsp_approx.lp import build_strongly_laminar_instance
@@ -79,6 +80,27 @@ def test_tree_invariants_on_random_laminar_families():
     assert inst.is_nice(5, 7, inst.nice_path(5, 7))
 
 
+def test_nice_path_of_a_chain_nested_deeper_than_the_recursion_limit():
+    # a bidirected path whose family is the chain {k, ..., n - 1}, k >= 1:
+    # the nice 0-(n-1) path enters the sets one at a time, so its inner
+    # paths nest n - 1 deep, twice the recursion limit set here
+    n = 400
+    g = Digraph(n, [(i, i + 1, 1) for i in range(n - 1)]
+                + [(i + 1, i, 1) for i in range(n - 1)])
+    family = LaminarFamily([(frozenset(range(k, n)), 1) for k in range(1, n)], n, 1)
+    inst = StronglyLaminarInstance(g, family, [1] * g.m, 1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(n // 2)
+    try:
+        path = inst.nice_path(0, n - 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert path == tuple(range(n - 1))
+    assert inst.is_nice(0, n - 1, path)
+    # every inner path k to n - 1 is stored, as is the path itself
+    assert sorted(inst._paths) == [(k, n - 1) for k in range(n - 1)]
+
+
 def test_validate_paths_stores_no_path():
     inst = detour_instance()
     inst.validate_paths(Checker())
@@ -96,7 +118,7 @@ def test_corrupted_stored_path_trips_validate_paths():
 @pytest.mark.parametrize("model,n", [("cycle", 200), ("random-strong", 60)])
 def test_validate_paths_and_dw_build_no_path(model, n, monkeypatch):
     # work counts, not times: the table is filled without building a path
-    built = build_strongly_laminar_instance(gen_instance(model, n, 0))[0]
+    built = build_strongly_laminar_instance(gen_instance(model, n, 0), Checker())[0]
     inst = StronglyLaminarInstance(built.g, built.family, built._x_num, built._x_den)
     computed = []
 
@@ -116,7 +138,7 @@ def test_validate_paths_retains_only_the_table():
     # the block searches that fill the cost table are dropped once their
     # rows are written: what validate_paths leaves behind on the 300-vertex
     # cycle is about the n x n table (2.4 MB), not one search per source
-    built = build_strongly_laminar_instance(gen_instance("cycle", 300, 0))[0]
+    built = build_strongly_laminar_instance(gen_instance("cycle", 300, 0), Checker())[0]
     inst = StronglyLaminarInstance(built.g, built.family, built._x_num, built._x_den)
     gc.collect()
     tracemalloc.start()
@@ -134,7 +156,7 @@ def test_validate_paths_retains_only_the_table():
 def test_blocks_are_built_once_per_hull(paths_first, monkeypatch):
     # the table and every nice path, in either order, share one blocks
     # record per hull: the family's sets and the ground set
-    built = build_strongly_laminar_instance(nested_hub((3, 2, 4), (2, 3, 2)))[0]
+    built = build_strongly_laminar_instance(nested_hub((3, 2, 4), (2, 3, 2)), Checker())[0]
     inst = StronglyLaminarInstance(built.g, built.family, built._x_num, built._x_den)
     returned = []
 
@@ -164,7 +186,7 @@ def test_blocks_are_built_once_per_hull(paths_first, monkeypatch):
 def test_hull_depths_are_not_walked_per_pair(graph, monkeypatch):
     # work counts, not times: the hull of a pair is looked up from its
     # source's chain, so chain-prefix walks stay O(n + m), not O(n^2)
-    built = build_strongly_laminar_instance(graph())[0]
+    built = build_strongly_laminar_instance(graph(), Checker())[0]
     inst = StronglyLaminarInstance(built.g, built.family, built._x_num, built._x_den)
     assert max(len(chain) for chain in inst._chains) >= 1
     walks = []

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from atsp_approx import (
+    Checker,
     ContractionMap,
     EdgeMultiset,
     RunReport,
@@ -41,7 +42,7 @@ def pair_of(inst) -> VertebratePair:
 
 def test_records_construct_by_position_and_by_keyword():
     g = two_tri()
-    inst, _, _ = build_strongly_laminar_instance(g)
+    inst, _, _ = build_strongly_laminar_instance(g, Checker())
     tour = EdgeMultiset(inst.g, {0: 1})
     cases = [
         (RunReport, ("instance", "n", "epsilon", "lp_value", "tour_cost", "ratio",
@@ -74,7 +75,7 @@ def test_run_report_defaults_are_fresh():
 
 def test_records_compare_by_value():
     g = two_tri()
-    inst, _, _ = build_strongly_laminar_instance(g)
+    inst, _, _ = build_strongly_laminar_instance(g, Checker())
     report = RunReport("r", 6, F(1), F(16), F(16), F(1), [[0, 1]], {"x-positive": 1})
     same = RunReport("r", 6, F(1), F(16), F(16), F(1), [[0, 1]], {"x-positive": 1})
     assert report == same and not report != same
@@ -90,7 +91,7 @@ def test_records_compare_by_value():
     assert pair == pair_of(inst)
     assert pair != VertebratePair(inst, EdgeMultiset(inst.g), frozenset({1}))
     # the instance compares by identity
-    other, _, _ = build_strongly_laminar_instance(g)
+    other, _, _ = build_strongly_laminar_instance(g, Checker())
     assert pair != pair_of(other)
     cover = SubtourCoverInstance(pair, EdgeMultiset(pair.instance.g))
     assert cover == SubtourCoverInstance(pair_of(inst), EdgeMultiset(inst.g))
@@ -101,7 +102,7 @@ def test_records_compare_by_value():
 
 
 def test_vertebrate_pair_and_contraction_map_are_read_only():
-    inst, _, _ = build_strongly_laminar_instance(two_tri())
+    inst, _, _ = build_strongly_laminar_instance(two_tri(), Checker())
     pair = pair_of(inst)
     cmap = ContractionMap((0, 0, 1), (2,))
     for record, name, value in ((pair, "backbone_vertices", frozenset({1})),
@@ -137,14 +138,14 @@ def test_reprs_on_a_small_solve_are_the_dataclass_reprs():
     assert masked(report).endswith(", held_karp=Fraction(16, 1), timings={})")
     assert hashlib.sha256(masked(report).encode()).hexdigest() == \
         "d43565ad159cd72eb4abfcb2ef0bd6edc1f0909cdb3d1e5a0cbe172bd1b25965"
-    assert masked(solve_atsp(g, F(1))) == (
+    assert masked(solve_atsp(g, F(1), Checker())) == (
         "TourCertificate(tour=<atsp_approx.graph.EdgeMultiset object at 0x>, "
         "walk=[0, 1, 2, 6, 3, 4, 5, 7], cost=Fraction(16, 1), "
         "lp_value=Fraction(16, 1), ratio=Fraction(1, 1), epsilon=Fraction(1, 1))")
     _, cmap = contract(g, [frozenset({0, 1, 2})])
     assert repr(cmap) == \
         "ContractionMap(vertex_map=(0, 0, 0, 1, 2, 3), edge_origin=(3, 4, 5, 6, 7))"
-    inst, _, _ = build_strongly_laminar_instance(g)
+    inst, _, _ = build_strongly_laminar_instance(g, Checker())
     pair_repr = (
         "VertebratePair(instance=<atsp_approx.instance.StronglyLaminarInstance "
         "object at 0x>, backbone=<atsp_approx.graph.EdgeMultiset object at 0x>, "

@@ -76,7 +76,7 @@ def big_ring_pair() -> VertebratePair:
     inst = rational_instance(g, [(frozenset({v}), half) for v in range(1, n)], [half] * g.m)
     inst.validate(Checker())
     pair = VertebratePair(inst, EdgeMultiset(inst.g), frozenset({0}))
-    pair.validate()
+    pair.validate(Checker())
     return pair
 
 
@@ -98,7 +98,7 @@ def test_knapsack_merge_absorbs_partial_overlap():
     h_tilde = two_cycle(g, 2, 3).union(two_cycle(g, 8, 9)).union(
         two_cycle(g, 10, 11)
     )
-    ell = build_ell(pair, F(10))
+    ell = build_ell(pair, F(10), Checker())
     state = ComponentState(pair, ell, h_tilde)
     assert state.parts[1:4] == [frozenset({2, 3}), frozenset({8, 9}),
                                 frozenset({10, 11})]

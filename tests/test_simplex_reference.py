@@ -32,6 +32,7 @@ from typing import Optional
 import pytest
 
 from atsp_approx import simplex
+from atsp_approx.checks import Checker
 from atsp_approx.errors import ContractViolation, InternalCheckError
 from atsp_approx.harness import GENERATOR_MODELS, gen_instance, run_pipeline
 from atsp_approx.lp import solve_atsp_lp
@@ -370,7 +371,7 @@ def _cutting_round_lps():
     for model in GENERATOR_MODELS:
         for n in range(6, 15):
             for seed in range(3):
-                solve_atsp_lp(gen_instance(model, n, seed))
+                solve_atsp_lp(gen_instance(model, n, seed), Checker())
 
 
 def test_cutting_round_lps_match_reference(compared):

@@ -91,7 +91,7 @@ def ring_pair() -> VertebratePair:
     inst = rational_instance(g, [(frozenset({v}), half) for v in range(1, 6)], [half] * g.m)
     inst.validate(Checker())
     pair = VertebratePair(inst, EdgeMultiset(inst.g), frozenset({0}))
-    pair.validate()
+    pair.validate(Checker())
     return pair
 
 
@@ -148,7 +148,7 @@ def test_ell_matches_its_fraction_definition(monkeypatch):
     real = svensson.build_ell
     built = []
 
-    def compared(pair, epsilon, checker=None):
+    def compared(pair, epsilon, checker):
         ell = real(pair, epsilon, checker)
         values, den = _ref_ell(pair, epsilon)
         assert [ell.of(v) for v in range(ell.n)] == values
@@ -161,13 +161,13 @@ def test_ell_matches_its_fraction_definition(monkeypatch):
         for epsilon in (F(1), F(1, 3), F(7, 2)):
             run_pipeline(*parse_instance(text), epsilon)
     for pair in (ring_pair(), remote_cluster_pair(), spanning_pair(two_tri())):
-        compared(pair, F(2, 5))
+        compared(pair, F(2, 5), Checker())
     assert len(built) >= 30
 
 
 def test_component_state_ordering():
     pair = remote_cluster_pair()
-    ell = build_ell(pair, F(1))
+    ell = build_ell(pair, F(1), Checker())
     tri = EdgeMultiset(pair.instance.g)
     for e in pair.instance.g.edges:
         if {e.tail, e.head} <= {3, 4, 5}:
@@ -181,7 +181,7 @@ def test_component_state_ordering():
 
 def test_improved_initialization_direct():
     pair = remote_cluster_pair()
-    ell = build_ell(pair, F(1))
+    ell = build_ell(pair, F(1), Checker())
     g = pair.instance.g
     state = ComponentState(pair, ell, EdgeMultiset(g))
     tri = EdgeMultiset(g)
@@ -197,7 +197,7 @@ def test_improved_initialization_direct():
 
 def test_improved_initialization_rejects_bad_subtour():
     pair = remote_cluster_pair()
-    ell = build_ell(pair, F(1))
+    ell = build_ell(pair, F(1), Checker())
     g = pair.instance.g
     state = ComponentState(pair, ell, EdgeMultiset(g))
     # the T1 triangle touches the backbone vertex 0
@@ -206,19 +206,20 @@ def test_improved_initialization_rejects_bad_subtour():
         if {e.tail, e.head} <= {0, 1, 2}:
             t1.add(e.eid)
     with pytest.raises(ContractViolation):
-        improved_initialization(state, frozenset({0, 1, 2}), t1)
+        improved_initialization(state, frozenset({0, 1, 2}), t1, Checker())
 
 
 def test_iterate_returns_better_init_on_expensive_cover():
     pair = ring_pair()
-    ell = build_ell(pair, F(1))
+    ell = build_ell(pair, F(1), Checker())
     ring = ring_cycle_avoiding_backbone(pair)
 
-    def fake_cover(cover, checker=None):
+    def fake_cover(cover, checker):
         return ring.copy()
 
     checker = Checker()
-    result = svensson_iterate(pair, ell, EdgeMultiset(pair.instance.g), fake_cover, checker)
+    result = svensson_iterate(pair, ell, EdgeMultiset(pair.instance.g), fake_cover,
+                              checker=checker)
     assert result.kind == "better"
     assert result.edges == ring
     # the trigger was the budget overrun of the first component
@@ -228,10 +229,10 @@ def test_iterate_returns_better_init_on_expensive_cover():
 
 def test_iterate_trivial_when_backbone_spans():
     pair = spanning_pair(c3())
-    ell = build_ell(pair, F(1))
+    ell = build_ell(pair, F(1), Checker())
     checker = Checker()
     result = svensson_iterate(pair, ell, EdgeMultiset(pair.instance.g), subtour_cover,
-                              checker)
+                              checker=checker)
     assert result.kind == "solution"
     assert result.edges == EdgeMultiset(pair.instance.g)
 
@@ -273,13 +274,13 @@ def test_vertebrate_solve_ring():
 
 def test_vertebrate_solve_spanning_backbone():
     pair = spanning_pair(two_tri())
-    f = vertebrate_solve(pair, F(1))
+    f = vertebrate_solve(pair, F(1), checker=Checker())
     assert f == EdgeMultiset(pair.instance.g)
 
 
 def test_vertebrate_solve_small_epsilon():
     pair = make_pair(two_tri())
-    f = vertebrate_solve(pair, F(1, 10))
+    f = vertebrate_solve(pair, F(1, 10), checker=Checker())
     assert_vertebrate_contract(pair, f, F(1, 10))
 
 

@@ -18,7 +18,7 @@ F = Fraction
 
 
 def test_backbone_on_triangle_instance():
-    inst, _, _ = build_strongly_laminar_instance(c3())
+    inst, _, _ = build_strongly_laminar_instance(c3(), Checker())
     checker = Checker()
     backbone, touched, missed, value_w, d_w, pair = construct_backbone(
         inst, inst.ground, checker
@@ -41,14 +41,14 @@ def test_backbone_misses_disjoint_set():
 
 
 def test_reduce_and_solve_singleton_window():
-    inst, _, _ = build_strongly_laminar_instance(two_tri())
+    inst, _, _ = build_strongly_laminar_instance(two_tri(), Checker())
     out = reduce_and_solve(inst, frozenset({2}), lambda pair: EdgeMultiset(pair.instance.g),
-                           F(1))
+                           F(1), Checker())
     assert out == EdgeMultiset(inst.g)
 
 
 def test_solve_atsp_c3():
-    cert = solve_atsp(c3(), F(1))
+    cert = solve_atsp(c3(), F(1), Checker())
     assert cert.lp_value == 3
     assert cert.cost == 3
     assert cert.ratio == 1
@@ -57,7 +57,7 @@ def test_solve_atsp_c3():
 
 
 def test_solve_atsp_k2():
-    cert = solve_atsp(k2(), F(1))
+    cert = solve_atsp(k2(), F(1), Checker())
     assert cert.cost == 2 and cert.lp_value == 2 and cert.ratio == 1
     assert len(cert.walk) == 2
 
@@ -76,14 +76,14 @@ def test_solve_atsp_two_tri():
 
 
 def test_solve_atsp_single_vertex():
-    cert = solve_atsp(Digraph(1, []), F(1))
+    cert = solve_atsp(Digraph(1, []), F(1), Checker())
     assert cert.cost == 0 and cert.lp_value == 0 and cert.ratio == 1
     assert cert.walk == []
 
 
 def test_solve_atsp_rejects_nonpositive_epsilon():
     with pytest.raises(ContractViolation):
-        solve_atsp(c3(), F(0))
+        solve_atsp(c3(), F(0), Checker())
 
 
 def test_solve_atsp_random_small():
@@ -185,8 +185,8 @@ def test_solve_atsp_all_zero_costs():
 
 def test_solve_atsp_deterministic():
     g = two_tri()
-    first = solve_atsp(g, F(1))
-    second = solve_atsp(g, F(1))
+    first = solve_atsp(g, F(1), Checker())
+    second = solve_atsp(g, F(1), Checker())
     assert first.tour == second.tour
     assert first.walk == second.walk
     assert first.cost == second.cost

@@ -97,7 +97,7 @@ def witness_calls(monkeypatch):
         stages.append(circulation(*args))
         return stages[-1]
 
-    def record(cover, levels, checker=None):
+    def record(cover, levels, checker):
         del stages[:]
         witness = compute(cover, levels, checker)
         assert len(stages) == 2
@@ -116,11 +116,11 @@ def thirds_cover() -> SubtourCoverInstance:
     arcs = [(0, 1, 1), (0, 4, 11), (1, 0, 8), (1, 3, 10), (1, 5, 8), (2, 0, 8),
             (2, 3, 2), (2, 4, 5), (2, 5, 9), (3, 2, 2), (3, 5, 7), (4, 1, 5),
             (4, 3, 4), (4, 5, 5), (5, 3, 2), (5, 0, 8)]
-    inst, _, _ = build_strongly_laminar_instance(Digraph(6, arcs))
+    inst, _, _ = build_strongly_laminar_instance(Digraph(6, arcs), Checker())
     pair = VertebratePair(inst, EdgeMultiset(inst.g), frozenset({2}))
-    pair.validate()
+    pair.validate(Checker())
     cover = SubtourCoverInstance(pair, EdgeMultiset(pair.instance.g))
-    cover.validate()
+    cover.validate(Checker())
     return cover
 
 
@@ -145,7 +145,7 @@ def random_covers(trials: int = 300) -> tuple[SubtourCoverInstance, ...]:
         rng.shuffle(perm)
         arcs |= {(perm[i], perm[(i + 1) % n]) for i in range(n)}
         g = Digraph(n, [(t, h, rng.randint(1, 12)) for t, h in sorted(arcs)])
-        inst, _, _ = build_strongly_laminar_instance(g)
+        inst, _, _ = build_strongly_laminar_instance(g, Checker())
         common = set(range(inst.g.n))
         for s in inst.family.nonsingletons():
             common &= s
@@ -176,7 +176,7 @@ def test_witness_matches_highs_on_cover_instances(cover_instances, witness_calls
     scipy = pytest.importorskip("scipy.optimize")
     covers = [*cover_instances, thirds_cover(), *random_covers()]
     for cover in covers:
-        cover.validate()
+        cover.validate(Checker())
         levels = build_level_structure(cover.pair)
         cover_mod.compute_witness_flow(cover, levels, Checker())
     assert len(witness_calls) == len(covers)
